@@ -10,8 +10,9 @@ where all coefficient gradients are evaluated along the batch's
 (X, Y, Z, u).  The sigma_x k term contracts over noise columns:
 sum_j (sigma^j_x)^T k^j, the dimensionally consistent reading.
 
-(p, k) reuse the backward module's regression machinery; the martingale
-integrand k is regressed from the centered increment
+(p, k) project with the regressions the backward pass fitted at each
+step (`BackwardSolution.regressions`), rebuilding only the design; the
+martingale integrand k is regressed from the centered increment
 (p_{i+1} - E_hat[p_{i+1}]) dW, which removes the O(1/sqrt(M dt)) noise
 of the raw product estimator.
 """
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import _COND_THRESHOLD, RegressionError, _StepRegression
-from .problem import ControlBoxError, ProblemError
+from .problem import ControlBoxError, ProblemError, control_grid
 
 
 @dataclass
@@ -87,8 +87,8 @@ def solve_q(spec, batch, backward):
     return q
 
 
-def solve_pk(spec, batch, backward, q, p_deg, cond_threshold=_COND_THRESHOLD):
-    """Regression solve of the linear backward equation for (p, k)."""
+def solve_pk(spec, batch, backward, q):
+    """Regression solve for (p, k) with the backward pass's projections."""
     m = batch.n_paths
     n_steps = batch.grid.steps
     dt = batch.grid.dt
@@ -100,13 +100,12 @@ def solve_pk(spec, batch, backward, q, p_deg, cond_threshold=_COND_THRESHOLD):
     p[:, n_steps] = -phix * q[:, n_steps][:, None]
 
     for i in range(n_steps - 1, -1, -1):
-        reg = _StepRegression(batch.states[:, i], p_deg)
-        if reg.condition > cond_threshold:
-            raise RegressionError(i, reg.condition, cond_threshold)
-        cont = reg.fit(p[:, i + 1])  # (M, n)
+        reg = backward.regressions[i]
+        design = reg.basis(batch.states[:, i])
+        cont = reg.fit(p[:, i + 1], design)  # (M, n)
         centered = p[:, i + 1] - cont
         targets = centered[:, :, None] * batch.increments[:, i][:, None, :]
-        k[:, i] = reg.fit(targets.reshape(m, n * d)).reshape(m, n, d) / dt
+        k[:, i] = reg.fit(targets.reshape(m, n * d), design).reshape(m, n, d) / dt
 
         s, x, y, z, u = _gradient_args(spec, batch, backward, i)
         bx = spec.drift_x(s, x, u)  # (M, n, n)
@@ -123,10 +122,10 @@ def solve_pk(spec, batch, backward, q, p_deg, cond_threshold=_COND_THRESHOLD):
     return p, k
 
 
-def solve_adjoint(spec, batch, backward, p_deg, cond_threshold=_COND_THRESHOLD):
+def solve_adjoint(spec, batch, backward):
     """Convenience wrapper: q then (p, k), packed into an AdjointTriple."""
     q = solve_q(spec, batch, backward)
-    p, k = solve_pk(spec, batch, backward, q, p_deg, cond_threshold)
+    p, k = solve_pk(spec, batch, backward, q)
     return AdjointTriple(
         grid=batch.grid,
         p=p,
@@ -161,14 +160,6 @@ def hamiltonian(spec, t, x, y, z, u, p, q, k):
     return float(val[0]) if scalar else val
 
 
-def _hamiltonian_batch(spec, t, x, y, z, u, p, q, k):
-    """H on (M,) batches without scalar conversion or box checks."""
-    b = spec.drift(t, x, u)
-    sg = spec.diffusion(t, x, u)
-    f = spec.driver(t, x, y, z, u)
-    return np.einsum("ma,ma->m", p, b) - q * f + np.einsum("mad,mad->m", sg, k)
-
-
 _H_U_STEP = 1e-5
 
 
@@ -187,8 +178,9 @@ def hamiltonian_gradient_u(spec, t, x, y, z, u, p, q, k):
             # degenerate box axis: the Hamiltonian cannot vary along it
             grad[:, j] = 0.0
             continue
-        hp = _hamiltonian_batch(spec, t, x, y, z, up, p, q, k)
-        hd = _hamiltonian_batch(spec, t, x, y, z, dn, p, q, k)
+        # the probes are clamped to the box, so hamiltonian's check passes
+        hp = hamiltonian(spec, t, x, y, z, up, p, q, k)
+        hd = hamiltonian(spec, t, x, y, z, dn, p, q, k)
         grad[:, j] = (hp - hd) / width
     return grad
 
@@ -211,15 +203,6 @@ class MaxConditionReport:
     passed: bool
 
 
-def _control_grid(spec, size):
-    axes = [
-        np.linspace(spec.control_lo[j], spec.control_hi[j], size)
-        for j in range(spec.k)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
-
-
 def check_maximum_condition(
     spec, batch, backward, triple, control_grid_size=11, tol_mc=1e-2
 ):
@@ -229,12 +212,9 @@ def check_maximum_condition(
     the minimizing grid point's path average, so Monte Carlo noise does
     not trigger false failures.
     """
-    if control_grid_size < 2:
-        raise ProblemError("control_grid_size must be >= 2")
-    m = batch.n_paths
+    grid_controls = control_grid(spec, control_grid_size)  # (G, k)
     n_steps = batch.grid.steps
     times = batch.grid.times
-    grid_controls = _control_grid(spec, control_grid_size)
 
     residuals = np.empty(n_steps)
     stderrs = np.empty(n_steps)
@@ -243,16 +223,12 @@ def check_maximum_condition(
         hu = hamiltonian_gradient_u(
             spec, s, x, y, z, u_bar, triple.p[:, i], triple.q[:, i], triple.k[:, i]
         )
-        best = np.inf
-        best_se = 0.0
-        for ug in grid_controls:
-            inner = np.einsum("mj,mj->m", hu, ug[None, :] - u_bar)
-            mean = float(inner.mean())
-            if mean < best:
-                best = mean
-                best_se = float(inner.std() / np.sqrt(m))
-        residuals[i] = best
-        stderrs[i] = best_se
+        # row g: <H_u, u_g - u_bar> on every path; rows reduce contiguously
+        inner = np.einsum("mj,gmj->gm", hu, grid_controls[:, None, :] - u_bar)
+        means = inner.mean(axis=1)
+        best = int(np.argmin(means))  # the first of tied grid points
+        residuals[i] = means[best]
+        stderrs[i] = inner[best].std() / np.sqrt(batch.n_paths)
     allowance = tol_mc + 4.0 * stderrs
     passed = bool(np.all(residuals >= -allowance))
     return MaxConditionReport(
@@ -266,18 +242,15 @@ def check_maximum_condition(
 
 
 def adjoint_csv(triple, report, path):
-    """Per-step CSV of (t, mean p, mean q, mean |k|, worst residual)."""
-    times = triple.grid.times
-    pn = np.linalg.norm(triple.p, axis=-1).mean(axis=0)
-    qm = triple.q.mean(axis=0)
-    kn = np.linalg.norm(triple.k, axis=(-2, -1)).mean(axis=0)
+    """Per-step CSV of (t, mean p, mean q, mean |k|, worst residual);
+    mean_p is the signed path mean of p's first component when n > 1."""
+    times = triple.grid.times.tolist()
+    pm = triple.p[:, :, 0].mean(axis=0).tolist()
+    qm = triple.q.mean(axis=0).tolist()
+    nan = [float("nan")]  # pads the per-step columns to the N+1 nodes
+    kn = np.linalg.norm(triple.k, axis=(-2, -1)).mean(axis=0).tolist() + nan
+    res = ([] if report is None else report.residuals.tolist()) + nan * len(times)
     with open(path, "w") as fh:
         fh.write("t,mean_p,mean_q,mean_abs_k,worst_residual\n")
-        for i, t in enumerate(times):
-            kcol = kn[i] if i < kn.shape[0] else float("nan")
-            rcol = (
-                report.residuals[i]
-                if report is not None and i < report.residuals.shape[0]
-                else float("nan")
-            )
-            fh.write(f"{t!r},{pn[i]!r},{qm[i]!r},{kcol!r},{rcol!r}\n")
+        for row in zip(times, pm, qm, kn, res):
+            fh.write(",".join(map(repr, row)) + "\n")

@@ -62,28 +62,36 @@ class _StepRegression:
     spans the same polynomial space but keeps the Gram matrix tame.  The
     ridge term (1e-8 times the Gram trace) makes degenerate designs --
     e.g. a deterministic state column -- fall back to the plain mean.
+    `basis` rebuilds the (M, P) `design` bit for bit, so a kept projection
+    may drop it.
     """
 
     def __init__(self, x, degree):
         x = np.asarray(x, dtype=float)
-        mu = x.mean(axis=0)
+        self.degree = degree
+        self.mu = x.mean(axis=0)
         sd = x.std(axis=0)
-        sd = np.where(sd > 1e-300, sd, 1.0)
-        t = (x - mu) / sd
-        powers = _monomial_powers(x.shape[1], degree)
-        cols = [np.prod(t**np.array(p), axis=1) for p in powers]
-        self.design = np.column_stack(cols)
+        self.sd = np.where(sd > 1e-300, sd, 1.0)
+        self.design = self.basis(x)
         gram = self.design.T @ self.design
         lam = _RIDGE_SCALE * np.trace(gram)
-        self.gram = gram + lam * np.eye(gram.shape[0])
-        self.condition = float(np.linalg.cond(self.gram))
-        self._chol = np.linalg.cholesky(self.gram)
+        gram = gram + lam * np.eye(gram.shape[0])
+        self.condition = float(np.linalg.cond(gram))
+        self.chol = np.linalg.cholesky(gram)
 
-    def fit(self, targets):
+    def basis(self, x):
+        """Standardized monomials of the states x: the (M, P) design."""
+        t = (x - self.mu) / self.sd
+        powers = _monomial_powers(x.shape[1], self.degree)
+        cols = [np.prod(t**np.array(p), axis=1) for p in powers]
+        return np.column_stack(cols)
+
+    def fit(self, targets, design=None):
         """Fitted values at the design points; targets (M,) or (M, q)."""
-        rhs = self.design.T @ targets
-        coef = np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, rhs))
-        return self.design @ coef
+        design = self.design if design is None else design
+        rhs = design.T @ targets
+        coef = np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, rhs))
+        return design @ coef
 
 
 @dataclass
@@ -93,11 +101,13 @@ class BackwardSolution:
     grid: object
     y: np.ndarray  # (M, N+1)
     z: np.ndarray  # (M, N, d)
-    basis_degree: int
     state_dim: int
     conditions: np.ndarray  # per-step condition estimate of the Gram matrix
     policy_id: str
     pathwise_value: np.ndarray  # (M,) terminal + summed driver, for bootstraps
+    # (N,) step i's _StepRegression (mu, sd, Cholesky factor, condition)
+    # with its design dropped; the adjoint pass projects with the same ones
+    regressions: list
 
 
 def solve_backward(
@@ -127,6 +137,7 @@ def solve_backward(
     y = np.empty((m, n_steps + 1))
     z = np.empty((m, n_steps, spec.d))
     conditions = np.empty(n_steps)
+    regressions = [None] * n_steps
     y[:, n_steps] = spec.terminal(x[:, n_steps])
     driver_sum = np.zeros(m)
 
@@ -145,6 +156,8 @@ def solve_backward(
             ycur = cont + fval * dt
         y[:, i] = ycur
         driver_sum += fval * dt
+        reg.design = None  # (M, P) per step is too much to keep
+        regressions[i] = reg
 
     # deterministic start: the time-t conditional expectation is a constant
     if np.ptp(x[:, 0], axis=0).max() == 0.0:
@@ -154,11 +167,11 @@ def solve_backward(
         grid=batch.grid,
         y=y,
         z=z,
-        basis_degree=p_deg,
         state_dim=spec.n,
         conditions=conditions,
         policy_id=batch.policy_id,
         pathwise_value=y[:, n_steps] + driver_sum,
+        regressions=regressions,
     )
 
 
@@ -296,10 +309,10 @@ def backward_perturbation_probe(
 
 def backward_csv(sol, path):
     """Per-step CSV of (t, mean Y, std Y, mean |Z|)."""
-    times = sol.grid.times
+    times = sol.grid.times.tolist()
     zn = np.linalg.norm(sol.z, axis=-1)
     with open(path, "w") as fh:
         fh.write("t,mean_y,std_y,mean_abs_z\n")
-        for i, t in enumerate(times):
-            zcol = zn[:, i].mean() if i < sol.z.shape[1] else float("nan")
-            fh.write(f"{t!r},{sol.y[:, i].mean()!r},{sol.y[:, i].std()!r},{zcol!r}\n")
+        for i, (t, y) in enumerate(zip(times, sol.y.T)):
+            zcol = float(zn[:, i].mean()) if i < zn.shape[1] else float("nan")
+            fh.write(f"{t!r},{float(y.mean())!r},{float(y.std())!r},{zcol!r}\n")

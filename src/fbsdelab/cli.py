@@ -52,7 +52,6 @@ PARAM_BOUNDS = {
     "p_deg": (0, 12),
     "control_grid_size": (2, 10_001),
     "seed": (0, 2**63 - 1),
-    "threads": (1, 4096),
 }
 
 
@@ -77,7 +76,6 @@ class ExperimentConfig:
     tol_mc: float = 1e-2
     out_dir: str = "out"
     formats: tuple = ("csv", "json")
-    threads: int = 1
     n_picard: int = 0
 
     def validate(self):
@@ -102,7 +100,6 @@ class ExperimentConfig:
             ("p_deg", self.p_deg),
             ("control_grid_size", self.control_grid_size),
             ("seed", self.seed),
-            ("threads", self.threads),
         ):
             lo, hi = PARAM_BOUNDS[name]
             if not lo <= value <= hi:
@@ -227,7 +224,7 @@ def run_experiment(config):
                         fh.write(cost_rep.to_json() + "\n")
             elif stage == "adjoint":
                 triple = adjoint_mod.solve_adjoint(
-                    spec, state["batch"], state["backward"], config.p_deg
+                    spec, state["batch"], state["backward"]
                 )
                 state["adjoint"] = triple
                 mc = adjoint_mod.check_maximum_condition(
@@ -434,7 +431,6 @@ def _build_parser():
         p.add_argument("--picard", type=int, default=0, dest="n_picard")
         p.add_argument("--out", default="out", dest="out_dir")
         p.add_argument("--format", default="csv,json", dest="formats")
-        p.add_argument("--threads", type=int, default=1)
 
     run_p = sub.add_parser("run", help="execute pipeline stages")
     common(run_p)
@@ -482,7 +478,6 @@ def _config_from_args(args):
         tol_mc=args.tol_mc,
         out_dir=args.out_dir,
         formats=tuple(f.strip() for f in args.formats.split(",") if f.strip()),
-        threads=args.threads,
         n_picard=args.n_picard,
     )
 

@@ -321,9 +321,9 @@ def load_pathbatch(path):
 
 def pathbatch_summary_csv(batch, path):
     """Per-node mean/std of the state (first coordinate norm for n > 1)."""
-    times = batch.grid.times
+    times = batch.grid.times.tolist()
     norms = np.linalg.norm(batch.states, axis=-1)
     with open(path, "w") as fh:
         fh.write("t,mean_state_norm,std_state_norm\n")
-        for i, t in enumerate(times):
-            fh.write(f"{t!r},{norms[:, i].mean()!r},{norms[:, i].std()!r}\n")
+        for t, col in zip(times, norms.T):
+            fh.write(f"{t!r},{float(col.mean())!r},{float(col.std())!r}\n")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import TimeGrid
-from .problem import ControlBoxError, ProblemError
+from .problem import ControlBoxError, ProblemError, control_grid
 
 
 class CFLError(ProblemError):
@@ -83,20 +83,11 @@ def generalized_hamiltonian(spec, t, x, r, p_var, big_a, u):
     return float(trace + p1 @ b + spec.driver(t, x1, r, z, u1))
 
 
-def _control_grid(spec, size):
-    axes = [
-        np.linspace(spec.control_lo[j], spec.control_hi[j], size)
-        for j in range(spec.k)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
-
-
 def _scan_coefficients(spec, half_width, n_cells, control_grid_size, t_start):
     """Max |b|, sigma^2 and driver-gradient magnitudes over the grid."""
     xs = np.linspace(-half_width, half_width, n_cells + 1)
     times = np.linspace(t_start, spec.horizon, 5)
-    controls = _control_grid(spec, control_grid_size)
+    controls = control_grid(spec, control_grid_size)
     max_b = 0.0
     max_sig2 = 0.0
     max_fy = 0.0
@@ -208,7 +199,7 @@ class _Sweep:
 
 def sweep_step(spec, xs, v, t, dt, control_grid_size=11):
     """Single explicit update of a value row (used directly by probes)."""
-    return _Sweep(spec, xs, _control_grid(spec, control_grid_size)).step(v, t, dt)
+    return _Sweep(spec, xs, control_grid(spec, control_grid_size)).step(v, t, dt)
 
 
 def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
@@ -219,8 +210,7 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
     """
     if spec.n != 1:
         raise ProblemError("the finite-difference solver is one-dimensional")
-    if control_grid_size < 2:
-        raise ProblemError("control_grid_size must be >= 2")
+    controls = control_grid(spec, control_grid_size)
     if abs(grid.end - spec.horizon) > 1e-12:
         raise ProblemError("grid must end at the problem horizon")
     dt_max = cfl_max_dt(
@@ -231,7 +221,7 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
         raise CFLError(grid.dt, dt_max, n_req, (grid.start, grid.end))
 
     xs = np.linspace(-half_width, half_width, n_cells + 1)
-    sweep = _Sweep(spec, xs, _control_grid(spec, control_grid_size))
+    sweep = _Sweep(spec, xs, controls)
     times = grid.times
     n_steps = grid.steps
     values = np.empty((n_steps + 1, n_cells + 1))
@@ -306,7 +296,7 @@ def viscosity_check(vgrid, spec, probe_points, fit_radius=3):
     n_t, n_x = v.shape
     results = []
     worst = 0.0
-    controls = _control_grid(spec, vgrid.control_grid_size)
+    controls = control_grid(spec, vgrid.control_grid_size)
 
     for t_probe, x_probe in probe_points:
         it = int(np.argmin(np.abs(times - t_probe)))
@@ -414,12 +404,12 @@ def value_grid_csv(vgrid, path, max_time_slices=101):
     idx = list(range(0, times.size, stride))
     if idx[-1] != times.size - 1:
         idx.append(times.size - 1)
-    xs = vgrid.xs
+    xs = vgrid.xs.tolist()
     with open(path, "w") as fh:
         fh.write("t,x,v\n")
-        for i in idx:
-            for j, x in enumerate(xs):
-                fh.write(f"{times[i]!r},{x!r},{vgrid.values[i, j]!r}\n")
+        for t, row in zip(times[idx].tolist(), vgrid.values[idx].tolist()):
+            for x, v in zip(xs, row):
+                fh.write(f"{t!r},{x!r},{v!r}\n")
 
 
 def value_grid_meta_json(vgrid, path, spec=None):

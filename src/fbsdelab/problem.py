@@ -61,6 +61,7 @@ __all__ = [
     "builtin_names",
     "builtin_start",
     "project_control",
+    "control_grid",
     "eval_coefficients",
     "probe_assumptions",
 ]
@@ -643,8 +644,9 @@ _SECTION_KEYS = {
 
 
 def _parse_kv_lines(text):
-    """Split config text into {section: {key: (value, line, col)}}."""
+    """Config text as {section: {key: (value, line, col)}}, {section: header line}."""
     data = {}
+    headers = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -658,6 +660,7 @@ def _parse_kv_lines(text):
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{section}]", lineno, 1)
             data.setdefault(section, {})
+            headers.setdefault(section, lineno)
             continue
         if section is None:
             raise ConfigError("key outside any section", lineno, 1)
@@ -669,14 +672,7 @@ def _parse_kv_lines(text):
         if key in data[section]:
             raise ConfigError(f"duplicate key {key!r}", lineno, 1)
         data[section][key] = (value.strip(), lineno, col)
-    return data
-
-
-def _need(data, section, key):
-    try:
-        return data[section][key]
-    except KeyError:
-        raise ConfigError(f"missing required key {key!r} in section [{section}]")
+    return data, headers
 
 
 def _as_int(item, key):
@@ -722,27 +718,42 @@ def parse_problem(config_text):
 
     Returns (spec, initial) where initial is a (t, x) pair when the
     optional [initial] section is present, else None.  Errors carry the
-    offending line and column.
+    offending line and column: an absent key or coefficient points at
+    its section header, an absent section at the line after the last.
     """
-    data = _parse_kv_lines(config_text)
-    # errors with a position come before those without one
+    data, headers = _parse_kv_lines(config_text)
+    # unknown keys come before missing sections
     for section, allowed in _SECTION_KEYS.items():
         for key, (_, line, _) in data.get(section, {}).items():
             if key not in allowed:
                 raise ConfigError(f"unknown key {key!r} in [{section}]", line, 1)
+    end = len(config_text.splitlines()) + 1
     for section in ("dims", "horizon", "control", "coefficients"):
         if section not in data:
-            raise ConfigError(f"missing required section [{section}]")
+            raise ConfigError(f"missing required section [{section}]", end, 1)
 
-    n = _as_int(_need(data, "dims", "n"), "n")
-    d = _as_int(_need(data, "dims", "d"), "d")
-    k = _as_int(_need(data, "dims", "k"), "k")
+    def need(section, key):
+        """(value, line, col) of a key; an absent key points at its header."""
+        if key not in data[section]:
+            msg = f"missing required key {key!r} in section [{section}]"
+            raise ConfigError(msg, headers[section], 1)
+        return data[section][key]
+
+    n, d, k = (_as_int(need("dims", key), key) for key in ("n", "d", "k"))
     hint = 1.0
     if "lipschitz_hint" in data["dims"]:
         hint = _as_float(data["dims"]["lipschitz_hint"], "lipschitz_hint")
-    horizon = _as_float(_need(data, "horizon", "T"), "T")
-    lo = _as_floats(_need(data, "control", "lo"), "lo", k)
-    hi = _as_floats(_need(data, "control", "hi"), "hi", k)
+    item = need("horizon", "T")
+    horizon = _as_float(item, "T")
+    if not horizon > 0:
+        raise ConfigError("horizon T must be strictly positive", *item[1:])
+    item = need("control", "lo")
+    lo = _as_floats(item, "lo", k)
+    hi = _as_floats(need("control", "hi"), "hi", k)
+    if np.any(lo > hi):
+        i = int(np.argmax(lo > hi))
+        msg = f"empty control box: lo[{i}] = {lo[i]} > hi[{i}] = {hi[i]}"
+        raise ConfigError(msg, *item[1:])
 
     coeff = data["coefficients"]
     expected = (
@@ -757,7 +768,8 @@ def parse_problem(config_text):
     line_info = {}
     for key in expected:
         if key not in coeff:
-            raise ConfigError(f"missing coefficient {key!r} in [coefficients]")
+            msg = f"missing coefficient {key!r} in [coefficients]"
+            raise ConfigError(msg, headers["coefficients"], 1)
         src, line, col = _unquote(coeff[key], key)
         sources[key] = src
         line_info[key] = (line, col)
@@ -779,10 +791,11 @@ def parse_problem(config_text):
 
     initial = None
     if "initial" in data:
-        t0 = _as_float(_need(data, "initial", "t"), "t")
-        x0 = _as_floats(_need(data, "initial", "x"), "x", n)
+        item = need("initial", "t")
+        t0 = _as_float(item, "t")
+        x0 = _as_floats(need("initial", "x"), "x", n)
         if not 0.0 <= t0 < horizon:
-            raise ConfigError(f"initial time t = {t0} outside [0, T)")
+            raise ConfigError(f"initial time t = {t0} outside [0, T)", *item[1:])
         initial = (t0, x0)
     return spec, initial
 
@@ -904,6 +917,18 @@ def project_control(u_raw, spec):
     """Componentwise clamp of a control onto the control box (idempotent)."""
     u = np.asarray(u_raw, dtype=float)
     return np.clip(u, spec.control_lo, spec.control_hi)
+
+
+def control_grid(spec, size):
+    """Uniform tensor grid over the control box: (size**k, k) controls."""
+    if size < 2:
+        raise ProblemError("control_grid_size must be >= 2")
+    axes = [
+        np.linspace(spec.control_lo[j], spec.control_hi[j], size)
+        for j in range(spec.k)
+    ]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
 def eval_coefficients(spec, s, x, u):

@@ -35,7 +35,7 @@ def pipeline_optimal(spec31, zero_policy):
         spec31, zero_policy, 0.0, [0.0], grid, 50000, seed=ACCEPT_SEED
     )
     sol = backward_mod.solve_backward(spec31, zero_policy, batch, 3)
-    triple = adjoint_mod.solve_adjoint(spec31, batch, sol, 3)
+    triple = adjoint_mod.solve_adjoint(spec31, batch, sol)
     TIMINGS["pipeline_optimal"] = time.perf_counter() - start
     return {"grid": grid, "batch": batch, "sol": sol, "triple": triple}
 
@@ -48,7 +48,7 @@ def pipeline_suboptimal(spec31, zero_policy):
         spec31, zero_policy, 0.0, [1.0], grid, 20000, seed=ACCEPT_SEED
     )
     sol = backward_mod.solve_backward(spec31, zero_policy, batch, 3)
-    triple = adjoint_mod.solve_adjoint(spec31, batch, sol, 3)
+    triple = adjoint_mod.solve_adjoint(spec31, batch, sol)
     return {"grid": grid, "batch": batch, "sol": sol, "triple": triple}
 
 

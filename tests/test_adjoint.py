@@ -61,7 +61,7 @@ def test_q_positivity_warning_on_wild_driver():
 
 def test_pk_along_optimal_pair(spec31, zero_policy):
     batch, sol = _pipeline(spec31, zero_policy, [0.0], 100, 2000, seed=1)
-    triple = A.solve_adjoint(spec31, batch, sol, 3)
+    triple = A.solve_adjoint(spec31, batch, sol)
     s = batch.grid.times
     assert np.max(np.abs(triple.p[:, :, 0] + np.exp(-s)[None, :])) <= 5e-3
     assert np.max(np.abs(triple.k)) <= 1e-6
@@ -74,14 +74,14 @@ def test_pk_null_terminal_and_source():
     )
     pol = F.ConstantPolicy(0.5)
     batch, sol = _pipeline(spec, pol, [1.0], 20, 300, seed=1, p_deg=2)
-    triple = A.solve_adjoint(spec, batch, sol, 2)
+    triple = A.solve_adjoint(spec, batch, sol)
     assert np.max(np.abs(triple.p)) == 0.0
     assert np.max(np.abs(triple.k)) == 0.0
 
 
 def test_terminal_identity_every_path(spec31, zero_policy):
     batch, sol = _pipeline(spec31, zero_policy, [1.0], 30, 500, seed=6)
-    triple = A.solve_adjoint(spec31, batch, sol, 3)
+    triple = A.solve_adjoint(spec31, batch, sol)
     phix = spec31.terminal_x(batch.states[:, -1])
     resid = triple.p[:, -1] + phix * triple.q[:, -1][:, None]
     assert np.max(np.abs(resid)) <= 1e-12
@@ -97,11 +97,42 @@ def test_scaling_family_scales_p_k_fixes_q(zero_policy, spec31):
     batch1, sol1 = _pipeline(spec31, zero_policy, [1.0], 40, 3000, seed=8)
     batch2, sol2 = _pipeline(scaled, zero_policy, [1.0], 40, 3000, seed=8)
     assert np.array_equal(batch1.states, batch2.states)
-    t1 = A.solve_adjoint(spec31, batch1, sol1, 3)
-    t2 = A.solve_adjoint(scaled, batch2, sol2, 3)
+    t1 = A.solve_adjoint(spec31, batch1, sol1)
+    t2 = A.solve_adjoint(scaled, batch2, sol2)
     assert np.allclose(t2.q, t1.q, rtol=1e-6, atol=1e-12)
     assert np.allclose(t2.p, 2.0 * t1.p, rtol=1e-6, atol=1e-9)
     assert np.allclose(t2.k, 2.0 * t1.k, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("deg", [1, 3])
+def test_pk_projects_with_the_backward_regressions(deg):
+    # (p, k) reuse the backward pass's per-step projection: a fresh
+    # regression of the backward degree at the same states gives the same
+    # bits, and one of another degree does not
+    spec = P.builtin_problem("smooth1d")
+    pol = F.ConstantPolicy(0.5)
+    batch, sol = _pipeline(spec, pol, [0.5], 20, 400, seed=3, p_deg=deg)
+    triple = A.solve_adjoint(spec, batch, sol)
+    dt = batch.grid.dt
+    for i in (0, 7, 19):
+        assert sol.regressions[i].degree == deg
+        reg = B._StepRegression(batch.states[:, i], deg)
+        cont = reg.fit(triple.p[:, i + 1])
+        centered = triple.p[:, i + 1] - cont
+        k = reg.fit(centered * batch.increments[:, i]) / dt
+        assert np.array_equal(triple.k[:, i, :, 0], k)
+        s, x, y, z, u = A._gradient_args(spec, batch, sol, i)
+        drift_term = (
+            np.einsum("mab,ma->mb", spec.drift_x(s, x, u), cont)
+            - spec.driver_x(s, x, y, z, u) * triple.q[:, i][:, None]
+            + np.einsum("majb,maj->mb", spec.diffusion_x(s, x, u), triple.k[:, i])
+        )
+        assert np.array_equal(triple.p[:, i], cont + drift_term * dt)
+    fits = [
+        B._StepRegression(batch.states[:, 7], d).fit(triple.p[:, 8])
+        for d in (deg, 4 - deg)
+    ]
+    assert not np.array_equal(*fits)
 
 
 def test_hamiltonian_hand_values(spec31):
@@ -118,7 +149,7 @@ def test_hamiltonian_rejects_outside_control(spec31):
 
 def test_max_condition_zero_on_optimal_pair(spec31, zero_policy):
     batch, sol = _pipeline(spec31, zero_policy, [0.0], 50, 500, seed=1)
-    triple = A.solve_adjoint(spec31, batch, sol, 3)
+    triple = A.solve_adjoint(spec31, batch, sol)
     rep = A.check_maximum_condition(spec31, batch, sol, triple, control_grid_size=11)
     assert np.all(rep.residuals == 0.0)
     assert rep.passed
@@ -151,10 +182,14 @@ def test_max_condition_coarsest_grid(pipeline_suboptimal, spec31):
 
 def test_adjoint_csv_export(tmp_path, spec31, zero_policy):
     batch, sol = _pipeline(spec31, zero_policy, [0.0], 10, 50, seed=1)
-    triple = A.solve_adjoint(spec31, batch, sol, 2)
+    triple = A.solve_adjoint(spec31, batch, sol)
     rep = A.check_maximum_condition(spec31, batch, sol, triple, control_grid_size=3)
     path = tmp_path / "adjoint.csv"
     A.adjoint_csv(triple, rep, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,mean_p,mean_q,mean_abs_k,worst_residual"
     assert len(lines) == 12
+    row = [float(v) for v in lines[1].split(",")]
+    assert len(row) == 5
+    # signed mean of p, which is -e^{-s} = -1 at s = 0
+    assert abs(row[1] + 1.0) <= 2e-2

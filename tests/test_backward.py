@@ -179,3 +179,4 @@ def test_backward_csv_export(tmp_path, sol_x1):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,mean_y,std_y,mean_abs_z"
     assert len(lines) == 52
+    assert len([float(v) for v in lines[1].split(",")]) == 4

@@ -191,3 +191,4 @@ def test_pathbatch_summary_csv(tmp_path, spec31, zero_policy):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,mean_state_norm,std_state_norm"
     assert len(lines) == 6
+    assert len([float(v) for v in lines[1].split(",")]) == 3

@@ -174,6 +174,7 @@ def test_value_grid_exports(tmp_path, vgrid100, spec31):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "t,x,v"
     assert len(lines) <= 1 + 13 * 101
+    assert len([float(v) for v in lines[1].split(",")]) == 3
     meta = tmp_path / "meta.json"
     H.value_grid_meta_json(vgrid100, meta, spec31)
     import json

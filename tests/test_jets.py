@@ -155,7 +155,7 @@ def test_connection_smooth_start_matches_gradient():
     batch = F.simulate_forward(spec, pol, 0.0, [-1.0], grid, 64, seed=12)
     assert np.abs(batch.states).max() < 4.0
     sol = B.solve_backward(spec, pol, batch, 3)
-    triple = A.solve_adjoint(spec, batch, sol, 3)
+    triple = A.solve_adjoint(spec, batch, sol)
     hgrid = H.cfl_time_grid(spec, 4.0, 200, 11)
     vgrid = H.solve_hjb_fd(spec, 4.0, 200, hgrid, 11)
     rep = J.verify_connection(
@@ -181,7 +181,7 @@ def test_connection_state_outside_domain(spec31, zero_policy, vgrid100):
     grid = F.TimeGrid(0.0, 1.0, 20)
     batch = F.simulate_forward(spec31, F.ConstantPolicy(1.0), 0.0, [10.0], grid, 8, seed=1)
     sol = B.solve_backward(spec31, F.ConstantPolicy(1.0), batch, 1)
-    triple = A.solve_adjoint(spec31, batch, sol, 1)
+    triple = A.solve_adjoint(spec31, batch, sol)
     with pytest.raises(J.JetError, match="outside"):
         J.verify_connection(spec31, batch, sol, triple, vgrid100, [0.5])
 

@@ -72,6 +72,30 @@ def test_unknown_key_reported_before_missing_section():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "bad, match, line",
+    [
+        # a missing key or coefficient: the line of its section header
+        (EXAMPLE_CONFIG.replace("d = 1\n", ""), "missing required key 'd'", 2),
+        (EXAMPLE_CONFIG.replace('f = "x1 - y"\n', ""), "missing coefficient 'f'", 14),
+        # a missing section: the line after the last
+        (EXAMPLE_CONFIG.replace("[horizon]\nT = 1.0\n", ""), "section .horizon", 17),
+        (
+            EXAMPLE_CONFIG.replace("lo = 0.0", "lo = 1.0").replace("hi = 1.0", "hi = 0.0"),
+            "empty control box",
+            11,
+        ),
+        (EXAMPLE_CONFIG + "\n[initial]\nt = 2.0\nx = 0.0\n", "initial time", 21),
+        (EXAMPLE_CONFIG.replace("T = 1.0", "T = 0.0"), "strictly positive", 8),
+    ],
+    ids=["key", "coefficient", "section", "control_box", "initial_t", "horizon"],
+)
+def test_config_errors_carry_a_line(bad, match, line):
+    with pytest.raises(P.ConfigError, match=match) as err:
+        P.parse_problem(bad)
+    assert err.value.line == line
+
+
 def test_missing_sigma_entry_rejected():
     bad = EXAMPLE_CONFIG.replace('sigma1_1 = "x1"\n', "")
     with pytest.raises(P.ConfigError, match="sigma1_1"):
