@@ -289,7 +289,7 @@ def run_experiment(config):
                 if want_csv:
                     hjb_mod.value_grid_csv(vgrid, out("hjb.csv"))
                 if want_json:
-                    hjb_mod.value_grid_meta_json(vgrid, out("hjb_meta.json"), spec)
+                    hjb_mod.value_grid_meta_json(vgrid, out("hjb_meta.json"))
             elif stage == "jets":
                 check_times = [
                     t0 + frac * (spec.horizon - t0)

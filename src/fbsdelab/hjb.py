@@ -14,8 +14,13 @@ monotone in the neighboring values provided dt satisfies the CFL bound
 
 where c0 absorbs the driver's dependence on its value and z arguments;
 `cfl_max_dt` computes the bound by pre-scanning the grid, and the solver
-refuses to run when it is violated.  Monotone schemes of this type
-converge to the PDE's viscosity solution, which is why one is used here.
+refuses to run when it is violated.  The pre-scan samples b and sigma
+at a few time levels only, so when they depend on time the sweep also
+checks each step's dt against the bound of that step's own b and sigma
+and refuses there.  Each step evaluates all controls of the grid at
+once, as (C, J+1) arrays, and takes their maximum.  Monotone schemes of
+this type converge to the PDE's viscosity solution, which is why one is
+used here.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ class ValueGrid:
     values: np.ndarray  # (N+1, J+1)
     control_grid_size: int
     boundary_rule: str = "linear-extrapolation"
+    cfl_ratio: float = None  # grid.dt over the CFL bound; None if not solved
 
     @property
     def dx(self):
@@ -111,15 +117,31 @@ def _scan_coefficients(spec, half_width, n_cells, control_grid_size, t_start):
     return max_b, max_sig2, max_fy, max_sfz
 
 
-def cfl_max_dt(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
-    """Largest monotone time step for the explicit sweep on this grid."""
+def _dt_bound(dx, max_sig2, max_b, c0):
+    denom = max_sig2 + dx * max_b + c0
+    return np.inf if denom == 0.0 else dx * dx / denom
+
+
+def _refuse_above(dt, dt_max, span):
+    """Raise CFLError when dt exceeds the bound dt_max on [span[0], span[1]]."""
+    if dt > dt_max * (1.0 + 1e-12):
+        n_req = int(np.ceil((span[1] - span[0]) / dt_max))
+        raise CFLError(dt, dt_max, n_req, span)
+
+
+def _cfl_terms(spec, half_width, n_cells, control_grid_size, t_start):
+    """(largest monotone dt, the driver's share c0 of the bound)."""
     dx = 2.0 * half_width / n_cells
     max_b, max_sig2, max_fy, max_sfz = _scan_coefficients(
         spec, half_width, n_cells, control_grid_size, t_start
     )
     c0 = dx * max_sfz + dx * dx * max_fy
-    denom = max_sig2 + dx * max_b + c0
-    return np.inf if denom == 0.0 else dx * dx / denom
+    return _dt_bound(dx, max_sig2, max_b, c0), c0
+
+
+def cfl_max_dt(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
+    """Largest monotone time step for the explicit sweep on this grid."""
+    return _cfl_terms(spec, half_width, n_cells, control_grid_size, t_start)[0]
 
 
 def cfl_time_grid(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
@@ -127,6 +149,16 @@ def cfl_time_grid(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
     dt_max = cfl_max_dt(spec, half_width, n_cells, control_grid_size, t_start)
     n = max(1, int(np.ceil((spec.horizon - t_start) / dt_max)))
     return TimeGrid(t_start, spec.horizon, n)
+
+
+def _coefficients_static(spec):
+    """True when the expression variables show b and sigma ignore time."""
+    return (
+        spec.b_variables is not None
+        and spec.sigma_variables is not None
+        and "s" not in spec.b_variables
+        and "s" not in spec.sigma_variables
+    )
 
 
 def _pad_linear(v):
@@ -141,35 +173,37 @@ class _Sweep:
 
     Spatial derivatives use upwind first differences (forward where
     b >= 0), central second differences, and linear-extrapolation ghost
-    nodes at both ends.  When the problem's expression variables show b
-    and sigma are time-independent, they are evaluated once per control;
-    when the driver ignores z and u it is evaluated once per step.
+    nodes at both ends.  Every control is evaluated at once: b, sigma and
+    the driver are (C, J+1) arrays, one row per control, and the update
+    takes their maximum over rows.  When the problem's expression
+    variables show b and sigma are time-independent, they are evaluated
+    once; otherwise once per step, and with `c0` given each step's dt is
+    checked against the CFL bound of that step's own b and sigma (the
+    pre-scan samples only a few time levels).  When the driver ignores z
+    and u it is evaluated once per step on (J+1,).
     """
 
-    def __init__(self, spec, xs, controls):
+    def __init__(self, spec, xs, controls, c0=None, span=None):
         self.spec = spec
-        self.xs = xs
         self.dx = xs[1] - xs[0]
+        self.c0 = c0
+        self.span = span
+        shape = (len(controls), xs.size)
         self.x_cols = xs[:, None]
-        self.uu = [np.broadcast_to(u, (xs.size, spec.k)) for u in controls]
+        self.x = np.broadcast_to(xs[None, :, None], shape + (1,))
+        self.u = np.broadcast_to(controls[:, None, :], shape + (spec.k,))
         fvars = spec.f_variables
         self.f_uses_u = fvars is None or any(v.startswith("u") for v in fvars)
         self.f_uses_z = fvars is None or any(v.startswith("z") for v in fvars)
-        bs_static = (
-            spec.b_variables is not None
-            and spec.sigma_variables is not None
-            and "s" not in spec.b_variables
-            and "s" not in spec.sigma_variables
-        )
-        self.static_coeffs = None
-        if bs_static:
-            self.static_coeffs = [self._coeffs(0.0, uu) for uu in self.uu]
+        static = _coefficients_static(spec)
+        self.static_coeffs = self._coeffs(0.0) if static else None
         self.zeros_z = np.zeros((xs.size, spec.d))
 
-    def _coeffs(self, t, uu):
-        b = self.spec.drift(t, self.x_cols, uu)[:, 0]
-        sg = self.spec.diffusion(t, self.x_cols, uu)[:, 0, 0]
-        return b, sg
+    def _coeffs(self, t):
+        """(b, sigma, upwind mask, sigma^2 / 2), each (C, J+1), at time t."""
+        b = self.spec.drift(t, self.x, self.u)[..., 0]
+        sg = self.spec.diffusion(t, self.x, self.u)[..., 0, 0]
+        return b, sg, b >= 0.0, 0.5 * sg * sg
 
     def step(self, v, t, dt):
         """One explicit update of a value row at known time level t."""
@@ -178,23 +212,22 @@ class _Sweep:
         fwd = (vp[2:] - vp[1:-1]) / self.dx
         bwd = (vp[1:-1] - vp[:-2]) / self.dx
         r = -v
-        shared_f = None
+        if self.static_coeffs is not None:
+            b, sg, up, half_s2 = self.static_coeffs
+        else:
+            b, sg, up, half_s2 = self._coeffs(t)
+            if self.c0 is not None:
+                max_sig2 = float(np.max(sg * sg))
+                max_b = float(np.max(np.abs(b)))
+                dt_max = _dt_bound(self.dx, max_sig2, max_b, self.c0)
+                _refuse_above(dt, dt_max, self.span)
+        d1 = np.where(up, fwd, bwd)
         if not (self.f_uses_u or self.f_uses_z):
-            shared_f = self.spec.driver(t, self.x_cols, r, self.zeros_z, self.uu[0])
-        best = None
-        for c, uu in enumerate(self.uu):
-            if self.static_coeffs is not None:
-                b, sg = self.static_coeffs[c]
-            else:
-                b, sg = self._coeffs(t, uu)
-            d1 = np.where(b >= 0.0, fwd, bwd)
-            if shared_f is not None:
-                fval = shared_f
-            else:
-                fval = self.spec.driver(t, self.x_cols, r, (-sg * d1)[:, None], uu)
-            g = 0.5 * sg * sg * (-dxx) + (-d1) * b + fval
-            best = g if best is None else np.maximum(best, g)
-        return v - dt * best
+            fval = self.spec.driver(t, self.x_cols, r, self.zeros_z, self.u[0])
+        else:
+            fval = self.spec.driver(t, self.x, r, (-sg * d1)[..., None], self.u)
+        g = half_s2 * (-dxx) + (-d1) * b + fval
+        return v - dt * g.max(axis=0)
 
 
 def sweep_step(spec, xs, v, t, dt, control_grid_size=11):
@@ -206,7 +239,9 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
     """Solve the value PDE on [-L, L] x [grid.start, T].
 
     One-dimensional only (spec.n == 1); raises CFLError when grid.dt
-    exceeds the monotonicity bound.  The terminal row is -phi exactly.
+    exceeds the monotonicity bound, before the sweep for the pre-scanned
+    bound and, when b or sigma depend on time, at the first step whose
+    own coefficients it exceeds.  The terminal row is -phi exactly.
     """
     if spec.n != 1:
         raise ProblemError("the finite-difference solver is one-dimensional")
@@ -216,12 +251,18 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
     dt_max = cfl_max_dt(
         spec, half_width, n_cells, control_grid_size, t_start=grid.start
     )
-    if grid.dt > dt_max * (1.0 + 1e-12):
-        n_req = int(np.ceil((grid.end - grid.start) / dt_max))
-        raise CFLError(grid.dt, dt_max, n_req, (grid.start, grid.end))
+    span = (grid.start, grid.end)
+    _refuse_above(grid.dt, dt_max, span)
 
+    c0 = None
+    if not _coefficients_static(spec):
+        # the per-step check needs the driver's share c0 of the bound;
+        # cfl_max_dt returns the bound alone, so this scans once more
+        _, c0 = _cfl_terms(
+            spec, half_width, n_cells, control_grid_size, grid.start
+        )
     xs = np.linspace(-half_width, half_width, n_cells + 1)
-    sweep = _Sweep(spec, xs, controls)
+    sweep = _Sweep(spec, xs, controls, c0, span)
     times = grid.times
     n_steps = grid.steps
     values = np.empty((n_steps + 1, n_cells + 1))
@@ -236,6 +277,7 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
         grid=grid,
         values=values,
         control_grid_size=control_grid_size,
+        cfl_ratio=grid.dt / dt_max,
     )
 
 
@@ -384,12 +426,21 @@ def viscosity_check(vgrid, spec, probe_points, fit_radius=3):
     return ViscosityCheckReport(points=results, worst_violation=worst)
 
 
+# time rows per block in regularity_probe: bounds its temporaries to a
+# few MB where whole-grid temporaries are each as large as the grid
+_REGULARITY_BLOCK_ROWS = 1024
+
+
 def regularity_probe(vgrid):
     """(max adjacent slope, max |v| / (1 + |x|)) over all time slices."""
     dx = vgrid.dx
-    slopes = np.abs(np.diff(vgrid.values, axis=1)) / dx
-    growth = np.abs(vgrid.values) / (1.0 + np.abs(vgrid.xs)[None, :])
-    return float(slopes.max()), float(growth.max())
+    weight = 1.0 + np.abs(vgrid.xs)[None, :]
+    slopes, growths = [], []
+    for i in range(0, vgrid.values.shape[0], _REGULARITY_BLOCK_ROWS):
+        block = vgrid.values[i : i + _REGULARITY_BLOCK_ROWS]
+        slopes.append((np.abs(np.diff(block, axis=1)) / dx).max())
+        growths.append((np.abs(block) / weight).max())
+    return float(np.max(slopes)), float(np.max(growths))
 
 
 # --------------------------------------------------------------------------
@@ -412,7 +463,7 @@ def value_grid_csv(vgrid, path, max_time_slices=101):
                 fh.write(f"{t!r},{x!r},{v!r}\n")
 
 
-def value_grid_meta_json(vgrid, path, spec=None):
+def value_grid_meta_json(vgrid, path):
     meta = {
         "L": vgrid.space_half_width,
         "J": vgrid.n_cells,
@@ -422,15 +473,8 @@ def value_grid_meta_json(vgrid, path, spec=None):
         "dx": vgrid.dx,
         "boundary_rule": vgrid.boundary_rule,
     }
-    if spec is not None:
-        dt_max = cfl_max_dt(
-            spec,
-            vgrid.space_half_width,
-            vgrid.n_cells,
-            vgrid.control_grid_size,
-            t_start=vgrid.grid.start,
-        )
-        meta["cfl_ratio"] = vgrid.grid.dt / dt_max
+    if vgrid.cfl_ratio is not None:
+        meta["cfl_ratio"] = vgrid.cfl_ratio
     with open(path, "w") as fh:
         json.dump(meta, fh, sort_keys=True)
         fh.write("\n")

@@ -30,6 +30,73 @@ def test_cfl_violation_refused(spec31):
         H.solve_hjb_fd(spec31, 2.0, 400, F.TimeGrid(0.0, 1.0, 100), 11)
 
 
+def test_time_dependent_cfl_checked_each_step():
+    # the pre-scan samples sigma at five time levels, where sigma^2 is at
+    # most 30.9; between them it reaches 36, so dt on the scan's grid is
+    # 1.16 times too large at the worst steps
+    spec = P.spec_from_expressions(
+        1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["1 + 5 * sin(20 * s)"],
+        "x1 - y", "x1",
+    )
+    grid = H.cfl_time_grid(spec, 2.0, 100, 11)
+    with pytest.raises(H.CFLError, match="use at least N") as err:
+        H.solve_hjb_fd(spec, 2.0, 100, grid, 11)
+    assert err.value.n_required > grid.steps
+    fine = F.TimeGrid(0.0, 1.0, 2 * grid.steps)
+    vg = H.solve_hjb_fd(spec, 2.0, 100, fine, 11)
+    assert np.all(np.isfinite(vg.values))
+
+
+def _reference_step(spec, xs, v, t, dt, controls):
+    """The explicit update written as a plain loop over the controls."""
+    dx = xs[1] - xs[0]
+    vp = np.concatenate(([2.0 * v[0] - v[1]], v, [2.0 * v[-1] - v[-2]]))
+    dxx = (vp[2:] - 2.0 * vp[1:-1] + vp[:-2]) / (dx * dx)
+    fwd = (vp[2:] - vp[1:-1]) / dx
+    bwd = (vp[1:-1] - vp[:-2]) / dx
+    x_cols = xs[:, None]
+    best = None
+    for u in controls:
+        uu = np.broadcast_to(u, (xs.size, spec.k))
+        b = spec.drift(t, x_cols, uu)[:, 0]
+        sg = spec.diffusion(t, x_cols, uu)[:, 0, 0]
+        d1 = np.where(b >= 0.0, fwd, bwd)
+        fval = spec.driver(t, x_cols, -v, (-sg * d1)[:, None], uu)
+        g = 0.5 * sg * sg * (-dxx) + (-d1) * b + fval
+        best = g if best is None else np.maximum(best, g)
+    return v - dt * best
+
+
+def _sweep_problem(name):
+    if name == "time_dependent":
+        # sigma grows with s, so the pre-scan's last level is its maximum
+        return P.spec_from_expressions(
+            1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1 * (1 + s)"],
+            "x1 - y + u1", "x1",
+        ), 2.0
+    return P.builtin_problem(name), 2.0 if name == "example31" else 4.0
+
+
+@pytest.mark.parametrize("name", ["example31", "smooth1d", "time_dependent"])
+def test_sweep_bit_identical_to_per_control_loop(name):
+    spec, half_width = _sweep_problem(name)
+    grid = H.cfl_time_grid(spec, half_width, 40, 11)
+    vg = H.solve_hjb_fd(spec, half_width, 40, grid, 11)
+    controls = P.control_grid(spec, 11)
+    ref = np.empty_like(vg.values)
+    ref[-1] = -spec.terminal(vg.xs[:, None])
+    for i in range(grid.steps - 1, -1, -1):
+        ref[i] = _reference_step(
+            spec, vg.xs, ref[i + 1], grid.times[i + 1], grid.dt, controls
+        )
+    assert np.array_equal(vg.values, ref)
+    i = grid.steps // 2
+    stepped = H.sweep_step(
+        spec, vg.xs, ref[i + 1], grid.times[i + 1], grid.dt, 11
+    )
+    assert np.array_equal(stepped, ref[i])
+
+
 def test_multidimensional_state_rejected():
     spec = P.spec_from_expressions(
         2, 1, 1, 1.0, [0.0], [1.0], ["x1", "x2"], ["x1", "x2"], "y", "x1 + x2"
@@ -176,9 +243,10 @@ def test_value_grid_exports(tmp_path, vgrid100, spec31):
     assert len(lines) <= 1 + 13 * 101
     assert len([float(v) for v in lines[1].split(",")]) == 3
     meta = tmp_path / "meta.json"
-    H.value_grid_meta_json(vgrid100, meta, spec31)
+    H.value_grid_meta_json(vgrid100, meta)
     import json
 
     data = json.loads(meta.read_text())
     assert data["J"] == 100
     assert data["cfl_ratio"] <= 1.0 + 1e-9
+    assert data["cfl_ratio"] == vgrid100.cfl_ratio
