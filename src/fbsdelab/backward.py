@@ -60,10 +60,14 @@ class _StepRegression:
 
     States are standardized coordinate-wise before taking powers; that
     spans the same polynomial space but keeps the Gram matrix tame.  The
-    ridge term (1e-8 times the Gram trace) makes degenerate designs --
-    e.g. a deterministic state column -- fall back to the plain mean.
-    `basis` rebuilds the (M, P) `design` bit for bit, so a kept projection
-    may drop it.
+    normal equations are solved for each monomial column divided by its
+    root mean square `scale` (a zero column by 1), so the ridge term (1e-8
+    times the trace of that scaled Gram matrix) weighs every column alike
+    and shrinks a fit by about 1e-8 times the basis size whatever the
+    states' spread; it makes degenerate designs -- e.g. a deterministic
+    state column -- fall back to the plain mean.  The scaling acts on the
+    (P, P) system only.  `basis` rebuilds the (M, P) `design` bit for bit,
+    so a kept projection may drop it.
     """
 
     def __init__(self, x, degree):
@@ -74,6 +78,9 @@ class _StepRegression:
         self.sd = np.where(sd > 1e-300, sd, 1.0)
         self.design = self.basis(x)
         gram = self.design.T @ self.design
+        rms = np.sqrt(np.diag(gram) / x.shape[0])
+        self.scale = np.where(rms > 0.0, rms, 1.0)
+        gram = gram / np.outer(self.scale, self.scale)
         lam = _RIDGE_SCALE * np.trace(gram)
         gram = gram + lam * np.eye(gram.shape[0])
         self.condition = float(np.linalg.cond(gram))
@@ -89,9 +96,10 @@ class _StepRegression:
     def fit(self, targets, design=None):
         """Fitted values at the design points; targets (M,) or (M, q)."""
         design = self.design if design is None else design
-        rhs = design.T @ targets
+        scale = self.scale.reshape(self.scale.shape + (1,) * (np.ndim(targets) - 1))
+        rhs = design.T @ targets / scale
         coef = np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, rhs))
-        return design @ coef
+        return design @ (coef / scale)
 
 
 @dataclass
@@ -105,7 +113,7 @@ class BackwardSolution:
     conditions: np.ndarray  # per-step condition estimate of the Gram matrix
     policy_id: str
     pathwise_value: np.ndarray  # (M,) terminal + summed driver, for bootstraps
-    # (N,) step i's _StepRegression (mu, sd, Cholesky factor, condition)
+    # (N,) step i's _StepRegression (mu, sd, scale, Cholesky factor, condition)
     # with its design dropped; the adjoint pass projects with the same ones
     regressions: list
 

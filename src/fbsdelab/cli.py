@@ -52,6 +52,7 @@ PARAM_BOUNDS = {
     "p_deg": (0, 12),
     "control_grid_size": (2, 10_001),
     "seed": (0, 2**63 - 1),
+    "n_picard": (0, 100),
 }
 
 
@@ -100,6 +101,7 @@ class ExperimentConfig:
             ("p_deg", self.p_deg),
             ("control_grid_size", self.control_grid_size),
             ("seed", self.seed),
+            ("n_picard", self.n_picard),
         ):
             lo, hi = PARAM_BOUNDS[name]
             if not lo <= value <= hi:
@@ -351,6 +353,14 @@ def convergence_table(config, parameter, values):
         )
     if not values:
         raise ConfigurationError("need at least one parameter value")
+    lo, hi = PARAM_BOUNDS[parameter]
+    for value in values:
+        if not float(value).is_integer():
+            raise ConfigurationError(f"{parameter} = {value!r} must be an integer")
+        if not lo <= value <= hi:
+            raise ConfigurationError(
+                f"{parameter} = {value!r} outside documented bounds [{lo}, {hi}]"
+            )
     spec = problem_mod.builtin_problem("example31")
     t0, x0, u0 = problem_mod.builtin_start("example31")
 
@@ -515,7 +525,10 @@ def main(argv=None):
             print(f"summary: {status} ({os.path.join(config.out_dir, 'summary.json')})")
             return code
         # table
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip()]
+        except ValueError:
+            raise ConfigurationError(f"--values must be numbers, got {args.values!r}")
         rows = convergence_table(config, args.param, values)
         os.makedirs(config.out_dir, exist_ok=True)
         path = os.path.join(config.out_dir, f"table_{args.param}.csv")

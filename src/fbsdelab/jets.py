@@ -226,6 +226,11 @@ class ConnectionReport:
                     "superjet": {"kind": r.superjet.kind, "lo": r.superjet.lo, "hi": r.superjet.hi},
                     "subjet": {"kind": r.subjet.kind, "lo": r.subjet.lo, "hi": r.subjet.hi},
                     "member": r.member,
+                    # inf when a super-jet is empty; null keeps the file strict JSON
+                    "member_distance": (
+                        r.member_distance if np.isfinite(r.member_distance) else None
+                    ),
+                    "subjet_ok": r.subjet_ok,
                     "pass": r.passed,
                 }
             )

@@ -2,9 +2,13 @@
 
 A control problem is described by drift b(s,x,u), diffusion sigma(s,x,u),
 driver f(s,x,y,z,u), terminal phi(x), a box control set, and a horizon.
-Coefficients are either registry built-ins (with analytic derivatives
-attached) or expressions parsed from a small arithmetic DSL; in the latter
-case derivatives fall back to central finite differences.
+Every coefficient, the built-ins included, is an expression in a small
+arithmetic DSL, and every gradient the adjoint equations need (b_x,
+sigma_x, f_x, f_y, f_z, phi_x) is derived symbolically from the same parse
+tree.  Where a derivative jumps -- abs at 0, min and max at a tie -- it is
+taken as the mean of the two one-sided derivatives, the value central
+differences return there: abs'(0) = 0, and each tied argument of min or
+max carries weight 1/2.
 
 Config file format (UTF-8, ini-like; see also the CLI help)::
 
@@ -38,10 +42,8 @@ unary minus, and exp, log, sin, cos, sqrt, abs, min, max.
 
 from __future__ import annotations
 
-import itertools
-import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,12 +101,19 @@ class ControlBoxError(ProblemError):
 # Expression DSL
 # --------------------------------------------------------------------------
 
-_FUNCTIONS_1 = {
+_FUNCTIONS = {
     "exp": np.exp,
+    "log": np.log,
     "sin": np.sin,
     "cos": np.cos,
+    "sqrt": np.sqrt,
     "abs": np.abs,
+    "min": np.minimum,
+    "max": np.maximum,
 }
+# functions only derivative trees call: sign for abs, and for min and max a
+# step with step(0) = 1/2
+_CALLS = {**_FUNCTIONS, "sign": np.sign, "step": lambda t: np.heaviside(t, 0.5)}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
@@ -119,21 +128,22 @@ def _tokenize(text, line, col0):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None or m.end() == pos:
-            # skip pure whitespace tail
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()
+            if rest == "":
                 break
-            raise ExpressionSyntaxError(
-                f"unexpected character {text[pos]!r}", line, col0 + pos
-            )
+            col = col0 + len(text) - len(rest)
+            raise ExpressionSyntaxError(f"unexpected character {rest[0]!r}", line, col)
+        # a token's column is where it starts, past the whitespace before it
+        col = col0 + m.start(m.lastgroup)
         if m.group("num") is not None:
-            tokens.append(("num", float(m.group(0)), col0 + m.start()))
+            tokens.append(("num", float(m.group(0)), col))
         elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), col0 + m.start()))
+            tokens.append(("name", m.group("name"), col))
         else:
             op = m.group("op")
             if op == "**":
                 op = "^"
-            tokens.append((op, op, col0 + m.start()))
+            tokens.append((op, op, col))
         pos = m.end()
     tokens.append(("end", None, col0 + len(text)))
     return tokens
@@ -215,14 +225,12 @@ class _Parser:
                     args.append(self.expression())
                 self.expect(")")
                 name = tok[1]
-                if name in _FUNCTIONS_1 or name in ("log", "sqrt"):
-                    if len(args) != 1:
-                        self.error(f"{name} takes one argument", tok)
-                elif name in ("min", "max"):
-                    if len(args) != 2:
-                        self.error(f"{name} takes two arguments", tok)
-                else:
+                if name not in _FUNCTIONS:
                     self.error(f"unknown function {name!r}", tok)
+                arity = 2 if name in ("min", "max") else 1
+                if len(args) != arity:
+                    count = ("one argument", "two arguments")[arity - 1]
+                    self.error(f"{name} takes {count}", tok)
                 return ("call", name, args)
             return ("var", tok[1], tok[2])
         if tok[0] == "(":
@@ -278,19 +286,82 @@ def _eval_node(node, env, source):
     # call
     name, args = node[1], node[2]
     vals = [_eval_node(a, env, source) for a in args]
-    if name == "log":
-        if np.any(vals[0] <= 0):
-            raise DomainError(f"log of a nonpositive value in {source!r}")
-        return np.log(vals[0])
-    if name == "sqrt":
-        if np.any(vals[0] < 0):
-            raise DomainError(f"sqrt of a negative value in {source!r}")
-        return np.sqrt(vals[0])
-    if name == "min":
-        return np.minimum(vals[0], vals[1])
-    if name == "max":
-        return np.maximum(vals[0], vals[1])
-    return _FUNCTIONS_1[name](vals[0])
+    if name == "log" and np.any(vals[0] <= 0):
+        raise DomainError(f"log of a nonpositive value in {source!r}")
+    if name == "sqrt" and np.any(vals[0] < 0):
+        raise DomainError(f"sqrt of a negative value in {source!r}")
+    return _CALLS[name](*vals)
+
+
+_ZERO, _ONE = ("num", 0.0), ("num", 1.0)
+
+
+def _neg(a):
+    if a[0] == "num":
+        return ("num", -a[1]) if a[1] else _ZERO
+    return a[1] if a[0] == "neg" else ("neg", a)
+
+
+def _add(a, b):
+    return b if a == _ZERO else a if b == _ZERO else ("bin", "+", a, b)
+
+
+def _sub(a, b):
+    return _neg(b) if a == _ZERO else a if b == _ZERO else ("bin", "-", a, b)
+
+
+def _mul(a, b):
+    if a == _ZERO or b == _ZERO:
+        return _ZERO
+    return b if a == _ONE else a if b == _ONE else ("bin", "*", a, b)
+
+
+def _div(a, b):
+    return a if a == _ZERO or b == _ONE else ("bin", "/", a, b)
+
+
+def _derivative(node, var):
+    """Parse tree of d node / d var, with 0 and 1 folded while building."""
+    kind = node[0]
+    if kind == "num":
+        return _ZERO
+    if kind == "var":
+        return _ONE if node[1] == var else _ZERO
+    if kind == "neg":
+        return _neg(_derivative(node[1], var))
+    if kind == "bin":
+        op, a, b = node[1:]
+        da, db = _derivative(a, var), _derivative(b, var)
+        if op == "+":
+            return _add(da, db)
+        if op == "-":
+            return _sub(da, db)
+        if op == "*":
+            return _add(_mul(da, b), _mul(a, db))
+        if op == "/":
+            return _sub(_div(da, b), _div(_mul(_div(a, b), db), b))
+        if db == _ZERO:
+            # constant exponent c: c a^(c-1), defined wherever a^c is
+            c1 = ("num", b[1] - 1.0) if b[0] == "num" else ("bin", "-", b, _ONE)
+            power = a if c1 == _ONE else _ONE if c1 == _ZERO else ("bin", "^", a, c1)
+            return _mul(_mul(b, power), da)
+        return _mul(node, _add(_mul(db, ("call", "log", [a])), _div(_mul(b, da), a)))
+    name, a = node[1], node[2][0]
+    da = _derivative(a, var)
+    if name in ("min", "max"):
+        b = node[2][1]
+        gap = _sub(b, a) if name == "min" else _sub(a, b)  # > 0: a is chosen
+        step_a, step_b = ("call", "step", [gap]), ("call", "step", [_neg(gap)])
+        return _add(_mul(step_a, da), _mul(step_b, _derivative(b, var)))
+    outer = {
+        "exp": node,
+        "log": ("bin", "/", _ONE, a),
+        "sin": ("call", "cos", [a]),
+        "cos": _neg(("call", "sin", [a])),
+        "sqrt": ("bin", "/", ("num", 0.5), node),
+        "abs": ("call", "sign", [a]),
+    }[name]
+    return _mul(outer, da)
 
 
 @dataclass
@@ -304,6 +375,13 @@ class CoefficientExpr:
     def evaluate(self, env):
         """Evaluate on an environment of (broadcastable) numpy arrays."""
         return _eval_node(self.tree, env, self.source)
+
+    def derivative(self, var):
+        """The partial derivative in `var`, as an expression on the same source."""
+        tree = _derivative(self.tree, var)
+        used = set()
+        _collect_vars(tree, used)
+        return CoefficientExpr(self.source, tree, frozenset(used))
 
 
 def parse_expression(text, allowed_vars, line=1, col0=0):
@@ -333,16 +411,11 @@ def parse_expression(text, allowed_vars, line=1, col0=0):
 # --------------------------------------------------------------------------
 
 
-def _state_vars(n):
-    return [f"x{i + 1}" for i in range(n)]
+def _names(prefix, count):
+    return [f"{prefix}{i + 1}" for i in range(count)]
 
 
-def _noise_vars(d):
-    return [f"z{j + 1}" for j in range(d)]
-
-
-def _control_vars(k):
-    return [f"u{i + 1}" for i in range(k)]
+_GRADIENTS = ("drift_x", "diffusion_x", "driver_x", "driver_y", "driver_z", "terminal_x")
 
 
 @dataclass
@@ -375,7 +448,8 @@ class ProblemSpec:
     b_variables: frozenset = None
     sigma_variables: frozenset = None
     f_variables: frozenset = None
-    # optional analytic gradients; finite differences otherwise
+    # b_x (..., n, n), sigma_x (..., n, d, n), f_x (..., n), f_y (...,), f_z
+    # (..., d), phi_x (..., n); spec_from_expressions derives them
     drift_x: callable = None
     diffusion_x: callable = None
     driver_x: callable = None
@@ -384,7 +458,6 @@ class ProblemSpec:
     terminal_x: callable = None
     lipschitz_hint: float = 1.0
     name: str = ""
-    h_grad: float = 1e-5
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1 or self.k < 1:
@@ -399,20 +472,9 @@ class ProblemSpec:
                 f"empty control box: lo[{i}] = {self.control_lo[i]} > "
                 f"hi[{i}] = {self.control_hi[i]}"
             )
-        if self.drift_x is None:
-            self.drift_x = _fd_jacobian_x(self.drift, self.n, self.h_grad)
-        if self.diffusion_x is None:
-            self.diffusion_x = _fd_jacobian_x(
-                self.diffusion, self.n, self.h_grad, matrix_valued=True
-            )
-        if self.driver_x is None:
-            self.driver_x = _fd_driver_grad(self.driver, "x", self.n, self.h_grad)
-        if self.driver_y is None:
-            self.driver_y = _fd_driver_grad(self.driver, "y", 1, self.h_grad)
-        if self.driver_z is None:
-            self.driver_z = _fd_driver_grad(self.driver, "z", self.d, self.h_grad)
-        if self.terminal_x is None:
-            self.terminal_x = _fd_terminal_grad(self.terminal, self.n, self.h_grad)
+        for grad in _GRADIENTS:
+            if getattr(self, grad) is None:
+                raise ProblemError(f"gradient {grad} is missing")
 
     def control_inside(self, u, atol=1e-12):
         u = np.asarray(u, dtype=float)
@@ -421,6 +483,7 @@ class ProblemSpec:
         )
 
 
+# central differences: the reference the tests check derived gradients against
 def _fd_step(h_grad, value):
     return np.asarray(h_grad * (1.0 + np.abs(value)))
 
@@ -483,80 +546,31 @@ def _fd_terminal_grad(fn, n, h_grad):
     return grad
 
 
-def _make_env(n, d, k, s=None, x=None, y=None, z=None, u=None):
-    env = {}
-    if s is not None:
-        env["s"] = s
-    if x is not None:
-        x = np.asarray(x, dtype=float)
-        for i in range(n):
-            env[f"x{i + 1}"] = x[..., i]
-    if y is not None:
-        env["y"] = np.asarray(y, dtype=float)
-    if z is not None:
-        z = np.asarray(z, dtype=float)
-        for j in range(d):
-            env[f"z{j + 1}"] = z[..., j]
-    if u is not None:
-        u = np.asarray(u, dtype=float)
-        for i in range(k):
-            env[f"u{i + 1}"] = u[..., i]
-    return env
+def _evaluator(exprs, shape, signature):
+    """Evaluator of `exprs`, laid out row-major over the output `shape`.
 
+    `signature` lists the arguments in call order: a name binds a scalar
+    argument ("s", "y"), a list of names binds the components along the
+    last axis of a vector argument (x1..xn).  The result has the batch
+    shape of the first vector argument, x, followed by `shape`.
+    """
+    slots = [((...,) + idx, ex) for idx, ex in zip(np.ndindex(*shape), exprs)]
+    x_pos = next(i for i, names in enumerate(signature) if not isinstance(names, str))
 
-def _vector_evaluator(exprs, n, d, k):
-    """Drift evaluator from n scalar expressions."""
-
-    def drift(s, x, u):
-        x = np.asarray(x, dtype=float)
-        env = _make_env(n, d, k, s=s, x=x, u=u)
-        shape = x.shape[:-1]
-        out = np.empty(shape + (n,))
-        for i, ex in enumerate(exprs):
-            out[..., i] = np.broadcast_to(ex.evaluate(env), shape)
+    def evaluate(*values):
+        env = {}
+        for names, value in zip(signature, values):
+            value = np.asarray(value, dtype=float)
+            if isinstance(names, str):
+                env[names] = value
+            else:
+                env.update((name, value[..., i]) for i, name in enumerate(names))
+        out = np.empty(np.shape(values[x_pos])[:-1] + shape)
+        for idx, ex in slots:
+            out[idx] = ex.evaluate(env)
         return out
 
-    return drift
-
-
-def _matrix_evaluator(exprs, n, d, k):
-    """Diffusion evaluator from n*d scalar expressions (row-major)."""
-
-    def diffusion(s, x, u):
-        x = np.asarray(x, dtype=float)
-        env = _make_env(n, d, k, s=s, x=x, u=u)
-        shape = x.shape[:-1]
-        out = np.empty(shape + (n, d))
-        for i in range(n):
-            for j in range(d):
-                out[..., i, j] = np.broadcast_to(
-                    exprs[i * d + j].evaluate(env), shape
-                )
-        return out
-
-    return diffusion
-
-
-def _driver_evaluator(expr, n, d, k):
-    def driver(s, x, y, z, u):
-        x = np.asarray(x, dtype=float)
-        env = _make_env(n, d, k, s=s, x=x, y=y, z=z, u=u)
-        return np.broadcast_to(
-            np.asarray(expr.evaluate(env), dtype=float), x.shape[:-1]
-        ).copy()
-
-    return driver
-
-
-def _terminal_evaluator(expr, n):
-    def terminal(x):
-        x = np.asarray(x, dtype=float)
-        env = _make_env(n, 0, 0, x=x)
-        return np.broadcast_to(
-            np.asarray(expr.evaluate(env), dtype=float), x.shape[:-1]
-        ).copy()
-
-    return terminal
+    return evaluate
 
 
 def spec_from_expressions(
@@ -580,9 +594,7 @@ def spec_from_expressions(
     (line, col) pairs so parse errors point into the original config file.
     """
     line_info = line_info or {}
-    sx = _state_vars(n)
-    su = _control_vars(k)
-    sz = _noise_vars(d)
+    sx, sz, su = _names("x", n), _names("z", d), _names("u", k)
 
     def loc(key):
         return line_info.get(key, (1, 0))
@@ -607,6 +619,11 @@ def spec_from_expressions(
     phi_expr = parse_expression(phi_source, sx, *loc("phi"))
     b_vars = frozenset().union(*(e.variables for e in b_exprs))
     sig_vars = frozenset().union(*(e.variables for e in sig_exprs))
+    bs_args, f_args = ("s", sx, su), ("s", sx, "y", sz, su)
+
+    def grad(exprs, names):
+        return [ex.derivative(v) for ex in exprs for v in names]
+
     return ProblemSpec(
         n=n,
         d=d,
@@ -614,10 +631,16 @@ def spec_from_expressions(
         horizon=horizon,
         control_lo=control_lo,
         control_hi=control_hi,
-        drift=_vector_evaluator(b_exprs, n, d, k),
-        diffusion=_matrix_evaluator(sig_exprs, n, d, k),
-        driver=_driver_evaluator(f_expr, n, d, k),
-        terminal=_terminal_evaluator(phi_expr, n),
+        drift=_evaluator(b_exprs, (n,), bs_args),
+        diffusion=_evaluator(sig_exprs, (n, d), bs_args),
+        driver=_evaluator([f_expr], (), f_args),
+        terminal=_evaluator([phi_expr], (), (sx,)),
+        drift_x=_evaluator(grad(b_exprs, sx), (n, n), bs_args),
+        diffusion_x=_evaluator(grad(sig_exprs, sx), (n, d, n), bs_args),
+        driver_x=_evaluator(grad([f_expr], sx), (n,), f_args),
+        driver_y=_evaluator(grad([f_expr], ["y"]), (), f_args),
+        driver_z=_evaluator(grad([f_expr], sz), (d,), f_args),
+        terminal_x=_evaluator(grad([phi_expr], sx), (n,), (sx,)),
         b_sources=list(b_sources),
         sigma_sources=list(sigma_sources),
         f_source=f_source,
@@ -839,44 +862,21 @@ def render_problem(spec, initial=None):
 
 def _example31(horizon=1.0):
     # dX = X u ds + X dW, driver x - y, terminal x, U = [0, 1]
-    spec = spec_from_expressions(
+    return spec_from_expressions(
         1, 1, 1, horizon, [0.0], [1.0],
         ["x1 * u1"], ["x1"], "x1 - y", "x1",
         lipschitz_hint=2.0, name="example31",
     )
-    spec.drift_x = lambda s, x, u: np.asarray(u, dtype=float)[..., :1, None] * np.ones(
-        np.shape(x)[:-1] + (1, 1)
-    )
-    spec.diffusion_x = lambda s, x, u: np.ones(np.shape(x)[:-1] + (1, 1, 1))
-    spec.driver_x = lambda s, x, y, z, u: np.ones(np.shape(x)[:-1] + (1,))
-    spec.driver_y = lambda s, x, y, z, u: -np.ones(np.shape(x)[:-1])
-    spec.driver_z = lambda s, x, y, z, u: np.zeros(np.shape(x)[:-1] + (1,))
-    spec.terminal_x = lambda x: np.ones(np.shape(x)[:-1] + (1,))
-    return spec
 
 
 def _smooth1d(horizon=1.0):
     # smooth nonlinear coefficients with bounded derivatives
-    spec = spec_from_expressions(
+    return spec_from_expressions(
         1, 1, 1, horizon, [0.0], [1.0],
         ["sin(x1) * u1"], ["0.5 + 0.1 * cos(x1)"],
         "x1 - y + 0.1 * sin(z1)", "sin(x1)",
         lipschitz_hint=2.0, name="smooth1d",
     )
-    spec.drift_x = lambda s, x, u: (
-        np.cos(np.asarray(x, dtype=float)[..., :1])
-        * np.asarray(u, dtype=float)[..., :1]
-    )[..., None]
-    spec.diffusion_x = lambda s, x, u: (
-        -0.1 * np.sin(np.asarray(x, dtype=float)[..., :1])
-    )[..., None, None]
-    spec.driver_x = lambda s, x, y, z, u: np.ones(np.shape(x)[:-1] + (1,))
-    spec.driver_y = lambda s, x, y, z, u: -np.ones(np.shape(x)[:-1])
-    spec.driver_z = lambda s, x, y, z, u: 0.1 * np.cos(
-        np.asarray(z, dtype=float)[..., :1]
-    )
-    spec.terminal_x = lambda x: np.cos(np.asarray(x, dtype=float)[..., :1])
-    return spec
 
 
 _BUILTINS = {"example31": _example31, "smooth1d": _smooth1d}

@@ -34,6 +34,14 @@ def test_zero_start_solution_identically_zero(spec31, zero_policy):
     assert np.all(sol.z == 0.0)
 
 
+def test_constant_target_on_lognormal_states_is_not_shrunk():
+    # the ridge weighs every design column alike, so a wide state spread
+    # (t^6 of the largest path) does not inflate it
+    x = np.exp(np.random.default_rng(0).normal(0.0, 1.0, (50000, 1)))
+    fitted = B._StepRegression(x, 3).fit(np.ones(50000))
+    assert np.max(np.abs(fitted - 1.0)) < 1e-5
+
+
 def test_y0_tracks_linear_bsde_oracle(sol_x1):
     # Y(s) = X(s) under control 0, so Y(0) = 1; generous unit-test bound
     assert sol_x1.y[0, 0] == pytest.approx(1.0, abs=0.02)

@@ -142,6 +142,12 @@ def test_out_of_bounds_parameter_rejected(tmp_path):
     assert "bounds" in res.stderr
 
 
+def test_negative_picard_rejected(tmp_path):
+    res = _run(["run", "--builtin", "example31", "--all", "--picard", "-1"], tmp_path)
+    assert res.returncode == 2
+    assert "n_picard" in res.stderr
+
+
 def test_table_j_and_floor(tmp_path):
     res = _run(
         ["table", "--builtin", "example31", "--param", "J",
@@ -176,6 +182,20 @@ def test_table_unknown_parameter(tmp_path):
         tmp_path,
     )
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "values, match",
+    [("0.5", "must be an integer"), ("50,60.5", "must be an integer"),
+     ("4", "bounds"), ("1e9", "bounds"), ("abc", "must be numbers")],
+)
+def test_table_bad_values_exit_two(tmp_path, values, match):
+    res = _run(
+        ["table", "--builtin", "example31", "--param", "J", "--values", values],
+        tmp_path,
+    )
+    assert res.returncode == 2, res.stderr
+    assert match in res.stderr
 
 
 def test_table_requires_builtin(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -209,6 +210,12 @@ def test_connection_report_exports(tmp_path, pipeline_optimal, vgrid400, spec31)
     )
     payload = rep.to_json()
     assert '"pass": true' in payload
+    for rec, out in zip(rep.records, json.loads(payload)["records"]):
+        assert out["member_distance"] == rec.member_distance <= rep.tol_conn
+        assert out["subjet_ok"] is rec.subjet_ok is True
+    rep.records[0].member_distance = np.inf  # an empty super-jet
+    assert json.loads(rep.to_json())["records"][0]["member_distance"] is None
+    json.loads(rep.to_json(), parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
     csv = tmp_path / "conn.csv"
     J.connection_csv(rep, csv)
     lines = csv.read_text().strip().splitlines()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,16 @@ def test_syntax_error_carries_position():
         P.parse_problem(bad)
     assert err.value.line is not None
     assert err.value.col is not None
+
+
+@pytest.mark.parametrize(
+    "text, col, match",
+    [("x1 +    q", 9, "'q'"), ("x1 +   $", 8, "'\\$'"), ("x1 *   )", 8, "'\\)'")],
+)
+def test_expression_errors_point_at_the_token(text, col, match):
+    with pytest.raises(P.ExpressionSyntaxError, match=match) as err:
+        P.parse_expression(text, ["x1"], line=3, col0=1)
+    assert (err.value.line, err.value.col) == (3, col)
 
 
 def test_empty_control_box_rejected():
@@ -268,6 +280,114 @@ def test_fd_gradients_match_analytic_richardson():
         assert err_h / err_h2 == pytest.approx(4.0, rel=0.35)
         # and the production step size is accurate in absolute terms
         assert np.max(np.abs(fd(1e-5) - exact)) <= 1e-8
+
+
+def _smooth_expressions(names):
+    """Random smooth DSL expressions over `names`, bounded on [-1, 1]."""
+    leaves = st.sampled_from(list(names) + ["0.5", "2", "1.25"])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(inner, inner).map(lambda t: f"{t[0]} / (2 + cos({t[1]}))"),
+            inner.map(lambda e: f"-({e}) ^ 2"),
+            st.tuples(st.sampled_from(["sin", "cos"]), inner).map(lambda t: f"{t[0]}({t[1]})"),
+            inner.map(lambda e: f"exp(sin({e}))"),
+            inner.map(lambda e: f"log(2 + cos({e}))"),
+            inner.map(lambda e: f"sqrt(2 + sin({e}))"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+@given(
+    st.lists(_smooth_expressions(["s", "x1", "x2", "u1"]), min_size=6, max_size=6),
+    _smooth_expressions(["s", "x1", "x2", "y", "z1", "z2", "u1"]),
+    _smooth_expressions(["x1", "x2"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_symbolic_gradients_match_richardson_differences(bs, f, phi):
+    spec = P.spec_from_expressions(2, 2, 1, 1.0, [0.0], [1.0], bs[:2], bs[2:], f, phi)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1, 1, (5, 2))
+    u = rng.uniform(0, 1, (5, 1))
+    y = rng.uniform(-1, 1, 5)
+    z = rng.uniform(-1, 1, (5, 2))
+    pairs = [
+        (spec.drift_x(0.3, x, u), lambda h: P._fd_jacobian_x(spec.drift, 2, h)(0.3, x, u)),
+        (
+            spec.diffusion_x(0.3, x, u),
+            lambda h: P._fd_jacobian_x(spec.diffusion, 2, h, matrix_valued=True)(0.3, x, u),
+        ),
+        (spec.terminal_x(x), lambda h: P._fd_terminal_grad(spec.terminal, 2, h)(x)),
+    ]
+    for which, grad, m in (("x", spec.driver_x, 2), ("y", spec.driver_y, 1), ("z", spec.driver_z, 2)):
+        fd = lambda h, which=which, m=m: P._fd_driver_grad(spec.driver, which, m, h)(0.3, x, y, z, u)
+        pairs.append((grad(0.3, x, y, z, u), fd))
+    for exact, fd in pairs:
+        # Richardson extrapolation cancels the h^2 term of central differences
+        richardson = (4.0 * fd(5e-4) - fd(1e-3)) / 3.0
+        assert exact.shape == richardson.shape
+        np.testing.assert_allclose(exact, richardson, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "phi, at, slope",
+    [
+        # a kink: the mean of the one-sided slopes, as central differences give
+        ("abs(x1)", 0.0, 0.0),
+        ("max(x1, 1)", 1.0, 0.5),
+        ("min(x1, 1)", 1.0, 0.5),
+        ("max(2 * x1, -x1)", 0.0, 0.5),
+        ("min(x1, 1)", 2.0, 0.0),
+        # a constant exponent stays defined at nonpositive bases
+        ("x1 ^ 2", -1.0, -2.0),
+        ("x1 ^ 2", 0.0, 0.0),
+        ("(x1 - 1) ^ 3", -1.0, 12.0),
+    ],
+)
+def test_gradient_at_kinks_and_nonpositive_bases(phi, at, slope):
+    spec = P.spec_from_expressions(1, 1, 1, 1.0, [0.0], [1.0], ["0"], ["0"], "0", phi)
+    x = np.array([[at]])
+    assert spec.terminal_x(x)[0, 0] == slope
+    assert P._fd_terminal_grad(spec.terminal, 1, 1e-5)(x)[0, 0] == pytest.approx(slope)
+
+
+def test_builtin_gradients_are_their_closed_forms():
+    rng = np.random.default_rng(2)
+    x = rng.uniform(-2, 2, (9, 1))
+    u = rng.uniform(0, 1, (9, 1))
+    y = rng.uniform(-2, 2, 9)
+    z = rng.uniform(-2, 2, (9, 1))
+    ones = np.ones((9, 1))
+    closed = {
+        "example31": (u[..., None], ones[..., None, None], ones, -ones[:, 0], 0.0 * ones, ones),
+        "smooth1d": (
+            (np.cos(x) * u)[..., None],
+            (-0.1 * np.sin(x))[..., None, None],
+            ones,
+            -ones[:, 0],
+            0.1 * np.cos(z),
+            np.cos(x),
+        ),
+    }
+    for name, want in closed.items():
+        spec = P.builtin_problem(name)
+        got = (
+            spec.drift_x(0.3, x, u),
+            spec.diffusion_x(0.3, x, u),
+            spec.driver_x(0.3, x, y, z, u),
+            spec.driver_y(0.3, x, y, z, u),
+            spec.driver_z(0.3, x, y, z, u),
+            spec.terminal_x(x),
+        )
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), name
+
+
+def test_spec_without_a_gradient_is_rejected(spec31):
+    with pytest.raises(P.ProblemError, match="gradient driver_z"):
+        dataclasses.replace(spec31, driver_z=None)
 
 
 def test_unknown_builtin():
