@@ -22,7 +22,6 @@ from .backward import (
     backward_perturbation_probe,
     cost,
     solve_backward,
-    value_envelope,
 )
 from .forward import (
     ConstantPolicy,
@@ -56,15 +55,12 @@ from .jets import (
     verify_connection,
 )
 from .oracles import (
-    Example31Params,
     example31_adjoint,
     example31_constant_policy_y0,
-    example31_hjb_residual,
     example31_jets,
     example31_value,
 )
 from .problem import (
-    AssumptionProbeReport,
     ConfigError,
     ControlBoxError,
     DomainError,
@@ -74,9 +70,7 @@ from .problem import (
     builtin_names,
     builtin_problem,
     builtin_start,
-    eval_coefficients,
     parse_problem,
-    probe_assumptions,
     project_control,
     render_problem,
 )

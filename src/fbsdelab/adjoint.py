@@ -19,7 +19,6 @@ of the raw product estimator.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +58,10 @@ def _gradient_args(spec, batch, backward, i):
 def solve_q(spec, batch, backward):
     """Forward Euler for dq = f_y q ds + f_z q dW from q(t) = 1.
 
-    Uses the batch's stored Brownian increments.  Emits a warning when q
-    takes nonpositive values (the stochastic exponential should stay
-    positive for bounded f_y, f_z); values are reported, never clipped.
+    Uses the batch's stored Brownian increments.  Nonpositive values
+    (the stochastic exponential should stay positive for bounded f_y,
+    f_z) are returned as they are, never clipped; the CLI's adjoint stage
+    counts the paths that reach them.
     """
     m = batch.n_paths
     n_steps = batch.grid.steps
@@ -76,14 +76,6 @@ def solve_q(spec, batch, backward):
         q[:, i + 1] = q[:, i] * growth
         if not np.all(np.isfinite(q[:, i + 1])):
             raise ProblemError(f"non-finite q at step {i + 1}")
-    n_bad = int(np.count_nonzero(q.min(axis=1) <= 0.0))
-    if n_bad:
-        warnings.warn(
-            f"q is nonpositive on {n_bad} of {m} paths "
-            "(unbounded driver gradients?)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return q
 
 

@@ -242,43 +242,6 @@ def cost(spec, policy, t, x, grid, n_paths, p_deg, seed, n_picard=0):
     )
 
 
-@dataclass
-class EnvelopePoint:
-    x: np.ndarray
-    best_cost: float
-    best_policy_id: str
-    costs: dict  # policy_id -> CostReport
-
-
-def value_envelope(spec, policies, t, x_list, grid, n_paths, p_deg, seed, n_picard=0):
-    """Min over candidate policies of the recursive cost, per start point.
-
-    An upper bound on the value function at each x (the candidate set is
-    finite).  Uses the same seed for every policy at a given x.
-    """
-    if not policies:
-        raise ProblemError("policy list must be nonempty")
-    out = []
-    for x in x_list:
-        reports = {}
-        for pol in policies:
-            if pol.policy_id in reports:
-                raise ProblemError(f"duplicate policy_id {pol.policy_id!r}")
-            reports[pol.policy_id] = cost(
-                spec, pol, t, x, grid, n_paths, p_deg, seed, n_picard=n_picard
-            )
-        best = min(reports, key=lambda pid: reports[pid].j)
-        out.append(
-            EnvelopePoint(
-                x=np.atleast_1d(np.asarray(x, dtype=float)),
-                best_cost=reports[best].j,
-                best_policy_id=best,
-                costs=reports,
-            )
-        )
-    return out
-
-
 def backward_perturbation_probe(
     spec, policy, s, x_base, sizes, k, grid, n_paths, p_deg, seed, n_picard=0
 ):
@@ -316,11 +279,17 @@ def backward_perturbation_probe(
 
 
 def backward_csv(sol, path):
-    """Per-step CSV of (t, mean Y, std Y, mean |Z|)."""
+    """Per-step CSV of (t, mean Y, std Y, mean |Z|, regression condition);
+    the two per-step columns read NaN on the terminal row."""
     times = sol.grid.times.tolist()
     zn = np.linalg.norm(sol.z, axis=-1)
+    nan = float("nan")
     with open(path, "w") as fh:
-        fh.write("t,mean_y,std_y,mean_abs_z\n")
+        fh.write("t,mean_y,std_y,mean_abs_z,condition\n")
         for i, (t, y) in enumerate(zip(times, sol.y.T)):
-            zcol = float(zn[:, i].mean()) if i < zn.shape[1] else float("nan")
-            fh.write(f"{t!r},{float(y.mean())!r},{float(y.std())!r},{zcol!r}\n")
+            last = i == zn.shape[1]
+            zcol = nan if last else float(zn[:, i].mean())
+            cond = nan if last else float(sol.conditions[i])
+            fh.write(
+                f"{t!r},{float(y.mean())!r},{float(y.std())!r},{zcol!r},{cond!r}\n"
+            )

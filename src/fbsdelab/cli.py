@@ -6,10 +6,29 @@ Subcommands:
           (forward -> backward -> adjoint; hjb independent; jets needs
           adjoint + hjb), write per-stage CSV/JSON artifacts plus a
           summary.json, and exit 0 iff every selected check passed.
-  table   rerun the pipeline across values of one numerical parameter
-          (M, N, J or p_deg) and write a (value, metric) CSV.
+  table   rerun the stages behind one metric across values of one
+          numerical parameter (M, N, J or p_deg) and write a
+          (value, metric) CSV.
   oracle  print tabulated closed-form reference values for the builtin
           benchmark problem.
+
+Each stage is a function `(config, state) -> (metrics, passed, writers)`
+listed in `STAGE_FUNCTIONS` next to `STAGE_DEPS`.  `state` holds the
+problem (spec, t0, x0, baseline policy, whether the example31 oracle
+applies) and what earlier stages stored in it; `writers` are
+(file name, write(path)) pairs.
+`run` calls a stage's writers straight after it and records its metrics
+and pass flag in summary.json; a stage that raises is recorded with
+`pass: false` and its error, and no later stage runs.  `table` runs the
+same stage functions, skips their writers and reads its metric from
+their metrics.
+
+The pipeline simulates under a constant baseline policy: the builtin's
+start control, or the control box's lower corner for a config problem.
+The adjoint stage's maximum-condition verdict and the jets verdict hold
+only along optimal pairs, so both assume that policy is optimal.  That
+is true for example31 from x0 = 0; it is not for smooth1d, whose
+`run --all` therefore fails `jets`.
 
 Exit codes: 0 all selected checks pass, 1 numerical failure in a stage,
 2 configuration error.  Reruns with an identical command line produce
@@ -19,10 +38,11 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +54,143 @@ from . import jets as jets_mod
 from . import oracles
 from . import problem as problem_mod
 
+
+class ConfigurationError(Exception):
+    pass
+
+
+def _json_dump(obj, path):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def _write_line(text, path):
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+# --------------------------------------------------------------------------
+# pipeline stages: (config, state) -> (metrics, passed, writers)
+# --------------------------------------------------------------------------
+# Every solver and writer is looked up on its module when the stage runs,
+# so replacing a module attribute (as an outside tracer does) sees the call.
+
+
+def _forward_stage(config, state):
+    spec, t0 = state["spec"], state["t0"]
+    grid = forward_mod.TimeGrid(t0, spec.horizon, config.n_steps)
+    batch = state["batch"] = forward_mod.simulate_forward(
+        spec, state["policy"], t0, state["x0"], grid, config.m_paths, config.seed
+    )
+    xt = np.linalg.norm(batch.states[:, -1], axis=-1)
+    metrics = {
+        "M": config.m_paths,
+        "N": config.n_steps,
+        "mean_xT": float(xt.mean()),
+        "std_xT": float(xt.std()),
+    }
+    return metrics, True, [
+        ("forward.csv", lambda path: forward_mod.pathbatch_summary_csv(batch, path)),
+    ]
+
+
+def _backward_stage(config, state):
+    spec, policy = state["spec"], state["policy"]
+    sol = state["backward"] = backward_mod.solve_backward(
+        spec, policy, state["batch"], config.p_deg, n_picard=config.n_picard
+    )
+    cost_rep = backward_mod.CostReport(
+        j=float(-sol.y[0, 0]),
+        stderr=backward_mod._bootstrap_stderr(sol.pathwise_value, config.seed),
+        n_paths=config.m_paths,
+        steps=config.n_steps,
+        seed=config.seed,
+    )
+    metrics = {
+        "y0": float(sol.y[0, 0]),
+        "J": cost_rep.j,
+        "stderr": cost_rep.stderr,
+        "max_condition": float(sol.conditions.max()),
+    }
+    if state["oracle"]:
+        # Y0 of the simulated policy, optimal or not
+        target = oracles.example31_constant_policy_y0(
+            state["t0"], float(state["x0"][0]), spec.horizon, float(policy.value[0])
+        )
+        metrics["y0_abs_error"] = abs(metrics["y0"] - target)
+    return metrics, True, [
+        ("backward.csv", lambda path: backward_mod.backward_csv(sol, path)),
+        ("cost.json", lambda path: _write_line(cost_rep.to_json(), path)),
+    ]
+
+
+def _adjoint_stage(config, state):
+    spec, batch, sol = state["spec"], state["batch"], state["backward"]
+    triple = state["adjoint"] = adjoint_mod.solve_adjoint(spec, batch, sol)
+    mc = adjoint_mod.check_maximum_condition(
+        spec, batch, sol, triple,
+        control_grid_size=config.control_grid_size, tol_mc=config.tol_mc,
+    )
+    n_bad = int(np.count_nonzero(triple.q.min(axis=1) <= 0.0))
+    metrics = {
+        "q_min": float(triple.q.min()),
+        "q_nonpositive_paths": n_bad,
+        "mc_worst_residual": mc.worst,
+        "mc_pass": mc.passed,
+    }
+    if state["oracle"]:
+        q_exact = np.exp(state["t0"] - triple.grid.times)[None, :]
+        metrics["q_max_error"] = float(np.max(np.abs(triple.q - q_exact)))
+        metrics["p_max_error"] = float(np.max(np.abs(triple.p[:, :, 0] + q_exact)))
+        metrics["k_max_abs"] = float(np.max(np.abs(triple.k)))
+    return metrics, n_bad == 0 and mc.passed, [
+        ("adjoint.csv", lambda path: adjoint_mod.adjoint_csv(triple, mc, path)),
+    ]
+
+
+def _hjb_stage(config, state):
+    spec, t0 = state["spec"], state["t0"]
+    hgrid = hjb_mod.cfl_time_grid(
+        spec, config.half_width, config.j_cells, config.control_grid_size, t_start=t0
+    )
+    vgrid = state["vgrid"] = hjb_mod.solve_hjb_fd(
+        spec, config.half_width, config.j_cells, hgrid, config.control_grid_size
+    )
+    lip, growth = hjb_mod.regularity_probe(vgrid)
+    metrics = {"N_cfl": hgrid.steps, "dt": hgrid.dt, "lipschitz": lip, "growth": growth}
+    passed = True
+    if state["oracle"]:
+        exact = oracles.example31_value(t0, vgrid.xs, spec.horizon)
+        err = float(np.max(np.abs(vgrid.values[0] - exact)[1:-1]))
+        metrics["max_interior_error"] = err
+        passed = err <= 0.05
+    return metrics, passed, [
+        ("hjb.csv", lambda path: hjb_mod.value_grid_csv(vgrid, path)),
+        ("hjb_meta.json", lambda path: hjb_mod.value_grid_meta_json(vgrid, path)),
+    ]
+
+
+def _jets_stage(config, state):
+    spec, t0 = state["spec"], state["t0"]
+    check_times = [
+        t0 + frac * (spec.horizon - t0) for frac in (0.0, 0.25, 0.5, 0.75, 0.95)
+    ]
+    rep = jets_mod.verify_connection(
+        spec, state["batch"], state["backward"], state["adjoint"], state["vgrid"],
+        check_times, tol_conn=config.tol_conn, tol_jet=config.tol_jet,
+    )
+    metrics = {
+        "n_times": len(rep.records),
+        "pq_inv_median_first": rep.records[0].pq_inv_median,
+        "pass": rep.passed,
+    }
+    return metrics, rep.passed, [
+        ("connection.json", lambda path: _write_line(rep.to_json(), path)),
+        ("connection.csv", lambda path: jets_mod.connection_csv(rep, path)),
+    ]
+
+
 STAGES = ("forward", "backward", "adjoint", "hjb", "jets")
 STAGE_DEPS = {
     "forward": (),
@@ -42,22 +199,25 @@ STAGE_DEPS = {
     "hjb": (),
     "jets": ("adjoint", "hjb"),
 }
-
-# inclusive bounds on the numerical parameters
-PARAM_BOUNDS = {
-    "M": (1, 10_000_000),
-    "N": (1, 10_000_000),
-    "J": (8, 100_000),
-    "L": (1e-6, 1e6),
-    "p_deg": (0, 12),
-    "control_grid_size": (2, 10_001),
-    "seed": (0, 2**63 - 1),
-    "n_picard": (0, 100),
+STAGE_FUNCTIONS = {
+    "forward": _forward_stage,
+    "backward": _backward_stage,
+    "adjoint": _adjoint_stage,
+    "hjb": _hjb_stage,
+    "jets": _jets_stage,
 }
 
-
-class ConfigurationError(Exception):
-    pass
+# numerical parameters: name -> (ExperimentConfig field, inclusive bounds)
+PARAMS = {
+    "M": ("m_paths", (1, 10_000_000)),
+    "N": ("n_steps", (1, 10_000_000)),
+    "J": ("j_cells", (8, 100_000)),
+    "L": ("half_width", (1e-6, 1e6)),
+    "p_deg": ("p_deg", (0, 12)),
+    "control_grid_size": ("control_grid_size", (2, 10_001)),
+    "seed": ("seed", (0, 2**63 - 1)),
+    "n_picard": ("n_picard", (0, 100)),
+}
 
 
 @dataclass
@@ -76,7 +236,6 @@ class ExperimentConfig:
     tol_conn: float = jets_mod.DEFAULT_TOL_CONN
     tol_mc: float = 1e-2
     out_dir: str = "out"
-    formats: tuple = ("csv", "json")
     n_picard: int = 0
 
     def validate(self):
@@ -93,17 +252,8 @@ class ExperimentConfig:
                         f"stage {stage!r} requires stage {dep!r}; select it "
                         "explicitly (dependencies are never auto-run)"
                     )
-        for name, value in (
-            ("M", self.m_paths),
-            ("N", self.n_steps),
-            ("J", self.j_cells),
-            ("L", self.half_width),
-            ("p_deg", self.p_deg),
-            ("control_grid_size", self.control_grid_size),
-            ("seed", self.seed),
-            ("n_picard", self.n_picard),
-        ):
-            lo, hi = PARAM_BOUNDS[name]
+        for name, (attr, (lo, hi)) in PARAMS.items():
+            value = getattr(self, attr)
             if not lo <= value <= hi:
                 raise ConfigurationError(
                     f"{name} = {value} outside documented bounds [{lo}, {hi}]"
@@ -111,220 +261,53 @@ class ExperimentConfig:
         for tol in (self.tol_jet, self.tol_conn, self.tol_mc):
             if not tol > 0:
                 raise ConfigurationError("tolerances must be positive")
-        for fmt in self.formats:
-            if fmt not in ("csv", "json"):
-                raise ConfigurationError(f"unknown output format {fmt!r}")
 
 
-def _load_problem(config):
+def _start_state(config):
+    """The state a pipeline starts from: problem, start point, baseline policy."""
     if config.builtin is not None:
         spec = problem_mod.builtin_problem(config.builtin)
         t0, x0, u0 = problem_mod.builtin_start(config.builtin)
-        return spec, t0, x0, forward_mod.ConstantPolicy(u0)
-    with open(config.problem_path, encoding="utf-8") as fh:
-        text = fh.read()
-    spec, initial = problem_mod.parse_problem(text)
-    if initial is None:
-        t0, x0 = 0.0, np.zeros(spec.n)
     else:
-        t0, x0 = initial
-    # baseline policy: the control box's lower corner
-    return spec, t0, x0, forward_mod.ConstantPolicy(spec.control_lo)
-
-
-def _json_dump(obj, path):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def _oracle_name(spec):
-    return spec.name if spec.name == "example31" else None
+        with open(config.problem_path, encoding="utf-8") as fh:
+            text = fh.read()
+        spec, initial = problem_mod.parse_problem(text)
+        t0, x0 = (0.0, np.zeros(spec.n)) if initial is None else initial
+        u0 = spec.control_lo  # the control box's lower corner
+    return {
+        "spec": spec,
+        "t0": t0,
+        "x0": x0,
+        "policy": forward_mod.ConstantPolicy(u0),
+        "oracle": spec.name == "example31",
+    }
 
 
 def run_experiment(config):
     """Execute the selected stages; returns (exit_code, summary dict)."""
     config.validate()
-    spec, t0, x0, policy = _load_problem(config)
+    state = _start_state(config)
     os.makedirs(config.out_dir, exist_ok=True)
-    want_csv = "csv" in config.formats
-    want_json = "json" in config.formats
-    out = lambda name: os.path.join(config.out_dir, name)
-
     summary = {
         "problem": config.builtin or os.path.basename(config.problem_path),
         "seed": config.seed,
         "stages": [],
         "pass": True,
     }
-    state = {}
-
-    def record(name, metrics, passed):
+    for name in [s for s in STAGES if s in config.stages]:
+        error = None
+        try:
+            metrics, passed, writers = STAGE_FUNCTIONS[name](config, state)
+            for filename, write in writers:
+                write(os.path.join(config.out_dir, filename))
+        except (problem_mod.ProblemError, ValueError) as exc:
+            error = str(exc)
+            metrics, passed = {"error": error}, False
         summary["stages"].append({"name": name, "metrics": metrics, "pass": passed})
         summary["pass"] = summary["pass"] and passed
-
-    def fail(name, exc):
-        summary["stages"].append(
-            {"name": name, "metrics": {"error": str(exc)}, "pass": False}
-        )
-        summary["pass"] = False
-        _json_dump(summary, out("summary.json"))
-        return 1, summary
-
-    oracle = _oracle_name(spec)
-
-    for stage in [s for s in STAGES if s in config.stages]:
-        try:
-            if stage == "forward":
-                grid = forward_mod.TimeGrid(t0, spec.horizon, config.n_steps)
-                batch = forward_mod.simulate_forward(
-                    spec, policy, t0, x0, grid, config.m_paths, config.seed
-                )
-                state["batch"] = batch
-                xt = np.linalg.norm(batch.states[:, -1], axis=-1)
-                record(
-                    "forward",
-                    {
-                        "M": config.m_paths,
-                        "N": config.n_steps,
-                        "mean_xT": float(xt.mean()),
-                        "std_xT": float(xt.std()),
-                    },
-                    True,
-                )
-                if want_csv:
-                    forward_mod.pathbatch_summary_csv(batch, out("forward.csv"))
-            elif stage == "backward":
-                sol = backward_mod.solve_backward(
-                    spec, policy, state["batch"], config.p_deg,
-                    n_picard=config.n_picard,
-                )
-                state["backward"] = sol
-                cost_rep = backward_mod.CostReport(
-                    j=float(-sol.y[0, 0]),
-                    stderr=backward_mod._bootstrap_stderr(
-                        sol.pathwise_value, config.seed
-                    ),
-                    n_paths=config.m_paths,
-                    steps=config.n_steps,
-                    seed=config.seed,
-                )
-                metrics = {
-                    "y0": float(sol.y[0, 0]),
-                    "J": cost_rep.j,
-                    "stderr": cost_rep.stderr,
-                    "max_condition": float(sol.conditions.max()),
-                }
-                if oracle:
-                    target = -oracles.example31_value(t0, float(x0[0]), spec.horizon)
-                    metrics["y0_abs_error_vs_value"] = abs(metrics["y0"] - target)
-                record("backward", metrics, True)
-                if want_csv:
-                    backward_mod.backward_csv(sol, out("backward.csv"))
-                if want_json:
-                    with open(out("cost.json"), "w") as fh:
-                        fh.write(cost_rep.to_json() + "\n")
-            elif stage == "adjoint":
-                triple = adjoint_mod.solve_adjoint(
-                    spec, state["batch"], state["backward"]
-                )
-                state["adjoint"] = triple
-                mc = adjoint_mod.check_maximum_condition(
-                    spec,
-                    state["batch"],
-                    state["backward"],
-                    triple,
-                    control_grid_size=config.control_grid_size,
-                    tol_mc=config.tol_mc,
-                )
-                state["maxcond"] = mc
-                q_min = float(triple.q.min())
-                metrics = {
-                    "q_min": q_min,
-                    "mc_worst_residual": mc.worst,
-                    "mc_pass": mc.passed,
-                }
-                if oracle:
-                    s_nodes = triple.grid.times
-                    metrics["q_max_error"] = float(
-                        np.max(np.abs(triple.q - np.exp(t0 - s_nodes)[None, :]))
-                    )
-                    metrics["p_max_error"] = float(
-                        np.max(np.abs(triple.p[:, :, 0] + np.exp(t0 - s_nodes)[None, :]))
-                    )
-                    metrics["k_max_abs"] = float(np.max(np.abs(triple.k)))
-                record("adjoint", metrics, bool(q_min > 0.0) and mc.passed)
-                if want_csv:
-                    adjoint_mod.adjoint_csv(triple, mc, out("adjoint.csv"))
-            elif stage == "hjb":
-                hgrid = hjb_mod.cfl_time_grid(
-                    spec,
-                    config.half_width,
-                    config.j_cells,
-                    config.control_grid_size,
-                    t_start=t0,
-                )
-                vgrid = hjb_mod.solve_hjb_fd(
-                    spec,
-                    config.half_width,
-                    config.j_cells,
-                    hgrid,
-                    config.control_grid_size,
-                )
-                state["vgrid"] = vgrid
-                lip, growth = hjb_mod.regularity_probe(vgrid)
-                metrics = {
-                    "N_cfl": hgrid.steps,
-                    "dt": hgrid.dt,
-                    "lipschitz": lip,
-                    "growth": growth,
-                }
-                passed = True
-                if oracle:
-                    exact = oracles.example31_value(t0, vgrid.xs, spec.horizon)
-                    err = float(
-                        np.max(np.abs(vgrid.values[0] - exact)[1:-1])
-                    )
-                    metrics["max_interior_error"] = err
-                    passed = err <= 0.05
-                record("hjb", metrics, passed)
-                if want_csv:
-                    hjb_mod.value_grid_csv(vgrid, out("hjb.csv"))
-                if want_json:
-                    hjb_mod.value_grid_meta_json(vgrid, out("hjb_meta.json"))
-            elif stage == "jets":
-                check_times = [
-                    t0 + frac * (spec.horizon - t0)
-                    for frac in (0.0, 0.25, 0.5, 0.75, 0.95)
-                ]
-                rep = jets_mod.verify_connection(
-                    spec,
-                    state["batch"],
-                    state["backward"],
-                    state["adjoint"],
-                    state["vgrid"],
-                    check_times,
-                    tol_conn=config.tol_conn,
-                    tol_jet=config.tol_jet,
-                )
-                record(
-                    "jets",
-                    {
-                        "n_times": len(rep.records),
-                        "pq_inv_median_first": rep.records[0].pq_inv_median,
-                        "pass": rep.passed,
-                    },
-                    rep.passed,
-                )
-                if want_json:
-                    with open(out("connection.json"), "w") as fh:
-                        fh.write(rep.to_json() + "\n")
-                if want_csv:
-                    jets_mod.connection_csv(rep, out("connection.csv"))
-        except (problem_mod.ProblemError, ValueError) as exc:
-            return fail(stage, exc)
-
-    _json_dump(summary, out("summary.json"))
+        if error is not None:
+            break
+    _json_dump(summary, os.path.join(config.out_dir, "summary.json"))
     return (0 if summary["pass"] else 1), summary
 
 
@@ -332,20 +315,28 @@ def run_experiment(config):
 # convergence tables
 # --------------------------------------------------------------------------
 
-TABLE_PARAMS = ("M", "N", "J", "p_deg")
+# parameter -> (stages that run, metric read from the last one's metrics)
+TABLE_METRICS = {
+    "J": (("hjb",), "max_interior_error"),
+    "N": (("forward", "backward", "adjoint"), "q_max_error"),
+    "M": (("forward", "backward"), "y0_abs_error"),
+    "p_deg": (("forward", "backward"), "y0_abs_error"),
+}
 
 
 def convergence_table(config, parameter, values):
-    """Rerun one stage metric across parameter values; returns rows.
+    """Rerun the stages behind one metric across parameter values; returns rows.
 
     Only supported for the builtin benchmark (error metrics need the
-    closed-form reference).  Metric per parameter: J -> max interior
-    value-grid error; N -> max q error; M, p_deg -> |Y0 - oracle|.
+    closed-form reference).  Metric per parameter: J -> hjb
+    max_interior_error; N -> adjoint q_max_error; M, p_deg -> backward
+    y0_abs_error from x0 = 1, where the states spread and the regression
+    has something to fit.
     """
     config.validate()
-    if parameter not in TABLE_PARAMS:
+    if parameter not in TABLE_METRICS:
         raise ConfigurationError(
-            f"parameter must be one of {TABLE_PARAMS}, got {parameter!r}"
+            f"parameter must be one of {tuple(TABLE_METRICS)}, got {parameter!r}"
         )
     if config.builtin != "example31":
         raise ConfigurationError(
@@ -353,55 +344,25 @@ def convergence_table(config, parameter, values):
         )
     if not values:
         raise ConfigurationError("need at least one parameter value")
-    lo, hi = PARAM_BOUNDS[parameter]
+    configs = []
     for value in values:
         if not float(value).is_integer():
             raise ConfigurationError(f"{parameter} = {value!r} must be an integer")
-        if not lo <= value <= hi:
-            raise ConfigurationError(
-                f"{parameter} = {value!r} outside documented bounds [{lo}, {hi}]"
-            )
-    spec = problem_mod.builtin_problem("example31")
-    t0, x0, u0 = problem_mod.builtin_start("example31")
+        configs.append(
+            dataclasses.replace(config, **{PARAMS[parameter][0]: int(value)})
+        )
+        configs[-1].validate()
 
+    stages, key = TABLE_METRICS[parameter]
+    start = _start_state(config)
+    if parameter in ("M", "p_deg"):
+        start["x0"] = np.array([1.0])
     rows = []
-    for value in values:
-        if parameter == "J":
-            j_cells = int(value)
-            hgrid = hjb_mod.cfl_time_grid(
-                spec, config.half_width, j_cells, config.control_grid_size, t0
-            )
-            vgrid = hjb_mod.solve_hjb_fd(
-                spec, config.half_width, j_cells, hgrid, config.control_grid_size
-            )
-            exact = oracles.example31_value(t0, vgrid.xs, spec.horizon)
-            metric = float(np.max(np.abs(vgrid.values[0] - exact)[1:-1]))
-        elif parameter == "N":
-            grid = forward_mod.TimeGrid(t0, spec.horizon, int(value))
-            batch = forward_mod.simulate_forward(
-                spec, forward_mod.ConstantPolicy(u0), t0, x0, grid,
-                config.m_paths, config.seed,
-            )
-            sol = backward_mod.solve_backward(
-                spec, forward_mod.ConstantPolicy(u0), batch, config.p_deg
-            )
-            q = adjoint_mod.solve_q(spec, batch, sol)
-            metric = float(
-                np.max(np.abs(q - np.exp(t0 - grid.times)[None, :]))
-            )
-        else:  # M or p_deg: backward solve from x = 1 under control 0
-            m_paths = int(value) if parameter == "M" else config.m_paths
-            p_deg = int(value) if parameter == "p_deg" else config.p_deg
-            grid = forward_mod.TimeGrid(t0, spec.horizon, config.n_steps)
-            rep = backward_mod.cost(
-                spec, forward_mod.ConstantPolicy(u0), t0, [1.0], grid,
-                m_paths, p_deg, config.seed,
-            )
-            target = oracles.example31_constant_policy_y0(
-                t0, 1.0, spec.horizon, float(u0[0])
-            )
-            metric = abs(-rep.j - target)
-        rows.append((value, metric))
+    for value, run_config in zip(values, configs):
+        state = dict(start)
+        for stage in stages:
+            metrics, _, _ = STAGE_FUNCTIONS[stage](run_config, state)
+        rows.append((value, metrics[key]))
     return rows
 
 
@@ -427,7 +388,9 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--builtin", help="builtin problem id (see `oracle`)")
-        p.add_argument("--problem", help="path to a problem config file")
+        p.add_argument(
+            "--problem", dest="problem_path", help="path to a problem config file"
+        )
         p.add_argument("--M", type=int, default=20000, dest="m_paths")
         p.add_argument("--N", type=int, default=100, dest="n_steps")
         p.add_argument("--L", type=float, default=2.0, dest="half_width")
@@ -440,7 +403,6 @@ def _build_parser():
         p.add_argument("--tol-mc", type=float, default=1e-2)
         p.add_argument("--picard", type=int, default=0, dest="n_picard")
         p.add_argument("--out", default="out", dest="out_dir")
-        p.add_argument("--format", default="csv,json", dest="formats")
 
     run_p = sub.add_parser("run", help="execute pipeline stages")
     common(run_p)
@@ -467,29 +429,10 @@ def _build_parser():
 
 
 def _config_from_args(args):
-    stages = STAGES
-    if getattr(args, "stages", None):
-        stages = tuple(args.stages)
-    elif getattr(args, "all", False):
-        stages = STAGES
-    return ExperimentConfig(
-        builtin=args.builtin,
-        problem_path=args.problem,
-        stages=stages,
-        m_paths=args.m_paths,
-        n_steps=args.n_steps,
-        half_width=args.half_width,
-        j_cells=args.j_cells,
-        p_deg=args.p_deg,
-        control_grid_size=args.control_grid_size,
-        seed=args.seed,
-        tol_jet=args.tol_jet,
-        tol_conn=args.tol_conn,
-        tol_mc=args.tol_mc,
-        out_dir=args.out_dir,
-        formats=tuple(f.strip() for f in args.formats.split(",") if f.strip()),
-        n_picard=args.n_picard,
-    )
+    """ExperimentConfig from the options given; their dests are its field names."""
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    options = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    return ExperimentConfig(**options)
 
 
 def _print_oracle(t, horizon):

@@ -12,7 +12,6 @@ regardless of how work is split across workers.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,56 +266,6 @@ def perturbation_moment_probe(
 # --------------------------------------------------------------------------
 # Exports
 # --------------------------------------------------------------------------
-
-_MAGIC = b"FBL1"
-
-
-def save_pathbatch(batch, path):
-    """Binary dump: magic, dims, seed header, then row-major float64 payload.
-
-    Header layout (little-endian): 4s magic, int64 M, N, n, d, seed,
-    float64 start, end; then states (M*(N+1)*n) and increments (M*N*d).
-    """
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<5q2d",
-                batch.n_paths,
-                batch.grid.steps,
-                batch.n,
-                batch.d,
-                batch.seed,
-                batch.grid.start,
-                batch.grid.end,
-            )
-        )
-        fh.write(np.ascontiguousarray(batch.states, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(batch.increments, dtype="<f8").tobytes())
-
-
-def load_pathbatch(path):
-    """Read a dump written by save_pathbatch; policy is not recoverable."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise SimulationError(f"{path}: not a path-batch dump")
-        m, n_steps, n, d, seed, start, end = struct.unpack("<5q2d", fh.read(56))
-        grid = TimeGrid(start, end, n_steps)
-        states = np.frombuffer(
-            fh.read(m * (n_steps + 1) * n * 8), dtype="<f8"
-        ).reshape(m, n_steps + 1, n).copy()
-        increments = np.frombuffer(
-            fh.read(m * n_steps * d * 8), dtype="<f8"
-        ).reshape(m, n_steps, d).copy()
-    return PathBatch(
-        grid=grid,
-        states=states,
-        increments=increments,
-        seed=seed,
-        policy_id="(loaded)",
-        policy=None,
-        x0=states[0, 0].copy(),
-    )
 
 
 def pathbatch_summary_csv(batch, path):

@@ -91,6 +91,8 @@ def generalized_hamiltonian(spec, t, x, r, p_var, big_a, u):
 
 def _scan_coefficients(spec, half_width, n_cells, control_grid_size, t_start):
     """Max |b|, sigma^2 and driver-gradient magnitudes over the grid."""
+    if spec.n != 1:
+        raise ProblemError("the finite-difference solver is one-dimensional")
     xs = np.linspace(-half_width, half_width, n_cells + 1)
     times = np.linspace(t_start, spec.horizon, 5)
     controls = control_grid(spec, control_grid_size)
@@ -243,8 +245,6 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
     bound and, when b or sigma depend on time, at the first step whose
     own coefficients it exceeds.  The terminal row is -phi exactly.
     """
-    if spec.n != 1:
-        raise ProblemError("the finite-difference solver is one-dimensional")
     controls = control_grid(spec, control_grid_size)
     if abs(grid.end - spec.horizon) > 1e-12:
         raise ProblemError("grid must end at the problem horizon")

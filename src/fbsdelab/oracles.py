@@ -17,21 +17,8 @@ these formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Example31Params:
-    """Start time and horizon of the benchmark (n = d = k = 1, U = [0,1])."""
-
-    t: float
-    horizon: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.t < self.horizon:
-            raise ValueError("need 0 <= t < T")
 
 
 def example31_value(tt, x, horizon):
@@ -76,30 +63,3 @@ def example31_constant_policy_y0(t, x, horizon, c):
     else:
         g = (math.expm1(a * tau)) / a + math.exp(a * tau)
     return x * g
-
-
-def example31_hjb_residual(tt, x, horizon, h):
-    """Classical residual of the example's value PDE at a smooth point.
-
-    Evaluates -V_t - (1/2) x^2 V_xx + x + V + sup_u {-V_x x u} with the
-    exact piecewise derivatives; defined only away from the kink
-    (|x| > h), where it should vanish identically.
-    """
-    if h <= 0:
-        raise ValueError("probe step h must be positive")
-    if abs(x) <= h:
-        raise ValueError(
-            f"x = {x} is within {h} of the kink at 0; the classical "
-            "residual is undefined there (use the viscosity check)"
-        )
-    if not 0.0 <= tt <= horizon:
-        raise ValueError(f"time {tt} outside [0, {horizon}]")
-    if x < 0.0:
-        v, v_t, v_x = -x, 0.0, -1.0
-    else:
-        v = -x * (horizon - tt) - x
-        v_t = x
-        v_x = -(horizon - tt) - 1.0
-    v_xx = 0.0
-    sup_term = max(0.0, -v_x * x)  # sup over u in [0, 1] of -V_x x u
-    return -v_t - 0.5 * x * x * v_xx + x + v + sup_term

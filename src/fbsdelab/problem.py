@@ -55,7 +55,6 @@ __all__ = [
     "ControlBoxError",
     "CoefficientExpr",
     "ProblemSpec",
-    "AssumptionProbeReport",
     "parse_expression",
     "parse_problem",
     "render_problem",
@@ -64,8 +63,6 @@ __all__ = [
     "builtin_start",
     "project_control",
     "control_grid",
-    "eval_coefficients",
-    "probe_assumptions",
 ]
 
 
@@ -929,129 +926,3 @@ def control_grid(spec, size):
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=-1)
-
-
-def eval_coefficients(spec, s, x, u):
-    """Evaluate (b, sigma) at (s, x, u); u must already lie in the box."""
-    if not 0.0 <= s <= spec.horizon + 1e-12:
-        raise DomainError(f"time {s} outside [0, {spec.horizon}]")
-    u = np.asarray(u, dtype=float)
-    if not spec.control_inside(u):
-        raise ControlBoxError(
-            f"control {u} outside box [{spec.control_lo}, {spec.control_hi}]"
-        )
-    x = np.asarray(x, dtype=float)
-    return spec.drift(s, x, u), spec.diffusion(s, x, u)
-
-
-@dataclass
-class AssumptionProbeReport:
-    """Empirical check of one coefficient assumption on random samples."""
-
-    assumption: str
-    samples: int
-    max_difference_ratio: float
-    max_growth_ratio: float
-    ratios: dict
-    lipschitz_hint: float
-    safety_factor: float
-    passed: bool
-    seed: int
-
-
-_SAFETY_FACTOR = 1.05
-
-
-def _probe_rng(seed):
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed & (2**64 - 1), 2**63 + 17], dtype=np.uint64))
-    )
-
-
-def probe_assumptions(spec, assumption, sample_count, radius, seed=0):
-    """Sample random points and report empirical Lipschitz/growth ratios.
-
-    assumption is one of "H1" (b, sigma Lipschitz and linear growth in x),
-    "H2" (f, phi Lipschitz in (x, y, z) and linear growth), or "H3"
-    (bounded partial derivatives).  Statistical, not a proof; the pass
-    flag compares against lipschitz_hint times a fixed safety factor.
-    """
-    if assumption not in ("H1", "H2", "H3"):
-        raise ProblemError(f"unknown assumption id {assumption!r}")
-    if sample_count < 1:
-        raise ProblemError("sample_count must be >= 1")
-    if not radius > 0:
-        raise ProblemError("radius must be positive")
-
-    rng = _probe_rng(seed)
-    m = sample_count
-    s = rng.uniform(0.0, spec.horizon, size=m)
-    x = rng.uniform(-radius, radius, size=(m, spec.n))
-    x_hat = rng.uniform(-radius, radius, size=(m, spec.n))
-    u = rng.uniform(spec.control_lo, spec.control_hi, size=(m, spec.k))
-    y = rng.uniform(-radius, radius, size=m)
-    y_hat = rng.uniform(-radius, radius, size=m)
-    z = rng.uniform(-radius, radius, size=(m, spec.d))
-    z_hat = rng.uniform(-radius, radius, size=(m, spec.d))
-
-    ratios = {}
-    eps = 1e-12
-
-    if assumption == "H1":
-        dx = np.linalg.norm(x - x_hat, axis=-1)
-        b1, s1 = spec.drift(s, x, u), spec.diffusion(s, x, u)
-        b2, s2 = spec.drift(s, x_hat, u), spec.diffusion(s, x_hat, u)
-        db = np.linalg.norm(b1 - b2, axis=-1)
-        ds = np.linalg.norm(s1 - s2, axis=(-2, -1))
-        ratios["b"] = float(np.max(db / np.maximum(dx, eps)))
-        ratios["sigma"] = float(np.max(ds / np.maximum(dx, eps)))
-        lip = float(np.max((db + ds) / np.maximum(dx, eps)))
-        growth = float(
-            np.max(
-                (np.linalg.norm(b1, axis=-1) + np.linalg.norm(s1, axis=(-2, -1)))
-                / (1.0 + np.linalg.norm(x, axis=-1))
-            )
-        )
-    elif assumption == "H2":
-        f1 = spec.driver(s, x, y, z, u)
-        f2 = spec.driver(s, x_hat, y_hat, z_hat, u)
-        p1 = spec.terminal(x)
-        p2 = spec.terminal(x_hat)
-        den = (
-            np.linalg.norm(x - x_hat, axis=-1)
-            + np.abs(y - y_hat)
-            + np.linalg.norm(z - z_hat, axis=-1)
-        )
-        dxn = np.linalg.norm(x - x_hat, axis=-1)
-        ratios["f"] = float(np.max(np.abs(f1 - f2) / np.maximum(den, eps)))
-        ratios["phi"] = float(np.max(np.abs(p1 - p2) / np.maximum(dxn, eps)))
-        lip = max(ratios["f"], ratios["phi"])
-        f0 = spec.driver(s, x, np.zeros(m), np.zeros((m, spec.d)), u)
-        growth = float(
-            np.max((np.abs(f0) + np.abs(p1)) / (1.0 + np.linalg.norm(x, axis=-1)))
-        )
-    else:  # H3: derivative magnitudes
-        for key, val in (
-            ("b_x", spec.drift_x(s, x, u)),
-            ("sigma_x", spec.diffusion_x(s, x, u)),
-            ("f_x", spec.driver_x(s, x, y, z, u)),
-            ("f_y", spec.driver_y(s, x, y, z, u)),
-            ("f_z", spec.driver_z(s, x, y, z, u)),
-            ("phi_x", spec.terminal_x(x)),
-        ):
-            ratios[key] = float(np.max(np.abs(val)))
-        lip = max(ratios.values())
-        growth = lip
-
-    bound = spec.lipschitz_hint * _SAFETY_FACTOR
-    return AssumptionProbeReport(
-        assumption=assumption,
-        samples=sample_count,
-        max_difference_ratio=lip,
-        max_growth_ratio=growth,
-        ratios=ratios,
-        lipschitz_hint=spec.lipschitz_hint,
-        safety_factor=_SAFETY_FACTOR,
-        passed=bool(lip <= bound and growth <= bound),
-        seed=seed,
-    )

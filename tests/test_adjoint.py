@@ -40,23 +40,13 @@ def test_q_identically_one_when_driver_ignores_y_z():
     assert np.array_equal(q, np.ones_like(q))
 
 
-@pytest.mark.filterwarnings("ignore:q is nonpositive")
 def test_q_single_step_formula(spec31, zero_policy):
-    # dt = 1 and f_y = -1 drive q(T) to exactly 0, tripping the
-    # positivity report; the one-step formula itself is the point here
+    # dt = 1 and f_y = -1 drive q(T) to exactly 0; the one-step formula
+    # itself is the point here
     batch, sol = _pipeline(spec31, zero_policy, [1.0], 1, 50, seed=3, p_deg=1)
     q = A.solve_q(spec31, batch, sol)
     # f_y = -1, f_z = 0: q(T) = 1 + f_y dt exactly
     assert np.allclose(q[:, 1], 1.0 - batch.grid.dt)
-
-
-def test_q_positivity_warning_on_wild_driver():
-    spec = P.spec_from_expressions(
-        1, 1, 1, 1.0, [0.0], [1.0], ["0"], ["1"], "y + 10 * z1", "x1"
-    )
-    batch, sol = _pipeline(spec, F.ConstantPolicy(0.0), [0.0], 10, 200, seed=1, p_deg=1)
-    with pytest.warns(RuntimeWarning, match="nonpositive"):
-        A.solve_q(spec, batch, sol)
 
 
 def test_pk_along_optimal_pair(spec31, zero_policy):

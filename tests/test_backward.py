@@ -3,7 +3,6 @@ import pytest
 
 from fbsdelab import backward as B
 from fbsdelab import forward as F
-from fbsdelab import oracles
 from fbsdelab import problem as P
 
 
@@ -115,27 +114,6 @@ def test_cost_constant_policies_match_oracle(spec31):
     assert "seed" in rep0.to_json()
 
 
-def test_value_envelope_picks_correct_policies(spec31):
-    grid = F.TimeGrid(0.0, 1.0, 50)
-    policies = [F.ConstantPolicy(c) for c in (0.0, 0.5, 1.0)]
-    env = B.value_envelope(
-        spec31, policies, 0.0, [[1.0], [-1.0]], grid, 20000, 3, seed=5, n_picard=2
-    )
-    at_plus = env[0]
-    assert at_plus.best_policy_id == "const[1]"
-    assert at_plus.best_cost == pytest.approx(-2.0, abs=0.05)
-    at_minus = env[1]
-    assert at_minus.best_policy_id == "const[0]"
-    assert at_minus.best_cost == pytest.approx(1.0, abs=0.05)
-    # envelope is an upper bound on the value function at each start
-    assert at_plus.best_cost >= oracles.example31_value(0.0, 1.0, 1.0) - 0.05
-
-
-def test_value_envelope_requires_policies(spec31):
-    with pytest.raises(P.ProblemError):
-        B.value_envelope(spec31, [], 0.0, [[1.0]], F.TimeGrid(0, 1, 10), 10, 2, 0)
-
-
 def test_rank_deficiency_reported(spec31, zero_policy):
     grid = F.TimeGrid(0.0, 1.0, 5)
     batch = F.simulate_forward(spec31, zero_policy, 0.0, [0.0], grid, 50, seed=1)
@@ -185,6 +163,10 @@ def test_backward_csv_export(tmp_path, sol_x1):
     path = tmp_path / "backward.csv"
     B.backward_csv(sol_x1, path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,mean_y,std_y,mean_abs_z"
+    assert lines[0] == "t,mean_y,std_y,mean_abs_z,condition"
     assert len(lines) == 52
-    assert len([float(v) for v in lines[1].split(",")]) == 4
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert all(len(row) == 5 for row in rows)
+    # step i's regression condition; NaN on the terminal row, as mean |Z|
+    assert [row[4] for row in rows[:-1]] == sol_x1.conditions.tolist()
+    assert np.isnan(rows[-1][3]) and np.isnan(rows[-1][4])

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from fbsdelab import cli
+from fbsdelab import backward, cli, forward, oracles, problem
 
 RUN_SMALL = [
     "run", "--builtin", "example31", "--all",
@@ -32,6 +32,20 @@ def _run(args, cwd):
     )
 
 
+def _problem_text(b, sigma, f, phi):
+    """Config text on T = 1, U = [0, 1], d = k = 1, n = len(b), from x = 0."""
+    lines = ["[dims]", f"n = {len(b)}", "d = 1", "k = 1", "[horizon]", "T = 1.0",
+             "[control]", "lo = 0.0", "hi = 1.0", "[coefficients]"]
+    lines += [f'b{i} = "{e}"' for i, e in enumerate(b, 1)]
+    lines += [f'sigma{i}_1 = "{e}"' for i, e in enumerate(sigma, 1)]
+    lines += [f'f = "{f}"', f'phi = "{phi}"']
+    return "\n".join(lines) + "\n"
+
+
+def _summary(outdir):
+    return json.loads((outdir / "summary.json").read_text())
+
+
 def _read_all(outdir):
     blobs = {}
     for name in sorted(os.listdir(outdir)):
@@ -51,6 +65,8 @@ def test_full_run_passes_and_writes_summary(tmp_path):
     assert jets["pass"] is True
     hjb = summary["stages"][3]
     assert hjb["metrics"]["max_interior_error"] <= 0.05
+    assert "y0_abs_error" in summary["stages"][1]["metrics"]
+    assert summary["stages"][2]["metrics"]["q_nonpositive_paths"] == 0
 
 
 def test_reruns_byte_identical(tmp_path):
@@ -111,6 +127,68 @@ phi = "x1"
     assert res.returncode == 0, res.stderr
     summary = json.loads((tmp_path / "p" / "summary.json").read_text())
     assert summary["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "selection, names",
+    [(["--stage", "hjb"], ["hjb"]),
+     (["--all"], ["forward", "backward", "adjoint", "hjb"])],
+)
+def test_two_dimensional_problem_fails_hjb_stage(tmp_path, selection, names):
+    # the HJB solver is one-dimensional: the stage fails with a recorded
+    # error, the run exits 1 and the earlier stages' results are kept
+    (tmp_path / "n2.cfg").write_text(
+        _problem_text(["x1 * u1", "x2"], ["x1", "x2"], "x1 - y", "x1 + x2")
+    )
+    res = _run(
+        ["run", "--problem", "n2.cfg", *selection, "--M", "200", "--N", "10",
+         "--J", "20", "--out", "o"],
+        tmp_path,
+    )
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+    summary = _summary(tmp_path / "o")
+    assert [s["name"] for s in summary["stages"]] == names
+    hjb = summary["stages"][-1]
+    assert hjb["pass"] is False
+    assert "one-dimensional" in hjb["metrics"]["error"]
+
+
+def test_nonpositive_q_paths_recorded(tmp_path):
+    # f_z = 10 with unit noise: the stochastic exponential q crosses zero
+    (tmp_path / "wild.cfg").write_text(_problem_text(["0"], ["1"], "y + 10 * z1", "x1"))
+    res = _run(
+        ["run", "--problem", "wild.cfg", "--stage", "forward", "--stage",
+         "backward", "--stage", "adjoint", "--M", "200", "--N", "10",
+         "--pdeg", "1", "--seed", "1", "--out", "w"],
+        tmp_path,
+    )
+    assert res.returncode == 1, res.stderr
+    adjoint = _summary(tmp_path / "w")["stages"][2]
+    assert adjoint["name"] == "adjoint"
+    assert adjoint["metrics"]["q_nonpositive_paths"] > 0
+    assert adjoint["pass"] is False
+
+
+def test_stage_raising_midway_stops_the_run(tmp_path, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise problem.ProblemError("adjoint diverged")
+
+    monkeypatch.setattr(cli.adjoint_mod, "solve_adjoint", diverge)
+    out = tmp_path / "o"
+    code = cli.main(
+        ["run", "--builtin", "example31", "--all", "--M", "200", "--N", "10",
+         "--J", "20", "--out", str(out)]
+    )
+    assert code == 1
+    summary = _summary(out)
+    assert summary["pass"] is False
+    assert [s["name"] for s in summary["stages"]] == ["forward", "backward", "adjoint"]
+    assert summary["stages"][2] == {
+        "name": "adjoint", "metrics": {"error": "adjoint diverged"}, "pass": False,
+    }
+    assert (out / "backward.csv").exists()
+    assert not (out / "adjoint.csv").exists() and not (out / "hjb.csv").exists()
 
 
 def test_malformed_config_exits_two_with_position(tmp_path):
@@ -174,6 +252,34 @@ def test_table_single_value(tmp_path):
     assert res.returncode == 0, res.stderr
     lines = (tmp_path / "t1" / "table_N.csv").read_text().strip().splitlines()
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "param, extra, runs",
+    [("M", ["--pdeg", "2"], [(300, 2), (600, 2)]),
+     ("p_deg", ["--M", "400"], [(400, 1), (400, 2)])],
+)
+def test_table_backward_error_from_x_one(tmp_path, param, extra, runs):
+    # each row is |Y0 - x g(0, T)| of the backward solve from x = 1 under
+    # control 0, the same solve `backward.cost` runs
+    values = [m if param == "M" else deg for m, deg in runs]
+    res = _run(
+        ["table", "--builtin", "example31", "--param", param, "--values",
+         ",".join(map(str, values)), "--N", "20", "--seed", "3", *extra,
+         "--out", "t"],
+        tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    lines = (tmp_path / "t" / f"table_{param}.csv").read_text().strip().splitlines()
+    metrics = [float(line.split(",")[1]) for line in lines[1:]]
+    spec = problem.builtin_problem("example31")
+    grid = forward.TimeGrid(0.0, 1.0, 20)
+    target = oracles.example31_constant_policy_y0(0, 1, 1, 0)
+    expected = []
+    for m, deg in runs:
+        rep = backward.cost(spec, forward.ConstantPolicy(0.0), 0.0, [1.0], grid, m, deg, 3)
+        expected.append(abs(-rep.j - target))
+    assert metrics == expected
 
 
 def test_table_unknown_parameter(tmp_path):

@@ -171,18 +171,6 @@ def test_perturbation_probe_frozen_dynamics_exact():
     assert rep.moments == pytest.approx([0.1**4, 0.05**4])
 
 
-def test_pathbatch_binary_round_trip(tmp_path, spec31, zero_policy):
-    grid = F.TimeGrid(0.0, 1.0, 16)
-    batch = F.simulate_forward(spec31, zero_policy, 0.0, [1.0], grid, 32, seed=8)
-    path = tmp_path / "batch.bin"
-    F.save_pathbatch(batch, path)
-    loaded = F.load_pathbatch(path)
-    assert np.array_equal(loaded.states, batch.states)
-    assert np.array_equal(loaded.increments, batch.increments)
-    assert loaded.seed == batch.seed
-    assert loaded.grid == batch.grid
-
-
 def test_pathbatch_summary_csv(tmp_path, spec31, zero_policy):
     grid = F.TimeGrid(0.0, 1.0, 4)
     batch = F.simulate_forward(spec31, zero_policy, 0.0, [1.0], grid, 16, seed=8)

@@ -103,6 +103,9 @@ def test_multidimensional_state_rejected():
     )
     with pytest.raises(P.ProblemError, match="one-dimensional"):
         H.solve_hjb_fd(spec, 1.0, 10, F.TimeGrid(0.0, 1.0, 10000), 3)
+    # before the coefficient scan, which reads sigma as one-dimensional
+    with pytest.raises(P.ProblemError, match="one-dimensional"):
+        H.cfl_time_grid(spec, 1.0, 10, 3)
 
 
 def test_generalized_hamiltonian_hand_values(spec31):

@@ -53,23 +53,6 @@ def test_ratio_in_superjet_endpoint():
         assert p / q == pytest.approx(hi)
 
 
-def test_hjb_residual_vanishes_off_kink():
-    assert oracles.example31_hjb_residual(0.5, -1.0, 1.0, 1e-6) == 0.0
-    assert oracles.example31_hjb_residual(0.5, 1.0, 1.0, 1e-6) == 0.0
-    for tt in (0.0, 0.25, 0.9):
-        for x in (-2.0, -0.1, 0.1, 1.7):
-            assert oracles.example31_hjb_residual(tt, x, 1.0, 1e-3) == pytest.approx(
-                0.0, abs=1e-12
-            )
-
-
-def test_hjb_residual_kink_excluded():
-    with pytest.raises(ValueError):
-        oracles.example31_hjb_residual(0.5, 0.0, 1.0, 1e-6)
-    with pytest.raises(ValueError):
-        oracles.example31_hjb_residual(0.5, 1e-9, 1.0, 1e-6)
-
-
 def test_regularity_bounds():
     # |V(t,x)-V(t,x')| <= (T+1)|x-x'| and |V| <= (T+1)(1+|x|)
     T = 1.0
@@ -108,8 +91,3 @@ def test_constant_policy_y0():
     ys = [oracles.example31_constant_policy_y0(0.0, 1.0, 1.0, c) for c in cs]
     assert np.all(np.diff(ys) > 0)
 
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        oracles.Example31Params(t=1.0, horizon=1.0)
-    oracles.Example31Params(t=0.0, horizon=1.0)

@@ -33,19 +33,10 @@ def test_parse_example_config_matches_builtin():
     assert initial is None
     assert (spec.n, spec.d, spec.k) == (1, 1, 1)
     assert spec.horizon == 1.0
-    b, sg = P.eval_coefficients(spec, 0.0, np.array([2.0]), np.array([0.5]))
+    b = spec.drift(0.0, np.array([2.0]), np.array([0.5]))
+    sg = spec.diffusion(0.0, np.array([2.0]), np.array([0.5]))
     assert b == pytest.approx(1.0)
     assert sg[0, 0] == pytest.approx(2.0)
-
-
-def test_eval_coefficients_zero_state(spec31):
-    b, sg = P.eval_coefficients(spec31, 0.0, np.array([0.0]), np.array([1.0]))
-    assert b[0] == 0.0 and sg[0, 0] == 0.0
-
-
-def test_eval_coefficients_control_outside_box(spec31):
-    with pytest.raises(P.ControlBoxError):
-        P.eval_coefficients(spec31, 0.0, np.array([1.0]), np.array([2.0]))
 
 
 def test_syntax_error_carries_position():
@@ -205,50 +196,6 @@ def test_expression_domain_errors():
         expr = P.parse_expression(text, ["x1"])
         with pytest.raises(P.DomainError):
             expr.evaluate({"x1": np.array([-1.0, 1.0]) * (0.0 if "/" in text else 1.0)})
-
-
-def test_probe_h1_example31_per_coefficient(spec31):
-    report = P.probe_assumptions(spec31, "H1", 10000, 5.0, seed=3)
-    assert report.ratios["b"] <= 1.0 + 1e-9
-    assert report.ratios["sigma"] <= 1.0 + 1e-9
-    assert report.passed  # hint C = 2 on the builtin
-
-
-@pytest.mark.parametrize("assumption", ["H1", "H2"])
-@pytest.mark.parametrize("seed", [0, 7, 123])
-def test_probes_pass_with_hint_two(spec31, assumption, seed):
-    for radius in (1.0, 10.0):
-        report = P.probe_assumptions(spec31, assumption, 4000, radius, seed=seed)
-        assert report.passed, (assumption, seed, radius, report.ratios)
-
-
-def test_probe_h3(spec31):
-    report = P.probe_assumptions(spec31, "H3", 4000, 5.0, seed=1)
-    assert report.passed
-    assert report.ratios["f_y"] == pytest.approx(1.0)
-
-
-def test_probe_quadratic_drift_fails_hint_one():
-    spec = P.spec_from_expressions(
-        1, 1, 1, 1.0, [0.0], [1.0], ["x1 ^ 2"], ["x1"], "x1 - y", "x1",
-        lipschitz_hint=1.0,
-    )
-    report = P.probe_assumptions(spec, "H1", 20000, 5.0, seed=1)
-    assert 8.0 <= report.ratios["b"] <= 10.0 + 1e-9
-    assert not report.passed
-
-
-def test_probe_single_sample(spec31):
-    report = P.probe_assumptions(spec31, "H1", 1, 2.0, seed=9)
-    assert report.samples == 1
-    assert report.max_difference_ratio >= 0.0
-
-
-def test_probe_determinism(spec31):
-    a = P.probe_assumptions(spec31, "H2", 500, 3.0, seed=11)
-    b = P.probe_assumptions(spec31, "H2", 500, 3.0, seed=11)
-    assert a.max_difference_ratio == b.max_difference_ratio
-    assert a.max_growth_ratio == b.max_growth_ratio
 
 
 def test_fd_gradients_match_analytic_richardson():
