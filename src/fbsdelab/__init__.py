@@ -24,9 +24,6 @@ from .backward import (
     solve_backward,
 )
 from .forward import (
-    ConstantPolicy,
-    ControlPolicy,
-    FeedbackPolicy,
     NonFiniteStateError,
     PathBatch,
     PerturbationReport,
@@ -69,9 +66,7 @@ from .problem import (
     ProblemSpec,
     builtin_names,
     builtin_problem,
-    builtin_start,
     parse_problem,
-    project_control,
     render_problem,
 )
 

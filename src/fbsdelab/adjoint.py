@@ -38,21 +38,11 @@ class AdjointTriple:
     p: np.ndarray
     q: np.ndarray
     k: np.ndarray
-    policy_id: str
-    spec_name: str = ""
 
 
-def _gradient_args(spec, batch, backward, i):
-    """(s, x, y, z, u) along the batch at step i."""
-    times = batch.grid.times
-    x = batch.states[:, i]
-    y = backward.y[:, i]
-    if i < batch.grid.steps:
-        z = backward.z[:, i]
-    else:
-        z = backward.z[:, -1]  # gradients at T reuse the last stored Z
-    u = batch.policy.controls(times[i], x, spec)
-    return times[i], x, y, z, u
+def _gradient_args(batch, backward, i):
+    """(s, x, y, z) along the batch at step i < N."""
+    return batch.grid.times[i], batch.states[:, i], backward.y[:, i], backward.z[:, i]
 
 
 def solve_q(spec, batch, backward):
@@ -68,8 +58,9 @@ def solve_q(spec, batch, backward):
     dt = batch.grid.dt
     q = np.empty((m, n_steps + 1))
     q[:, 0] = 1.0
+    u = np.broadcast_to(batch.control, (m, spec.k))
     for i in range(n_steps):
-        s, x, y, z, u = _gradient_args(spec, batch, backward, i)
+        s, x, y, z = _gradient_args(batch, backward, i)
         fy = spec.driver_y(s, x, y, z, u)
         fz = spec.driver_z(s, x, y, z, u)
         growth = 1.0 + fy * dt + np.einsum("md,md->m", fz, batch.increments[:, i])
@@ -90,6 +81,7 @@ def solve_pk(spec, batch, backward, q):
     k = np.empty((m, n_steps, n, d))
     phix = spec.terminal_x(batch.states[:, n_steps])
     p[:, n_steps] = -phix * q[:, n_steps][:, None]
+    u = np.broadcast_to(batch.control, (m, spec.k))
 
     for i in range(n_steps - 1, -1, -1):
         reg = backward.regressions[i]
@@ -99,7 +91,7 @@ def solve_pk(spec, batch, backward, q):
         targets = centered[:, :, None] * batch.increments[:, i][:, None, :]
         k[:, i] = reg.fit(targets.reshape(m, n * d), design).reshape(m, n, d) / dt
 
-        s, x, y, z, u = _gradient_args(spec, batch, backward, i)
+        s, x, y, z = _gradient_args(batch, backward, i)
         bx = spec.drift_x(s, x, u)  # (M, n, n)
         fx = spec.driver_x(s, x, y, z, u)  # (M, n)
         sx = spec.diffusion_x(s, x, u)  # (M, n, d, n)
@@ -118,14 +110,7 @@ def solve_adjoint(spec, batch, backward):
     """Convenience wrapper: q then (p, k), packed into an AdjointTriple."""
     q = solve_q(spec, batch, backward)
     p, k = solve_pk(spec, batch, backward, q)
-    return AdjointTriple(
-        grid=batch.grid,
-        p=p,
-        q=q,
-        k=k,
-        policy_id=batch.policy_id,
-        spec_name=spec.name,
-    )
+    return AdjointTriple(grid=batch.grid, p=p, q=q, k=k)
 
 
 def hamiltonian(spec, t, x, y, z, u, p, q, k):
@@ -182,9 +167,9 @@ class MaxConditionReport:
     """Worst variational-inequality residual per step over a control grid.
 
     residuals[i] = min over grid controls u of the path average of
-    <H_u(t_i), u - u_bar(t_i)>; nonnegative residuals (up to tolerance
-    plus Monte Carlo allowance) are consistent with optimality of the
-    control the batch was simulated under.
+    <H_u(t_i), u - u_bar>; nonnegative residuals (up to tolerance plus
+    Monte Carlo allowance) are consistent with optimality of the control
+    u_bar the batch was simulated under.
     """
 
     times: np.ndarray
@@ -210,8 +195,9 @@ def check_maximum_condition(
 
     residuals = np.empty(n_steps)
     stderrs = np.empty(n_steps)
+    u_bar = np.broadcast_to(batch.control, (batch.n_paths, spec.k))
     for i in range(n_steps):
-        s, x, y, z, u_bar = _gradient_args(spec, batch, backward, i)
+        s, x, y, z = _gradient_args(batch, backward, i)
         hu = hamiltonian_gradient_u(
             spec, s, x, y, z, u_bar, triple.p[:, i], triple.q[:, i], triple.k[:, i]
         )

@@ -10,7 +10,7 @@ regression onto global polynomials in the state of total degree p_deg
 (ridge-regularized), with
 
     Z_i = E_hat[Y_{i+1} dW_i | X_i] / dt,
-    Y_i = E_hat[Y_{i+1} | X_i] + f(t_i, X_i, Y_reg, Z_i, u_i) dt,
+    Y_i = E_hat[Y_{i+1} | X_i] + f(t_i, X_i, Y_reg, Z_i, u) dt,
 
 where the driver consumes the regressed continuation value (explicit
 scheme).  Passing n_picard > 0 re-evaluates the driver at the updated Y
@@ -109,25 +109,21 @@ class BackwardSolution:
     grid: object
     y: np.ndarray  # (M, N+1)
     z: np.ndarray  # (M, N, d)
-    state_dim: int
     conditions: np.ndarray  # per-step condition estimate of the Gram matrix
-    policy_id: str
     pathwise_value: np.ndarray  # (M,) terminal + summed driver, for bootstraps
     # (N,) step i's _StepRegression (mu, sd, scale, Cholesky factor, condition)
     # with its design dropped; the adjoint pass projects with the same ones
     regressions: list
 
 
-def solve_backward(
-    spec, policy, batch, p_deg, n_picard=0, cond_threshold=_COND_THRESHOLD
-):
+def solve_backward(spec, batch, p_deg, n_picard=0, cond_threshold=_COND_THRESHOLD):
     """Solve the backward equation along a batch by regression.
 
     Parameters
     ----------
-    spec, policy : the problem and the control policy the batch was
-        simulated under (the driver is evaluated at u_i = policy(t_i, X_i)).
-    batch : PathBatch from `simulate_forward`.
+    spec : the problem the batch was simulated from.
+    batch : PathBatch from `simulate_forward`; the driver is evaluated at
+        the control it carries.
     p_deg : total polynomial degree of the regression basis (>= 0).
     n_picard : extra driver passes at the updated Y (0 = explicit scheme).
     cond_threshold : raise RegressionError above this condition estimate.
@@ -148,6 +144,7 @@ def solve_backward(
     regressions = [None] * n_steps
     y[:, n_steps] = spec.terminal(x[:, n_steps])
     driver_sum = np.zeros(m)
+    u = np.broadcast_to(batch.control, (m, spec.k))
 
     for i in range(n_steps - 1, -1, -1):
         reg = _StepRegression(x[:, i], p_deg)
@@ -156,11 +153,10 @@ def solve_backward(
             raise RegressionError(i, reg.condition, cond_threshold)
         z[:, i] = reg.fit(y[:, i + 1][:, None] * dw[:, i]) / dt
         cont = reg.fit(y[:, i + 1])
-        ui = policy.controls(times[i], x[:, i], spec)
-        fval = spec.driver(times[i], x[:, i], cont, z[:, i], ui)
+        fval = spec.driver(times[i], x[:, i], cont, z[:, i], u)
         ycur = cont + fval * dt
         for _ in range(n_picard):
-            fval = spec.driver(times[i], x[:, i], ycur, z[:, i], ui)
+            fval = spec.driver(times[i], x[:, i], ycur, z[:, i], u)
             ycur = cont + fval * dt
         y[:, i] = ycur
         driver_sum += fval * dt
@@ -175,9 +171,7 @@ def solve_backward(
         grid=batch.grid,
         y=y,
         z=z,
-        state_dim=spec.n,
         conditions=conditions,
-        policy_id=batch.policy_id,
         pathwise_value=y[:, n_steps] + driver_sum,
         regressions=regressions,
     )
@@ -221,8 +215,9 @@ def _bootstrap_stderr(values, seed, n_resamples=_N_BOOTSTRAP):
     return float(means.std())
 
 
-def cost(spec, policy, t, x, grid, n_paths, p_deg, seed, n_picard=0):
-    """J(t, x; policy) = -Y(t), with a path-resampling standard error.
+def cost(spec, control, t, x, grid, n_paths, p_deg, seed, n_picard=0):
+    """J(t, x; u) = -Y(t) under the constant (k,) control u, with a
+    path-resampling standard error; u must lie in the control box.
 
     The bootstrap resamples the pathwise accumulant (terminal value plus
     summed driver) whose mean equals the reported Y(t) up to the ridge
@@ -230,8 +225,8 @@ def cost(spec, policy, t, x, grid, n_paths, p_deg, seed, n_picard=0):
     """
     from .forward import simulate_forward
 
-    batch = simulate_forward(spec, policy, t, x, grid, n_paths, seed)
-    sol = solve_backward(spec, policy, batch, p_deg, n_picard=n_picard)
+    batch = simulate_forward(spec, control, t, x, grid, n_paths, seed)
+    sol = solve_backward(spec, batch, p_deg, n_picard=n_picard)
     stderr = _bootstrap_stderr(sol.pathwise_value, seed)
     return CostReport(
         j=float(-sol.y[0, 0]),
@@ -243,7 +238,7 @@ def cost(spec, policy, t, x, grid, n_paths, p_deg, seed, n_picard=0):
 
 
 def backward_perturbation_probe(
-    spec, policy, s, x_base, sizes, k, grid, n_paths, p_deg, seed, n_picard=0
+    spec, control, s, x_base, sizes, k, grid, n_paths, p_deg, seed, n_picard=0
 ):
     """Moment-bound probe for the backward pair under state perturbations.
 
@@ -258,15 +253,15 @@ def backward_perturbation_probe(
         raise SimulationError("moment order k must be >= 1")
     sizes = _check_sizes(sizes)
     x_base = np.atleast_1d(np.asarray(x_base, dtype=float))
-    base_batch = simulate_forward(spec, policy, s, x_base, grid, n_paths, seed)
-    base_sol = solve_backward(spec, policy, base_batch, p_deg, n_picard=n_picard)
+    base_batch = simulate_forward(spec, control, s, x_base, grid, n_paths, seed)
+    base_sol = solve_backward(spec, base_batch, p_deg, n_picard=n_picard)
     dt = grid.dt
     y_moments, z_moments = [], []
     for h in sizes:
         shifted = x_base.copy()
         shifted[0] += h
-        pert_batch = simulate_forward(spec, policy, s, shifted, grid, n_paths, seed)
-        pert_sol = solve_backward(spec, policy, pert_batch, p_deg, n_picard=n_picard)
+        pert_batch = simulate_forward(spec, control, s, shifted, grid, n_paths, seed)
+        pert_sol = solve_backward(spec, pert_batch, p_deg, n_picard=n_picard)
         ydiff = np.abs(pert_sol.y - base_sol.y)
         y_moments.append(float(np.mean(ydiff.max(axis=1) ** (2 * k))))
         zdiff = np.linalg.norm(pert_sol.z - base_sol.z, axis=-1)

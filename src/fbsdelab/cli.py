@@ -14,7 +14,7 @@ Subcommands:
 
 Each stage is a function `(config, state) -> (metrics, passed, writers)`
 listed in `STAGE_FUNCTIONS` next to `STAGE_DEPS`.  `state` holds the
-problem (spec, t0, x0, baseline policy, whether the example31 oracle
+problem (spec, t0, x0, baseline control, whether the example31 oracle
 applies) and what earlier stages stored in it; `writers` are
 (file name, write(path)) pairs.
 `run` calls a stage's writers straight after it and records its metrics
@@ -23,12 +23,13 @@ and pass flag in summary.json; a stage that raises is recorded with
 same stage functions, skips their writers and reads its metric from
 their metrics.
 
-The pipeline simulates under a constant baseline policy: the builtin's
-start control, or the control box's lower corner for a config problem.
-The adjoint stage's maximum-condition verdict and the jets verdict hold
-only along optimal pairs, so both assume that policy is optimal.  That
-is true for example31 from x0 = 0; it is not for smooth1d, whose
-`run --all` therefore fails `jets`.
+The pipeline starts at the problem's `[initial]` point, or at (0, 0) for
+a builtin or a config problem without one, and simulates under a constant
+baseline control: the control box's lower corner.  The adjoint stage's
+maximum-condition verdict and the jets verdict hold only along optimal
+pairs, so both assume that control is optimal.  That is true for
+example31 from x0 = 0; it is not for smooth1d, whose `run --all`
+therefore fails `jets`.
 
 Exit codes: 0 all selected checks pass, 1 numerical failure in a stage,
 2 configuration error.  Reruns with an identical command line produce
@@ -81,7 +82,7 @@ def _forward_stage(config, state):
     spec, t0 = state["spec"], state["t0"]
     grid = forward_mod.TimeGrid(t0, spec.horizon, config.n_steps)
     batch = state["batch"] = forward_mod.simulate_forward(
-        spec, state["policy"], t0, state["x0"], grid, config.m_paths, config.seed
+        spec, state["control"], t0, state["x0"], grid, config.m_paths, config.seed
     )
     xt = np.linalg.norm(batch.states[:, -1], axis=-1)
     metrics = {
@@ -96,9 +97,9 @@ def _forward_stage(config, state):
 
 
 def _backward_stage(config, state):
-    spec, policy = state["spec"], state["policy"]
+    spec = state["spec"]
     sol = state["backward"] = backward_mod.solve_backward(
-        spec, policy, state["batch"], config.p_deg, n_picard=config.n_picard
+        spec, state["batch"], config.p_deg, n_picard=config.n_picard
     )
     cost_rep = backward_mod.CostReport(
         j=float(-sol.y[0, 0]),
@@ -114,9 +115,9 @@ def _backward_stage(config, state):
         "max_condition": float(sol.conditions.max()),
     }
     if state["oracle"]:
-        # Y0 of the simulated policy, optimal or not
+        # Y0 of the simulated control, optimal or not
         target = oracles.example31_constant_policy_y0(
-            state["t0"], float(state["x0"][0]), spec.horizon, float(policy.value[0])
+            state["t0"], float(state["x0"][0]), spec.horizon, float(state["control"][0])
         )
         metrics["y0_abs_error"] = abs(metrics["y0"] - target)
     return metrics, True, [
@@ -129,8 +130,7 @@ def _adjoint_stage(config, state):
     spec, batch, sol = state["spec"], state["batch"], state["backward"]
     triple = state["adjoint"] = adjoint_mod.solve_adjoint(spec, batch, sol)
     mc = adjoint_mod.check_maximum_condition(
-        spec, batch, sol, triple,
-        control_grid_size=config.control_grid_size, tol_mc=config.tol_mc,
+        spec, batch, sol, triple, control_grid_size=config.control_grid_size
     )
     n_bad = int(np.count_nonzero(triple.q.min(axis=1) <= 0.0))
     metrics = {
@@ -178,7 +178,7 @@ def _jets_stage(config, state):
     ]
     rep = jets_mod.verify_connection(
         spec, state["batch"], state["backward"], state["adjoint"], state["vgrid"],
-        check_times, tol_conn=config.tol_conn, tol_jet=config.tol_jet,
+        check_times,
     )
     metrics = {
         "n_times": len(rep.records),
@@ -232,9 +232,6 @@ class ExperimentConfig:
     p_deg: int = 3
     control_grid_size: int = 11
     seed: int = 0
-    tol_jet: float = jets_mod.DEFAULT_TOL_JET
-    tol_conn: float = jets_mod.DEFAULT_TOL_CONN
-    tol_mc: float = 1e-2
     out_dir: str = "out"
     n_picard: int = 0
 
@@ -258,27 +255,22 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"{name} = {value} outside documented bounds [{lo}, {hi}]"
                 )
-        for tol in (self.tol_jet, self.tol_conn, self.tol_mc):
-            if not tol > 0:
-                raise ConfigurationError("tolerances must be positive")
 
 
 def _start_state(config):
-    """The state a pipeline starts from: problem, start point, baseline policy."""
+    """The state a pipeline starts from: problem, start point, baseline control."""
     if config.builtin is not None:
-        spec = problem_mod.builtin_problem(config.builtin)
-        t0, x0, u0 = problem_mod.builtin_start(config.builtin)
+        spec, initial = problem_mod.builtin_problem(config.builtin), None
     else:
         with open(config.problem_path, encoding="utf-8") as fh:
             text = fh.read()
         spec, initial = problem_mod.parse_problem(text)
-        t0, x0 = (0.0, np.zeros(spec.n)) if initial is None else initial
-        u0 = spec.control_lo  # the control box's lower corner
+    t0, x0 = (0.0, np.zeros(spec.n)) if initial is None else initial
     return {
         "spec": spec,
         "t0": t0,
         "x0": x0,
-        "policy": forward_mod.ConstantPolicy(u0),
+        "control": spec.control_lo,  # the control box's lower corner
         "oracle": spec.name == "example31",
     }
 
@@ -398,9 +390,6 @@ def _build_parser():
         p.add_argument("--pdeg", type=int, default=3, dest="p_deg")
         p.add_argument("--ugrid", type=int, default=11, dest="control_grid_size")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol-jet", type=float, default=jets_mod.DEFAULT_TOL_JET)
-        p.add_argument("--tol-conn", type=float, default=jets_mod.DEFAULT_TOL_CONN)
-        p.add_argument("--tol-mc", type=float, default=1e-2)
         p.add_argument("--picard", type=int, default=0, dest="n_picard")
         p.add_argument("--out", default="out", dest="out_dir")
 

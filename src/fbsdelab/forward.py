@@ -2,10 +2,10 @@
 
 Paths follow Euler-Maruyama on a uniform grid,
 
-    X_{i+1} = X_i + b(t_i, X_i, u_i) dt + sigma(t_i, X_i, u_i) dW_i,
+    X_{i+1} = X_i + b(t_i, X_i, u) dt + sigma(t_i, X_i, u) dW_i,
 
-with feedback controls u_i = policy(t_i, X_i) clamped onto the control
-box.  Brownian increments come from per-path counter-based streams
+under one constant control u, checked against the control box before the
+first step.  Brownian increments come from per-path counter-based streams
 (Philox keyed by (seed, path index)), so batches are bit-reproducible
 regardless of how work is split across workers.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemError, project_control
+from .problem import ControlBoxError, ProblemError
 
 
 class SimulationError(ProblemError):
@@ -60,45 +60,13 @@ class TimeGrid:
         return np.linspace(self.start, self.end, self.steps + 1)
 
 
-class ControlPolicy:
-    """Base feedback policy; emitted controls always lie in the box."""
-
-    policy_id = "policy"
-
-    def raw(self, s, x):
-        raise NotImplementedError
-
-    def controls(self, s, x, spec):
-        """Control array of shape x.shape[:-1] + (k,), clamped to the box."""
-        u = np.asarray(self.raw(s, x), dtype=float)
-        shape = np.shape(x)[:-1] + (spec.k,)
-        return project_control(np.broadcast_to(u, shape), spec)
-
-
-class ConstantPolicy(ControlPolicy):
-    def __init__(self, value):
-        self.value = np.atleast_1d(np.asarray(value, dtype=float))
-        self.policy_id = "const[" + ",".join(f"{v:g}" for v in self.value) + "]"
-
-    def raw(self, s, x):
-        return self.value
-
-
-class FeedbackPolicy(ControlPolicy):
-    def __init__(self, fn, policy_id="feedback"):
-        self.fn = fn
-        self.policy_id = policy_id
-
-    def raw(self, s, x):
-        return self.fn(s, x)
-
-
 @dataclass
 class PathBatch:
     """A Monte Carlo batch of forward paths and their increments.
 
-    states has shape (M, N+1, n), increments (M, N, d).  Arrays are
-    frozen after construction; regenerating with the same arguments
+    states has shape (M, N+1, n), increments (M, N, d), and control is
+    the (k,) control every path ran under.  Arrays are frozen after
+    construction; regenerating with the same arguments
     reproduces the batch bit-exactly.
     """
 
@@ -106,13 +74,13 @@ class PathBatch:
     states: np.ndarray
     increments: np.ndarray
     seed: int
-    policy_id: str
-    policy: ControlPolicy
+    control: np.ndarray
     x0: np.ndarray
 
     def __post_init__(self):
         self.states.setflags(write=False)
         self.increments.setflags(write=False)
+        self.control.setflags(write=False)
 
     @property
     def n_paths(self):
@@ -149,11 +117,12 @@ def generate_increments(grid, n_paths, d, seed):
     return out
 
 
-def simulate_forward(spec, policy, t, x, grid, n_paths, seed):
+def simulate_forward(spec, control, t, x, grid, n_paths, seed):
     """Simulate the controlled state over a batch of Brownian paths.
 
-    The grid must span [t, spec.horizon].  Returns a PathBatch; raises
-    NonFiniteStateError as soon as any path leaves the finite range.
+    The grid must span [t, spec.horizon] and the (k,) control must lie in
+    the control box (ControlBoxError otherwise).  Returns a PathBatch;
+    raises NonFiniteStateError as soon as any path leaves the finite range.
     """
     if abs(grid.start - t) > 1e-12 or abs(grid.end - spec.horizon) > 1e-12:
         raise SimulationError(
@@ -163,17 +132,24 @@ def simulate_forward(spec, policy, t, x, grid, n_paths, seed):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (spec.n,):
         raise SimulationError(f"initial state must have shape ({spec.n},)")
+    control = np.array(control, dtype=float, ndmin=1)
+    if control.shape != (spec.k,):
+        raise SimulationError(f"control must have shape ({spec.k},)")
+    if not spec.control_inside(control, atol=0.0):
+        raise ControlBoxError(f"control {control} outside the control box")
     dw = generate_increments(grid, n_paths, spec.d, seed)
     times = grid.times
     dt = grid.dt
     states = np.empty((n_paths, grid.steps + 1, spec.n))
     states[:, 0] = x
     xi = states[:, 0]
+    u = np.broadcast_to(control, (n_paths, spec.k))
     for i in range(grid.steps):
-        ui = policy.controls(times[i], xi, spec)
-        b = spec.drift(times[i], xi, ui)
-        sg = spec.diffusion(times[i], xi, ui)
-        xi = xi + b * dt + np.einsum("mnd,md->mn", sg, dw[:, i])
+        # overflow is reported below as the first non-finite state
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = spec.drift(times[i], xi, u)
+            sg = spec.diffusion(times[i], xi, u)
+            xi = xi + b * dt + np.einsum("mnd,md->mn", sg, dw[:, i])
         if not np.all(np.isfinite(xi)):
             bad = np.argwhere(~np.isfinite(xi))
             raise NonFiniteStateError(int(bad[0, 0]), i + 1)
@@ -183,8 +159,7 @@ def simulate_forward(spec, policy, t, x, grid, n_paths, seed):
         states=states,
         increments=dw,
         seed=seed,
-        policy_id=policy.policy_id,
-        policy=policy,
+        control=control,
         x0=x.copy(),
     )
 
@@ -244,19 +219,19 @@ def _check_sizes(sizes):
 
 
 def perturbation_moment_probe(
-    spec, policy, s, x_base, sizes, k, grid, n_paths, seed
+    spec, control, s, x_base, sizes, k, grid, n_paths, seed
 ):
     """Probe E[sup_r |X^{x+h} (r) - X^x(r)|^{2k}] <= C h^{2k} empirically."""
     if k < 1:
         raise SimulationError("moment order k must be >= 1")
     sizes = _check_sizes(sizes)
     x_base = np.atleast_1d(np.asarray(x_base, dtype=float))
-    base = simulate_forward(spec, policy, s, x_base, grid, n_paths, seed)
+    base = simulate_forward(spec, control, s, x_base, grid, n_paths, seed)
     moments = []
     for h in sizes:
         shifted = x_base.copy()
         shifted[0] += h
-        pert = simulate_forward(spec, policy, s, shifted, grid, n_paths, seed)
+        pert = simulate_forward(spec, control, s, shifted, grid, n_paths, seed)
         diff = np.linalg.norm(pert.states - base.states, axis=-1)
         sup = diff.max(axis=1)
         moments.append(float(np.mean(sup ** (2 * k))))

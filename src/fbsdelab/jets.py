@@ -314,7 +314,6 @@ def verify_connection(
         sub_ok = True
         med_raw = (float(np.median(states)) + half) / vgrid.dx
         med_node = int(nodes[np.argmin(np.abs(nodes - med_raw))])
-        jet_at_median = None
         for j in nodes:
             # steps that stay on the grid and inside the domain
             max_h = min(xs[j] + half, half - xs[j])
@@ -334,8 +333,6 @@ def verify_connection(
                 sub_ok = False
             elif est.subjet.kind == "singleton":
                 sub_ok = sub_ok and abs(est.subjet.lo - med) <= tol_conn
-        if jet_at_median is None:
-            jet_at_median = est
         node_pass = member and sub_ok
         all_pass = all_pass and node_pass
         records.append(

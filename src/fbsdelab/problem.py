@@ -60,8 +60,6 @@ __all__ = [
     "render_problem",
     "builtin_problem",
     "builtin_names",
-    "builtin_start",
-    "project_control",
     "control_grid",
 ]
 
@@ -857,19 +855,19 @@ def render_problem(spec, initial=None):
 # --------------------------------------------------------------------------
 
 
-def _example31(horizon=1.0):
+def _example31():
     # dX = X u ds + X dW, driver x - y, terminal x, U = [0, 1]
     return spec_from_expressions(
-        1, 1, 1, horizon, [0.0], [1.0],
+        1, 1, 1, 1.0, [0.0], [1.0],
         ["x1 * u1"], ["x1"], "x1 - y", "x1",
         lipschitz_hint=2.0, name="example31",
     )
 
 
-def _smooth1d(horizon=1.0):
+def _smooth1d():
     # smooth nonlinear coefficients with bounded derivatives
     return spec_from_expressions(
-        1, 1, 1, horizon, [0.0], [1.0],
+        1, 1, 1, 1.0, [0.0], [1.0],
         ["sin(x1) * u1"], ["0.5 + 0.1 * cos(x1)"],
         "x1 - y + 0.1 * sin(z1)", "sin(x1)",
         lipschitz_hint=2.0, name="smooth1d",
@@ -878,42 +876,22 @@ def _smooth1d(horizon=1.0):
 
 _BUILTINS = {"example31": _example31, "smooth1d": _smooth1d}
 
-# pipeline start points (t0, x0) and baseline constant control per builtin
-_BUILTIN_START = {
-    "example31": (0.0, np.array([0.0]), np.array([0.0])),
-    "smooth1d": (0.0, np.array([0.0]), np.array([0.0])),
-}
-
 
 def builtin_names():
     return sorted(_BUILTINS)
 
 
-def builtin_problem(name, horizon=None):
+def builtin_problem(name):
     if name not in _BUILTINS:
         raise ConfigError(
             f"unknown builtin {name!r}; available: {', '.join(builtin_names())}"
         )
-    if horizon is None:
-        return _BUILTINS[name]()
-    return _BUILTINS[name](horizon)
-
-
-def builtin_start(name):
-    """Default (t0, x0, constant control) the pipeline starts from."""
-    t0, x0, u0 = _BUILTIN_START[name]
-    return t0, x0.copy(), u0.copy()
+    return _BUILTINS[name]()
 
 
 # --------------------------------------------------------------------------
 # Operations
 # --------------------------------------------------------------------------
-
-
-def project_control(u_raw, spec):
-    """Componentwise clamp of a control onto the control box (idempotent)."""
-    u = np.asarray(u_raw, dtype=float)
-    return np.clip(u, spec.control_lo, spec.control_hi)
 
 
 def control_grid(spec, size):

@@ -22,32 +22,32 @@ def spec31():
 
 
 @pytest.fixture(scope="session")
-def zero_policy():
-    return forward_mod.ConstantPolicy(0.0)
+def zero_control():
+    return 0.0
 
 
 @pytest.fixture(scope="session")
-def pipeline_optimal(spec31, zero_policy):
+def pipeline_optimal(spec31, zero_control):
     """Full optimal-pair pipeline at acceptance sizes (M=50000, N=200)."""
     start = time.perf_counter()
     grid = forward_mod.TimeGrid(0.0, 1.0, 200)
     batch = forward_mod.simulate_forward(
-        spec31, zero_policy, 0.0, [0.0], grid, 50000, seed=ACCEPT_SEED
+        spec31, zero_control, 0.0, [0.0], grid, 50000, seed=ACCEPT_SEED
     )
-    sol = backward_mod.solve_backward(spec31, zero_policy, batch, 3)
+    sol = backward_mod.solve_backward(spec31, batch, 3)
     triple = adjoint_mod.solve_adjoint(spec31, batch, sol)
     TIMINGS["pipeline_optimal"] = time.perf_counter() - start
     return {"grid": grid, "batch": batch, "sol": sol, "triple": triple}
 
 
 @pytest.fixture(scope="session")
-def pipeline_suboptimal(spec31, zero_policy):
+def pipeline_suboptimal(spec31, zero_control):
     """Control 0 started from x = 1, where control 1 is strictly better."""
     grid = forward_mod.TimeGrid(0.0, 1.0, 50)
     batch = forward_mod.simulate_forward(
-        spec31, zero_policy, 0.0, [1.0], grid, 20000, seed=ACCEPT_SEED
+        spec31, zero_control, 0.0, [1.0], grid, 20000, seed=ACCEPT_SEED
     )
-    sol = backward_mod.solve_backward(spec31, zero_policy, batch, 3)
+    sol = backward_mod.solve_backward(spec31, batch, 3)
     triple = adjoint_mod.solve_adjoint(spec31, batch, sol)
     return {"grid": grid, "batch": batch, "sol": sol, "triple": triple}
 

@@ -101,9 +101,9 @@ def test_criterion_4_bsde_oracle_equivalence(spec31):
     y0 = {}
     for c in (0.0, 1.0):
         batch = F.simulate_forward(
-            spec31, F.ConstantPolicy(c), 0.0, [1.0], grid, 50000, seed=ACCEPT_SEED
+            spec31, c, 0.0, [1.0], grid, 50000, seed=ACCEPT_SEED
         )
-        sol = B.solve_backward(spec31, F.ConstantPolicy(c), batch, 3, n_picard=2)
+        sol = B.solve_backward(spec31, batch, 3, n_picard=2)
         y0[c] = float(sol.y[0, 0])
     err0 = abs(y0[0.0] - 1.0)
     err1 = abs(y0[1.0] - 2.0)
@@ -148,7 +148,7 @@ def test_criterion_6_regularity(vgrid400):
     )
 
 
-def test_criterion_7_property_suites(spec31, zero_policy):
+def test_criterion_7_property_suites(spec31, zero_control):
     checks = []
 
     # jet duality under negation
@@ -187,10 +187,10 @@ def test_criterion_7_property_suites(spec31, zero_policy):
 
     # determinism: bit-identical reruns
     tg = F.TimeGrid(0.0, 1.0, 50)
-    b1 = F.simulate_forward(spec31, zero_policy, 0.0, [1.0], tg, 5000, seed=7)
-    b2 = F.simulate_forward(spec31, zero_policy, 0.0, [1.0], tg, 5000, seed=7)
-    s1 = B.solve_backward(spec31, zero_policy, b1, 3)
-    s2 = B.solve_backward(spec31, zero_policy, b2, 3)
+    b1 = F.simulate_forward(spec31, zero_control, 0.0, [1.0], tg, 5000, seed=7)
+    b2 = F.simulate_forward(spec31, zero_control, 0.0, [1.0], tg, 5000, seed=7)
+    s1 = B.solve_backward(spec31, b1, 3)
+    s2 = B.solve_backward(spec31, b2, 3)
     checks.append(
         np.array_equal(b1.states, b2.states)
         and np.array_equal(s1.y, s2.y)
@@ -200,16 +200,16 @@ def test_criterion_7_property_suites(spec31, zero_policy):
     # perturbation-moment probes stable within factor 3 across three sizes
     sizes = [0.1, 0.05, 0.025]
     fwd_rep = F.perturbation_moment_probe(
-        spec31, zero_policy, 0.0, [1.0], sizes, 1, tg, 4000, seed=9
+        spec31, zero_control, 0.0, [1.0], sizes, 1, tg, 4000, seed=9
     )
     rep_y, rep_z = B.backward_perturbation_probe(
-        spec31, zero_policy, 0.0, [1.0], sizes, 1, tg, 4000, 3, seed=9
+        spec31, zero_control, 0.0, [1.0], sizes, 1, tg, 4000, 3, seed=9
     )
     checks.append(fwd_rep.passed and rep_y.passed and rep_z.passed)
 
     # Euler strong-order refinement factor in [1.2, 1.8]
     fine = F.TimeGrid(0.0, 1.0, 200)
-    bf = F.simulate_forward(spec31, zero_policy, 0.0, [1.0], fine, 20000, seed=5)
+    bf = F.simulate_forward(spec31, zero_control, 0.0, [1.0], fine, 20000, seed=5)
     exact = np.exp(bf.increments[:, :, 0].sum(axis=1) - 0.5)
     e200 = np.sqrt(np.mean((bf.states[:, -1, 0] - exact) ** 2))
     dw100 = bf.increments[:, :, 0].reshape(20000, 100, 2).sum(axis=2)

@@ -7,25 +7,25 @@ from fbsdelab import forward as F
 from fbsdelab import problem as P
 
 
-def _pipeline(spec, policy, x0, n_steps, m, seed, p_deg=3):
+def _pipeline(spec, control, x0, n_steps, m, seed, p_deg=3):
     grid = F.TimeGrid(0.0, spec.horizon, n_steps)
-    batch = F.simulate_forward(spec, policy, 0.0, x0, grid, m, seed=seed)
-    sol = B.solve_backward(spec, policy, batch, p_deg)
+    batch = F.simulate_forward(spec, control, 0.0, x0, grid, m, seed=seed)
+    sol = B.solve_backward(spec, batch, p_deg)
     return batch, sol
 
 
-def test_q_matches_exponential_first_order(spec31, zero_policy):
-    batch, sol = _pipeline(spec31, zero_policy, [0.0], 100, 200, seed=1)
+def test_q_matches_exponential_first_order(spec31, zero_control):
+    batch, sol = _pipeline(spec31, zero_control, [0.0], 100, 200, seed=1)
     q = A.solve_q(spec31, batch, sol)
     exact = np.exp(-batch.grid.times)
     assert np.max(np.abs(q - exact[None, :])) <= 2.5e-3
     assert np.all(q > 0.0)
 
 
-def test_q_error_halves_with_dt(spec31, zero_policy):
+def test_q_error_halves_with_dt(spec31, zero_control):
     errs = []
     for n in (100, 200):
-        batch, sol = _pipeline(spec31, zero_policy, [0.0], n, 50, seed=1)
+        batch, sol = _pipeline(spec31, zero_control, [0.0], n, 50, seed=1)
         q = A.solve_q(spec31, batch, sol)
         errs.append(np.max(np.abs(q - np.exp(-batch.grid.times)[None, :])))
     assert 1.7 <= errs[0] / errs[1] <= 2.3
@@ -35,22 +35,22 @@ def test_q_identically_one_when_driver_ignores_y_z():
     spec = P.spec_from_expressions(
         1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"], "x1", "x1"
     )
-    batch, sol = _pipeline(spec, F.ConstantPolicy(0.5), [1.0], 20, 100, seed=1, p_deg=2)
+    batch, sol = _pipeline(spec, 0.5, [1.0], 20, 100, seed=1, p_deg=2)
     q = A.solve_q(spec, batch, sol)
     assert np.array_equal(q, np.ones_like(q))
 
 
-def test_q_single_step_formula(spec31, zero_policy):
+def test_q_single_step_formula(spec31, zero_control):
     # dt = 1 and f_y = -1 drive q(T) to exactly 0; the one-step formula
     # itself is the point here
-    batch, sol = _pipeline(spec31, zero_policy, [1.0], 1, 50, seed=3, p_deg=1)
+    batch, sol = _pipeline(spec31, zero_control, [1.0], 1, 50, seed=3, p_deg=1)
     q = A.solve_q(spec31, batch, sol)
     # f_y = -1, f_z = 0: q(T) = 1 + f_y dt exactly
     assert np.allclose(q[:, 1], 1.0 - batch.grid.dt)
 
 
-def test_pk_along_optimal_pair(spec31, zero_policy):
-    batch, sol = _pipeline(spec31, zero_policy, [0.0], 100, 2000, seed=1)
+def test_pk_along_optimal_pair(spec31, zero_control):
+    batch, sol = _pipeline(spec31, zero_control, [0.0], 100, 2000, seed=1)
     triple = A.solve_adjoint(spec31, batch, sol)
     s = batch.grid.times
     assert np.max(np.abs(triple.p[:, :, 0] + np.exp(-s)[None, :])) <= 5e-3
@@ -62,30 +62,29 @@ def test_pk_null_terminal_and_source():
     spec = P.spec_from_expressions(
         1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"], "0 - y", "0"
     )
-    pol = F.ConstantPolicy(0.5)
-    batch, sol = _pipeline(spec, pol, [1.0], 20, 300, seed=1, p_deg=2)
+    batch, sol = _pipeline(spec, 0.5, [1.0], 20, 300, seed=1, p_deg=2)
     triple = A.solve_adjoint(spec, batch, sol)
     assert np.max(np.abs(triple.p)) == 0.0
     assert np.max(np.abs(triple.k)) == 0.0
 
 
-def test_terminal_identity_every_path(spec31, zero_policy):
-    batch, sol = _pipeline(spec31, zero_policy, [1.0], 30, 500, seed=6)
+def test_terminal_identity_every_path(spec31, zero_control):
+    batch, sol = _pipeline(spec31, zero_control, [1.0], 30, 500, seed=6)
     triple = A.solve_adjoint(spec31, batch, sol)
     phix = spec31.terminal_x(batch.states[:, -1])
     resid = triple.p[:, -1] + phix * triple.q[:, -1][:, None]
     assert np.max(np.abs(resid)) <= 1e-12
 
 
-def test_scaling_family_scales_p_k_fixes_q(zero_policy, spec31):
+def test_scaling_family_scales_p_k_fixes_q(zero_control, spec31):
     # f_c(s,x,y,z,u) = c f(s,x,y/c,z/c,u), phi_c = c phi: (p,k) scale by
     # c, q unchanged (the only scaling with that property)
     scaled = P.spec_from_expressions(
         1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"],
         "2 * x1 - y", "2 * x1", lipschitz_hint=4.0,
     )
-    batch1, sol1 = _pipeline(spec31, zero_policy, [1.0], 40, 3000, seed=8)
-    batch2, sol2 = _pipeline(scaled, zero_policy, [1.0], 40, 3000, seed=8)
+    batch1, sol1 = _pipeline(spec31, zero_control, [1.0], 40, 3000, seed=8)
+    batch2, sol2 = _pipeline(scaled, zero_control, [1.0], 40, 3000, seed=8)
     assert np.array_equal(batch1.states, batch2.states)
     t1 = A.solve_adjoint(spec31, batch1, sol1)
     t2 = A.solve_adjoint(scaled, batch2, sol2)
@@ -100,10 +99,10 @@ def test_pk_projects_with_the_backward_regressions(deg):
     # regression of the backward degree at the same states gives the same
     # bits, and one of another degree does not
     spec = P.builtin_problem("smooth1d")
-    pol = F.ConstantPolicy(0.5)
-    batch, sol = _pipeline(spec, pol, [0.5], 20, 400, seed=3, p_deg=deg)
+    batch, sol = _pipeline(spec, 0.5, [0.5], 20, 400, seed=3, p_deg=deg)
     triple = A.solve_adjoint(spec, batch, sol)
     dt = batch.grid.dt
+    u = np.broadcast_to(batch.control, (batch.n_paths, spec.k))
     for i in (0, 7, 19):
         assert sol.regressions[i].degree == deg
         reg = B._StepRegression(batch.states[:, i], deg)
@@ -111,7 +110,7 @@ def test_pk_projects_with_the_backward_regressions(deg):
         centered = triple.p[:, i + 1] - cont
         k = reg.fit(centered * batch.increments[:, i]) / dt
         assert np.array_equal(triple.k[:, i, :, 0], k)
-        s, x, y, z, u = A._gradient_args(spec, batch, sol, i)
+        s, x, y, z = A._gradient_args(batch, sol, i)
         drift_term = (
             np.einsum("mab,ma->mb", spec.drift_x(s, x, u), cont)
             - spec.driver_x(s, x, y, z, u) * triple.q[:, i][:, None]
@@ -137,8 +136,8 @@ def test_hamiltonian_rejects_outside_control(spec31):
         A.hamiltonian(spec31, 0.0, 1.0, 0.0, 0.0, 3.0, -1.0, 1.0, 0.0)
 
 
-def test_max_condition_zero_on_optimal_pair(spec31, zero_policy):
-    batch, sol = _pipeline(spec31, zero_policy, [0.0], 50, 500, seed=1)
+def test_max_condition_zero_on_optimal_pair(spec31, zero_control):
+    batch, sol = _pipeline(spec31, zero_control, [0.0], 50, 500, seed=1)
     triple = A.solve_adjoint(spec31, batch, sol)
     rep = A.check_maximum_condition(spec31, batch, sol, triple, control_grid_size=11)
     assert np.all(rep.residuals == 0.0)
@@ -170,8 +169,8 @@ def test_max_condition_coarsest_grid(pipeline_suboptimal, spec31):
         )
 
 
-def test_adjoint_csv_export(tmp_path, spec31, zero_policy):
-    batch, sol = _pipeline(spec31, zero_policy, [0.0], 10, 50, seed=1)
+def test_adjoint_csv_export(tmp_path, spec31, zero_control):
+    batch, sol = _pipeline(spec31, zero_control, [0.0], 10, 50, seed=1)
     triple = A.solve_adjoint(spec31, batch, sol)
     rep = A.check_maximum_condition(spec31, batch, sol, triple, control_grid_size=3)
     path = tmp_path / "adjoint.csv"

@@ -7,14 +7,14 @@ from fbsdelab import problem as P
 
 
 @pytest.fixture(scope="module")
-def batch_x1(spec31, zero_policy):
+def batch_x1(spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 50)
-    return F.simulate_forward(spec31, zero_policy, 0.0, [1.0], grid, 20000, seed=2)
+    return F.simulate_forward(spec31, zero_control, 0.0, [1.0], grid, 20000, seed=2)
 
 
 @pytest.fixture(scope="module")
-def sol_x1(spec31, zero_policy, batch_x1):
-    return B.solve_backward(spec31, zero_policy, batch_x1, 3)
+def sol_x1(spec31, zero_control, batch_x1):
+    return B.solve_backward(spec31, batch_x1, 3)
 
 
 def test_terminal_values_bit_exact(spec31, batch_x1, sol_x1):
@@ -25,10 +25,10 @@ def test_y0_constant_across_paths(sol_x1):
     assert np.ptp(sol_x1.y[:, 0]) == 0.0
 
 
-def test_zero_start_solution_identically_zero(spec31, zero_policy):
+def test_zero_start_solution_identically_zero(spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 50)
-    batch = F.simulate_forward(spec31, zero_policy, 0.0, [0.0], grid, 500, seed=1)
-    sol = B.solve_backward(spec31, zero_policy, batch, 3)
+    batch = F.simulate_forward(spec31, zero_control, 0.0, [0.0], grid, 500, seed=1)
+    sol = B.solve_backward(spec31, batch, 3)
     assert np.all(sol.y == 0.0)
     assert np.all(sol.z == 0.0)
 
@@ -46,17 +46,17 @@ def test_y0_tracks_linear_bsde_oracle(sol_x1):
     assert sol_x1.y[0, 0] == pytest.approx(1.0, abs=0.02)
 
 
-def test_martingale_residual_centered(spec31, zero_policy, batch_x1, sol_x1):
+def test_martingale_residual_centered(spec31, batch_x1, sol_x1):
     # the path mean of the discrete increment identity is noise whose
     # scale is set by mean(Z dW) (the regression intercept removes it
     # from the Y side only), so that term's stderr enters the bound
     m = batch_x1.n_paths
     dt = batch_x1.grid.dt
     times = batch_x1.grid.times
+    u = np.broadcast_to(batch_x1.control, (m, spec31.k))
     for i in range(0, 50, 7):
         reg = B._StepRegression(batch_x1.states[:, i], 3)
         cont = reg.fit(sol_x1.y[:, i + 1])
-        u = zero_policy.controls(times[i], batch_x1.states[:, i], spec31)
         fval = spec31.driver(times[i], batch_x1.states[:, i], cont, sol_x1.z[:, i], u)
         zdw = (sol_x1.z[:, i] * batch_x1.increments[:, i]).sum(axis=1)
         resid = sol_x1.y[:, i + 1] - sol_x1.y[:, i] + fval * dt - zdw
@@ -64,14 +64,14 @@ def test_martingale_residual_centered(spec31, zero_policy, batch_x1, sol_x1):
         assert abs(resid.mean()) <= bound, f"step {i}"
 
 
-def test_terminal_shift_propagates_at_driver_rate(spec31, zero_policy, batch_x1, sol_x1):
+def test_terminal_shift_propagates_at_driver_rate(spec31, zero_control, batch_x1, sol_x1):
     # phi -> phi + delta shifts Y(s) by delta e^{s-T} (driver x - y)
     delta = 0.1
     shifted = P.spec_from_expressions(
         1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"], "x1 - y",
         f"x1 + {delta}", lipschitz_hint=2.0,
     )
-    sol2 = B.solve_backward(shifted, zero_policy, batch_x1, 3)
+    sol2 = B.solve_backward(shifted, batch_x1, 3)
     m = batch_x1.n_paths
     times = batch_x1.grid.times
     for i in (0, 10, 25, 40):
@@ -82,12 +82,29 @@ def test_terminal_shift_propagates_at_driver_rate(spec31, zero_policy, batch_x1,
         assert abs(gap.mean() - target) <= allowance, f"step {i}"
 
 
-def test_doubling_m_and_n_consistent(spec31, zero_policy):
+def test_driver_reads_the_batch_control(spec31):
+    # on one batch, f = x1 - y + u1 moves Y from the f = x1 - y solution by
+    # d with d' = d - u, d(T) = 0; the explicit scheme's d_i = (1 - dt)
+    # d_{i+1} + u dt gives d_0 = u (1 - (1 - dt)^N), and a solver reading
+    # any other control than u misses it
+    u = 0.5
+    grid = F.TimeGrid(0.0, 1.0, 50)
+    batch = F.simulate_forward(spec31, u, 0.0, [1.0], grid, 5000, seed=4)
+    with_u = P.spec_from_expressions(
+        1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"], "x1 - y + u1", "x1"
+    )
+    y_u = B.solve_backward(with_u, batch, 3).y[0, 0]
+    y_plain = B.solve_backward(spec31, batch, 3).y[0, 0]
+    target = u * (1.0 - (1.0 - grid.dt) ** grid.steps)
+    assert y_u - y_plain == pytest.approx(target, abs=1e-6)
+
+
+def test_doubling_m_and_n_consistent(spec31, zero_control):
     reports = []
     for m, n in ((20000, 50), (40000, 100)):
         grid = F.TimeGrid(0.0, 1.0, n)
         reports.append(
-            B.cost(spec31, zero_policy, 0.0, [1.0], grid, m, 3, seed=2)
+            B.cost(spec31, zero_control, 0.0, [1.0], grid, m, 3, seed=2)
         )
     assert abs(reports[0].j - reports[1].j) <= 2.0 * max(
         reports[0].stderr, reports[1].stderr
@@ -97,28 +114,28 @@ def test_doubling_m_and_n_consistent(spec31, zero_policy):
 def test_cost_at_zero_start_is_exactly_zero(spec31):
     grid = F.TimeGrid(0.0, 1.0, 50)
     for c in (0.0, 0.5, 1.0):
-        rep = B.cost(spec31, F.ConstantPolicy(c), 0.0, [0.0], grid, 400, 3, seed=9)
+        rep = B.cost(spec31, c, 0.0, [0.0], grid, 400, 3, seed=9)
         assert rep.j == 0.0
         assert rep.stderr == 0.0
 
 
 def test_cost_constant_policies_match_oracle(spec31):
     grid = F.TimeGrid(0.0, 1.0, 50)
-    rep0 = B.cost(spec31, F.ConstantPolicy(0.0), 0.0, [1.0], grid, 20000, 3, seed=2)
+    rep0 = B.cost(spec31, 0.0, 0.0, [1.0], grid, 20000, 3, seed=2)
     assert rep0.j == pytest.approx(-1.0, abs=0.03)
     rep1 = B.cost(
-        spec31, F.ConstantPolicy(1.0), 0.0, [1.0], grid, 20000, 3, seed=2, n_picard=2
+        spec31, 1.0, 0.0, [1.0], grid, 20000, 3, seed=2, n_picard=2
     )
     assert rep1.j == pytest.approx(-2.0, abs=0.05)
     assert rep0.stderr > 0.0
     assert "seed" in rep0.to_json()
 
 
-def test_rank_deficiency_reported(spec31, zero_policy):
+def test_rank_deficiency_reported(spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 5)
-    batch = F.simulate_forward(spec31, zero_policy, 0.0, [0.0], grid, 50, seed=1)
+    batch = F.simulate_forward(spec31, zero_control, 0.0, [0.0], grid, 50, seed=1)
     with pytest.raises(B.RegressionError, match="step"):
-        B.solve_backward(spec31, zero_policy, batch, 3, cond_threshold=1.0)
+        B.solve_backward(spec31, batch, 3, cond_threshold=1.0)
 
 
 def test_condition_diagnostics_recorded(sol_x1):
@@ -126,10 +143,10 @@ def test_condition_diagnostics_recorded(sol_x1):
     assert np.all(sol_x1.conditions >= 1.0)
 
 
-def test_backward_perturbation_probe_stable(spec31, zero_policy):
+def test_backward_perturbation_probe_stable(spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 50)
     rep_y, rep_z = B.backward_perturbation_probe(
-        spec31, zero_policy, 0.0, [1.0], [0.1, 0.05, 0.025], 1, grid, 4000, 3, seed=3
+        spec31, zero_control, 0.0, [1.0], [0.1, 0.05, 0.025], 1, grid, 4000, 3, seed=3
     )
     assert rep_y.passed and rep_z.passed
     # Y = X and Z = X: coupled differences scale exactly with the size
@@ -137,10 +154,10 @@ def test_backward_perturbation_probe_stable(spec31, zero_policy):
     assert max(rep_z.constants) / min(rep_z.constants) == pytest.approx(1.0, rel=1e-7)
 
 
-def test_backward_probe_single_size_vacuous(spec31, zero_policy):
+def test_backward_probe_single_size_vacuous(spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 20)
     rep_y, rep_z = B.backward_perturbation_probe(
-        spec31, zero_policy, 0.0, [1.0], [0.1], 1, grid, 500, 3, seed=3
+        spec31, zero_control, 0.0, [1.0], [0.1], 1, grid, 500, 3, seed=3
     )
     assert rep_y.passed and rep_z.passed
     assert len(rep_y.constants) == 1
@@ -152,7 +169,7 @@ def test_backward_probe_null_data_zero():
     )
     grid = F.TimeGrid(0.0, 1.0, 20)
     rep_y, rep_z = B.backward_perturbation_probe(
-        spec, F.ConstantPolicy(0.0), 0.0, [1.0], [0.1, 0.05], 1, grid, 500, 3, seed=3
+        spec, 0.0, 0.0, [1.0], [0.1, 0.05], 1, grid, 500, 3, seed=3
     )
     assert rep_y.fitted_constant == 0.0
     assert rep_z.fitted_constant == 0.0

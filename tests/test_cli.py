@@ -226,6 +226,14 @@ def test_negative_picard_rejected(tmp_path):
     assert "n_picard" in res.stderr
 
 
+@pytest.mark.parametrize("flag", ["--tol-jet", "--tol-conn", "--tol-mc"])
+def test_tolerance_flags_rejected(tmp_path, flag):
+    # pass thresholds are constants; no flag may loosen a verdict
+    res = _run([*RUN_SMALL, flag, "1e300"], tmp_path)
+    assert res.returncode == 2
+    assert f"unrecognized arguments: {flag}" in res.stderr
+
+
 def test_table_j_and_floor(tmp_path):
     res = _run(
         ["table", "--builtin", "example31", "--param", "J",
@@ -277,7 +285,7 @@ def test_table_backward_error_from_x_one(tmp_path, param, extra, runs):
     target = oracles.example31_constant_policy_y0(0, 1, 1, 0)
     expected = []
     for m, deg in runs:
-        rep = backward.cost(spec, forward.ConstantPolicy(0.0), 0.0, [1.0], grid, m, deg, 3)
+        rep = backward.cost(spec, 0.0, 0.0, [1.0], grid, m, deg, 3)
         expected.append(abs(-rep.j - target))
     assert metrics == expected
 

@@ -45,16 +45,16 @@ def test_increments_bit_identical_and_prefix_stable():
     assert not np.array_equal(a, d)
 
 
-def test_optimal_pair_paths_identically_zero(spec31, zero_policy):
+def test_optimal_pair_paths_identically_zero(spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 60)
-    batch = F.simulate_forward(spec31, zero_policy, 0.0, [0.0], grid, 300, seed=7)
+    batch = F.simulate_forward(spec31, zero_control, 0.0, [0.0], grid, 300, seed=7)
     assert np.all(batch.states == 0.0)
 
 
-def test_driftless_martingale_mean(spec31, zero_policy):
+def test_driftless_martingale_mean(spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 100)
     m = 100000
-    batch = F.simulate_forward(spec31, zero_policy, 0.0, [1.0], grid, m, seed=11)
+    batch = F.simulate_forward(spec31, zero_control, 0.0, [1.0], grid, m, seed=11)
     xt = batch.states[:, -1, 0]
     se = xt.std() / np.sqrt(m)
     assert abs(xt.mean() - 1.0) <= 3.0 * se
@@ -64,47 +64,55 @@ def test_unit_control_grows_at_exponential_rate(spec31):
     grid = F.TimeGrid(0.0, 1.0, 100)
     m = 100000
     batch = F.simulate_forward(
-        spec31, F.ConstantPolicy(1.0), 0.0, [1.0], grid, m, seed=11
+        spec31, 1.0, 0.0, [1.0], grid, m, seed=11
     )
     xt = batch.states[:, -1, 0]
     se = xt.std() / np.sqrt(m)
     assert abs(xt.mean() - np.e) <= 3.0 * se
 
 
-def test_martingale_bound_at_every_node(spec31, zero_policy):
+def test_martingale_bound_at_every_node(spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 100)
     m = 20000
-    batch = F.simulate_forward(spec31, zero_policy, 0.0, [1.0], grid, m, seed=2)
+    batch = F.simulate_forward(spec31, zero_control, 0.0, [1.0], grid, m, seed=2)
     means = batch.states[:, :, 0].mean(axis=0)
     stds = batch.states[:, :, 0].std(axis=0)
     assert np.all(np.abs(means - 1.0) <= 4.0 * stds / np.sqrt(m) + 1e-15)
 
 
-def test_batch_determinism_and_immutability(spec31, zero_policy):
+def test_batch_determinism_and_immutability(spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 30)
-    a = F.simulate_forward(spec31, zero_policy, 0.0, [1.0], grid, 100, seed=5)
-    b = F.simulate_forward(spec31, zero_policy, 0.0, [1.0], grid, 100, seed=5)
+    a = F.simulate_forward(spec31, zero_control, 0.0, [1.0], grid, 100, seed=5)
+    b = F.simulate_forward(spec31, zero_control, 0.0, [1.0], grid, 100, seed=5)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.increments, b.increments)
     with pytest.raises(ValueError):
         a.states[0, 0, 0] = 99.0
+    with pytest.raises(ValueError):
+        a.control[0] = 1.0
 
 
-def test_grid_must_span_horizon(spec31, zero_policy):
+def test_grid_must_span_horizon(spec31, zero_control):
     with pytest.raises(F.SimulationError):
         F.simulate_forward(
-            spec31, zero_policy, 0.0, [1.0], F.TimeGrid(0.0, 0.5, 10), 10, seed=0
+            spec31, zero_control, 0.0, [1.0], F.TimeGrid(0.0, 0.5, 10), 10, seed=0
         )
 
 
-def test_feedback_policy_controls_lie_in_box(spec31):
-    pol = F.FeedbackPolicy(lambda s, x: 5.0 * x[..., :1], policy_id="lin5")
-    grid = F.TimeGrid(0.0, 1.0, 20)
-    batch = F.simulate_forward(spec31, pol, 0.0, [1.0], grid, 50, seed=1)
-    u = pol.controls(0.0, batch.states[:, 3], spec31)
-    assert np.all(u >= 0.0) and np.all(u <= 1.0)
+@pytest.mark.parametrize("control", [1.5, -1e-9])
+def test_control_outside_box_rejected(spec31, control):
+    grid = F.TimeGrid(0.0, 1.0, 10)
+    with pytest.raises(P.ControlBoxError):
+        F.simulate_forward(spec31, control, 0.0, [1.0], grid, 10, seed=0)
 
 
+def test_control_of_wrong_length_rejected(spec31):
+    grid = F.TimeGrid(0.0, 1.0, 10)
+    with pytest.raises(F.SimulationError, match="control must have shape"):
+        F.simulate_forward(spec31, [0.0, 0.0], 0.0, [1.0], grid, 10, seed=0)
+
+
+@pytest.mark.filterwarnings("error")
 def test_non_finite_state_reported():
     # multiplicative blow-up overflows the state within the horizon
     spec = P.spec_from_expressions(
@@ -112,15 +120,15 @@ def test_non_finite_state_reported():
     )
     grid = F.TimeGrid(0.0, 1.0, 200)
     with pytest.raises(F.NonFiniteStateError) as err:
-        F.simulate_forward(spec, F.ConstantPolicy(0.0), 0.0, [10.0], grid, 4, seed=0)
+        F.simulate_forward(spec, 0.0, 0.0, [10.0], grid, 4, seed=0)
     assert err.value.step >= 1
 
 
-def test_euler_strong_order_half(spec31, zero_policy):
+def test_euler_strong_order_half(spec31, zero_control):
     # coupled refinement vs the pathwise-exact solution of dX = X dW
     grid = F.TimeGrid(0.0, 1.0, 200)
     m = 20000
-    batch = F.simulate_forward(spec31, zero_policy, 0.0, [1.0], grid, m, seed=5)
+    batch = F.simulate_forward(spec31, zero_control, 0.0, [1.0], grid, m, seed=5)
     w_total = batch.increments[:, :, 0].sum(axis=1)
     exact = np.exp(w_total - 0.5)
     e200 = np.sqrt(np.mean((batch.states[:, -1, 0] - exact) ** 2))
@@ -132,10 +140,10 @@ def test_euler_strong_order_half(spec31, zero_policy):
     assert 1.2 <= e100 / e200 <= 1.8
 
 
-def test_perturbation_probe_constants_stable(spec31, zero_policy):
+def test_perturbation_probe_constants_stable(spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 100)
     rep = F.perturbation_moment_probe(
-        spec31, zero_policy, 0.0, [1.0], [0.1, 0.05, 0.025], 1, grid, 2000, seed=9
+        spec31, zero_control, 0.0, [1.0], [0.1, 0.05, 0.025], 1, grid, 2000, seed=9
     )
     assert rep.passed
     assert rep.order == 2
@@ -144,19 +152,19 @@ def test_perturbation_probe_constants_stable(spec31, zero_policy):
     assert rep.fitted_constant == max(rep.constants)
 
 
-def test_perturbation_probe_rejects_bad_sizes(spec31, zero_policy):
+def test_perturbation_probe_rejects_bad_sizes(spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 10)
     with pytest.raises(F.SimulationError):
         F.perturbation_moment_probe(
-            spec31, zero_policy, 0.0, [1.0], [0.0], 1, grid, 10, seed=0
+            spec31, zero_control, 0.0, [1.0], [0.0], 1, grid, 10, seed=0
         )
     with pytest.raises(F.SimulationError):
         F.perturbation_moment_probe(
-            spec31, zero_policy, 0.0, [1.0], [0.05, 0.1], 1, grid, 10, seed=0
+            spec31, zero_control, 0.0, [1.0], [0.05, 0.1], 1, grid, 10, seed=0
         )
     with pytest.raises(F.SimulationError):
         F.perturbation_moment_probe(
-            spec31, zero_policy, 0.0, [1.0], [0.1, 0.05], 0, grid, 10, seed=0
+            spec31, zero_control, 0.0, [1.0], [0.1, 0.05], 0, grid, 10, seed=0
         )
 
 
@@ -166,14 +174,14 @@ def test_perturbation_probe_frozen_dynamics_exact():
     )
     grid = F.TimeGrid(0.0, 1.0, 10)
     rep = F.perturbation_moment_probe(
-        spec, F.ConstantPolicy(0.0), 0.0, [1.0], [0.1, 0.05], 2, grid, 20, seed=0
+        spec, 0.0, 0.0, [1.0], [0.1, 0.05], 2, grid, 20, seed=0
     )
     assert rep.moments == pytest.approx([0.1**4, 0.05**4])
 
 
-def test_pathbatch_summary_csv(tmp_path, spec31, zero_policy):
+def test_pathbatch_summary_csv(tmp_path, spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 4)
-    batch = F.simulate_forward(spec31, zero_policy, 0.0, [1.0], grid, 16, seed=8)
+    batch = F.simulate_forward(spec31, zero_control, 0.0, [1.0], grid, 16, seed=8)
     path = tmp_path / "summary.csv"
     F.pathbatch_summary_csv(batch, path)
     lines = path.read_text().strip().splitlines()

@@ -150,12 +150,14 @@ def test_connection_sign_flip_fails_everywhere(pipeline_optimal, vgrid400, spec3
 def test_connection_smooth_start_matches_gradient():
     # from x = -1 the state stays negative where the value function is
     # linear with slope -1, and p q^-1 must agree with that gradient
-    spec = P.builtin_problem("example31", horizon=0.25)
-    pol = F.ConstantPolicy(0.0)
+    # example31 with T = 0.25
+    spec = P.spec_from_expressions(
+        1, 1, 1, 0.25, [0.0], [1.0], ["x1 * u1"], ["x1"], "x1 - y", "x1"
+    )
     grid = F.TimeGrid(0.0, 0.25, 50)
-    batch = F.simulate_forward(spec, pol, 0.0, [-1.0], grid, 64, seed=12)
+    batch = F.simulate_forward(spec, 0.0, 0.0, [-1.0], grid, 64, seed=12)
     assert np.abs(batch.states).max() < 4.0
-    sol = B.solve_backward(spec, pol, batch, 3)
+    sol = B.solve_backward(spec, batch, 3)
     triple = A.solve_adjoint(spec, batch, sol)
     hgrid = H.cfl_time_grid(spec, 4.0, 200, 11)
     vgrid = H.solve_hjb_fd(spec, 4.0, 200, hgrid, 11)
@@ -178,10 +180,10 @@ def test_connection_q_floor(pipeline_optimal, vgrid400, spec31):
         )
 
 
-def test_connection_state_outside_domain(spec31, zero_policy, vgrid100):
+def test_connection_state_outside_domain(spec31, zero_control, vgrid100):
     grid = F.TimeGrid(0.0, 1.0, 20)
-    batch = F.simulate_forward(spec31, F.ConstantPolicy(1.0), 0.0, [10.0], grid, 8, seed=1)
-    sol = B.solve_backward(spec31, F.ConstantPolicy(1.0), batch, 1)
+    batch = F.simulate_forward(spec31, 1.0, 0.0, [10.0], grid, 8, seed=1)
+    sol = B.solve_backward(spec31, batch, 1)
     triple = A.solve_adjoint(spec31, batch, sol)
     with pytest.raises(J.JetError, match="outside"):
         J.verify_connection(spec31, batch, sol, triple, vgrid100, [0.5])

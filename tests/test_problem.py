@@ -143,28 +143,6 @@ def test_render_parse_round_trip(name):
     assert np.allclose(spec.terminal(x), spec2.terminal(x))
 
 
-def test_project_control_examples(spec31):
-    assert P.project_control(1.7, spec31) == pytest.approx(1.0)
-    assert P.project_control(0.5, spec31) == pytest.approx(0.5)
-    box2 = P.spec_from_expressions(
-        1, 1, 2, 1.0, [0.0, 0.0], [1.0, 1.0], ["x1"], ["x1"], "y", "x1"
-    )
-    out = P.project_control(np.array([-1.0, 2.0]), box2)
-    assert np.array_equal(out, [0.0, 1.0])
-
-
-@given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
-@settings(max_examples=200, deadline=None)
-def test_project_control_idempotent(u1, u2):
-    spec = P.spec_from_expressions(
-        1, 1, 2, 1.0, [-0.5, 0.0], [0.5, 2.0], ["x1"], ["x1"], "y", "x1"
-    )
-    u = np.array([u1, u2])
-    once = P.project_control(u, spec)
-    assert np.array_equal(P.project_control(once, spec), once)
-    assert np.all(once >= spec.control_lo) and np.all(once <= spec.control_hi)
-
-
 @given(
     st.floats(-5, 5, allow_nan=False),
     st.floats(-5, 5, allow_nan=False),
@@ -340,10 +318,3 @@ def test_spec_without_a_gradient_is_rejected(spec31):
 def test_unknown_builtin():
     with pytest.raises(P.ConfigError, match="unknown builtin"):
         P.builtin_problem("nope")
-
-
-def test_builtin_start():
-    t0, x0, u0 = P.builtin_start("example31")
-    assert t0 == 0.0
-    assert np.array_equal(x0, [0.0])
-    assert np.array_equal(u0, [0.0])
