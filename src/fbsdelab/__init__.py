@@ -38,7 +38,6 @@ from .hjb import (
     ViscosityCheckReport,
     cfl_max_dt,
     cfl_time_grid,
-    generalized_hamiltonian,
     regularity_probe,
     solve_hjb_fd,
     viscosity_check,

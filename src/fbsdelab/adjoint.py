@@ -10,6 +10,10 @@ where all coefficient gradients are evaluated along the batch's
 (X, Y, Z, u).  The sigma_x k term contracts over noise columns:
 sum_j (sigma^j_x)^T k^j, the dimensionally consistent reading.
 
+The maximum condition tests the Hamiltonian's control gradient
+H_u = b_u^T p - q f_u + sum_j (sigma^j_u)^T k^j, taken in closed form
+from the control gradients the problem derives from its expressions.
+
 (p, k) project with the regressions the backward pass fitted at each
 step (`BackwardSolution.regressions`), rebuilding only the design; the
 martingale integrand k is regressed from the centered increment
@@ -137,29 +141,13 @@ def hamiltonian(spec, t, x, y, z, u, p, q, k):
     return float(val[0]) if scalar else val
 
 
-_H_U_STEP = 1e-5
-
-
 def hamiltonian_gradient_u(spec, t, x, y, z, u, p, q, k):
-    """dH/du by central differences, one-sided at control-box faces."""
-    m = x.shape[0]
-    grad = np.empty((m, spec.k))
-    for j in range(spec.k):
-        h = _H_U_STEP * (1.0 + np.abs(u[:, j]))
-        up = u.copy()
-        dn = u.copy()
-        up[:, j] = np.minimum(u[:, j] + h, spec.control_hi[j])
-        dn[:, j] = np.maximum(u[:, j] - h, spec.control_lo[j])
-        width = up[:, j] - dn[:, j]
-        if np.any(width <= 0):
-            # degenerate box axis: the Hamiltonian cannot vary along it
-            grad[:, j] = 0.0
-            continue
-        # the probes are clamped to the box, so hamiltonian's check passes
-        hp = hamiltonian(spec, t, x, y, z, up, p, q, k)
-        hd = hamiltonian(spec, t, x, y, z, dn, p, q, k)
-        grad[:, j] = (hp - hd) / width
-    return grad
+    """dH/du = b_u^T p - q f_u + sum_j (sigma_u^j)^T k^j along a batch."""
+    return (
+        np.einsum("mal,ma->ml", spec.drift_u(t, x, u), p)
+        - q[:, None] * spec.driver_u(t, x, y, z, u)
+        + np.einsum("majl,maj->ml", spec.diffusion_u(t, x, u), k)
+    )
 
 
 @dataclass
@@ -180,16 +168,19 @@ class MaxConditionReport:
     passed: bool
 
 
-def check_maximum_condition(
-    spec, batch, backward, triple, control_grid_size=11, tol_mc=1e-2
-):
+# the residual a step may fall below 0 by, before its Monte Carlo allowance
+_TOL_MC = 1e-2
+
+
+def check_maximum_condition(spec, batch, backward, triple, control_grid_size=11):
     """Evaluate <H_u, u - u_bar> >= 0 over a uniform control grid.
 
-    The per-step pass allowance is tol_mc plus four standard errors of
+    The per-step pass allowance is _TOL_MC plus four standard errors of
     the minimizing grid point's path average, so Monte Carlo noise does
     not trigger false failures.
     """
-    grid_controls = control_grid(spec, control_grid_size)  # (G, k)
+    # (G, k): u_g - u_bar, the same on every path
+    offsets = control_grid(spec, control_grid_size) - batch.control
     n_steps = batch.grid.steps
     times = batch.grid.times
 
@@ -202,18 +193,18 @@ def check_maximum_condition(
             spec, s, x, y, z, u_bar, triple.p[:, i], triple.q[:, i], triple.k[:, i]
         )
         # row g: <H_u, u_g - u_bar> on every path; rows reduce contiguously
-        inner = np.einsum("mj,gmj->gm", hu, grid_controls[:, None, :] - u_bar)
+        inner = np.einsum("mj,gj->gm", hu, offsets)
         means = inner.mean(axis=1)
         best = int(np.argmin(means))  # the first of tied grid points
         residuals[i] = means[best]
         stderrs[i] = inner[best].std() / np.sqrt(batch.n_paths)
-    allowance = tol_mc + 4.0 * stderrs
+    allowance = _TOL_MC + 4.0 * stderrs
     passed = bool(np.all(residuals >= -allowance))
     return MaxConditionReport(
         times=times[:n_steps],
         residuals=residuals,
         stderrs=stderrs,
-        tol=tol_mc,
+        tol=_TOL_MC,
         worst=float(residuals.min()),
         passed=passed,
     )

@@ -203,13 +203,13 @@ class CostReport:
 _N_BOOTSTRAP = 64
 
 
-def _bootstrap_stderr(values, seed, n_resamples=_N_BOOTSTRAP):
+def _bootstrap_stderr(values, seed):
     m = values.shape[0]
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed & (2**64 - 1), 2**63 + 1], dtype=np.uint64))
     )
-    means = np.empty(n_resamples)
-    for b in range(n_resamples):
+    means = np.empty(_N_BOOTSTRAP)
+    for b in range(_N_BOOTSTRAP):
         idx = rng.integers(0, m, size=m)
         means[b] = values[idx].mean()
     return float(means.std())

@@ -1,24 +1,30 @@
 """Monotone explicit finite-difference solver for the value equation.
 
-The generalized value PDE in one spatial dimension,
+The generalized value PDE in one spatial dimension, with d noise columns,
 
     -v_t + sup_u G(t, x, -v, -v_x, -v_xx, u) = 0,   v(T, x) = -phi(x),
-    G(t, x, r, p, A, u) = 0.5 sigma^2 A + p b + f(t, x, r, sigma p, u),
+    G(t, x, r, p, A, u) = 0.5 |sigma|^2 A + p b + f(t, x, r, sigma^T p, u),
 
-is swept backward in time with upwind first differences (side chosen by
-the sign of b), central second differences, and linear extrapolation of
-the outermost two nodes as the boundary rule.  The explicit update is
-monotone in the neighboring values provided dt satisfies the CFL bound
+where |sigma|^2 = sum_j sigma_1j^2 and sigma^T p has components
+sigma_1j p, is swept backward in time with upwind first differences
+(side chosen by the sign of b), central second differences, and linear
+extrapolation of the outermost two nodes as the boundary rule.  The
+explicit update is monotone in the neighboring values provided dt
+satisfies the CFL bound
 
-    dt <= dx^2 / (max sigma^2 + dx max|b| + c0),
+    dt <= dx^2 / (max |sigma|^2 + dx max|b| + c0),
 
-where c0 absorbs the driver's dependence on its value and z arguments;
+where c0 = dx max sum_j |sigma_1j f_zj| + dx^2 max|f_y| absorbs the
+driver's dependence on its value and z arguments;
 `cfl_max_dt` computes the bound by pre-scanning the grid, and the solver
 refuses to run when it is violated.  The pre-scan samples b and sigma
 at a few time levels only, so when they depend on time the sweep also
 checks each step's dt against the bound of that step's own b and sigma
-and refuses there.  Each step evaluates all controls of the grid at
-once, as (C, J+1) arrays, and takes their maximum.  Monotone schemes of
+and refuses there.  One method, `_Sweep.hamiltonian`, evaluates G for
+all controls of the grid at once, as (C, J+1) rows, one per control; the
+sweep's step takes their maximum, the CFL pre-scan reads the same rows'
+coefficients, and the viscosity probe evaluates G at a single node with
+it.  Monotone schemes of
 this type converge to the PDE's viscosity solution, which is why one is
 used here.
 """
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import TimeGrid
-from .problem import ControlBoxError, ProblemError, control_grid
+from .problem import ProblemError, control_grid
 
 
 class CFLError(ProblemError):
@@ -53,7 +59,6 @@ class ValueGrid:
     grid: TimeGrid
     values: np.ndarray  # (N+1, J+1)
     control_grid_size: int
-    boundary_rule: str = "linear-extrapolation"
     cfl_ratio: float = None  # grid.dt over the CFL bound; None if not solved
 
     @property
@@ -72,50 +77,23 @@ class ValueGrid:
         return i, self.values[i]
 
 
-def generalized_hamiltonian(spec, t, x, r, p_var, big_a, u):
-    """G(t, x, r, p, A, u) for state dimension n (A symmetric n x n)."""
-    x1 = np.atleast_1d(np.asarray(x, dtype=float))
-    u1 = np.atleast_1d(np.asarray(u, dtype=float))
-    p1 = np.atleast_1d(np.asarray(p_var, dtype=float))
-    a2 = np.asarray(big_a, dtype=float).reshape(spec.n, spec.n)
-    if not np.allclose(a2, a2.T, atol=1e-12):
-        raise ProblemError("second-order argument A must be symmetric")
-    if not spec.control_inside(u1):
-        raise ControlBoxError(f"control {u} outside the control box")
-    b = spec.drift(t, x1, u1)
-    sg = spec.diffusion(t, x1, u1)
-    z = sg.T @ p1  # sigma^T p, shape (d,)
-    trace = float(np.einsum("ad,ae,ed->", sg, a2, sg)) * 0.5
-    return float(trace + p1 @ b + spec.driver(t, x1, r, z, u1))
-
-
 def _scan_coefficients(spec, half_width, n_cells, control_grid_size, t_start):
-    """Max |b|, sigma^2 and driver-gradient magnitudes over the grid."""
+    """Max |b|, |sigma|^2 and driver-gradient magnitudes over the grid."""
     if spec.n != 1:
         raise ProblemError("the finite-difference solver is one-dimensional")
     xs = np.linspace(-half_width, half_width, n_cells + 1)
-    times = np.linspace(t_start, spec.horizon, 5)
-    controls = control_grid(spec, control_grid_size)
-    max_b = 0.0
-    max_sig2 = 0.0
-    max_fy = 0.0
-    max_sfz = 0.0
-    x_cols = xs[:, None]
-    y_probe = -spec.terminal(x_cols)
+    sweep = _Sweep(spec, xs, control_grid(spec, control_grid_size))
+    y_probe = -spec.terminal(sweep.x_cols)
     z_probe = np.zeros((xs.size, spec.d))
-    for t in times:
-        for u in controls:
-            uu = np.broadcast_to(u, (xs.size, spec.k))
-            b = spec.drift(t, x_cols, uu)
-            sg = spec.diffusion(t, x_cols, uu)
-            max_b = max(max_b, float(np.max(np.abs(b))))
-            max_sig2 = max(max_sig2, float(np.max(sg[..., 0, 0] ** 2)))
-            fy = spec.driver_y(t, x_cols, y_probe, z_probe, uu)
-            fz = spec.driver_z(t, x_cols, y_probe, z_probe, uu)
-            max_fy = max(max_fy, float(np.max(np.abs(fy))))
-            max_sfz = max(
-                max_sfz, float(np.max(np.abs(sg[..., 0, 0]) * np.abs(fz[..., 0])))
-            )
+    max_b = max_sig2 = max_fy = max_sfz = 0.0
+    for t in np.linspace(t_start, spec.horizon, 5):
+        b, sg, _, half_s2 = sweep.coefficients(t)
+        fy = spec.driver_y(t, sweep.x, y_probe, z_probe, sweep.u)
+        fz = spec.driver_z(t, sweep.x, y_probe, z_probe, sweep.u)
+        max_b = max(max_b, float(np.max(np.abs(b))))
+        max_sig2 = max(max_sig2, 2.0 * float(np.max(half_s2)))
+        max_fy = max(max_fy, float(np.max(np.abs(fy))))
+        max_sfz = max(max_sfz, float(np.max(np.sum(np.abs(sg * fz), axis=-1))))
     return max_b, max_sig2, max_fy, max_sfz
 
 
@@ -155,12 +133,7 @@ def cfl_time_grid(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
 
 def _coefficients_static(spec):
     """True when the expression variables show b and sigma ignore time."""
-    return (
-        spec.b_variables is not None
-        and spec.sigma_variables is not None
-        and "s" not in spec.b_variables
-        and "s" not in spec.sigma_variables
-    )
+    return "s" not in spec.b_variables | spec.sigma_variables
 
 
 def _pad_linear(v):
@@ -173,62 +146,69 @@ def _pad_linear(v):
 class _Sweep:
     """Backward-in-time sweep state with loop invariants hoisted.
 
-    Spatial derivatives use upwind first differences (forward where
-    b >= 0), central second differences, and linear-extrapolation ghost
-    nodes at both ends.  Every control is evaluated at once: b, sigma and
-    the driver are (C, J+1) arrays, one row per control, and the update
-    takes their maximum over rows.  When the problem's expression
-    variables show b and sigma are time-independent, they are evaluated
-    once; otherwise once per step, and with `c0` given each step's dt is
-    checked against the CFL bound of that step's own b and sigma (the
-    pre-scan samples only a few time levels).  When the driver ignores z
-    and u it is evaluated once per step on (J+1,).
+    `hamiltonian` gives G's rows, one per control, as (C, J+1) arrays at
+    the nodes `xs`; it needs no grid spacing, so `xs` may be one node.
+    `step` takes spatial derivatives with upwind first differences
+    (forward where b >= 0), central second differences, and
+    linear-extrapolation ghost nodes at both ends, and updates with the
+    maximum of G's rows.  When the problem's expression variables show b
+    and sigma are time-independent, they are evaluated once; otherwise
+    once per step, and with `c0` given each step's dt is checked against
+    the CFL bound of that step's own b and sigma (the pre-scan samples
+    only a few time levels).  When the driver ignores z and u it is
+    evaluated once per call on (J+1,).
     """
 
     def __init__(self, spec, xs, controls, c0=None, span=None):
         self.spec = spec
-        self.dx = xs[1] - xs[0]
+        self.xs = xs
         self.c0 = c0
         self.span = span
         shape = (len(controls), xs.size)
         self.x_cols = xs[:, None]
         self.x = np.broadcast_to(xs[None, :, None], shape + (1,))
         self.u = np.broadcast_to(controls[:, None, :], shape + (spec.k,))
-        fvars = spec.f_variables
-        self.f_uses_u = fvars is None or any(v.startswith("u") for v in fvars)
-        self.f_uses_z = fvars is None or any(v.startswith("z") for v in fvars)
-        static = _coefficients_static(spec)
-        self.static_coeffs = self._coeffs(0.0) if static else None
+        self.f_reads_zu = any(v[0] in "zu" for v in spec.f_variables)
         self.zeros_z = np.zeros((xs.size, spec.d))
+        self.static_coeffs = None
+        if _coefficients_static(spec):
+            self.static_coeffs = self.coefficients(0.0)
 
-    def _coeffs(self, t):
-        """(b, sigma, upwind mask, sigma^2 / 2), each (C, J+1), at time t."""
+    def coefficients(self, t):
+        """(b, sigma's row, upwind mask, |sigma|^2 / 2) at time t.
+
+        Each is (C, J+1), one row per control, but sigma's row, which is
+        (C, J+1, d).
+        """
+        if self.static_coeffs is not None:
+            return self.static_coeffs
         b = self.spec.drift(t, self.x, self.u)[..., 0]
-        sg = self.spec.diffusion(t, self.x, self.u)[..., 0, 0]
-        return b, sg, b >= 0.0, 0.5 * sg * sg
+        sg = self.spec.diffusion(t, self.x, self.u)[..., 0, :]
+        return b, sg, b >= 0.0, 0.5 * np.sum(sg * sg, axis=-1)
+
+    def hamiltonian(self, t, r, p, big_a, coeffs=None):
+        """G's rows: 0.5 |sigma|^2 A + p b + f(t, x, r, sigma^T p, u) per control."""
+        b, sg, _, half_s2 = coeffs or self.coefficients(t)
+        if self.f_reads_zu:
+            fval = self.spec.driver(t, self.x, r, sg * p[..., None], self.u)
+        else:
+            fval = self.spec.driver(t, self.x_cols, r, self.zeros_z, self.u[0])
+        return half_s2 * big_a + p * b + fval
 
     def step(self, v, t, dt):
         """One explicit update of a value row at known time level t."""
+        dx = self.xs[1] - self.xs[0]
         vp = _pad_linear(v)
-        dxx = (vp[2:] - 2.0 * vp[1:-1] + vp[:-2]) / (self.dx * self.dx)
-        fwd = (vp[2:] - vp[1:-1]) / self.dx
-        bwd = (vp[1:-1] - vp[:-2]) / self.dx
-        r = -v
-        if self.static_coeffs is not None:
-            b, sg, up, half_s2 = self.static_coeffs
-        else:
-            b, sg, up, half_s2 = self._coeffs(t)
-            if self.c0 is not None:
-                max_sig2 = float(np.max(sg * sg))
-                max_b = float(np.max(np.abs(b)))
-                dt_max = _dt_bound(self.dx, max_sig2, max_b, self.c0)
-                _refuse_above(dt, dt_max, self.span)
-        d1 = np.where(up, fwd, bwd)
-        if not (self.f_uses_u or self.f_uses_z):
-            fval = self.spec.driver(t, self.x_cols, r, self.zeros_z, self.u[0])
-        else:
-            fval = self.spec.driver(t, self.x, r, (-sg * d1)[..., None], self.u)
-        g = half_s2 * (-dxx) + (-d1) * b + fval
+        dxx = (vp[2:] - 2.0 * vp[1:-1] + vp[:-2]) / (dx * dx)
+        fwd = (vp[2:] - vp[1:-1]) / dx
+        bwd = (vp[1:-1] - vp[:-2]) / dx
+        coeffs = self.coefficients(t)
+        b, _, up, half_s2 = coeffs
+        if self.c0 is not None:
+            max_sig2 = 2.0 * float(np.max(half_s2))
+            dt_max = _dt_bound(dx, max_sig2, float(np.max(np.abs(b))), self.c0)
+            _refuse_above(dt, dt_max, self.span)
+        g = self.hamiltonian(t, -v, -np.where(up, fwd, bwd), -dxx, coeffs)
         return v - dt * g.max(axis=0)
 
 
@@ -399,28 +379,18 @@ def viscosity_check(vgrid, spec, probe_points, fit_radius=3):
             dt_off**2 + dx_off**2
         )
 
-        def inequality_lhs():
-            r = -v[it, jx]
-            b_best = None
-            for u in controls:
-                g = generalized_hamiltonian(
-                    spec,
-                    t0,
-                    np.array([x0]),
-                    r,
-                    np.array([-phi_x]),
-                    np.array([[-phi_xx]]),
-                    u,
-                )
-                b_best = g if b_best is None else max(b_best, g)
-            return -phi_t + b_best
+        # -phi_t + sup_u G(t0, x0, -v, -phi_x, -phi_xx, u), at one node
+        g = _Sweep(spec, np.array([x0]), controls).hamiltonian(
+            t0, -v[it, jx], np.array([-phi_x]), -phi_xx
+        )
+        lhs = -phi_t + float(g.max())
 
         res = ProbeResult(t=t0, x=x0)
         if np.all(gap >= -allowance):  # touches from above
-            res.sub_residual = inequality_lhs()
+            res.sub_residual = lhs
             worst = max(worst, res.sub_residual)
         if np.all(gap <= allowance):  # touches from below
-            res.super_residual = inequality_lhs()
+            res.super_residual = lhs
             worst = max(worst, -res.super_residual)
         results.append(res)
     return ViscosityCheckReport(points=results, worst_violation=worst)
@@ -471,7 +441,7 @@ def value_grid_meta_json(vgrid, path):
         "control_grid_size": vgrid.control_grid_size,
         "dt": vgrid.grid.dt,
         "dx": vgrid.dx,
-        "boundary_rule": vgrid.boundary_rule,
+        "boundary_rule": "linear-extrapolation",
     }
     if vgrid.cfl_ratio is not None:
         meta["cfl_ratio"] = vgrid.cfl_ratio

@@ -37,6 +37,8 @@ DEFAULT_STEP_LADDER = (0.1, 0.05, 0.025, 0.0125)
 DEFAULT_TOL_JET = 5e-3
 DEFAULT_TOL_CONN = 2e-2
 _Q_FLOOR = 1e-10
+# paths verify_connection checks at each time: the first ones of the batch
+_PATH_SAMPLE = 64
 
 
 @dataclass
@@ -146,25 +148,22 @@ def estimate_jets_1d(v_slice, x_hat, steps=None, tol_jet=DEFAULT_TOL_JET):
     )
 
 
-def superjet_membership(
-    v, x_hat, candidate, directions=None, steps=None, tol_jet=DEFAULT_TOL_JET
-):
+def superjet_membership(v, x_hat, candidate):
     """Directional first-order test of candidate in the super-jet at x_hat.
 
-    For each direction e computes (v(x_hat + h e) - v(x_hat) -
-    h <candidate, e>)/h, extrapolates to h -> 0, and accepts when every
-    extrapolated value is <= tol_jet.  Returns (member, worst violation).
+    For each coordinate direction e and its negative computes
+    (v(x_hat + h e) - v(x_hat) - h <candidate, e>)/h on the default step
+    ladder scaled by 1 + |x_hat|, extrapolates to h -> 0, and accepts when
+    every extrapolated value is <= DEFAULT_TOL_JET.  Returns (member,
+    worst violation).
     """
     x_hat = np.atleast_1d(np.asarray(x_hat, dtype=float))
     candidate = np.atleast_1d(np.asarray(candidate, dtype=float))
     n = x_hat.size
-    if directions is None:
-        eye = np.eye(n)
-        directions = [eye[i] for i in range(n)] + [-eye[i] for i in range(n)]
-    if steps is None:
-        base = 1.0 + float(np.linalg.norm(x_hat))
-        steps = [h * base for h in DEFAULT_STEP_LADDER]
-    steps = _validate_steps(steps)
+    eye = np.eye(n)
+    directions = [eye[i] for i in range(n)] + [-eye[i] for i in range(n)]
+    base = 1.0 + float(np.linalg.norm(x_hat))
+    steps = [h * base for h in DEFAULT_STEP_LADDER]
     fn = _as_callable(v)
 
     def value(pt):
@@ -181,7 +180,7 @@ def superjet_membership(
         ]
         g = _richardson(steps[-2], quots[-2], steps[-1], quots[-1])
         worst = max(worst, g)
-    return bool(worst <= tol_jet), float(worst)
+    return bool(worst <= DEFAULT_TOL_JET), float(worst)
 
 
 @dataclass
@@ -213,7 +212,6 @@ class ConnectionReport:
     tol_jet: float
     n_paths_checked: int
     passed: bool
-    note: str = "finite-sample check at listed times and sampled paths"
 
     def to_json(self):
         recs = []
@@ -241,7 +239,7 @@ class ConnectionReport:
                 "tol_jet": self.tol_jet,
                 "paths": self.n_paths_checked,
                 "pass": self.passed,
-                "note": self.note,
+                "note": "finite-sample check at listed times and sampled paths",
             },
             sort_keys=True,
         )
@@ -262,17 +260,7 @@ def connection_csv(report, path):
             )
 
 
-def verify_connection(
-    spec,
-    batch,
-    backward,
-    triple,
-    vgrid,
-    check_times,
-    tol_conn=DEFAULT_TOL_CONN,
-    tol_jet=DEFAULT_TOL_JET,
-    path_sample=64,
-):
+def verify_connection(spec, batch, backward, triple, vgrid, check_times):
     """Check the adjoint-ratio jet inclusions along the batch.
 
     At each check time (snapped to the value grid's nearest time level)
@@ -289,7 +277,7 @@ def verify_connection(
             f"|q| below {_Q_FLOOR:g}; the ratio p q^-1 is not computable"
         )
     m_avail = batch.n_paths
-    sample = np.arange(min(path_sample, m_avail))
+    sample = np.arange(min(_PATH_SAMPLE, m_avail))
     times = batch.grid.times
     xs = vgrid.xs
     half = vgrid.space_half_width
@@ -323,16 +311,16 @@ def verify_connection(
                 raise JetError(
                     f"value grid too small to probe jets at x = {xs[j]}"
                 )
-            est = estimate_jets_1d((xs, v_row), xs[j], ladder, tol_jet)
+            est = estimate_jets_1d((xs, v_row), xs[j], ladder)
             if j == med_node:
                 jet_at_median = est
             dist = est.superjet.distance(med)
             worst_dist = max(worst_dist, dist)
-            member = member and dist <= tol_conn
+            member = member and dist <= DEFAULT_TOL_CONN
             if est.subjet.kind == "interval":
                 sub_ok = False
             elif est.subjet.kind == "singleton":
-                sub_ok = sub_ok and abs(est.subjet.lo - med) <= tol_conn
+                sub_ok = sub_ok and abs(est.subjet.lo - med) <= DEFAULT_TOL_CONN
         node_pass = member and sub_ok
         all_pass = all_pass and node_pass
         records.append(
@@ -350,8 +338,8 @@ def verify_connection(
         )
     return ConnectionReport(
         records=records,
-        tol_conn=tol_conn,
-        tol_jet=tol_jet,
+        tol_conn=DEFAULT_TOL_CONN,
+        tol_jet=DEFAULT_TOL_JET,
         n_paths_checked=int(sample.size),
         passed=all_pass,
     )

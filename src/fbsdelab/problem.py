@@ -5,10 +5,11 @@ driver f(s,x,y,z,u), terminal phi(x), a box control set, and a horizon.
 Every coefficient, the built-ins included, is an expression in a small
 arithmetic DSL, and every gradient the adjoint equations need (b_x,
 sigma_x, f_x, f_y, f_z, phi_x) is derived symbolically from the same parse
-tree.  Where a derivative jumps -- abs at 0, min and max at a tie -- it is
-taken as the mean of the two one-sided derivatives, the value central
-differences return there: abs'(0) = 0, and each tied argument of min or
-max carries weight 1/2.
+tree, and so are the control gradients the maximum condition needs (b_u,
+sigma_u, f_u).  Where a derivative jumps -- abs at 0, min and max at a
+tie -- it is taken as the mean of the two one-sided derivatives, the
+value central differences return there: abs'(0) = 0, and each tied
+argument of min or max carries weight 1/2.
 
 Config file format (UTF-8, ini-like; see also the CLI help)::
 
@@ -410,7 +411,10 @@ def _names(prefix, count):
     return [f"{prefix}{i + 1}" for i in range(count)]
 
 
-_GRADIENTS = ("drift_x", "diffusion_x", "driver_x", "driver_y", "driver_z", "terminal_x")
+_GRADIENTS = (
+    "drift_x", "diffusion_x", "driver_x", "driver_y", "driver_z", "terminal_x",
+    "drift_u", "diffusion_u", "driver_u",
+)
 
 
 @dataclass
@@ -434,23 +438,27 @@ class ProblemSpec:
     driver: callable
     terminal: callable
     # expression sources, kept for render_problem round-trips
-    b_sources: list = None
-    sigma_sources: list = None
-    f_source: str = None
-    phi_source: str = None
-    # variable names each coefficient group actually references (None when
-    # the evaluators are opaque callables); lets solvers hoist invariants
-    b_variables: frozenset = None
-    sigma_variables: frozenset = None
-    f_variables: frozenset = None
+    b_sources: list
+    sigma_sources: list
+    f_source: str
+    phi_source: str
+    # variable names each coefficient group actually references; lets
+    # solvers hoist invariants
+    b_variables: frozenset
+    sigma_variables: frozenset
+    f_variables: frozenset
     # b_x (..., n, n), sigma_x (..., n, d, n), f_x (..., n), f_y (...,), f_z
-    # (..., d), phi_x (..., n); spec_from_expressions derives them
+    # (..., d), phi_x (..., n), b_u (..., n, k), sigma_u (..., n, d, k), f_u
+    # (..., k); spec_from_expressions derives them
     drift_x: callable = None
     diffusion_x: callable = None
     driver_x: callable = None
     driver_y: callable = None
     driver_z: callable = None
     terminal_x: callable = None
+    drift_u: callable = None
+    diffusion_u: callable = None
+    driver_u: callable = None
     lipschitz_hint: float = 1.0
     name: str = ""
 
@@ -636,6 +644,9 @@ def spec_from_expressions(
         driver_y=_evaluator(grad([f_expr], ["y"]), (), f_args),
         driver_z=_evaluator(grad([f_expr], sz), (d,), f_args),
         terminal_x=_evaluator(grad([phi_expr], sx), (n,), (sx,)),
+        drift_u=_evaluator(grad(b_exprs, su), (n, k), bs_args),
+        diffusion_u=_evaluator(grad(sig_exprs, su), (n, d, k), bs_args),
+        driver_u=_evaluator(grad([f_expr], su), (k,), f_args),
         b_sources=list(b_sources),
         sigma_sources=list(sigma_sources),
         f_source=f_source,
@@ -819,9 +830,7 @@ def parse_problem(config_text):
 
 
 def render_problem(spec, initial=None):
-    """Render a spec (built from expressions) back to config text."""
-    if spec.b_sources is None:
-        raise ProblemError("spec has no expression sources to render")
+    """Render a spec back to config text."""
     lines = ["[dims]", f"n = {spec.n}", f"d = {spec.d}", f"k = {spec.k}"]
     lines.append(f"lipschitz_hint = {float(spec.lipschitz_hint)!r}")
     lines += ["", "[horizon]", f"T = {float(spec.horizon)!r}"]

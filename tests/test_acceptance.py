@@ -120,14 +120,14 @@ def test_criterion_5_maximum_condition(pipeline_optimal, pipeline_suboptimal, sp
     pipe = pipeline_optimal
     rep_opt = A.check_maximum_condition(
         spec31, pipe["batch"], pipe["sol"], pipe["triple"],
-        control_grid_size=11, tol_mc=1e-2,
+        control_grid_size=11,
     )
     optimal_ok = bool(np.all(rep_opt.residuals == 0.0)) and rep_opt.passed
 
     sub = pipeline_suboptimal
     rep_sub = A.check_maximum_condition(
         spec31, sub["batch"], sub["sol"], sub["triple"],
-        control_grid_size=11, tol_mc=1e-2,
+        control_grid_size=11,
     )
     suboptimal_ok = rep_sub.worst < -1e-2 and not rep_sub.passed
     _report(

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_problem import _smooth_expressions
 
 from fbsdelab import adjoint as A
 from fbsdelab import backward as B
@@ -134,6 +137,61 @@ def test_hamiltonian_hand_values(spec31):
 def test_hamiltonian_rejects_outside_control(spec31):
     with pytest.raises(P.ControlBoxError):
         A.hamiltonian(spec31, 0.0, 1.0, 0.0, 0.0, 3.0, -1.0, 1.0, 0.0)
+
+
+@given(
+    st.lists(_smooth_expressions(["s", "x1", "x2", "u1", "u2"]), min_size=6, max_size=6),
+    _smooth_expressions(["s", "x1", "x2", "y", "z1", "z2", "u1", "u2"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_hamiltonian_gradient_u_matches_richardson_differences(bs, f):
+    spec = P.spec_from_expressions(
+        2, 2, 2, 1.0, [0.0, 0.0], [1.0, 1.0], bs[:2], bs[2:], f, "x1"
+    )
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1, 1, (5, 2))
+    y = rng.uniform(-1, 1, 5)
+    z = rng.uniform(-1, 1, (5, 2))
+    u = rng.uniform(0.1, 0.9, (5, 2))  # interior: every probe stays in the box
+    p = rng.uniform(-1, 1, (5, 2))
+    q = rng.uniform(0.5, 1.5, 5)
+    k = rng.uniform(-1, 1, (5, 2, 2))
+    exact = A.hamiltonian_gradient_u(spec, 0.3, x, y, z, u, p, q, k)
+
+    def fd(h, j):
+        e = np.zeros(2)
+        e[j] = h
+        up = A.hamiltonian(spec, 0.3, x, y, z, u + e, p, q, k)
+        dn = A.hamiltonian(spec, 0.3, x, y, z, u - e, p, q, k)
+        return (up - dn) / (2.0 * h)
+
+    # Richardson extrapolation cancels the h^2 term of central differences
+    richardson = np.stack(
+        [(4.0 * fd(5e-4, j) - fd(1e-3, j)) / 3.0 for j in range(2)], axis=-1
+    )
+    assert exact.shape == richardson.shape
+    np.testing.assert_allclose(exact, richardson, rtol=1e-6, atol=1e-6)
+
+
+def test_max_condition_degenerate_box_axis():
+    # lo == hi on the second axis fixes u2 = 0.5: the residuals are those
+    # of the same problem with 0.5 written in place of u2
+    two = P.spec_from_expressions(
+        1, 1, 2, 1.0, [0.0, 0.5], [1.0, 0.5], ["x1 * u1 + u2"],
+        ["x1 * u2 + 0.5"], "x1 - y + u1 * u2", "x1",
+    )
+    one = P.spec_from_expressions(
+        1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1 + 0.5"],
+        ["x1 * 0.5 + 0.5"], "x1 - y + u1 * 0.5", "x1",
+    )
+    reports = []
+    for spec, control in ((two, [0.0, 0.5]), (one, [0.0])):
+        batch, sol = _pipeline(spec, control, [0.5], 20, 300, seed=2, p_deg=2)
+        triple = A.solve_adjoint(spec, batch, sol)
+        reports.append(A.check_maximum_condition(spec, batch, sol, triple))
+    assert np.all(np.isfinite(reports[0].residuals))
+    assert np.array_equal(reports[0].residuals, reports[1].residuals)
+    assert np.array_equal(reports[0].stderrs, reports[1].stderrs)
 
 
 def test_max_condition_zero_on_optimal_pair(spec31, zero_control):

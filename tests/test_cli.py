@@ -154,6 +154,21 @@ def test_two_dimensional_problem_fails_hjb_stage(tmp_path, selection, names):
     assert "one-dimensional" in hjb["metrics"]["error"]
 
 
+def test_two_noise_columns_hjb_stage(tmp_path):
+    # a driver that reads the second noise column's z
+    text = _problem_text(["x1 * u1"], ["1"], "x1 - y + 0.1 * z2", "x1")
+    text = text.replace("d = 1", "d = 2") + 'sigma1_2 = "0.5"\n'
+    (tmp_path / "d2.cfg").write_text(text)
+    res = _run(
+        ["run", "--problem", "d2.cfg", "--stage", "hjb", "--J", "40", "--out", "o"],
+        tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    summary = _summary(tmp_path / "o")
+    assert summary["pass"] is True
+    assert summary["stages"][0]["name"] == "hjb"
+
+
 def test_nonpositive_q_paths_recorded(tmp_path):
     # f_z = 10 with unit noise: the stochastic exponential q crosses zero
     (tmp_path / "wild.cfg").write_text(_problem_text(["0"], ["1"], "y + 10 * z1", "x1"))

@@ -108,26 +108,49 @@ def test_multidimensional_state_rejected():
         H.cfl_time_grid(spec, 1.0, 10, 3)
 
 
+def _g_row(spec, t, x, r, p, big_a, u):
+    """G at one node and one control, from the sweep's G rows."""
+    sweep = H._Sweep(spec, np.array([x]), np.array([[u]]))
+    g = sweep.hamiltonian(t, r, np.array([p]), big_a)
+    assert g.shape == (1, 1)
+    return float(g[0, 0])
+
+
 def test_generalized_hamiltonian_hand_values(spec31):
-    assert H.generalized_hamiltonian(spec31, 0.0, 1.0, 0.0, 0.0, 0.0, 0.7) == pytest.approx(1.0)
-    assert H.generalized_hamiltonian(spec31, 0.0, 1.0, 0.0, -1.0, 0.0, 1.0) == pytest.approx(0.0)
+    assert _g_row(spec31, 0.0, 1.0, 0.0, 0.0, 0.0, 0.7) == pytest.approx(1.0)
+    assert _g_row(spec31, 0.0, 1.0, 0.0, -1.0, 0.0, 1.0) == pytest.approx(0.0)
     # all-zero coefficients reduce G to the driver alone
     nul = P.spec_from_expressions(
         1, 1, 1, 1.0, [0.0], [1.0], ["0"], ["0"], "y + 2", "x1"
     )
-    assert H.generalized_hamiltonian(nul, 0.2, 0.5, 1.5, 2.0, -3.0, 0.3) == pytest.approx(3.5)
+    assert _g_row(nul, 0.2, 0.5, 1.5, 2.0, -3.0, 0.3) == pytest.approx(3.5)
 
 
-def test_generalized_hamiltonian_validations(spec31):
-    with pytest.raises(P.ControlBoxError):
-        H.generalized_hamiltonian(spec31, 0.0, 1.0, 0.0, 0.0, 0.0, 2.0)
-    spec2 = P.spec_from_expressions(
-        2, 1, 1, 1.0, [0.0], [1.0], ["x1", "x2"], ["x1", "x2"], "y", "x1"
+@pytest.mark.parametrize(
+    "f1, f2",
+    [
+        ("x1 - y", "x1 - y"),
+        # sigma^T p read through z: 0.6 z1 + 0.8 z2 = z1 of the one-column problem
+        ("x1 - y + 0.1 * z1", "x1 - y + 0.1 * (0.6 * z1 + 0.8 * z2)"),
+    ],
+    ids=["driver_without_z", "driver_with_z"],
+)
+def test_two_noise_columns_match_one(f1, f2):
+    # sigma = (0.6, 0.8) has |sigma| = 1: the same equation as sigma = 1,
+    # in |sigma|^2, in sigma^T p and in the CFL bound's driver share
+    one = P.spec_from_expressions(
+        1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["1"], f1, "x1"
     )
-    with pytest.raises(P.ProblemError, match="symmetric"):
-        H.generalized_hamiltonian(
-            spec2, 0.0, [1.0, 1.0], 0.0, [0.0, 0.0], [[0.0, 1.0], [0.0, 0.0]], 0.5
-        )
+    two = P.spec_from_expressions(
+        1, 2, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["0.6", "0.8"], f2, "x1"
+    )
+    assert H.cfl_max_dt(two, 2.0, 100) == pytest.approx(
+        H.cfl_max_dt(one, 2.0, 100), rel=1e-12
+    )
+    grid = H.cfl_time_grid(one, 2.0, 100)
+    v1 = H.solve_hjb_fd(one, 2.0, 100, grid)
+    v2 = H.solve_hjb_fd(two, 2.0, 100, grid)
+    assert np.max(np.abs(v1.values - v2.values)) <= 1e-12
 
 
 def test_update_monotone_in_neighbors(vgrid400, spec31):
