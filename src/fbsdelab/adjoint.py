@@ -35,7 +35,10 @@ class AdjointTriple:
     """Discrete adjoint processes along a batch.
 
     p has shape (M, N+1, n), q (M, N+1), k (M, N, n, d).  q[:, 0] = 1 and
-    p[:, N] = -phi_x(X_N)^T q_N by construction.
+    p[:, N] = -phi_x(X_N)^T q_N by construction.  The solvers store
+    path-major views of time-major (N+1, M, n), (N+1, M) and (N, M, n, d)
+    buffers; readers index `field.swapaxes(0, 1)[i]`, which works on plain
+    path-major arrays too.
     """
 
     grid: object
@@ -46,7 +49,12 @@ class AdjointTriple:
 
 def _gradient_args(batch, backward, i):
     """(s, x, y, z) along the batch at step i < N."""
-    return batch.grid.times[i], batch.states[:, i], backward.y[:, i], backward.z[:, i]
+    return (
+        batch.grid.times[i],
+        batch.states.swapaxes(0, 1)[i],
+        backward.y.swapaxes(0, 1)[i],
+        backward.z.swapaxes(0, 1)[i],
+    )
 
 
 def solve_q(spec, batch, backward):
@@ -60,40 +68,48 @@ def solve_q(spec, batch, backward):
     m = batch.n_paths
     n_steps = batch.grid.steps
     dt = batch.grid.dt
-    q = np.empty((m, n_steps + 1))
-    q[:, 0] = 1.0
+    dw = batch.increments.swapaxes(0, 1)
+    q = np.empty((n_steps + 1, m))
+    q[0] = 1.0
     u = np.broadcast_to(batch.control, (m, spec.k))
     for i in range(n_steps):
         s, x, y, z = _gradient_args(batch, backward, i)
         fy = spec.driver_y(s, x, y, z, u)
         fz = spec.driver_z(s, x, y, z, u)
-        growth = 1.0 + fy * dt + np.einsum("md,md->m", fz, batch.increments[:, i])
-        q[:, i + 1] = q[:, i] * growth
-        if not np.all(np.isfinite(q[:, i + 1])):
+        growth = 1.0 + fy * dt + np.einsum("md,md->m", fz, dw[i])
+        q[i + 1] = q[i] * growth
+        if not np.all(np.isfinite(q[i + 1])):
             raise ProblemError(f"non-finite q at step {i + 1}")
-    return q
+    return q.swapaxes(0, 1)
 
 
 def solve_pk(spec, batch, backward, q):
-    """Regression solve for (p, k) with the backward pass's projections."""
+    """Regression solve for (p, k) with the backward pass's projections.
+
+    q is solve_q's (M, N+1) result; p (M, N+1, n) and k (M, N, n, d)
+    are returned as path-major views of time-major buffers.
+    """
     m = batch.n_paths
     n_steps = batch.grid.steps
     dt = batch.grid.dt
     n, d = spec.n, spec.d
+    states = batch.states.swapaxes(0, 1)
+    dw = batch.increments.swapaxes(0, 1)
+    q = q.swapaxes(0, 1)  # (N+1, M) from here on
 
-    p = np.empty((m, n_steps + 1, n))
-    k = np.empty((m, n_steps, n, d))
-    phix = spec.terminal_x(batch.states[:, n_steps])
-    p[:, n_steps] = -phix * q[:, n_steps][:, None]
+    p = np.empty((n_steps + 1, m, n))
+    k = np.empty((n_steps, m, n, d))
+    phix = spec.terminal_x(states[n_steps])
+    p[n_steps] = -phix * q[n_steps][:, None]
     u = np.broadcast_to(batch.control, (m, spec.k))
 
     for i in range(n_steps - 1, -1, -1):
         reg = backward.regressions[i]
-        design = reg.basis(batch.states[:, i])
-        cont = reg.fit(p[:, i + 1], design)  # (M, n)
-        centered = p[:, i + 1] - cont
-        targets = centered[:, :, None] * batch.increments[:, i][:, None, :]
-        k[:, i] = reg.fit(targets.reshape(m, n * d), design).reshape(m, n, d) / dt
+        design = reg.basis(states[i])
+        cont = reg.fit(p[i + 1], design)  # (M, n)
+        centered = p[i + 1] - cont
+        targets = centered[:, :, None] * dw[i][:, None, :]
+        k[i] = reg.fit(targets.reshape(m, n * d), design).reshape(m, n, d) / dt
 
         s, x, y, z = _gradient_args(batch, backward, i)
         bx = spec.drift_x(s, x, u)  # (M, n, n)
@@ -101,13 +117,13 @@ def solve_pk(spec, batch, backward, q):
         sx = spec.diffusion_x(s, x, u)  # (M, n, d, n)
         drift_term = (
             np.einsum("mab,ma->mb", bx, cont)
-            - fx * q[:, i][:, None]
-            + np.einsum("majb,maj->mb", sx, k[:, i])
+            - fx * q[i][:, None]
+            + np.einsum("majb,maj->mb", sx, k[i])
         )
-        p[:, i] = cont + drift_term * dt
-        if not np.all(np.isfinite(p[:, i])):
+        p[i] = cont + drift_term * dt
+        if not np.all(np.isfinite(p[i])):
             raise ProblemError(f"non-finite p at step {i}")
-    return p, k
+    return p.swapaxes(0, 1), k.swapaxes(0, 1)
 
 
 def solve_adjoint(spec, batch, backward):
@@ -187,11 +203,10 @@ def check_maximum_condition(spec, batch, backward, triple, control_grid_size=11)
     residuals = np.empty(n_steps)
     stderrs = np.empty(n_steps)
     u_bar = np.broadcast_to(batch.control, (batch.n_paths, spec.k))
+    p, q, k = (a.swapaxes(0, 1) for a in (triple.p, triple.q, triple.k))
     for i in range(n_steps):
         s, x, y, z = _gradient_args(batch, backward, i)
-        hu = hamiltonian_gradient_u(
-            spec, s, x, y, z, u_bar, triple.p[:, i], triple.q[:, i], triple.k[:, i]
-        )
+        hu = hamiltonian_gradient_u(spec, s, x, y, z, u_bar, p[i], q[i], k[i])
         # row g: <H_u, u_g - u_bar> on every path; rows reduce contiguously
         inner = np.einsum("mj,gj->gm", hu, offsets)
         means = inner.mean(axis=1)
@@ -214,10 +229,12 @@ def adjoint_csv(triple, report, path):
     """Per-step CSV of (t, mean p, mean q, mean |k|, worst residual);
     mean_p is the signed path mean of p's first component when n > 1."""
     times = triple.grid.times.tolist()
-    pm = triple.p[:, :, 0].mean(axis=0).tolist()
-    qm = triple.q.mean(axis=0).tolist()
+    # path means of time-major rows
+    pm = triple.p.swapaxes(0, 1)[:, :, 0].mean(axis=1).tolist()
+    qm = triple.q.swapaxes(0, 1).mean(axis=1).tolist()
     nan = [float("nan")]  # pads the per-step columns to the N+1 nodes
-    kn = np.linalg.norm(triple.k, axis=(-2, -1)).mean(axis=0).tolist() + nan
+    k = triple.k.swapaxes(0, 1)
+    kn = np.linalg.norm(k, axis=(-2, -1)).mean(axis=1).tolist() + nan
     res = ([] if report is None else report.residuals.tolist()) + nan * len(times)
     with open(path, "w") as fh:
         fh.write("t,mean_p,mean_q,mean_abs_k,worst_residual\n")

@@ -90,8 +90,10 @@ class _StepRegression:
         """Standardized monomials of the states x: the (M, P) design."""
         t = (x - self.mu) / self.sd
         powers = _monomial_powers(x.shape[1], self.degree)
-        cols = [np.prod(t**np.array(p), axis=1) for p in powers]
-        return np.column_stack(cols)
+        design = np.empty((x.shape[0], len(powers)))
+        for j, p in enumerate(powers):
+            np.prod(t**np.array(p), axis=1, out=design[:, j])
+        return design
 
     def fit(self, targets, design=None):
         """Fitted values at the design points; targets (M,) or (M, q)."""
@@ -104,7 +106,11 @@ class _StepRegression:
 
 @dataclass
 class BackwardSolution:
-    """Discrete (Y, Z) processes along a batch, plus diagnostics."""
+    """Discrete (Y, Z) processes along a batch, plus diagnostics.
+
+    y and z are path-major views of time-major (N+1, M) and (N, M, d)
+    buffers, like the batch's states.
+    """
 
     grid: object
     y: np.ndarray  # (M, N+1)
@@ -132,47 +138,47 @@ def solve_backward(spec, batch, p_deg, n_picard=0, cond_threshold=_COND_THRESHOL
     """
     if p_deg < 0:
         raise ProblemError("p_deg must be >= 0")
-    x = batch.states
-    dw = batch.increments
-    m, n_steps = x.shape[0], batch.grid.steps
+    x = batch.states.swapaxes(0, 1)
+    dw = batch.increments.swapaxes(0, 1)
+    m, n_steps = batch.n_paths, batch.grid.steps
     times = batch.grid.times
     dt = batch.grid.dt
 
-    y = np.empty((m, n_steps + 1))
-    z = np.empty((m, n_steps, spec.d))
+    y = np.empty((n_steps + 1, m))
+    z = np.empty((n_steps, m, spec.d))
     conditions = np.empty(n_steps)
     regressions = [None] * n_steps
-    y[:, n_steps] = spec.terminal(x[:, n_steps])
+    y[n_steps] = spec.terminal(x[n_steps])
     driver_sum = np.zeros(m)
     u = np.broadcast_to(batch.control, (m, spec.k))
 
     for i in range(n_steps - 1, -1, -1):
-        reg = _StepRegression(x[:, i], p_deg)
+        reg = _StepRegression(x[i], p_deg)
         conditions[i] = reg.condition
         if reg.condition > cond_threshold:
             raise RegressionError(i, reg.condition, cond_threshold)
-        z[:, i] = reg.fit(y[:, i + 1][:, None] * dw[:, i]) / dt
-        cont = reg.fit(y[:, i + 1])
-        fval = spec.driver(times[i], x[:, i], cont, z[:, i], u)
+        z[i] = reg.fit(y[i + 1][:, None] * dw[i]) / dt
+        cont = reg.fit(y[i + 1])
+        fval = spec.driver(times[i], x[i], cont, z[i], u)
         ycur = cont + fval * dt
         for _ in range(n_picard):
-            fval = spec.driver(times[i], x[:, i], ycur, z[:, i], u)
+            fval = spec.driver(times[i], x[i], ycur, z[i], u)
             ycur = cont + fval * dt
-        y[:, i] = ycur
+        y[i] = ycur
         driver_sum += fval * dt
         reg.design = None  # (M, P) per step is too much to keep
         regressions[i] = reg
 
     # deterministic start: the time-t conditional expectation is a constant
-    if np.ptp(x[:, 0], axis=0).max() == 0.0:
-        y[:, 0] = y[:, 0].mean()
+    if np.ptp(x[0], axis=0).max() == 0.0:
+        y[0] = y[0].mean()
 
     return BackwardSolution(
         grid=batch.grid,
-        y=y,
-        z=z,
+        y=y.swapaxes(0, 1),
+        z=z.swapaxes(0, 1),
         conditions=conditions,
-        pathwise_value=y[:, n_steps] + driver_sum,
+        pathwise_value=y[n_steps] + driver_sum,
         regressions=regressions,
     )
 
@@ -277,13 +283,13 @@ def backward_csv(sol, path):
     """Per-step CSV of (t, mean Y, std Y, mean |Z|, regression condition);
     the two per-step columns read NaN on the terminal row."""
     times = sol.grid.times.tolist()
-    zn = np.linalg.norm(sol.z, axis=-1)
+    zn = np.linalg.norm(sol.z.swapaxes(0, 1), axis=-1)  # (N, M)
     nan = float("nan")
     with open(path, "w") as fh:
         fh.write("t,mean_y,std_y,mean_abs_z,condition\n")
-        for i, (t, y) in enumerate(zip(times, sol.y.T)):
-            last = i == zn.shape[1]
-            zcol = nan if last else float(zn[:, i].mean())
+        for i, (t, y) in enumerate(zip(times, sol.y.swapaxes(0, 1))):
+            last = i == zn.shape[0]
+            zcol = nan if last else float(zn[i].mean())
             cond = nan if last else float(sol.conditions[i])
             fh.write(
                 f"{t!r},{float(y.mean())!r},{float(y.std())!r},{zcol!r},{cond!r}\n"

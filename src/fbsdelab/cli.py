@@ -132,18 +132,20 @@ def _adjoint_stage(config, state):
     mc = adjoint_mod.check_maximum_condition(
         spec, batch, sol, triple, control_grid_size=config.control_grid_size
     )
-    n_bad = int(np.count_nonzero(triple.q.min(axis=1) <= 0.0))
+    # time-major rows: (N+1, M) q, (N+1, M, n) p
+    q, p = triple.q.swapaxes(0, 1), triple.p.swapaxes(0, 1)
+    n_bad = int(np.count_nonzero(q.min(axis=0) <= 0.0))
     metrics = {
-        "q_min": float(triple.q.min()),
+        "q_min": float(q.min()),
         "q_nonpositive_paths": n_bad,
         "mc_worst_residual": mc.worst,
         "mc_pass": mc.passed,
     }
     if state["oracle"]:
-        q_exact = np.exp(state["t0"] - triple.grid.times)[None, :]
-        metrics["q_max_error"] = float(np.max(np.abs(triple.q - q_exact)))
-        metrics["p_max_error"] = float(np.max(np.abs(triple.p[:, :, 0] + q_exact)))
-        metrics["k_max_abs"] = float(np.max(np.abs(triple.k)))
+        q_exact = np.exp(state["t0"] - triple.grid.times)[:, None]
+        metrics["q_max_error"] = float(np.max(np.abs(q - q_exact)))
+        metrics["p_max_error"] = float(np.max(np.abs(p[:, :, 0] + q_exact)))
+        metrics["k_max_abs"] = float(np.max(np.abs(triple.k.swapaxes(0, 1))))
     return metrics, n_bad == 0 and mc.passed, [
         ("adjoint.csv", lambda path: adjoint_mod.adjoint_csv(triple, mc, path)),
     ]

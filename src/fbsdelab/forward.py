@@ -8,6 +8,12 @@ under one constant control u, checked against the control box before the
 first step.  Brownian increments come from per-path counter-based streams
 (Philox keyed by (seed, path index)), so batches are bit-reproducible
 regardless of how work is split across workers.
+
+Monte Carlo arrays are stored time-major, (N+1, M, ...), so every
+per-step access reads one contiguous row; here and in the backward and
+adjoint solvers the path-major fields, (M, N+1, ...), are zero-copy
+`swapaxes(0, 1)` views of those buffers, and code that loops over steps
+indexes `field.swapaxes(0, 1)[i]`.
 """
 
 from __future__ import annotations
@@ -65,8 +71,10 @@ class PathBatch:
     """A Monte Carlo batch of forward paths and their increments.
 
     states has shape (M, N+1, n), increments (M, N, d), and control is
-    the (k,) control every path ran under.  Arrays are frozen after
-    construction; regenerating with the same arguments
+    the (k,) control every path ran under.  states and increments are
+    path-major views of time-major (N+1, M, n) and (N, M, d) buffers;
+    `states.swapaxes(0, 1)[i]` is step i's contiguous row.  Arrays are
+    frozen after construction; regenerating with the same arguments
     reproduces the batch bit-exactly.
     """
 
@@ -95,9 +103,8 @@ class PathBatch:
         return self.increments.shape[2]
 
 
-def _path_normals(seed, m, shape):
-    key = np.array([seed & (2**64 - 1), m], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
+# paths drawn per pass through the path-major scratch buffer
+_BLOCK = 1024
 
 
 def generate_increments(grid, n_paths, d, seed):
@@ -105,16 +112,30 @@ def generate_increments(grid, n_paths, d, seed):
 
     Each path draws from its own counter-based stream keyed by
     (seed, path index), which makes the result independent of worker
-    count or path chunking.
+    count or path chunking.  One Philox is rewound to each path's key;
+    blocks of paths are drawn path-major into a scratch buffer and
+    transposed into the time-major (N, n_paths, d) buffer, of which the
+    result is a view.
     """
     if n_paths < 1:
         raise SimulationError("n_paths must be >= 1")
     n = grid.steps
-    out = np.empty((n_paths, n, d))
-    for m in range(n_paths):
-        out[m] = _path_normals(seed, m, (n, d))
+    out = np.empty((n, n_paths, d))
+    bitgen = np.random.Philox(key=np.array([seed & (2**64 - 1), 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    # the state a fresh Philox(key=[seed, m]) starts from
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    scratch = np.empty((min(_BLOCK, n_paths), n, d))
+    for start in range(0, n_paths, _BLOCK):
+        block = scratch[: min(_BLOCK, n_paths - start)]
+        for j, path in enumerate(block):
+            key[1] = start + j
+            bitgen.state = fresh
+            gen.standard_normal(out=path)
+        out[:, start : start + block.shape[0]] = block.swapaxes(0, 1)
     out *= np.sqrt(grid.dt)
-    return out
+    return out.swapaxes(0, 1)
 
 
 def simulate_forward(spec, control, t, x, grid, n_paths, seed):
@@ -138,25 +159,26 @@ def simulate_forward(spec, control, t, x, grid, n_paths, seed):
     if not spec.control_inside(control, atol=0.0):
         raise ControlBoxError(f"control {control} outside the control box")
     dw = generate_increments(grid, n_paths, spec.d, seed)
+    dw_t = dw.swapaxes(0, 1)
     times = grid.times
     dt = grid.dt
-    states = np.empty((n_paths, grid.steps + 1, spec.n))
-    states[:, 0] = x
-    xi = states[:, 0]
+    states = np.empty((grid.steps + 1, n_paths, spec.n))
+    states[0] = x
+    xi = states[0]
     u = np.broadcast_to(control, (n_paths, spec.k))
     for i in range(grid.steps):
         # overflow is reported below as the first non-finite state
         with np.errstate(over="ignore", invalid="ignore"):
             b = spec.drift(times[i], xi, u)
             sg = spec.diffusion(times[i], xi, u)
-            xi = xi + b * dt + np.einsum("mnd,md->mn", sg, dw[:, i])
+            xi = xi + b * dt + np.einsum("mnd,md->mn", sg, dw_t[i])
         if not np.all(np.isfinite(xi)):
             bad = np.argwhere(~np.isfinite(xi))
             raise NonFiniteStateError(int(bad[0, 0]), i + 1)
-        states[:, i + 1] = xi
+        states[i + 1] = xi
     return PathBatch(
         grid=grid,
-        states=states,
+        states=states.swapaxes(0, 1),
         increments=dw,
         seed=seed,
         control=control,
@@ -246,8 +268,8 @@ def perturbation_moment_probe(
 def pathbatch_summary_csv(batch, path):
     """Per-node mean/std of the state (first coordinate norm for n > 1)."""
     times = batch.grid.times.tolist()
-    norms = np.linalg.norm(batch.states, axis=-1)
+    norms = np.linalg.norm(batch.states.swapaxes(0, 1), axis=-1)  # (N+1, M)
     with open(path, "w") as fh:
         fh.write("t,mean_state_norm,std_state_norm\n")
-        for t, col in zip(times, norms.T):
-            fh.write(f"{t!r},{float(col.mean())!r},{float(col.std())!r}\n")
+        for t, row in zip(times, norms):
+            fh.write(f"{t!r},{float(row.mean())!r},{float(row.std())!r}\n")

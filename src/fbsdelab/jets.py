@@ -281,18 +281,19 @@ def verify_connection(spec, batch, backward, triple, vgrid, check_times):
     times = batch.grid.times
     xs = vgrid.xs
     half = vgrid.space_half_width
+    x_t, p_t, q_t = (a.swapaxes(0, 1) for a in (batch.states, triple.p, triple.q))
 
     records = []
     all_pass = True
     for s in check_times:
         i = int(np.argmin(np.abs(times - s)))
         ig, v_row = vgrid.slice_at(times[i])
-        states = batch.states[sample, i, 0]
+        states = x_t[i, sample, 0]
         if np.any(np.abs(states) > half):
             raise JetError(
                 f"state outside the value grid domain at time {times[i]}"
             )
-        ratios = triple.p[sample, i, 0] / triple.q[sample, i]
+        ratios = p_t[i, sample, 0] / q_t[i, sample]
         med = float(np.median(ratios))
         q25, q75 = np.percentile(ratios, [25, 75])
 

@@ -904,12 +904,14 @@ def builtin_problem(name):
 
 
 def control_grid(spec, size):
-    """Uniform tensor grid over the control box: (size**k, k) controls."""
+    """Uniform tensor grid over the control box: `size` points per axis,
+    one on an axis with lo == hi, so (size**k, k) controls for a box with
+    no degenerate axis."""
     if size < 2:
         raise ProblemError("control_grid_size must be >= 2")
     axes = [
-        np.linspace(spec.control_lo[j], spec.control_hi[j], size)
-        for j in range(spec.k)
+        np.linspace(lo, hi, size if hi > lo else 1)
+        for lo, hi in zip(spec.control_lo, spec.control_hi)
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=-1)

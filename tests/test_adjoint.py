@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_forward import _assert_time_major_view
 from test_problem import _smooth_expressions
 
 from fbsdelab import adjoint as A
 from fbsdelab import backward as B
 from fbsdelab import forward as F
+from fbsdelab import jets as J
 from fbsdelab import problem as P
 
 
@@ -125,6 +129,47 @@ def test_pk_projects_with_the_backward_regressions(deg):
         for d in (deg, 4 - deg)
     ]
     assert not np.array_equal(*fits)
+
+
+def test_triple_fields_view_time_major_rows(spec31, zero_control):
+    batch, sol = _pipeline(spec31, zero_control, [1.0], 10, 200, seed=3)
+    triple = A.solve_adjoint(spec31, batch, sol)
+    assert triple.p.shape == (200, 11, 1)
+    assert triple.q.shape == (200, 11)
+    assert triple.k.shape == (200, 10, 1, 1)
+    for arr in (triple.p, triple.q, triple.k):
+        _assert_time_major_view(arr)
+
+
+def _path_major(triple):
+    return dataclasses.replace(
+        triple,
+        p=np.ascontiguousarray(triple.p),
+        q=np.ascontiguousarray(triple.q),
+        k=np.ascontiguousarray(triple.k),
+    )
+
+
+def test_max_condition_accepts_path_major_arrays(pipeline_suboptimal, spec31):
+    pipe = pipeline_suboptimal
+    reports = [
+        A.check_maximum_condition(spec31, pipe["batch"], pipe["sol"], triple)
+        for triple in (pipe["triple"], _path_major(pipe["triple"]))
+    ]
+    assert np.array_equal(reports[0].residuals, reports[1].residuals)
+    assert np.array_equal(reports[0].stderrs, reports[1].stderrs)
+    assert reports[0].passed == reports[1].passed
+
+
+def test_connection_accepts_path_major_arrays(spec31, zero_control, vgrid100):
+    batch, sol = _pipeline(spec31, zero_control, [0.0], 50, 500, seed=1)
+    triple = A.solve_adjoint(spec31, batch, sol)
+    check_times = [0.0, 0.5, 0.9]
+    reports = [
+        J.verify_connection(spec31, batch, sol, t, vgrid100, check_times)
+        for t in (triple, _path_major(triple))
+    ]
+    assert reports[0].to_json() == reports[1].to_json()
 
 
 def test_hamiltonian_hand_values(spec31):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_forward import _assert_time_major_view
 
 from fbsdelab import backward as B
 from fbsdelab import forward as F
@@ -19,6 +20,13 @@ def sol_x1(spec31, zero_control, batch_x1):
 
 def test_terminal_values_bit_exact(spec31, batch_x1, sol_x1):
     assert np.array_equal(sol_x1.y[:, -1], spec31.terminal(batch_x1.states[:, -1]))
+
+
+def test_solution_fields_view_time_major_rows(sol_x1):
+    assert sol_x1.y.shape == (20000, 51)
+    assert sol_x1.z.shape == (20000, 50, 1)
+    _assert_time_major_view(sol_x1.y)
+    _assert_time_major_view(sol_x1.z)
 
 
 def test_y0_constant_across_paths(sol_x1):

@@ -45,6 +45,36 @@ def test_increments_bit_identical_and_prefix_stable():
     assert not np.array_equal(a, d)
 
 
+def test_increments_match_per_path_philox_reference():
+    # a fresh Philox keyed by (seed, m) for every path; 1,500 paths end in
+    # a partial block of the generator's scratch buffer
+    grid = F.TimeGrid(0.0, 1.0, 20)
+    dw = F.generate_increments(grid, 1500, 2, seed=9)
+    ref = np.empty((1500, 20, 2))
+    for m in range(1500):
+        key = np.array([9, m], dtype=np.uint64)
+        ref[m] = np.random.Generator(np.random.Philox(key=key)).standard_normal((20, 2))
+    ref *= np.sqrt(grid.dt)
+    assert np.array_equal(dw, ref)
+
+
+def _assert_time_major_view(arr):
+    """arr is a path-major view of a buffer whose per-step rows are contiguous."""
+    rows = arr.swapaxes(0, 1)
+    assert arr.base is not None and np.shares_memory(arr, arr.base)
+    assert arr.base.shape == rows.shape and arr.base.flags.c_contiguous
+    assert all(row.flags.c_contiguous for row in rows)
+
+
+def test_batch_fields_view_time_major_rows(spec31, zero_control):
+    grid = F.TimeGrid(0.0, 1.0, 10)
+    batch = F.simulate_forward(spec31, zero_control, 0.0, [1.0], grid, 50, seed=3)
+    assert batch.states.shape == (50, 11, 1)
+    assert batch.increments.shape == (50, 10, 1)
+    _assert_time_major_view(batch.states)
+    _assert_time_major_view(batch.increments)
+
+
 def test_optimal_pair_paths_identically_zero(spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 60)
     batch = F.simulate_forward(spec31, zero_control, 0.0, [0.0], grid, 300, seed=7)

@@ -153,6 +153,27 @@ def test_two_noise_columns_match_one(f1, f2):
     assert np.max(np.abs(v1.values - v2.values)) <= 1e-12
 
 
+def test_degenerate_control_axis_has_one_grid_point():
+    # lo == hi on the second axis fixes u2 = 0.5: one grid point on that
+    # axis, and the value grid of the same problem with 0.5 written in
+    two = P.spec_from_expressions(
+        1, 1, 2, 1.0, [0.0, 0.5], [1.0, 0.5], ["x1 * u1 + u2"],
+        ["x1 * u2 + 0.5"], "x1 - y + u1 * u2", "x1",
+    )
+    one = P.spec_from_expressions(
+        1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1 + 0.5"],
+        ["x1 * 0.5 + 0.5"], "x1 - y + u1 * 0.5", "x1",
+    )
+    controls = P.control_grid(two, 11)
+    assert controls.shape == (11, 2)
+    assert np.array_equal(controls[:, 0], P.control_grid(one, 11)[:, 0])
+    assert np.all(controls[:, 1] == 0.5)
+    grid = H.cfl_time_grid(one, 2.0, 100)
+    v1 = H.solve_hjb_fd(one, 2.0, 100, grid)
+    v2 = H.solve_hjb_fd(two, 2.0, 100, grid)
+    assert np.array_equal(v1.values, v2.values)
+
+
 def test_update_monotone_in_neighbors(vgrid400, spec31):
     # bumping any single neighbor value upward never decreases the update
     xs = vgrid400.xs
