@@ -44,22 +44,25 @@ _RIDGE_SCALE = 1e-8
 _COND_THRESHOLD = 1e12
 
 
-def _monomial_powers(n, degree):
-    powers = []
-    for total in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(n), total):
-            p = [0] * n
-            for i in combo:
-                p[i] += 1
-            powers.append(tuple(p))
-    return powers
+def _monomials(n, degree):
+    """Monomials of total degree <= degree, constant first, each a sorted
+    tuple of coordinates: (0, 0, 1) is t_0^2 t_1.  Dropping a monomial's
+    last coordinate gives one listed before it."""
+    return [
+        combo
+        for total in range(degree + 1)
+        for combo in itertools.combinations_with_replacement(range(n), total)
+    ]
 
 
 class _StepRegression:
     """Ridge-regularized polynomial projection onto functions of X_i.
 
     States are standardized coordinate-wise before taking powers; that
-    spans the same polynomial space but keeps the Gram matrix tame.  The
+    spans the same polynomial space but keeps the Gram matrix tame.  Each
+    design column is one multiply of a lower-degree column by a single
+    standardized coordinate (for n = 1: 1, t, t*t, (t*t)*t), so a column
+    of degree j carries j - 1 roundings and no `pow`.  The
     normal equations are solved for each monomial column divided by its
     root mean square `scale` (a zero column by 1), so the ridge term (1e-8
     times the trace of that scaled Gram matrix) weighs every column alike
@@ -89,10 +92,14 @@ class _StepRegression:
     def basis(self, x):
         """Standardized monomials of the states x: the (M, P) design."""
         t = (x - self.mu) / self.sd
-        powers = _monomial_powers(x.shape[1], self.degree)
-        design = np.empty((x.shape[0], len(powers)))
-        for j, p in enumerate(powers):
-            np.prod(t**np.array(p), axis=1, out=design[:, j])
+        monomials = _monomials(x.shape[1], self.degree)
+        design = np.empty((x.shape[0], len(monomials)))
+        design[:, 0] = 1.0
+        column = {(): 0}
+        for j, combo in enumerate(monomials[1:], 1):
+            lower = design[:, column[combo[:-1]]]
+            np.multiply(lower, t[:, combo[-1]], out=design[:, j])
+            column[combo] = j
         return design
 
     def fit(self, targets, design=None):
@@ -283,7 +290,9 @@ def backward_csv(sol, path):
     """Per-step CSV of (t, mean Y, std Y, mean |Z|, regression condition);
     the two per-step columns read NaN on the terminal row."""
     times = sol.grid.times.tolist()
-    zn = np.linalg.norm(sol.z.swapaxes(0, 1), axis=-1)  # (N, M)
+    z = sol.z.swapaxes(0, 1)  # (N, M, d)
+    # sqrt(z*z) == |z| in binary64 unless z*z underflows
+    zn = np.abs(z[:, :, 0]) if z.shape[-1] == 1 else np.linalg.norm(z, axis=-1)
     nan = float("nan")
     with open(path, "w") as fh:
         fh.write("t,mean_y,std_y,mean_abs_z,condition\n")

@@ -21,7 +21,7 @@ applies) and what earlier stages stored in it; `writers` are
 and pass flag in summary.json; a stage that raises is recorded with
 `pass: false` and its error, and no later stage runs.  `table` runs the
 same stage functions, skips their writers and reads its metric from
-their metrics.
+their metrics; for N it stops the adjoint stage after `solve_q`.
 
 The pipeline starts at the problem's `[initial]` point, or at (0, 0) for
 a builtin or a config problem without one, and simulates under a constant
@@ -126,26 +126,42 @@ def _backward_stage(config, state):
     ]
 
 
+def _max_abs_error(rows, exact):
+    """max over i, m of |rows[i, m] - exact[i]|, from each row's max and min.
+
+    Rounding is monotone, so this equals the full-array formula bit for
+    bit without its (N+1, M) temporaries.
+    """
+    extremes = np.stack((rows.max(axis=1), rows.min(axis=1)))
+    return float(np.max(np.abs(extremes - exact)))
+
+
+def _q_max_error(q, grid, t0):
+    """max |q - e^{t0 - s}| of solve_q's (M, N+1) q: the example31 oracle."""
+    return _max_abs_error(q.swapaxes(0, 1), np.exp(t0 - grid.times))
+
+
 def _adjoint_stage(config, state):
     spec, batch, sol = state["spec"], state["batch"], state["backward"]
     triple = state["adjoint"] = adjoint_mod.solve_adjoint(spec, batch, sol)
     mc = adjoint_mod.check_maximum_condition(
         spec, batch, sol, triple, control_grid_size=config.control_grid_size
     )
-    # time-major rows: (N+1, M) q, (N+1, M, n) p
-    q, p = triple.q.swapaxes(0, 1), triple.p.swapaxes(0, 1)
-    n_bad = int(np.count_nonzero(q.min(axis=0) <= 0.0))
+    q_path_min = triple.q.swapaxes(0, 1).min(axis=0)  # (M,), over time-major rows
+    n_bad = int(np.count_nonzero(q_path_min <= 0.0))
     metrics = {
-        "q_min": float(q.min()),
+        "q_min": float(q_path_min.min()),
         "q_nonpositive_paths": n_bad,
         "mc_worst_residual": mc.worst,
         "mc_pass": mc.passed,
     }
     if state["oracle"]:
-        q_exact = np.exp(state["t0"] - triple.grid.times)[:, None]
-        metrics["q_max_error"] = float(np.max(np.abs(q - q_exact)))
-        metrics["p_max_error"] = float(np.max(np.abs(p[:, :, 0] + q_exact)))
-        metrics["k_max_abs"] = float(np.max(np.abs(triple.k.swapaxes(0, 1))))
+        grid, t0 = triple.grid, state["t0"]
+        p0 = triple.p.swapaxes(0, 1)[:, :, 0]  # (N+1, M)
+        k = triple.k.swapaxes(0, 1)
+        metrics["q_max_error"] = _q_max_error(triple.q, grid, t0)
+        metrics["p_max_error"] = _max_abs_error(p0, -np.exp(t0 - grid.times))
+        metrics["k_max_abs"] = _max_abs_error(k.reshape(k.shape[0], -1), 0.0)
     return metrics, n_bad == 0 and mc.passed, [
         ("adjoint.csv", lambda path: adjoint_mod.adjoint_csv(triple, mc, path)),
     ]
@@ -309,12 +325,19 @@ def run_experiment(config):
 # convergence tables
 # --------------------------------------------------------------------------
 
-# parameter -> (stages that run, metric read from the last one's metrics)
+def _q_stage(config, state):
+    """The adjoint stage cut after solve_q: q_max_error needs no p, k or
+    maximum condition."""
+    q = adjoint_mod.solve_q(state["spec"], state["batch"], state["backward"])
+    return {"q_max_error": _q_max_error(q, state["batch"].grid, state["t0"])}, True, []
+
+
+# parameter -> (stage functions that run, metric read from the last one's metrics)
 TABLE_METRICS = {
-    "J": (("hjb",), "max_interior_error"),
-    "N": (("forward", "backward", "adjoint"), "q_max_error"),
-    "M": (("forward", "backward"), "y0_abs_error"),
-    "p_deg": (("forward", "backward"), "y0_abs_error"),
+    "J": ((_hjb_stage,), "max_interior_error"),
+    "N": ((_forward_stage, _backward_stage, _q_stage), "q_max_error"),
+    "M": ((_forward_stage, _backward_stage), "y0_abs_error"),
+    "p_deg": ((_forward_stage, _backward_stage), "y0_abs_error"),
 }
 
 
@@ -323,9 +346,9 @@ def convergence_table(config, parameter, values):
 
     Only supported for the builtin benchmark (error metrics need the
     closed-form reference).  Metric per parameter: J -> hjb
-    max_interior_error; N -> adjoint q_max_error; M, p_deg -> backward
-    y0_abs_error from x0 = 1, where the states spread and the regression
-    has something to fit.
+    max_interior_error; N -> adjoint q_max_error, from solve_q alone;
+    M, p_deg -> backward y0_abs_error from x0 = 1, where the states spread
+    and the regression has something to fit.
     """
     config.validate()
     if parameter not in TABLE_METRICS:
@@ -355,7 +378,7 @@ def convergence_table(config, parameter, values):
     for value, run_config in zip(values, configs):
         state = dict(start)
         for stage in stages:
-            metrics, _, _ = STAGE_FUNCTIONS[stage](run_config, state)
+            metrics, _, _ = stage(run_config, state)
         rows.append((value, metrics[key]))
     return rows
 

@@ -266,9 +266,11 @@ def perturbation_moment_probe(
 
 
 def pathbatch_summary_csv(batch, path):
-    """Per-node mean/std of the state (first coordinate norm for n > 1)."""
+    """Per-node mean/std of the state's Euclidean norm, |x| for n = 1."""
     times = batch.grid.times.tolist()
-    norms = np.linalg.norm(batch.states.swapaxes(0, 1), axis=-1)  # (N+1, M)
+    states = batch.states.swapaxes(0, 1)  # (N+1, M, n)
+    # sqrt(x*x) == |x| in binary64 unless x*x underflows
+    norms = np.abs(states[:, :, 0]) if batch.n == 1 else np.linalg.norm(states, axis=-1)
     with open(path, "w") as fh:
         fh.write("t,mean_state_norm,std_state_norm\n")
         for t, row in zip(times, norms):

@@ -20,13 +20,13 @@ driver's dependence on its value and z arguments;
 refuses to run when it is violated.  The pre-scan samples b and sigma
 at a few time levels only, so when they depend on time the sweep also
 checks each step's dt against the bound of that step's own b and sigma
-and refuses there.  One method, `_Sweep.hamiltonian`, evaluates G for
-all controls of the grid at once, as (C, J+1) rows, one per control; the
-sweep's step takes their maximum, the CFL pre-scan reads the same rows'
-coefficients, and the viscosity probe evaluates G at a single node with
-it.  Monotone schemes of
-this type converge to the PDE's viscosity solution, which is why one is
-used here.
+and refuses there, naming a step count whose every step passes.  One
+method, `_Sweep.hamiltonian`, evaluates G for all controls of the grid
+at once, as (C, J+1) rows, one per control; the sweep's step takes their
+maximum, the CFL pre-scan reads the same rows' coefficients, and the
+viscosity probe evaluates G at a single node with it.  Monotone schemes
+of this type converge to the PDE's viscosity solution, which is why one
+is used here.
 """
 
 from __future__ import annotations
@@ -102,11 +102,18 @@ def _dt_bound(dx, max_sig2, max_b, c0):
     return np.inf if denom == 0.0 else dx * dx / denom
 
 
+def _exceeds(dt, dt_max):
+    return dt > dt_max * (1.0 + 1e-12)
+
+
+def _steps_for(span, dt_max):
+    return int(np.ceil((span[1] - span[0]) / dt_max))
+
+
 def _refuse_above(dt, dt_max, span):
     """Raise CFLError when dt exceeds the bound dt_max on [span[0], span[1]]."""
-    if dt > dt_max * (1.0 + 1e-12):
-        n_req = int(np.ceil((span[1] - span[0]) / dt_max))
-        raise CFLError(dt, dt_max, n_req, span)
+    if _exceeds(dt, dt_max):
+        raise CFLError(dt, dt_max, _steps_for(span, dt_max), span)
 
 
 def _cfl_terms(spec, half_width, n_cells, control_grid_size, t_start):
@@ -203,13 +210,36 @@ class _Sweep:
         fwd = (vp[2:] - vp[1:-1]) / dx
         bwd = (vp[1:-1] - vp[:-2]) / dx
         coeffs = self.coefficients(t)
-        b, _, up, half_s2 = coeffs
         if self.c0 is not None:
-            max_sig2 = 2.0 * float(np.max(half_s2))
-            dt_max = _dt_bound(dx, max_sig2, float(np.max(np.abs(b))), self.c0)
-            _refuse_above(dt, dt_max, self.span)
+            dt_max = self._step_bound(coeffs)
+            if _exceeds(dt, dt_max):
+                raise CFLError(dt, dt_max, self._steps_passing(dt_max), self.span)
+        up = coeffs[2]
         g = self.hamiltonian(t, -v, -np.where(up, fwd, bwd), -dxx, coeffs)
         return v - dt * g.max(axis=0)
+
+    def _step_bound(self, coeffs):
+        """The CFL bound of one time level's (b, sigma's row, mask, |sigma|^2 / 2)."""
+        b, _, _, half_s2 = coeffs
+        dx = self.xs[1] - self.xs[0]
+        max_sig2 = 2.0 * float(np.max(half_s2))
+        return _dt_bound(dx, max_sig2, float(np.max(np.abs(b))), self.c0)
+
+    def _steps_passing(self, dt_max):
+        """Step count on `span` whose every step passes its own CFL bound.
+
+        Starts from the refusing step's bound dt_max, rescans b and sigma
+        at each step time of the candidate grid and raises N to the
+        tightest bound seen until one grid passes every step, so a rerun
+        with it is not refused mid-sweep.
+        """
+        n = _steps_for(self.span, dt_max)
+        while True:
+            grid = TimeGrid(self.span[0], self.span[1], n)
+            bound = min(self._step_bound(self.coefficients(t)) for t in grid.times[1:])
+            if not _exceeds(grid.dt, bound):
+                return n
+            n = max(n + 1, _steps_for(self.span, bound))
 
 
 def sweep_step(spec, xs, v, t, dt, control_grid_size=11):
@@ -223,7 +253,8 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
     One-dimensional only (spec.n == 1); raises CFLError when grid.dt
     exceeds the monotonicity bound, before the sweep for the pre-scanned
     bound and, when b or sigma depend on time, at the first step whose
-    own coefficients it exceeds.  The terminal row is -phi exactly.
+    own coefficients it exceeds; that refusal's `n_required` passes every
+    step.  The terminal row is -phi exactly.
     """
     controls = control_grid(spec, control_grid_size)
     if abs(grid.end - spec.horizon) > 1e-12:

@@ -195,3 +195,35 @@ def test_backward_csv_export(tmp_path, sol_x1):
     # step i's regression condition; NaN on the terminal row, as mean |Z|
     assert [row[4] for row in rows[:-1]] == sol_x1.conditions.tolist()
     assert np.isnan(rows[-1][3]) and np.isnan(rows[-1][4])
+
+
+def _pow_design(reg, x):
+    """The design as one float pow per monomial: the reference for `basis`."""
+    t = (x - reg.mu) / reg.sd
+    monomials = B._monomials(x.shape[1], reg.degree)
+    design = np.empty((x.shape[0], len(monomials)))
+    for j, combo in enumerate(monomials):
+        powers = np.bincount(np.array(combo, dtype=int), minlength=x.shape[1])
+        design[:, j] = np.prod(t**powers, axis=1)
+    return design
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_design_products_match_pow_reference(n):
+    x = np.random.default_rng(5).normal(0.5, 2.0, (4000, n))
+    reg = B._StepRegression(x, 3)
+    design, reference = reg.basis(x), _pow_design(reg, x)
+    assert design.shape == (4000, 4 if n == 1 else 10)
+    assert np.array_equal(reg.design, design)
+    assert np.array_equal(design[:, : n + 1], reference[:, : n + 1])
+    ulp = np.finfo(float).eps
+    assert np.all(np.abs(design - reference) <= 2.0 * ulp * np.abs(reference))
+
+
+@pytest.mark.parametrize("n, value", [(1, 0.0), (2, 0.0), (1, 1.7), (2, -3.0)])
+def test_design_exact_on_constant_states(n, value):
+    # the pipeline's X = 0 paths standardize to t = 0: every column is exact
+    x = np.full((300, n), value)
+    reg = B._StepRegression(x, 3)
+    assert np.array_equal(reg.basis(x), _pow_design(reg, x))
+    assert np.array_equal(reg.design, reg.basis(x))

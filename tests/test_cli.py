@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fbsdelab import backward, cli, forward, oracles, problem
@@ -350,3 +351,62 @@ def test_config_validation_in_process():
     both = cli.ExperimentConfig(builtin="example31", problem_path="x")
     with pytest.raises(cli.ConfigurationError):
         both.validate()
+
+
+def _csv_column(path, name):
+    lines = path.read_text().strip().splitlines()
+    col = lines[0].split(",").index(name)
+    return [line.split(",")[col] for line in lines[1:]]
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.0])
+def test_row_wise_metrics_and_writers_match_full_array_formulas(tmp_path, x0):
+    # the adjoint stage's oracle metrics come from per-step row extremes and
+    # the n = d = 1 writers take |x| for the norm; both equal the full-array
+    # formulas bit for bit
+    config = cli.ExperimentConfig(builtin="example31", m_paths=500, n_steps=20, seed=5)
+    state = cli._start_state(config)
+    state["x0"] = np.array([x0])
+    writers = []
+    for stage in (cli._forward_stage, cli._backward_stage, cli._adjoint_stage):
+        metrics, _, stage_writers = stage(config, state)
+        writers += stage_writers
+    for name, write in writers:
+        write(str(tmp_path / name))
+    batch, sol, triple = state["batch"], state["backward"], state["adjoint"]
+    q_exact = np.exp(state["t0"] - triple.grid.times)[None, :]
+    assert metrics["q_max_error"] == float(np.max(np.abs(triple.q - q_exact)))
+    assert metrics["p_max_error"] == float(np.max(np.abs(triple.p[:, :, 0] + q_exact)))
+    assert metrics["k_max_abs"] == float(np.max(np.abs(triple.k)))
+
+    def column(values):
+        return [repr(float(v)) for v in values]
+
+    norms = np.linalg.norm(batch.states, axis=-1)
+    assert _csv_column(tmp_path / "forward.csv", "mean_state_norm") == column(
+        norms.mean(axis=0)
+    )
+    assert _csv_column(tmp_path / "forward.csv", "std_state_norm") == column(
+        [norms[:, i].std() for i in range(norms.shape[1])]
+    )
+    z_norm = np.linalg.norm(sol.z, axis=-1).mean(axis=0)
+    assert _csv_column(tmp_path / "backward.csv", "mean_abs_z")[:-1] == column(z_norm)
+    k_norm = np.linalg.norm(triple.k, axis=(-2, -1)).mean(axis=0)
+    assert _csv_column(tmp_path / "adjoint.csv", "mean_abs_k")[:-1] == column(k_norm)
+
+
+def test_table_n_stops_after_solve_q(monkeypatch):
+    # the N table reads q_max_error from solve_q; p, k and the maximum
+    # condition are not computed, and the metric is the adjoint stage's
+    config = cli.ExperimentConfig(builtin="example31", m_paths=400, n_steps=30, seed=2)
+    state = cli._start_state(config)
+    for stage in (cli._forward_stage, cli._backward_stage, cli._adjoint_stage):
+        metrics, _, _ = stage(config, state)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the N table ran more than solve_q")
+
+    monkeypatch.setattr(cli.adjoint_mod, "solve_pk", refuse)
+    monkeypatch.setattr(cli.adjoint_mod, "check_maximum_condition", refuse)
+    rows = cli.convergence_table(config, "N", [30.0])
+    assert rows == [(30.0, metrics["q_max_error"])]

@@ -297,3 +297,20 @@ def test_value_grid_exports(tmp_path, vgrid100, spec31):
     assert data["J"] == 100
     assert data["cfl_ratio"] <= 1.0 + 1e-9
     assert data["cfl_ratio"] == vgrid100.cfl_ratio
+
+
+def test_mid_sweep_refusal_names_a_passing_step_count():
+    # the per-step refusal rescans sigma at every step time of its
+    # candidate grids, so one rerun with its N is not refused again
+    spec = P.spec_from_expressions(
+        1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["1 + 5 * sin(20 * s)"],
+        "x1 - y", "x1",
+    )
+    grid = H.cfl_time_grid(spec, 2.0, 20, 11)
+    with pytest.raises(H.CFLError, match="use at least N") as err:
+        H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
+    n_required = err.value.n_required
+    assert n_required > grid.steps
+    vg = H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, n_required), 11)
+    assert vg.cfl_ratio <= 1.0
+    assert np.all(np.isfinite(vg.values))
