@@ -24,9 +24,17 @@ and refuses there, naming a step count whose every step passes.  One
 method, `_Sweep.hamiltonian`, evaluates G for all controls of the grid
 at once, as (C, J+1) rows, one per control; the sweep's step takes their
 maximum, the CFL pre-scan reads the same rows' coefficients, and the
-viscosity probe evaluates G at a single node with it.  Monotone schemes
-of this type converge to the PDE's viscosity solution, which is why one
-is used here.
+viscosity probe evaluates G at a single node with it.  When b and sigma
+ignore time and the driver reads neither z nor u, those rows are cut
+once to the controls that can attain sup_u G at some node: within
+one upwind side a row of G is then monotone in (|sigma|^2 / 2, b), so a
+row that another row of its side dominates in both, with the signs of
+A and p, is never needed (`_attaining_rows`).  The rows it keeps give
+the same maximum, bit for bit; for example31 they are 3 of 11.
+`cfl_time_grid` raises N, when b or sigma depend on time, until every
+step passes the bound of its own time level.  Monotone schemes of this
+type converge to the PDE's viscosity solution, which is why one is used
+here.
 """
 
 from __future__ import annotations
@@ -107,7 +115,7 @@ def _exceeds(dt, dt_max):
 
 
 def _steps_for(span, dt_max):
-    return int(np.ceil((span[1] - span[0]) / dt_max))
+    return max(1, int(np.ceil((span[1] - span[0]) / dt_max)))
 
 
 def _refuse_above(dt, dt_max, span):
@@ -132,15 +140,58 @@ def cfl_max_dt(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
 
 
 def cfl_time_grid(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
-    """TimeGrid on [t_start, T] with the smallest CFL-admissible step count."""
-    dt_max = cfl_max_dt(spec, half_width, n_cells, control_grid_size, t_start)
-    n = max(1, int(np.ceil((spec.horizon - t_start) / dt_max)))
-    return TimeGrid(t_start, spec.horizon, n)
+    """TimeGrid on [t_start, T] with the smallest CFL-admissible step count.
+
+    When b or sigma depend on time, the count is raised until every step
+    passes the bound of its own time level, as `solve_hjb_fd` checks it.
+    """
+    span = (t_start, spec.horizon)
+    if _coefficients_static(spec):
+        dt_max = cfl_max_dt(spec, half_width, n_cells, control_grid_size, t_start)
+        return TimeGrid(*span, _steps_for(span, dt_max))
+    dt_max, c0 = _cfl_terms(spec, half_width, n_cells, control_grid_size, t_start)
+    xs = np.linspace(-half_width, half_width, n_cells + 1)
+    sweep = _Sweep(spec, xs, control_grid(spec, control_grid_size), c0, span)
+    return TimeGrid(*span, sweep._steps_passing(dt_max))
 
 
 def _coefficients_static(spec):
     """True when the expression variables show b and sigma ignore time."""
     return "s" not in spec.b_variables | spec.sigma_variables
+
+
+def _attaining_rows(b, half_s2):
+    """Indices of the rows of static (C, J+1) coefficients that can attain
+    the maximum of G's rows at some node, when the driver reads neither z
+    nor u.
+
+    At one node and within one upwind side (b >= 0 or b < 0) the rows then
+    share A, p and the driver value, so row c of G is F(|sigma_c|^2 / 2,
+    b_c) with F monotone in each argument, also under rounding: its
+    products with A and p and its sums each round monotonically.  A row
+    that another row of its side dominates -- is at least as large in
+    both arguments, taken with the signs of A and p -- is therefore never
+    above it, and the maximum is attained by an undominated row.  A row
+    is kept when it is undominated at some node, on its side, for some
+    pair of signs; of equal rows the first is kept.  The maximum over the
+    kept rows equals the maximum over all in value (a zero could differ
+    in sign only).  The vertices of each side's convex hull, where a
+    linear G attains its maximum, are among the rows kept.  A row with a
+    non-finite coefficient is always kept, so the sweep still meets it.
+    """
+    keep = ~(np.isfinite(b).all(axis=1) & np.isfinite(half_s2).all(axis=1))
+    up = b >= 0.0
+    no_row = np.full((1, b.shape[1]), -np.inf)
+    for side in (up, ~up):
+        for sign_h, sign_b in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+            hh = np.where(side, sign_h * half_s2, -np.inf)
+            bb = np.where(side, sign_b * b, -np.inf)
+            # per node, rows by hh and then bb, both descending; stable
+            order = np.lexsort((-bb, -hh), axis=0)
+            bb = np.take_along_axis(bb, order, axis=0)
+            best_before = np.maximum.accumulate(np.concatenate((no_row, bb[:-1])))
+            keep[order[bb > best_before]] = True
+    return np.flatnonzero(keep)
 
 
 def _pad_linear(v):
@@ -163,7 +214,9 @@ class _Sweep:
     once per step, and with `c0` given each step's dt is checked against
     the CFL bound of that step's own b and sigma (the pre-scan samples
     only a few time levels).  When the driver ignores z and u it is
-    evaluated once per call on (J+1,).
+    evaluated once per call on (J+1,), and when b and sigma are static
+    as well the rows are cut once, here, to `_attaining_rows`; `controls`
+    holds the controls of the rows kept.
     """
 
     def __init__(self, spec, xs, controls, c0=None, span=None):
@@ -171,15 +224,25 @@ class _Sweep:
         self.xs = xs
         self.c0 = c0
         self.span = span
-        shape = (len(controls), xs.size)
         self.x_cols = xs[:, None]
-        self.x = np.broadcast_to(xs[None, :, None], shape + (1,))
-        self.u = np.broadcast_to(controls[:, None, :], shape + (spec.k,))
         self.f_reads_zu = any(v[0] in "zu" for v in spec.f_variables)
         self.zeros_z = np.zeros((xs.size, spec.d))
         self.static_coeffs = None
+        self._bind(controls)
         if _coefficients_static(spec):
             self.static_coeffs = self.coefficients(0.0)
+            if not self.f_reads_zu:
+                b, _, _, half_s2 = self.static_coeffs
+                keep = _attaining_rows(b, half_s2)
+                self._bind(controls[keep])
+                self.static_coeffs = tuple(c[keep] for c in self.static_coeffs)
+
+    def _bind(self, controls):
+        """Take `controls` as G's rows: (C, k), one control per row."""
+        self.controls = controls
+        shape = (len(controls), self.xs.size)
+        self.x = np.broadcast_to(self.xs[None, :, None], shape + (1,))
+        self.u = np.broadcast_to(controls[:, None, :], shape + (self.spec.k,))
 
     def coefficients(self, t):
         """(b, sigma's row, upwind mask, |sigma|^2 / 2) at time t.
@@ -280,7 +343,7 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
     values[n_steps] = -spec.terminal(xs[:, None])
     for i in range(n_steps - 1, -1, -1):
         values[i] = sweep.step(values[i + 1], times[i + 1], grid.dt)
-        if not np.all(np.isfinite(values[i])):
+        if not np.isfinite(values[i]).all():
             raise ProblemError(f"non-finite value at time level {i}")
     return ValueGrid(
         space_half_width=half_width,
@@ -433,15 +496,24 @@ _REGULARITY_BLOCK_ROWS = 1024
 
 
 def regularity_probe(vgrid):
-    """(max adjacent slope, max |v| / (1 + |x|)) over all time slices."""
-    dx = vgrid.dx
-    weight = 1.0 + np.abs(vgrid.xs)[None, :]
-    slopes, growths = [], []
+    """(max adjacent slope, max |v| / (1 + |x|)) over all time slices.
+
+    Division by dx and by 1 + |x| rounds monotonically, so the maxima of
+    the quotients are the quotients of the maxima: the slope comes from
+    the largest and smallest difference, the growth from each column's
+    largest and smallest value, with no |.| or quotient array.
+    """
+    big = small = 0.0
+    col_max = col_min = vgrid.values[0]
     for i in range(0, vgrid.values.shape[0], _REGULARITY_BLOCK_ROWS):
         block = vgrid.values[i : i + _REGULARITY_BLOCK_ROWS]
-        slopes.append((np.abs(np.diff(block, axis=1)) / dx).max())
-        growths.append((np.abs(block) / weight).max())
-    return float(np.max(slopes)), float(np.max(growths))
+        diffs = np.diff(block, axis=1)
+        big, small = np.maximum(big, diffs.max()), np.minimum(small, diffs.min())
+        col_max = np.maximum(col_max, block.max(axis=0))
+        col_min = np.minimum(col_min, block.min(axis=0))
+    slope = np.maximum(big, -small) / vgrid.dx
+    growth = np.maximum(col_max, -col_min) / (1.0 + np.abs(vgrid.xs))
+    return float(slope), float(growth.max())
 
 
 # --------------------------------------------------------------------------

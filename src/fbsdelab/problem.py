@@ -486,88 +486,30 @@ class ProblemSpec:
         )
 
 
-# central differences: the reference the tests check derived gradients against
-def _fd_step(h_grad, value):
-    return np.asarray(h_grad * (1.0 + np.abs(value)))
-
-
-def _fd_jacobian_x(fn, n, h_grad, matrix_valued=False):
-    """Central-difference Jacobian in x of b or sigma."""
-
-    def grad(s, x, u):
-        x = np.asarray(x, dtype=float)
-        cols = []
-        for j in range(n):
-            h = _fd_step(h_grad, x[..., j])
-            e = np.zeros_like(x)
-            e[..., j] = h
-            num = fn(s, x + e, u) - fn(s, x - e, u)
-            den = 2.0 * h[..., None, None] if matrix_valued else 2.0 * h[..., None]
-            cols.append(num / den)
-        return np.stack(cols, axis=-1)
-
-    return grad
-
-
-def _fd_driver_grad(fn, which, m, h_grad):
-    """Central-difference gradient of the driver in x, y, or z."""
-
-    def grad(s, x, y, z, u):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        z = np.asarray(z, dtype=float)
-        if which == "y":
-            h = _fd_step(h_grad, y)
-            return (fn(s, x, y + h, z, u) - fn(s, x, y - h, z, u)) / (2.0 * h)
-        target = x if which == "x" else z
-        cols = []
-        for j in range(m):
-            h = _fd_step(h_grad, target[..., j])
-            e = np.zeros_like(target)
-            e[..., j] = h
-            if which == "x":
-                diff = (fn(s, x + e, y, z, u) - fn(s, x - e, y, z, u)) / (2.0 * h)
-            else:
-                diff = (fn(s, x, y, z + e, u) - fn(s, x, y, z - e, u)) / (2.0 * h)
-            cols.append(diff)
-        return np.stack(cols, axis=-1)
-
-    return grad
-
-
-def _fd_terminal_grad(fn, n, h_grad):
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        cols = []
-        for j in range(n):
-            h = _fd_step(h_grad, x[..., j])
-            e = np.zeros_like(x)
-            e[..., j] = h
-            cols.append((fn(x + e) - fn(x - e)) / (2.0 * h))
-        return np.stack(cols, axis=-1)
-
-    return grad
-
-
 def _evaluator(exprs, shape, signature):
     """Evaluator of `exprs`, laid out row-major over the output `shape`.
 
     `signature` lists the arguments in call order: a name binds a scalar
     argument ("s", "y"), a list of names binds the components along the
-    last axis of a vector argument (x1..xn).  The result has the batch
-    shape of the first vector argument, x, followed by `shape`.
+    last axis of a vector argument (x1..xn).  Only the variables some
+    expression reads are bound.  The result is a fresh array with the
+    batch shape of the first vector argument, x, followed by `shape`.
     """
     slots = [((...,) + idx, ex) for idx, ex in zip(np.ndindex(*shape), exprs)]
     x_pos = next(i for i, names in enumerate(signature) if not isinstance(names, str))
+    reads = frozenset().union(*(ex.variables for ex in exprs))
+    binds = []  # (variable, argument position, component; None for a scalar)
+    for pos, names in enumerate(signature):
+        if isinstance(names, str):
+            binds += [(names, pos, None)] if names in reads else []
+        else:
+            binds += [(name, pos, i) for i, name in enumerate(names) if name in reads]
 
     def evaluate(*values):
         env = {}
-        for names, value in zip(signature, values):
-            value = np.asarray(value, dtype=float)
-            if isinstance(names, str):
-                env[names] = value
-            else:
-                env.update((name, value[..., i]) for i, name in enumerate(names))
+        for name, pos, i in binds:
+            value = np.asarray(values[pos], dtype=float)
+            env[name] = value if i is None else value[..., i]
         out = np.empty(np.shape(values[x_pos])[:-1] + shape)
         for idx, ex in slots:
             out[idx] = ex.evaluate(env)

@@ -30,15 +30,25 @@ def test_cfl_violation_refused(spec31):
         H.solve_hjb_fd(spec31, 2.0, 400, F.TimeGrid(0.0, 1.0, 100), 11)
 
 
+def _oscillating_sigma():
+    return P.spec_from_expressions(
+        1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["1 + 5 * sin(20 * s)"],
+        "x1 - y", "x1",
+    )
+
+
+def _prescan_grid(spec, half_width, n_cells):
+    """The grid of the pre-scan's bound alone, from five sampled time levels."""
+    dt_max = H.cfl_max_dt(spec, half_width, n_cells, 11)
+    return F.TimeGrid(0.0, spec.horizon, int(np.ceil(spec.horizon / dt_max)))
+
+
 def test_time_dependent_cfl_checked_each_step():
     # the pre-scan samples sigma at five time levels, where sigma^2 is at
     # most 30.9; between them it reaches 36, so dt on the scan's grid is
     # 1.16 times too large at the worst steps
-    spec = P.spec_from_expressions(
-        1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["1 + 5 * sin(20 * s)"],
-        "x1 - y", "x1",
-    )
-    grid = H.cfl_time_grid(spec, 2.0, 100, 11)
+    spec = _oscillating_sigma()
+    grid = _prescan_grid(spec, 2.0, 100)
     with pytest.raises(H.CFLError, match="use at least N") as err:
         H.solve_hjb_fd(spec, 2.0, 100, grid, 11)
     assert err.value.n_required > grid.steps
@@ -67,6 +77,14 @@ def _reference_step(spec, xs, v, t, dt, controls):
     return v - dt * best
 
 
+# two controls, b and sigma static and a driver without z and u: the
+# sweep keeps only the rows that can attain the maximum, this many of 121
+_PRUNED_PROBLEMS = {
+    "two_controls_corners": (["x1 * u1"], ["1 + u2"], "cos(x1) - y", 6),
+    "two_controls_mixed": (["x1 * u1 + 0.3 * u2"], ["1 + u2 * x1"], "x1 - y", 75),
+}
+
+
 def _sweep_problem(name):
     if name == "time_dependent":
         # sigma grows with s, so the pre-scan's last level is its maximum
@@ -74,15 +92,25 @@ def _sweep_problem(name):
             1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1 * (1 + s)"],
             "x1 - y + u1", "x1",
         ), 2.0
+    if name in _PRUNED_PROBLEMS:
+        b, sigma, f, _ = _PRUNED_PROBLEMS[name]
+        return P.spec_from_expressions(
+            1, 1, 2, 1.0, [0.0, 0.0], [1.0, 1.0], b, sigma, f, "x1"
+        ), 2.0
     return P.builtin_problem(name), 2.0 if name == "example31" else 4.0
 
 
-@pytest.mark.parametrize("name", ["example31", "smooth1d", "time_dependent"])
+@pytest.mark.parametrize(
+    "name", ["example31", "smooth1d", "time_dependent", *_PRUNED_PROBLEMS]
+)
 def test_sweep_bit_identical_to_per_control_loop(name):
     spec, half_width = _sweep_problem(name)
     grid = H.cfl_time_grid(spec, half_width, 40, 11)
     vg = H.solve_hjb_fd(spec, half_width, 40, grid, 11)
     controls = P.control_grid(spec, 11)
+    if name in _PRUNED_PROBLEMS:
+        kept = H._Sweep(spec, vg.xs, controls).controls
+        assert len(kept) == _PRUNED_PROBLEMS[name][3]
     ref = np.empty_like(vg.values)
     ref[-1] = -spec.terminal(vg.xs[:, None])
     for i in range(grid.steps - 1, -1, -1):
@@ -95,6 +123,19 @@ def test_sweep_bit_identical_to_per_control_loop(name):
         spec, vg.xs, ref[i + 1], grid.times[i + 1], grid.dt, 11
     )
     assert np.array_equal(stepped, ref[i])
+
+
+def test_pruning_keeps_the_rows_that_can_attain_the_maximum(spec31):
+    xs = np.linspace(-2.0, 2.0, 401)
+    controls = P.control_grid(spec31, 11)
+    # u = 0 and u = 1 attain it where x >= 0, u = 0.1 and u = 1 where b < 0
+    kept = H._Sweep(spec31, xs, controls).controls
+    assert np.array_equal(kept[:, 0], [0.0, 0.1, 1.0])
+    # a driver that reads u differs between rows: every row is kept
+    reads_u = P.spec_from_expressions(
+        1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"], "x1 - y + u1", "x1"
+    )
+    assert np.array_equal(H._Sweep(reads_u, xs, controls).controls, controls)
 
 
 def test_multidimensional_state_rejected():
@@ -271,6 +312,23 @@ def test_regularity_probe_on_solved_grid(vgrid400):
     assert growth <= 2.2
 
 
+def _regularity_full_array(vgrid):
+    """regularity_probe as the maxima of whole-grid |.| and quotient arrays."""
+    slope = (np.abs(np.diff(vgrid.values, axis=1)) / vgrid.dx).max()
+    growth = (np.abs(vgrid.values) / (1.0 + np.abs(vgrid.xs))[None, :]).max()
+    return float(slope), float(growth)
+
+
+def test_regularity_probe_equals_full_array_formula(vgrid400):
+    # random values of both signs, over more than one block of rows
+    rng = np.random.default_rng(11)
+    values = rng.normal(0.0, 1.0, (2 * H._REGULARITY_BLOCK_ROWS + 7, 51))
+    values *= rng.uniform(0.1, 10.0, 51)
+    noisy = H.ValueGrid(3.0, 50, F.TimeGrid(0.0, 1.0, values.shape[0] - 1), values, 3)
+    for vg in (vgrid400, noisy):
+        assert H.regularity_probe(vg) == _regularity_full_array(vg)
+
+
 def test_regularity_probe_degenerate_grids():
     tg = F.TimeGrid(0.0, 1.0, 1)
     xs = np.linspace(-1, 1, 11)
@@ -302,15 +360,22 @@ def test_value_grid_exports(tmp_path, vgrid100, spec31):
 def test_mid_sweep_refusal_names_a_passing_step_count():
     # the per-step refusal rescans sigma at every step time of its
     # candidate grids, so one rerun with its N is not refused again
-    spec = P.spec_from_expressions(
-        1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["1 + 5 * sin(20 * s)"],
-        "x1 - y", "x1",
-    )
-    grid = H.cfl_time_grid(spec, 2.0, 20, 11)
+    spec = _oscillating_sigma()
+    grid = _prescan_grid(spec, 2.0, 20)
     with pytest.raises(H.CFLError, match="use at least N") as err:
         H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
     n_required = err.value.n_required
     assert n_required > grid.steps
     vg = H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, n_required), 11)
+    assert vg.cfl_ratio <= 1.0
+    assert np.all(np.isfinite(vg.values))
+
+
+def test_cfl_time_grid_passes_every_step_of_time_dependent_coefficients():
+    # the pre-scan alone gives N = 786 here, which the sweep refuses
+    spec = _oscillating_sigma()
+    grid = H.cfl_time_grid(spec, 2.0, 20, 11)
+    assert grid.steps > _prescan_grid(spec, 2.0, 20).steps
+    vg = H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
     assert vg.cfl_ratio <= 1.0
     assert np.all(np.isfinite(vg.values))

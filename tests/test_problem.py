@@ -169,11 +169,92 @@ def test_expression_functions_and_precedence():
     assert e.evaluate({}) == 5.0
 
 
+@pytest.mark.parametrize("f", ["y", "x1", "2"])
+def test_evaluator_output_is_fresh_with_the_batch_shape(f):
+    spec = P.spec_from_expressions(1, 1, 1, 1.0, [0.0], [1.0], ["0"], ["0"], f, "x1")
+    x = np.array([[0.5], [-1.5], [2.0]])
+    y = np.array([3.0, -4.0, 0.25])
+    z, u = np.zeros((3, 1)), np.zeros((3, 1))
+    out = spec.driver(0.2, x, y, z, u)
+    assert out.dtype == np.float64
+    assert out.shape == (3,)
+    assert np.array_equal(out, {"y": y, "x1": x[:, 0], "2": np.full(3, 2.0)}[f])
+    # arguments given as lists are read as float arrays
+    listed = spec.driver(0.2, x.tolist(), y.tolist(), z.tolist(), u.tolist())
+    assert np.array_equal(listed, out)
+    out += 1.0
+    assert np.array_equal(x[:, 0], [0.5, -1.5, 2.0])
+    assert np.array_equal(y, [3.0, -4.0, 0.25])
+
+
 def test_expression_domain_errors():
     for text in ("log(x1)", "sqrt(x1)", "1 / x1"):
         expr = P.parse_expression(text, ["x1"])
         with pytest.raises(P.DomainError):
             expr.evaluate({"x1": np.array([-1.0, 1.0]) * (0.0 if "/" in text else 1.0)})
+
+
+# central differences: the reference the derived gradients are checked against
+def _fd_step(h_grad, value):
+    return np.asarray(h_grad * (1.0 + np.abs(value)))
+
+
+def _fd_jacobian_x(fn, n, h_grad, matrix_valued=False):
+    """Central-difference Jacobian in x of b or sigma."""
+
+    def grad(s, x, u):
+        x = np.asarray(x, dtype=float)
+        cols = []
+        for j in range(n):
+            h = _fd_step(h_grad, x[..., j])
+            e = np.zeros_like(x)
+            e[..., j] = h
+            num = fn(s, x + e, u) - fn(s, x - e, u)
+            den = 2.0 * h[..., None, None] if matrix_valued else 2.0 * h[..., None]
+            cols.append(num / den)
+        return np.stack(cols, axis=-1)
+
+    return grad
+
+
+def _fd_driver_grad(fn, which, m, h_grad):
+    """Central-difference gradient of the driver in x, y, or z."""
+
+    def grad(s, x, y, z, u):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        z = np.asarray(z, dtype=float)
+        if which == "y":
+            h = _fd_step(h_grad, y)
+            return (fn(s, x, y + h, z, u) - fn(s, x, y - h, z, u)) / (2.0 * h)
+        target = x if which == "x" else z
+        cols = []
+        for j in range(m):
+            h = _fd_step(h_grad, target[..., j])
+            e = np.zeros_like(target)
+            e[..., j] = h
+            if which == "x":
+                diff = (fn(s, x + e, y, z, u) - fn(s, x - e, y, z, u)) / (2.0 * h)
+            else:
+                diff = (fn(s, x, y, z + e, u) - fn(s, x, y, z - e, u)) / (2.0 * h)
+            cols.append(diff)
+        return np.stack(cols, axis=-1)
+
+    return grad
+
+
+def _fd_terminal_grad(fn, n, h_grad):
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        cols = []
+        for j in range(n):
+            h = _fd_step(h_grad, x[..., j])
+            e = np.zeros_like(x)
+            e[..., j] = h
+            cols.append((fn(x + e) - fn(x - e)) / (2.0 * h))
+        return np.stack(cols, axis=-1)
+
+    return grad
 
 
 def test_fd_gradients_match_analytic_richardson():
@@ -187,15 +268,15 @@ def test_fd_gradients_match_analytic_richardson():
 
     cases = [
         (
-            lambda h: P._fd_jacobian_x(spec.drift, 1, h)(0.3, x, u)[..., 0],
+            lambda h: _fd_jacobian_x(spec.drift, 1, h)(0.3, x, u)[..., 0],
             spec.drift_x(0.3, x, u)[..., 0],
         ),
         (
-            lambda h: P._fd_driver_grad(spec.driver, "z", 1, h)(0.3, x, y, z, u),
+            lambda h: _fd_driver_grad(spec.driver, "z", 1, h)(0.3, x, y, z, u),
             spec.driver_z(0.3, x, y, z, u),
         ),
         (
-            lambda h: P._fd_terminal_grad(spec.terminal, 1, h)(x),
+            lambda h: _fd_terminal_grad(spec.terminal, 1, h)(x),
             spec.terminal_x(x),
         ),
     ]
@@ -239,15 +320,15 @@ def test_symbolic_gradients_match_richardson_differences(bs, f, phi):
     y = rng.uniform(-1, 1, 5)
     z = rng.uniform(-1, 1, (5, 2))
     pairs = [
-        (spec.drift_x(0.3, x, u), lambda h: P._fd_jacobian_x(spec.drift, 2, h)(0.3, x, u)),
+        (spec.drift_x(0.3, x, u), lambda h: _fd_jacobian_x(spec.drift, 2, h)(0.3, x, u)),
         (
             spec.diffusion_x(0.3, x, u),
-            lambda h: P._fd_jacobian_x(spec.diffusion, 2, h, matrix_valued=True)(0.3, x, u),
+            lambda h: _fd_jacobian_x(spec.diffusion, 2, h, matrix_valued=True)(0.3, x, u),
         ),
-        (spec.terminal_x(x), lambda h: P._fd_terminal_grad(spec.terminal, 2, h)(x)),
+        (spec.terminal_x(x), lambda h: _fd_terminal_grad(spec.terminal, 2, h)(x)),
     ]
     for which, grad, m in (("x", spec.driver_x, 2), ("y", spec.driver_y, 1), ("z", spec.driver_z, 2)):
-        fd = lambda h, which=which, m=m: P._fd_driver_grad(spec.driver, which, m, h)(0.3, x, y, z, u)
+        fd = lambda h, which=which, m=m: _fd_driver_grad(spec.driver, which, m, h)(0.3, x, y, z, u)
         pairs.append((grad(0.3, x, y, z, u), fd))
     for exact, fd in pairs:
         # Richardson extrapolation cancels the h^2 term of central differences
@@ -275,7 +356,7 @@ def test_gradient_at_kinks_and_nonpositive_bases(phi, at, slope):
     spec = P.spec_from_expressions(1, 1, 1, 1.0, [0.0], [1.0], ["0"], ["0"], "0", phi)
     x = np.array([[at]])
     assert spec.terminal_x(x)[0, 0] == slope
-    assert P._fd_terminal_grad(spec.terminal, 1, 1e-5)(x)[0, 0] == pytest.approx(slope)
+    assert _fd_terminal_grad(spec.terminal, 1, 1e-5)(x)[0, 0] == pytest.approx(slope)
 
 
 def test_builtin_gradients_are_their_closed_forms():
