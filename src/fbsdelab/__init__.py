@@ -20,7 +20,6 @@ from .backward import (
     CostReport,
     RegressionError,
     backward_perturbation_probe,
-    cost,
     solve_backward,
 )
 from .forward import (
@@ -47,7 +46,6 @@ from .jets import (
     JetEstimate,
     JetSet,
     estimate_jets_1d,
-    superjet_membership,
     verify_connection,
 )
 from .oracles import (
@@ -66,7 +64,6 @@ from .problem import (
     builtin_names,
     builtin_problem,
     parse_problem,
-    render_problem,
 )
 
 __version__ = "0.1.0"

@@ -212,6 +212,23 @@ class CostReport:
             sort_keys=True,
         )
 
+    @classmethod
+    def of(cls, sol, seed):
+        """J(t, x; u) = -Y(t) of a backward solution, with a path-resampling
+        standard error.
+
+        The bootstrap resamples the pathwise accumulant (terminal value plus
+        summed driver) whose mean equals the reported Y(t) up to the ridge
+        regularization, keeping regression surfaces frozen.
+        """
+        return cls(
+            j=float(-sol.y[0, 0]),
+            stderr=_bootstrap_stderr(sol.pathwise_value, seed),
+            n_paths=sol.pathwise_value.shape[0],
+            steps=sol.grid.steps,
+            seed=seed,
+        )
+
 
 _N_BOOTSTRAP = 64
 
@@ -226,28 +243,6 @@ def _bootstrap_stderr(values, seed):
         idx = rng.integers(0, m, size=m)
         means[b] = values[idx].mean()
     return float(means.std())
-
-
-def cost(spec, control, t, x, grid, n_paths, p_deg, seed, n_picard=0):
-    """J(t, x; u) = -Y(t) under the constant (k,) control u, with a
-    path-resampling standard error; u must lie in the control box.
-
-    The bootstrap resamples the pathwise accumulant (terminal value plus
-    summed driver) whose mean equals the reported Y(t) up to the ridge
-    regularization, keeping regression surfaces frozen.
-    """
-    from .forward import simulate_forward
-
-    batch = simulate_forward(spec, control, t, x, grid, n_paths, seed)
-    sol = solve_backward(spec, batch, p_deg, n_picard=n_picard)
-    stderr = _bootstrap_stderr(sol.pathwise_value, seed)
-    return CostReport(
-        j=float(-sol.y[0, 0]),
-        stderr=stderr,
-        n_paths=n_paths,
-        steps=grid.steps,
-        seed=seed,
-    )
 
 
 def backward_perturbation_probe(

@@ -101,13 +101,7 @@ def _backward_stage(config, state):
     sol = state["backward"] = backward_mod.solve_backward(
         spec, state["batch"], config.p_deg, n_picard=config.n_picard
     )
-    cost_rep = backward_mod.CostReport(
-        j=float(-sol.y[0, 0]),
-        stderr=backward_mod._bootstrap_stderr(sol.pathwise_value, config.seed),
-        n_paths=config.m_paths,
-        steps=config.n_steps,
-        seed=config.seed,
-    )
+    cost_rep = backward_mod.CostReport.of(sol, config.seed)
     metrics = {
         "y0": float(sol.y[0, 0]),
         "J": cost_rep.j,

@@ -9,38 +9,38 @@ where |sigma|^2 = sum_j sigma_1j^2 and sigma^T p has components
 sigma_1j p, is swept backward in time with upwind first differences
 (side chosen by the sign of b), central second differences, and linear
 extrapolation of the outermost two nodes as the boundary rule.  The
-explicit update is monotone in the neighboring values provided dt
-satisfies the CFL bound
+explicit update is monotone in the neighboring values provided each
+step's dt satisfies the CFL bound of its own time level t,
 
-    dt <= dx^2 / (max |sigma|^2 + dx max|b| + c0),
+    dt <= dx^2 / (max |sigma(t)|^2 + dx max |b(t)| + c0),
 
-where c0 = dx max sum_j |sigma_1j f_zj| + dx^2 max|f_y| absorbs the
-driver's dependence on its value and z arguments;
-`cfl_max_dt` computes the bound by pre-scanning the grid, and the solver
-refuses to run when it is violated.  The pre-scan samples b and sigma
-at a few time levels only, so when they depend on time the sweep also
-checks each step's dt against the bound of that step's own b and sigma
-and refuses there, naming a step count whose every step passes.  One
-method, `_Sweep.hamiltonian`, evaluates G for all controls of the grid
-at once, as (C, J+1) rows, one per control; the sweep's step takes their
-maximum, the CFL pre-scan reads the same rows' coefficients, and the
+with the maxima over the grid's nodes and controls, the nominal spacing
+dx = 2L / J, and c0 = dx max sum_j |sigma_1j f_zj| + dx^2 max |f_y|, the
+driver's share, taken once over five time levels.  `_Sweep.dt_bound` is
+that bound and the only place it is computed: `solve_hjb_fd` checks
+every step against it just before the step and refuses the first step
+that exceeds it, and `cfl_time_grid` raises N from the bound of the five
+levels until every step passes.  When b and sigma ignore time the bound
+is one number.  Monotone schemes of this type converge to the PDE's
+viscosity solution, which is why one is used here.
+
+One method, `_Sweep.hamiltonian`, evaluates G for all controls of the
+grid at once, as (C, J+1) rows, one per control; the sweep's step takes
+their maximum, the bound reads the same rows' coefficients, and the
 viscosity probe evaluates G at a single node with it.  When b and sigma
 ignore time and the driver reads neither z nor u, those rows are cut
-once to the controls that can attain sup_u G at some node: within
-one upwind side a row of G is then monotone in (|sigma|^2 / 2, b), so a
-row that another row of its side dominates in both, with the signs of
-A and p, is never needed (`_attaining_rows`).  The rows it keeps give
-the same maximum, bit for bit; for example31 they are 3 of 11.
-`cfl_time_grid` raises N, when b or sigma depend on time, until every
-step passes the bound of its own time level.  Monotone schemes of this
-type converge to the PDE's viscosity solution, which is why one is used
-here.
+once to the controls that can attain sup_u G at some node: within one
+upwind side a row of G is then monotone in (|sigma|^2 / 2, b), so a row
+that another row of its side dominates in both, with the signs of A and
+p, is never needed (`_attaining_rows`).  The rows it keeps give the same
+maximum, bit for bit; for example31 they are 3 of 11.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,7 +67,8 @@ class ValueGrid:
     grid: TimeGrid
     values: np.ndarray  # (N+1, J+1)
     control_grid_size: int
-    cfl_ratio: float = None  # grid.dt over the CFL bound; None if not solved
+    # grid.dt over the tightest bound its steps met; None if not solved
+    cfl_ratio: float = None
 
     @property
     def dx(self):
@@ -85,31 +86,6 @@ class ValueGrid:
         return i, self.values[i]
 
 
-def _scan_coefficients(spec, half_width, n_cells, control_grid_size, t_start):
-    """Max |b|, |sigma|^2 and driver-gradient magnitudes over the grid."""
-    if spec.n != 1:
-        raise ProblemError("the finite-difference solver is one-dimensional")
-    xs = np.linspace(-half_width, half_width, n_cells + 1)
-    sweep = _Sweep(spec, xs, control_grid(spec, control_grid_size))
-    y_probe = -spec.terminal(sweep.x_cols)
-    z_probe = np.zeros((xs.size, spec.d))
-    max_b = max_sig2 = max_fy = max_sfz = 0.0
-    for t in np.linspace(t_start, spec.horizon, 5):
-        b, sg, _, half_s2 = sweep.coefficients(t)
-        fy = spec.driver_y(t, sweep.x, y_probe, z_probe, sweep.u)
-        fz = spec.driver_z(t, sweep.x, y_probe, z_probe, sweep.u)
-        max_b = max(max_b, float(np.max(np.abs(b))))
-        max_sig2 = max(max_sig2, 2.0 * float(np.max(half_s2)))
-        max_fy = max(max_fy, float(np.max(np.abs(fy))))
-        max_sfz = max(max_sfz, float(np.max(np.sum(np.abs(sg * fz), axis=-1))))
-    return max_b, max_sig2, max_fy, max_sfz
-
-
-def _dt_bound(dx, max_sig2, max_b, c0):
-    denom = max_sig2 + dx * max_b + c0
-    return np.inf if denom == 0.0 else dx * dx / denom
-
-
 def _exceeds(dt, dt_max):
     return dt > dt_max * (1.0 + 1e-12)
 
@@ -118,41 +94,24 @@ def _steps_for(span, dt_max):
     return max(1, int(np.ceil((span[1] - span[0]) / dt_max)))
 
 
-def _refuse_above(dt, dt_max, span):
-    """Raise CFLError when dt exceeds the bound dt_max on [span[0], span[1]]."""
-    if _exceeds(dt, dt_max):
-        raise CFLError(dt, dt_max, _steps_for(span, dt_max), span)
-
-
-def _cfl_terms(spec, half_width, n_cells, control_grid_size, t_start):
-    """(largest monotone dt, the driver's share c0 of the bound)."""
-    dx = 2.0 * half_width / n_cells
-    max_b, max_sig2, max_fy, max_sfz = _scan_coefficients(
-        spec, half_width, n_cells, control_grid_size, t_start
-    )
-    c0 = dx * max_sfz + dx * dx * max_fy
-    return _dt_bound(dx, max_sig2, max_b, c0), c0
+def _grid_sweep(spec, half_width, n_cells, control_grid_size, t_start):
+    """The sweep over the J+1 nodes of [-L, L] from t_start to T."""
+    xs = np.linspace(-half_width, half_width, n_cells + 1)
+    return _Sweep(spec, xs, control_grid(spec, control_grid_size), t_start)
 
 
 def cfl_max_dt(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
-    """Largest monotone time step for the explicit sweep on this grid."""
-    return _cfl_terms(spec, half_width, n_cells, control_grid_size, t_start)[0]
+    """Largest monotone time step at five time levels of [t_start, T]; for b
+    and sigma that ignore time, at every one."""
+    sweep = _grid_sweep(spec, half_width, n_cells, control_grid_size, t_start)
+    return sweep.probe_bound()
 
 
 def cfl_time_grid(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
-    """TimeGrid on [t_start, T] with the smallest CFL-admissible step count.
-
-    When b or sigma depend on time, the count is raised until every step
-    passes the bound of its own time level, as `solve_hjb_fd` checks it.
-    """
-    span = (t_start, spec.horizon)
-    if _coefficients_static(spec):
-        dt_max = cfl_max_dt(spec, half_width, n_cells, control_grid_size, t_start)
-        return TimeGrid(*span, _steps_for(span, dt_max))
-    dt_max, c0 = _cfl_terms(spec, half_width, n_cells, control_grid_size, t_start)
-    xs = np.linspace(-half_width, half_width, n_cells + 1)
-    sweep = _Sweep(spec, xs, control_grid(spec, control_grid_size), c0, span)
-    return TimeGrid(*span, sweep._steps_passing(dt_max))
+    """TimeGrid on [t_start, T] whose every step passes the CFL bound of its
+    own time level, as `solve_hjb_fd` checks it."""
+    sweep = _grid_sweep(spec, half_width, n_cells, control_grid_size, t_start)
+    return TimeGrid(*sweep.span, sweep.steps_passing())
 
 
 def _coefficients_static(spec):
@@ -209,25 +168,29 @@ class _Sweep:
     `step` takes spatial derivatives with upwind first differences
     (forward where b >= 0), central second differences, and
     linear-extrapolation ghost nodes at both ends, and updates with the
-    maximum of G's rows.  When the problem's expression variables show b
-    and sigma are time-independent, they are evaluated once; otherwise
-    once per step, and with `c0` given each step's dt is checked against
-    the CFL bound of that step's own b and sigma (the pre-scan samples
-    only a few time levels).  When the driver ignores z and u it is
-    evaluated once per call on (J+1,), and when b and sigma are static
+    maximum of G's rows.  `dt_bound` is the CFL bound of one time level
+    and `steps_passing` a step count on `span` = [t_start, T] whose every
+    step passes it.  When the problem's expression variables show b and
+    sigma are time-independent, they are evaluated once, and so is the
+    bound; otherwise once per step.  When the driver ignores z and u it
+    is evaluated once per call on (J+1,), and when b and sigma are static
     as well the rows are cut once, here, to `_attaining_rows`; `controls`
     holds the controls of the rows kept.
     """
 
-    def __init__(self, spec, xs, controls, c0=None, span=None):
+    def __init__(self, spec, xs, controls, t_start=0.0):
+        if spec.n != 1:
+            raise ProblemError("the finite-difference solver is one-dimensional")
         self.spec = spec
         self.xs = xs
-        self.c0 = c0
-        self.span = span
+        self.span = (t_start, spec.horizon)
+        # the time levels of the driver's share c0 and of `probe_bound`
+        self.probe_times = np.linspace(t_start, spec.horizon, 5)
         self.x_cols = xs[:, None]
         self.f_reads_zu = any(v[0] in "zu" for v in spec.f_variables)
         self.zeros_z = np.zeros((xs.size, spec.d))
         self.static_coeffs = None
+        self._static_bound = None
         self._bind(controls)
         if _coefficients_static(spec):
             self.static_coeffs = self.coefficients(0.0)
@@ -265,41 +228,73 @@ class _Sweep:
             fval = self.spec.driver(t, self.x_cols, r, self.zeros_z, self.u[0])
         return half_s2 * big_a + p * b + fval
 
-    def step(self, v, t, dt):
+    def step(self, v, t, dt, coeffs=None):
         """One explicit update of a value row at known time level t."""
-        dx = self.xs[1] - self.xs[0]
+        dx, dx2 = self._step_spacing
         vp = _pad_linear(v)
-        dxx = (vp[2:] - 2.0 * vp[1:-1] + vp[:-2]) / (dx * dx)
+        dxx = (vp[2:] - 2.0 * vp[1:-1] + vp[:-2]) / dx2
         fwd = (vp[2:] - vp[1:-1]) / dx
         bwd = (vp[1:-1] - vp[:-2]) / dx
-        coeffs = self.coefficients(t)
-        if self.c0 is not None:
-            dt_max = self._step_bound(coeffs)
-            if _exceeds(dt, dt_max):
-                raise CFLError(dt, dt_max, self._steps_passing(dt_max), self.span)
+        coeffs = coeffs or self.coefficients(t)
         up = coeffs[2]
         g = self.hamiltonian(t, -v, -np.where(up, fwd, bwd), -dxx, coeffs)
         return v - dt * g.max(axis=0)
 
-    def _step_bound(self, coeffs):
-        """The CFL bound of one time level's (b, sigma's row, mask, |sigma|^2 / 2)."""
-        b, _, _, half_s2 = coeffs
+    @cached_property
+    def _step_spacing(self):
+        """(xs[1] - xs[0], its square): the spacing of `step`'s differences."""
         dx = self.xs[1] - self.xs[0]
-        max_sig2 = 2.0 * float(np.max(half_s2))
-        return _dt_bound(dx, max_sig2, float(np.max(np.abs(b))), self.c0)
+        return dx, dx * dx
 
-    def _steps_passing(self, dt_max):
+    @cached_property
+    def dx(self):
+        """The nominal spacing 2L / J, which `ValueGrid.dx` reports too."""
+        return float(self.xs[-1] - self.xs[0]) / (self.xs.size - 1)
+
+    @cached_property
+    def c0(self):
+        """The driver's share of the bound, over the five probe levels: f_y
+        and f_z at y = -phi(x) and z = 0."""
+        y_probe = -self.spec.terminal(self.x_cols)
+        max_fy = max_sfz = 0.0
+        for t in self.probe_times:
+            sg = self.coefficients(t)[1]
+            fy = self.spec.driver_y(t, self.x, y_probe, self.zeros_z, self.u)
+            fz = self.spec.driver_z(t, self.x, y_probe, self.zeros_z, self.u)
+            max_fy = max(max_fy, float(np.max(np.abs(fy))))
+            sfz = np.sum(np.abs(sg * fz), axis=-1)
+            max_sfz = max(max_sfz, float(np.max(sfz)))
+        return self.dx * max_sfz + self.dx * self.dx * max_fy
+
+    def dt_bound(self, t, coeffs=None):
+        """The CFL bound of time level t's own b and sigma, or of `coeffs`,
+        the level's `coefficients`: dx^2 / (max |sigma|^2 + dx max |b| + c0)."""
+        if self._static_bound is not None:
+            return self._static_bound
+        b, _, _, half_s2 = coeffs or self.coefficients(t)
+        dx, max_b = self.dx, float(np.max(np.abs(b)))
+        denom = 2.0 * float(np.max(half_s2)) + dx * max_b + self.c0
+        bound = np.inf if denom == 0.0 else dx * dx / denom
+        if self.static_coeffs is not None:
+            self._static_bound = bound
+        return bound
+
+    def probe_bound(self):
+        """The tightest bound of the five probe levels."""
+        return min(map(self.dt_bound, self.probe_times))
+
+    def steps_passing(self):
         """Step count on `span` whose every step passes its own CFL bound.
 
-        Starts from the refusing step's bound dt_max, rescans b and sigma
-        at each step time of the candidate grid and raises N to the
-        tightest bound seen until one grid passes every step, so a rerun
-        with it is not refused mid-sweep.
+        Starts from the five levels' bound, checks the bound at each step
+        time of the candidate grid and raises N to the tightest bound seen
+        until one grid passes every step.  For static b and sigma the
+        first candidate passes.
         """
-        n = _steps_for(self.span, dt_max)
+        n = _steps_for(self.span, self.probe_bound())
         while True:
-            grid = TimeGrid(self.span[0], self.span[1], n)
-            bound = min(self._step_bound(self.coefficients(t)) for t in grid.times[1:])
+            grid = TimeGrid(*self.span, n)
+            bound = min(map(self.dt_bound, grid.times[1:]))
             if not _exceeds(grid.dt, bound):
                 return n
             n = max(n + 1, _steps_for(self.span, bound))
@@ -313,36 +308,29 @@ def sweep_step(spec, xs, v, t, dt, control_grid_size=11):
 def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
     """Solve the value PDE on [-L, L] x [grid.start, T].
 
-    One-dimensional only (spec.n == 1); raises CFLError when grid.dt
-    exceeds the monotonicity bound, before the sweep for the pre-scanned
-    bound and, when b or sigma depend on time, at the first step whose
-    own coefficients it exceeds; that refusal's `n_required` passes every
-    step.  The terminal row is -phi exactly.
+    One-dimensional only (spec.n == 1).  Each step is checked against the
+    CFL bound of its own time level (`_Sweep.dt_bound`, with dx = 2L / J)
+    before it updates anything; the first step whose bound grid.dt
+    exceeds raises CFLError, whose `n_required` passes every step.  The
+    result's `cfl_ratio` is grid.dt over the tightest bound the steps
+    met.  The terminal row is -phi exactly.
     """
-    controls = control_grid(spec, control_grid_size)
     if abs(grid.end - spec.horizon) > 1e-12:
         raise ProblemError("grid must end at the problem horizon")
-    dt_max = cfl_max_dt(
-        spec, half_width, n_cells, control_grid_size, t_start=grid.start
-    )
-    span = (grid.start, grid.end)
-    _refuse_above(grid.dt, dt_max, span)
-
-    c0 = None
-    if not _coefficients_static(spec):
-        # the per-step check needs the driver's share c0 of the bound;
-        # cfl_max_dt returns the bound alone, so this scans once more
-        _, c0 = _cfl_terms(
-            spec, half_width, n_cells, control_grid_size, grid.start
-        )
-    xs = np.linspace(-half_width, half_width, n_cells + 1)
-    sweep = _Sweep(spec, xs, controls, c0, span)
-    times = grid.times
-    n_steps = grid.steps
-    values = np.empty((n_steps + 1, n_cells + 1))
-    values[n_steps] = -spec.terminal(xs[:, None])
-    for i in range(n_steps - 1, -1, -1):
-        values[i] = sweep.step(values[i + 1], times[i + 1], grid.dt)
+    sweep = _grid_sweep(spec, half_width, n_cells, control_grid_size, grid.start)
+    times, dt = grid.times, grid.dt
+    values = np.empty((grid.steps + 1, n_cells + 1))
+    values[-1] = -spec.terminal(sweep.x_cols)
+    tightest = np.inf
+    for i in range(grid.steps - 1, -1, -1):
+        t = times[i + 1]
+        coeffs = sweep.coefficients(t)
+        bound = sweep.dt_bound(t, coeffs)
+        if bound < tightest:  # a looser bound passes where a tighter one did
+            if _exceeds(dt, bound):
+                raise CFLError(dt, bound, sweep.steps_passing(), sweep.span)
+            tightest = bound
+        values[i] = sweep.step(values[i + 1], t, dt, coeffs)
         if not np.isfinite(values[i]).all():
             raise ProblemError(f"non-finite value at time level {i}")
     return ValueGrid(
@@ -351,7 +339,7 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
         grid=grid,
         values=values,
         control_grid_size=control_grid_size,
-        cfl_ratio=grid.dt / dt_max,
+        cfl_ratio=dt / tightest,
     )
 
 

@@ -148,41 +148,6 @@ def estimate_jets_1d(v_slice, x_hat, steps=None, tol_jet=DEFAULT_TOL_JET):
     )
 
 
-def superjet_membership(v, x_hat, candidate):
-    """Directional first-order test of candidate in the super-jet at x_hat.
-
-    For each coordinate direction e and its negative computes
-    (v(x_hat + h e) - v(x_hat) - h <candidate, e>)/h on the default step
-    ladder scaled by 1 + |x_hat|, extrapolates to h -> 0, and accepts when
-    every extrapolated value is <= DEFAULT_TOL_JET.  Returns (member,
-    worst violation).
-    """
-    x_hat = np.atleast_1d(np.asarray(x_hat, dtype=float))
-    candidate = np.atleast_1d(np.asarray(candidate, dtype=float))
-    n = x_hat.size
-    eye = np.eye(n)
-    directions = [eye[i] for i in range(n)] + [-eye[i] for i in range(n)]
-    base = 1.0 + float(np.linalg.norm(x_hat))
-    steps = [h * base for h in DEFAULT_STEP_LADDER]
-    fn = _as_callable(v)
-
-    def value(pt):
-        arg = pt[0] if n == 1 else pt
-        return float(fn(arg))
-
-    v0 = value(x_hat)
-    worst = -np.inf
-    for e in directions:
-        e = np.asarray(e, dtype=float)
-        quots = [
-            (value(x_hat + h * e) - v0 - h * float(candidate @ e)) / h
-            for h in steps
-        ]
-        g = _richardson(steps[-2], quots[-2], steps[-1], quots[-1])
-        worst = max(worst, g)
-    return bool(worst <= DEFAULT_TOL_JET), float(worst)
-
-
 @dataclass
 class ConnectionTimeRecord:
     s: float

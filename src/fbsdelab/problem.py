@@ -58,7 +58,6 @@ __all__ = [
     "ProblemSpec",
     "parse_expression",
     "parse_problem",
-    "render_problem",
     "builtin_problem",
     "builtin_names",
     "control_grid",
@@ -437,11 +436,6 @@ class ProblemSpec:
     diffusion: callable
     driver: callable
     terminal: callable
-    # expression sources, kept for render_problem round-trips
-    b_sources: list
-    sigma_sources: list
-    f_source: str
-    phi_source: str
     # variable names each coefficient group actually references; lets
     # solvers hoist invariants
     b_variables: frozenset
@@ -589,10 +583,6 @@ def spec_from_expressions(
         drift_u=_evaluator(grad(b_exprs, su), (n, k), bs_args),
         diffusion_u=_evaluator(grad(sig_exprs, su), (n, d, k), bs_args),
         driver_u=_evaluator(grad([f_expr], su), (k,), f_args),
-        b_sources=list(b_sources),
-        sigma_sources=list(sigma_sources),
-        f_source=f_source,
-        phi_source=phi_source,
         b_variables=b_vars,
         sigma_variables=sig_vars,
         f_variables=f_expr.variables,
@@ -602,7 +592,7 @@ def spec_from_expressions(
 
 
 # --------------------------------------------------------------------------
-# Config file parsing / rendering
+# Config file parsing
 # --------------------------------------------------------------------------
 
 _SECTIONS = ("dims", "horizon", "control", "initial", "coefficients")
@@ -769,36 +759,6 @@ def parse_problem(config_text):
             raise ConfigError(f"initial time t = {t0} outside [0, T)", *item[1:])
         initial = (t0, x0)
     return spec, initial
-
-
-def render_problem(spec, initial=None):
-    """Render a spec back to config text."""
-    lines = ["[dims]", f"n = {spec.n}", f"d = {spec.d}", f"k = {spec.k}"]
-    lines.append(f"lipschitz_hint = {float(spec.lipschitz_hint)!r}")
-    lines += ["", "[horizon]", f"T = {float(spec.horizon)!r}"]
-    lines += [
-        "",
-        "[control]",
-        "lo = " + ", ".join(repr(float(v)) for v in spec.control_lo),
-        "hi = " + ", ".join(repr(float(v)) for v in spec.control_hi),
-    ]
-    if initial is not None:
-        t0, x0 = initial
-        lines += [
-            "",
-            "[initial]",
-            f"t = {float(t0)!r}",
-            "x = " + ", ".join(repr(float(v)) for v in np.atleast_1d(x0)),
-        ]
-    lines += ["", "[coefficients]"]
-    for i, src in enumerate(spec.b_sources):
-        lines.append(f'b{i + 1} = "{src}"')
-    for i in range(spec.n):
-        for j in range(spec.d):
-            lines.append(f'sigma{i + 1}_{j + 1} = "{spec.sigma_sources[i * spec.d + j]}"')
-    lines.append(f'f = "{spec.f_source}"')
-    lines.append(f'phi = "{spec.phi_source}"')
-    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------

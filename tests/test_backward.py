@@ -7,6 +7,13 @@ from fbsdelab import forward as F
 from fbsdelab import problem as P
 
 
+def _cost(spec, control, x, grid, m, p_deg, seed, n_picard=0):
+    """The backward stage's cost report from x at time 0 under a constant control."""
+    batch = F.simulate_forward(spec, control, 0.0, x, grid, m, seed)
+    sol = B.solve_backward(spec, batch, p_deg, n_picard=n_picard)
+    return B.CostReport.of(sol, seed)
+
+
 @pytest.fixture(scope="module")
 def batch_x1(spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 50)
@@ -112,7 +119,7 @@ def test_doubling_m_and_n_consistent(spec31, zero_control):
     for m, n in ((20000, 50), (40000, 100)):
         grid = F.TimeGrid(0.0, 1.0, n)
         reports.append(
-            B.cost(spec31, zero_control, 0.0, [1.0], grid, m, 3, seed=2)
+            _cost(spec31, zero_control, [1.0], grid, m, 3, seed=2)
         )
     assert abs(reports[0].j - reports[1].j) <= 2.0 * max(
         reports[0].stderr, reports[1].stderr
@@ -122,18 +129,16 @@ def test_doubling_m_and_n_consistent(spec31, zero_control):
 def test_cost_at_zero_start_is_exactly_zero(spec31):
     grid = F.TimeGrid(0.0, 1.0, 50)
     for c in (0.0, 0.5, 1.0):
-        rep = B.cost(spec31, c, 0.0, [0.0], grid, 400, 3, seed=9)
+        rep = _cost(spec31, c, [0.0], grid, 400, 3, seed=9)
         assert rep.j == 0.0
         assert rep.stderr == 0.0
 
 
 def test_cost_constant_policies_match_oracle(spec31):
     grid = F.TimeGrid(0.0, 1.0, 50)
-    rep0 = B.cost(spec31, 0.0, 0.0, [1.0], grid, 20000, 3, seed=2)
+    rep0 = _cost(spec31, 0.0, [1.0], grid, 20000, 3, seed=2)
     assert rep0.j == pytest.approx(-1.0, abs=0.03)
-    rep1 = B.cost(
-        spec31, 1.0, 0.0, [1.0], grid, 20000, 3, seed=2, n_picard=2
-    )
+    rep1 = _cost(spec31, 1.0, [1.0], grid, 20000, 3, seed=2, n_picard=2)
     assert rep1.j == pytest.approx(-2.0, abs=0.05)
     assert rep0.stderr > 0.0
     assert "seed" in rep0.to_json()

@@ -285,7 +285,7 @@ def test_table_single_value(tmp_path):
 )
 def test_table_backward_error_from_x_one(tmp_path, param, extra, runs):
     # each row is |Y0 - x g(0, T)| of the backward solve from x = 1 under
-    # control 0, the same solve `backward.cost` runs
+    # control 0, with the cost report the backward stage builds from it
     values = [m if param == "M" else deg for m, deg in runs]
     res = _run(
         ["table", "--builtin", "example31", "--param", param, "--values",
@@ -301,7 +301,8 @@ def test_table_backward_error_from_x_one(tmp_path, param, extra, runs):
     target = oracles.example31_constant_policy_y0(0, 1, 1, 0)
     expected = []
     for m, deg in runs:
-        rep = backward.cost(spec, 0.0, 0.0, [1.0], grid, m, deg, 3)
+        batch = forward.simulate_forward(spec, 0.0, 0.0, [1.0], grid, m, 3)
+        rep = backward.CostReport.of(backward.solve_backward(spec, batch, deg), 3)
         expected.append(abs(-rep.j - target))
     assert metrics == expected
 

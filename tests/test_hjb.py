@@ -37,18 +37,18 @@ def _oscillating_sigma():
     )
 
 
-def _prescan_grid(spec, half_width, n_cells):
-    """The grid of the pre-scan's bound alone, from five sampled time levels."""
+def _five_level_grid(spec, half_width, n_cells):
+    """The grid of `cfl_max_dt`'s bound alone, from five sampled time levels."""
     dt_max = H.cfl_max_dt(spec, half_width, n_cells, 11)
     return F.TimeGrid(0.0, spec.horizon, int(np.ceil(spec.horizon / dt_max)))
 
 
 def test_time_dependent_cfl_checked_each_step():
-    # the pre-scan samples sigma at five time levels, where sigma^2 is at
-    # most 30.9; between them it reaches 36, so dt on the scan's grid is
+    # cfl_max_dt samples sigma at five time levels, where sigma^2 is at
+    # most 30.9; between them it reaches 36, so dt on that bound's grid is
     # 1.16 times too large at the worst steps
     spec = _oscillating_sigma()
-    grid = _prescan_grid(spec, 2.0, 100)
+    grid = _five_level_grid(spec, 2.0, 100)
     with pytest.raises(H.CFLError, match="use at least N") as err:
         H.solve_hjb_fd(spec, 2.0, 100, grid, 11)
     assert err.value.n_required > grid.steps
@@ -87,7 +87,7 @@ _PRUNED_PROBLEMS = {
 
 def _sweep_problem(name):
     if name == "time_dependent":
-        # sigma grows with s, so the pre-scan's last level is its maximum
+        # sigma grows with s, so the last of the five probe levels is its maximum
         return P.spec_from_expressions(
             1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1 * (1 + s)"],
             "x1 - y + u1", "x1",
@@ -358,10 +358,10 @@ def test_value_grid_exports(tmp_path, vgrid100, spec31):
 
 
 def test_mid_sweep_refusal_names_a_passing_step_count():
-    # the per-step refusal rescans sigma at every step time of its
-    # candidate grids, so one rerun with its N is not refused again
+    # the refusal checks sigma at every step time of its candidate grids,
+    # so one rerun with its N is not refused again
     spec = _oscillating_sigma()
-    grid = _prescan_grid(spec, 2.0, 20)
+    grid = _five_level_grid(spec, 2.0, 20)
     with pytest.raises(H.CFLError, match="use at least N") as err:
         H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
     n_required = err.value.n_required
@@ -372,10 +372,53 @@ def test_mid_sweep_refusal_names_a_passing_step_count():
 
 
 def test_cfl_time_grid_passes_every_step_of_time_dependent_coefficients():
-    # the pre-scan alone gives N = 786 here, which the sweep refuses
+    # the five levels' bound alone gives N = 786 here, which the sweep refuses
     spec = _oscillating_sigma()
     grid = H.cfl_time_grid(spec, 2.0, 20, 11)
-    assert grid.steps > _prescan_grid(spec, 2.0, 20).steps
+    assert grid.steps > _five_level_grid(spec, 2.0, 20).steps
     vg = H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
     assert vg.cfl_ratio <= 1.0
     assert np.all(np.isfinite(vg.values))
+
+
+def test_solve_builds_one_sweep(spec31, monkeypatch):
+    grid = H.cfl_time_grid(spec31, 2.0, 100, 11)
+    built = []
+
+    class CountingSweep(H._Sweep):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(H, "_Sweep", CountingSweep)
+    H.solve_hjb_fd(spec31, 2.0, 100, grid, 11)
+    assert len(built) == 1
+
+
+def test_time_dependent_solve_evaluates_b_once_per_step():
+    # N steps, and the five probe levels of the driver's share c0; no
+    # scan before the sweep
+    spec, half_width = _sweep_problem("time_dependent")
+    grid = H.cfl_time_grid(spec, half_width, 100, 11)
+    drift, calls = spec.drift, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return drift(*args)
+
+    spec.drift = counted
+    H.solve_hjb_fd(spec, half_width, 100, grid, 11)
+    assert len(calls) <= grid.steps + 5
+
+
+def test_cfl_ratio_is_against_the_tightest_step_bound():
+    # sigma^2 = (1 + 5 sin(20 s))^2 reaches 36 between the five probe
+    # levels, where it is at most 30.9; max |b| = 2 (x = 2, u = 1), and
+    # f = x1 - y has f_y = -1 and f_z = 0, so c0 = dx^2
+    spec = _oscillating_sigma()
+    grid = H.cfl_time_grid(spec, 2.0, 20, 11)
+    vg = H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
+    dx = 4.0 / 20
+    sig2 = (1.0 + 5.0 * np.sin(20.0 * grid.times[1:])) ** 2
+    tightest = np.min(dx * dx / (sig2 + dx * 2.0 + dx * dx))
+    assert vg.cfl_ratio == pytest.approx(grid.dt / tightest, rel=1e-12)

@@ -61,41 +61,12 @@ def test_jet_duality_under_negation(left, right, x_hat):
         assert neg.subjet.hi == pytest.approx(-est.superjet.lo, abs=1e-9)
 
 
-def test_membership_at_kink():
-    member, worst = J.superjet_membership(_v_slice(0.5), 0.0, -1.0)
-    assert member and worst <= J.DEFAULT_TOL_JET
-    member, worst = J.superjet_membership(_v_slice(0.5), 0.0, 0.0)
-    assert not member and worst > 0.5
-    member, _ = J.superjet_membership(_v_slice(0.5), 0.0, -1.25)
-    assert member  # interior of the interval
-
-
-def test_membership_linear_function_exact():
-    g = np.array([2.0, -3.0])
-    member, worst = J.superjet_membership(
-        lambda x: float(g @ x), np.array([0.3, 0.4]), g
-    )
-    assert member
-    assert worst == pytest.approx(0.0, abs=1e-12)
-
-
-def test_membership_smooth_collapse():
-    # where both slopes agree the accepted candidates are exactly the
-    # slope's tol_jet neighborhood
-    v = _v_slice(0.5)
-    for cand, expect in ((-1.0, True), (-1.004, True), (-1.02, False), (-0.98, False)):
-        member, _ = J.superjet_membership(v, -1.0, cand)
-        assert member is expect, cand
-
-
 def test_reported_member_satisfies_defining_inequality():
     v = _v_slice(0.5)
     x_hat = 0.0
     est = J.estimate_jets_1d(v, x_hat)
     steps = [h * (1.0 + abs(x_hat)) for h in J.DEFAULT_STEP_LADDER][-2:]
     for p in (est.superjet.lo, est.superjet.hi):
-        member, _ = J.superjet_membership(v, x_hat, p)
-        assert member
         for h in steps:
             tol = J.DEFAULT_TOL_JET * h
             assert v(x_hat + h) <= v(x_hat) + p * h + tol

@@ -125,24 +125,6 @@ def test_initial_section_round_trip():
     assert initial[1][0] == -1.0
 
 
-@pytest.mark.parametrize("name", P.builtin_names())
-def test_render_parse_round_trip(name):
-    spec = P.builtin_problem(name)
-    text = P.render_problem(spec)
-    spec2, _ = P.parse_problem(text)
-    assert P.render_problem(spec2) == text
-    # evaluators agree pointwise
-    rng = np.random.default_rng(1)
-    x = rng.uniform(-2, 2, (50, spec.n))
-    u = rng.uniform(spec.control_lo, spec.control_hi, (50, spec.k))
-    y = rng.uniform(-2, 2, 50)
-    z = rng.uniform(-2, 2, (50, spec.d))
-    assert np.allclose(spec.drift(0.3, x, u), spec2.drift(0.3, x, u))
-    assert np.allclose(spec.diffusion(0.3, x, u), spec2.diffusion(0.3, x, u))
-    assert np.allclose(spec.driver(0.3, x, y, z, u), spec2.driver(0.3, x, y, z, u))
-    assert np.allclose(spec.terminal(x), spec2.terminal(x))
-
-
 @given(
     st.floats(-5, 5, allow_nan=False),
     st.floats(-5, 5, allow_nan=False),
