@@ -24,16 +24,17 @@ levels until every step passes.  When b and sigma ignore time the bound
 is one number.  Monotone schemes of this type converge to the PDE's
 viscosity solution, which is why one is used here.
 
-One method, `_Sweep.hamiltonian`, evaluates G for all controls of the
-grid at once, as (C, J+1) rows, one per control; the sweep's step takes
-their maximum, the bound reads the same rows' coefficients, and the
-viscosity probe evaluates G at a single node with it.  When b and sigma
-ignore time and the driver reads neither z nor u, those rows are cut
-once to the controls that can attain sup_u G at some node: within one
-upwind side a row of G is then monotone in (|sigma|^2 / 2, b), so a row
-that another row of its side dominates in both, with the signs of A and
-p, is never needed (`_attaining_rows`).  The rows it keeps give the same
-maximum, bit for bit; for example31 they are 3 of 11.
+One method, `_Sweep.hamiltonian`, gives sup_u G over the controls of the
+grid, the maximum of G's (C, J+1) rows, one per control, with a driver
+that reads neither z nor u added once, after the maximum; the step
+updates with it, the bound reads the rows' coefficients, and the
+viscosity probe evaluates it at a single node.  When b and sigma ignore
+time and the driver reads neither z nor u, the rows are cut once to the
+controls that can attain sup_u G at some node: within one upwind side a
+row of G is then monotone in (|sigma|^2 / 2, b), so a row that another
+row of its side dominates in both, with the signs of A and p, is never
+needed (`_attaining_rows`).  The rows it keeps give the same maximum,
+bit for bit; for example31 they are 3 of 11.
 """
 
 from __future__ import annotations
@@ -153,29 +154,23 @@ def _attaining_rows(b, half_s2):
     return np.flatnonzero(keep)
 
 
-def _pad_linear(v):
-    """Extend one ghost node per side by linear extrapolation."""
-    return np.concatenate(
-        ([2.0 * v[0] - v[1]], v, [2.0 * v[-1] - v[-2]])
-    )
-
-
 class _Sweep:
     """Backward-in-time sweep state with loop invariants hoisted.
 
-    `hamiltonian` gives G's rows, one per control, as (C, J+1) arrays at
-    the nodes `xs`; it needs no grid spacing, so `xs` may be one node.
-    `step` takes spatial derivatives with upwind first differences
-    (forward where b >= 0), central second differences, and
-    linear-extrapolation ghost nodes at both ends, and updates with the
-    maximum of G's rows.  `dt_bound` is the CFL bound of one time level
-    and `steps_passing` a step count on `span` = [t_start, T] whose every
-    step passes it.  When the problem's expression variables show b and
-    sigma are time-independent, they are evaluated once, and so is the
-    bound; otherwise once per step.  When the driver ignores z and u it
-    is evaluated once per call on (J+1,), and when b and sigma are static
-    as well the rows are cut once, here, to `_attaining_rows`; `controls`
-    holds the controls of the rows kept.
+    `hamiltonian` gives sup_u G at the nodes `xs`, the maximum of G's
+    rows, one per control; it needs no grid spacing, so `xs` may be one
+    node.  `step` writes the row and its two linear-extrapolation ghost
+    nodes into one buffer, takes one array of negated first differences,
+    from which each node gathers its upwind side's (forward where
+    b >= 0) by the index array `coefficients` gives, and the negated
+    central second difference, and updates with sup_u G.  `dt_bound` is
+    the CFL bound of one time level and `steps_passing` a step count on
+    `span` = [t_start, T] whose every step passes it.  When the problem's
+    expression variables show b and sigma are time-independent, they,
+    the upwind gather and the bound are computed once; otherwise once per
+    step.  When the driver ignores z and u it is evaluated once per call
+    on (J+1,), and when b and sigma are static as well the rows are cut
+    once, here, to `_attaining_rows`; `controls` holds the rows kept.
     """
 
     def __init__(self, spec, xs, controls, t_start=0.0):
@@ -189,6 +184,8 @@ class _Sweep:
         self.x_cols = xs[:, None]
         self.f_reads_zu = any(v[0] in "zu" for v in spec.f_variables)
         self.zeros_z = np.zeros((xs.size, spec.d))
+        self._nodes = np.arange(xs.size)
+        self._padded = np.empty(xs.size + 2)  # the row and one ghost node per side
         self.static_coeffs = None
         self._static_bound = None
         self._bind(controls)
@@ -208,37 +205,40 @@ class _Sweep:
         self.u = np.broadcast_to(controls[:, None, :], shape + (self.spec.k,))
 
     def coefficients(self, t):
-        """(b, sigma's row, upwind mask, |sigma|^2 / 2) at time t.
+        """(b, sigma's row, upwind gather, |sigma|^2 / 2) at time t.
 
         Each is (C, J+1), one row per control, but sigma's row, which is
-        (C, J+1, d).
+        (C, J+1, d).  The gather holds, per node j, the index into `step`'s
+        difference array of its upwind side: j + 1 where b >= 0, else j.
         """
         if self.static_coeffs is not None:
             return self.static_coeffs
         b = self.spec.drift(t, self.x, self.u)[..., 0]
         sg = self.spec.diffusion(t, self.x, self.u)[..., 0, :]
-        return b, sg, b >= 0.0, 0.5 * np.sum(sg * sg, axis=-1)
+        return b, sg, self._nodes + (b >= 0.0), 0.5 * np.sum(sg * sg, axis=-1)
 
     def hamiltonian(self, t, r, p, big_a, coeffs=None):
-        """G's rows: 0.5 |sigma|^2 A + p b + f(t, x, r, sigma^T p, u) per control."""
+        """sup_u G: per node the maximum over the controls' rows of
+        0.5 |sigma|^2 A + p b + f(t, x, r, sigma^T p, u).  An f that reads
+        neither z nor u is added after the maximum, which rounds the same
+        because rounding a + f is monotone in a."""
         b, sg, _, half_s2 = coeffs or self.coefficients(t)
         if self.f_reads_zu:
             fval = self.spec.driver(t, self.x, r, sg * p[..., None], self.u)
-        else:
-            fval = self.spec.driver(t, self.x_cols, r, self.zeros_z, self.u[0])
-        return half_s2 * big_a + p * b + fval
+            return (half_s2 * big_a + p * b + fval).max(axis=0)
+        fval = self.spec.driver(t, self.x_cols, r, self.zeros_z, self.u[0])
+        return (half_s2 * big_a + p * b).max(axis=0) + fval
 
     def step(self, v, t, dt, coeffs=None):
         """One explicit update of a value row at known time level t."""
         dx, dx2 = self._step_spacing
-        vp = _pad_linear(v)
-        dxx = (vp[2:] - 2.0 * vp[1:-1] + vp[:-2]) / dx2
-        fwd = (vp[2:] - vp[1:-1]) / dx
-        bwd = (vp[1:-1] - vp[:-2]) / dx
+        vp = self._padded
+        vp[0], vp[1:-1], vp[-1] = 2.0 * v[0] - v[1], v, 2.0 * v[-1] - v[-2]
+        # -(backward difference at j) = nd[j] = -(forward difference at j - 1)
+        nd = (vp[:-1] - vp[1:]) / dx
+        neg_dxx = ((2.0 * vp[1:-1] - vp[2:]) - vp[:-2]) / dx2
         coeffs = coeffs or self.coefficients(t)
-        up = coeffs[2]
-        g = self.hamiltonian(t, -v, -np.where(up, fwd, bwd), -dxx, coeffs)
-        return v - dt * g.max(axis=0)
+        return v - dt * self.hamiltonian(t, -v, nd[coeffs[2]], neg_dxx, coeffs)
 
     @cached_property
     def _step_spacing(self):
@@ -465,7 +465,7 @@ def viscosity_check(vgrid, spec, probe_points, fit_radius=3):
         g = _Sweep(spec, np.array([x0]), controls).hamiltonian(
             t0, -v[it, jx], np.array([-phi_x]), -phi_xx
         )
-        lhs = -phi_t + float(g.max())
+        lhs = -phi_t + float(g[0])
 
         res = ProbeResult(t=t0, x=x0)
         if np.all(gap >= -allowance):  # touches from above
@@ -516,12 +516,12 @@ def value_grid_csv(vgrid, path, max_time_slices=101):
     idx = list(range(0, times.size, stride))
     if idx[-1] != times.size - 1:
         idx.append(times.size - 1)
-    xs = vgrid.xs.tolist()
+    xs = [f",{x!r}," for x in vgrid.xs.tolist()]
     with open(path, "w") as fh:
         fh.write("t,x,v\n")
         for t, row in zip(times[idx].tolist(), vgrid.values[idx].tolist()):
-            for x, v in zip(xs, row):
-                fh.write(f"{t!r},{x!r},{v!r}\n")
+            t = repr(t)
+            fh.write("".join([f"{t}{x}{v!r}\n" for x, v in zip(xs, row)]))
 
 
 def value_grid_meta_json(vgrid, path):

@@ -43,6 +43,7 @@ unary minus, and exp, log, sin, cos, sqrt, abs, min, max.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -106,9 +107,19 @@ _FUNCTIONS = {
     "min": np.minimum,
     "max": np.maximum,
 }
-# functions only derivative trees call: sign for abs, and for min and max a
-# step with step(0) = 1/2
-_CALLS = {**_FUNCTIONS, "sign": np.sign, "step": lambda t: np.heaviside(t, 0.5)}
+# the operators and functions of evaluation: derivative trees also call sign,
+# for abs, and for min and max a step with step(0) = 1/2
+_OPERATIONS = {
+    **_FUNCTIONS, "sign": np.sign, "step": lambda t: np.heaviside(t, 0.5),
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+}
+# the operands the checked operations refuse: (operand, the comparison with
+# 0 that finds them, message)
+_REFUSED = {
+    "/": (1, np.equal, "division by zero"),
+    "log": (0, np.less_equal, "log of a nonpositive value"),
+    "sqrt": (0, np.less, "sqrt of a negative value"),
+}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
@@ -250,42 +261,48 @@ def _collect_vars(node, out):
             _collect_vars(a, out)
 
 
-def _eval_node(node, env, source):
+def _power(a, b, source):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.power(a, b)
+    if not np.all(np.isfinite(r)):
+        raise DomainError(f"invalid power in {source!r}")
+    return r
+
+
+def _compile(node, source):
+    """`node` as a function of an environment: nested closures, one per
+    node, each doing its node's operation and domain check."""
     kind = node[0]
     if kind == "num":
-        return node[1]
+        value = node[1]
+        return lambda env: value
     if kind == "var":
-        return env[node[1]]
+        name = node[1]
+        return lambda env: env[name]
     if kind == "neg":
-        return -_eval_node(node[1], env, source)
-    if kind == "bin":
-        op = node[1]
-        a = _eval_node(node[2], env, source)
-        b = _eval_node(node[3], env, source)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if np.any(b == 0):
-                raise DomainError(f"division by zero in {source!r}")
-            return a / b
-        # '^'
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = np.power(a, b)
-        if not np.all(np.isfinite(r)):
-            raise DomainError(f"invalid power in {source!r}")
-        return r
-    # call
-    name, args = node[1], node[2]
-    vals = [_eval_node(a, env, source) for a in args]
-    if name == "log" and np.any(vals[0] <= 0):
-        raise DomainError(f"log of a nonpositive value in {source!r}")
-    if name == "sqrt" and np.any(vals[0] < 0):
-        raise DomainError(f"sqrt of a negative value in {source!r}")
-    return _CALLS[name](*vals)
+        arg = _compile(node[1], source)
+        return lambda env: -arg(env)
+    name = node[1]
+    args = [_compile(a, source) for a in (node[2:] if kind == "bin" else node[2])]
+    if name == "^":
+        left, right = args
+        return lambda env: _power(left(env), right(env), source)
+    fn = _OPERATIONS[name]
+    if name in _REFUSED:
+        pos, refused, what = _REFUSED[name]
+
+        def checked(env):
+            vals = [a(env) for a in args]
+            if np.any(refused(vals[pos], 0)):
+                raise DomainError(f"{what} in {source!r}")
+            return fn(*vals)
+
+        return checked
+    if len(args) == 2:
+        left, right = args
+        return lambda env: fn(left(env), right(env))
+    (arg,) = args
+    return lambda env: fn(arg(env))
 
 
 _ZERO, _ONE = ("num", 0.0), ("num", 1.0)
@@ -367,16 +384,19 @@ class CoefficientExpr:
     tree: tuple
     variables: frozenset
 
+    def __post_init__(self):
+        self._evaluate = _compile(self.tree, self.source)
+
     def evaluate(self, env):
         """Evaluate on an environment of (broadcastable) numpy arrays."""
-        return _eval_node(self.tree, env, self.source)
+        return self._evaluate(env)
 
     def derivative(self, var):
-        """The partial derivative in `var`, as an expression on the same source."""
+        """The partial derivative in `var`, labelled d(source)/d`var`."""
         tree = _derivative(self.tree, var)
         used = set()
         _collect_vars(tree, used)
-        return CoefficientExpr(self.source, tree, frozenset(used))
+        return CoefficientExpr(f"d({self.source})/d{var}", tree, frozenset(used))
 
 
 def parse_expression(text, allowed_vars, line=1, col0=0):

@@ -186,6 +186,20 @@ def test_nonpositive_q_paths_recorded(tmp_path):
     assert adjoint["pass"] is False
 
 
+def test_derived_gradient_domain_error_names_the_derivative(tmp_path):
+    # b_u = x / (2 sqrt(u)) is undefined at u = 0, where b itself is defined
+    (tmp_path / "root.cfg").write_text(_problem_text(["x1 * sqrt(u1)"], ["x1"], "x1 - y", "x1"))
+    res = _run(
+        ["run", "--problem", "root.cfg", "--stage", "forward", "--stage",
+         "backward", "--stage", "adjoint", "--M", "500", "--N", "20",
+         "--seed", "3", "--out", "r"],
+        tmp_path,
+    )
+    assert res.returncode == 1, res.stderr
+    adjoint = _summary(tmp_path / "r")["stages"][2]
+    assert adjoint["metrics"]["error"] == "division by zero in 'd(x1 * sqrt(u1))/du1'"
+
+
 def test_stage_raising_midway_stops_the_run(tmp_path, monkeypatch):
     def diverge(*args, **kwargs):
         raise problem.ProblemError("adjoint diverged")

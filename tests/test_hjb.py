@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -153,8 +155,8 @@ def _g_row(spec, t, x, r, p, big_a, u):
     """G at one node and one control, from the sweep's G rows."""
     sweep = H._Sweep(spec, np.array([x]), np.array([[u]]))
     g = sweep.hamiltonian(t, r, np.array([p]), big_a)
-    assert g.shape == (1, 1)
-    return float(g[0, 0])
+    assert g.shape == (1,)
+    return float(g[0])
 
 
 def test_generalized_hamiltonian_hand_values(spec31):
@@ -422,3 +424,17 @@ def test_cfl_ratio_is_against_the_tightest_step_bound():
     sig2 = (1.0 + 5.0 * np.sin(20.0 * grid.times[1:])) ** 2
     tightest = np.min(dx * dx / (sig2 + dx * 2.0 + dx * dx))
     assert vg.cfl_ratio == pytest.approx(grid.dt / tightest, rel=1e-12)
+
+
+def test_non_finite_value_refused_at_its_time_level():
+    # f is +inf at every node, so the first step, at time level N - 1,
+    # leaves -inf; the refusal names that level and no step warns
+    spec = P.spec_from_expressions(
+        1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"], "x1 - y + 1e308 * 10", "x1"
+    )
+    grid = H.cfl_time_grid(spec, 2.0, 20, 11)
+    assert grid.steps == 111
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(P.ProblemError, match="non-finite value at time level 110"):
+            H.solve_hjb_fd(spec, 2.0, 20, grid, 11)

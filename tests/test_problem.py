@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -170,10 +171,24 @@ def test_evaluator_output_is_fresh_with_the_batch_shape(f):
 
 
 def test_expression_domain_errors():
-    for text in ("log(x1)", "sqrt(x1)", "1 / x1"):
+    cases = [
+        ("log(x1)", [-1.0, 1.0], "log of a nonpositive value"),
+        ("sqrt(x1)", [-1.0, 1.0], "sqrt of a negative value"),
+        ("1 / x1", [0.0, 1.0], "division by zero"),
+        ("x1 ^ 0.5", [-1.0, 1.0], "invalid power"),
+        # each check also holds nested inside a compound expression
+        ("x1 + 1 / (x1 - 1)", [1.0, 2.0], "division by zero"),
+        ("2 * log(x1 - 1)", [1.0, 2.0], "log of a nonpositive value"),
+        ("1 + sqrt(x1 - 2) * x1", [1.0, 2.0], "sqrt of a negative value"),
+        ("-(x1 - 1) ^ 0.5 + x1", [0.0, 1.0], "invalid power"),
+        ("max(x1, 2 * x1 ^ -1)", [0.0, 1.0], "invalid power"),
+    ]
+    for text, x, message in cases:
         expr = P.parse_expression(text, ["x1"])
-        with pytest.raises(P.DomainError):
-            expr.evaluate({"x1": np.array([-1.0, 1.0]) * (0.0 if "/" in text else 1.0)})
+        with pytest.raises(P.DomainError, match=re.escape(f"{message} in {text!r}")):
+            expr.evaluate({"x1": np.array(x)})
+        # the second point alone is inside the domain
+        expr.evaluate({"x1": np.array(x[1:])})
 
 
 # central differences: the reference the derived gradients are checked against
