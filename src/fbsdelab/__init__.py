@@ -18,7 +18,6 @@ from .adjoint import (
 from .backward import (
     BackwardSolution,
     CostReport,
-    RegressionError,
     backward_perturbation_probe,
     solve_backward,
 )

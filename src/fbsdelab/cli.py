@@ -402,15 +402,16 @@ def _build_parser():
         p.add_argument(
             "--problem", dest="problem_path", help="path to a problem config file"
         )
-        p.add_argument("--M", type=int, default=20000, dest="m_paths")
-        p.add_argument("--N", type=int, default=100, dest="n_steps")
-        p.add_argument("--L", type=float, default=2.0, dest="half_width")
-        p.add_argument("--J", type=int, default=200, dest="j_cells")
-        p.add_argument("--pdeg", type=int, default=3, dest="p_deg")
-        p.add_argument("--ugrid", type=int, default=11, dest="control_grid_size")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--picard", type=int, default=0, dest="n_picard")
-        p.add_argument("--out", default="out", dest="out_dir")
+        # no defaults here: an option not given keeps ExperimentConfig's
+        p.add_argument("--M", type=int, dest="m_paths")
+        p.add_argument("--N", type=int, dest="n_steps")
+        p.add_argument("--L", type=float, dest="half_width")
+        p.add_argument("--J", type=int, dest="j_cells")
+        p.add_argument("--pdeg", type=int, dest="p_deg")
+        p.add_argument("--ugrid", type=int, dest="control_grid_size")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--picard", type=int, dest="n_picard")
+        p.add_argument("--out", dest="out_dir")
 
     run_p = sub.add_parser("run", help="execute pipeline stages")
     common(run_p)

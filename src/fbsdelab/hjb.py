@@ -12,17 +12,17 @@ extrapolation of the outermost two nodes as the boundary rule.  The
 explicit update is monotone in the neighboring values provided each
 step's dt satisfies the CFL bound of its own time level t,
 
-    dt <= dx^2 / (max |sigma(t)|^2 + dx max |b(t)| + c0),
+    dt <= dx^2 / (max |sigma|^2 + dx max |b| + dx max |sigma f_z| + dx^2 max |f_y|),
 
-with the maxima over the grid's nodes and controls, the nominal spacing
-dx = 2L / J, and c0 = dx max sum_j |sigma_1j f_zj| + dx^2 max |f_y|, the
-driver's share, taken once over five time levels.  `_Sweep.dt_bound` is
-that bound and the only place it is computed: `solve_hjb_fd` checks
-every step against it just before the step and refuses the first step
-that exceeds it, and `cfl_time_grid` raises N from the bound of the five
-levels until every step passes.  When b and sigma ignore time the bound
-is one number.  Monotone schemes of this type converge to the PDE's
-viscosity solution, which is why one is used here.
+with every term taken at t, the maxima over the grid's nodes and
+controls, |sigma f_z| = sum_j |sigma_1j f_zj|, the nominal spacing
+dx = 2L / J, and f_y and f_z at y = -phi(x), z = 0.  The last two terms,
+the driver's share, are exact for drivers affine in (y, z).
+`_Sweep.dt_bound` is that bound and the only place it is computed:
+`solve_hjb_fd` refuses the first step that exceeds it, and
+`cfl_time_grid` raises N until every step passes.  When b, sigma and f
+ignore time the bound is one number.  Monotone schemes of this type
+converge to the PDE's viscosity solution, which is why one is used here.
 
 One method, `_Sweep.hamiltonian`, gives sup_u G over the controls of the
 grid, the maximum of G's (C, J+1) rows, one per control, with a driver
@@ -102,17 +102,16 @@ def _grid_sweep(spec, half_width, n_cells, control_grid_size, t_start):
 
 
 def cfl_max_dt(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
-    """Largest monotone time step at five time levels of [t_start, T]; for b
-    and sigma that ignore time, at every one."""
+    """The tightest CFL bound over the steps of `cfl_time_grid`'s grid."""
     sweep = _grid_sweep(spec, half_width, n_cells, control_grid_size, t_start)
-    return sweep.probe_bound()
+    return min(map(sweep.dt_bound, sweep.passing_grid().times[1:]))
 
 
 def cfl_time_grid(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
     """TimeGrid on [t_start, T] whose every step passes the CFL bound of its
     own time level, as `solve_hjb_fd` checks it."""
     sweep = _grid_sweep(spec, half_width, n_cells, control_grid_size, t_start)
-    return TimeGrid(*sweep.span, sweep.steps_passing())
+    return sweep.passing_grid()
 
 
 def _coefficients_static(spec):
@@ -164,13 +163,15 @@ class _Sweep:
     from which each node gathers its upwind side's (forward where
     b >= 0) by the index array `coefficients` gives, and the negated
     central second difference, and updates with sup_u G.  `dt_bound` is
-    the CFL bound of one time level and `steps_passing` a step count on
-    `span` = [t_start, T] whose every step passes it.  When the problem's
-    expression variables show b and sigma are time-independent, they,
-    the upwind gather and the bound are computed once; otherwise once per
-    step.  When the driver ignores z and u it is evaluated once per call
-    on (J+1,), and when b and sigma are static as well the rows are cut
-    once, here, to `_attaining_rows`; `controls` holds the rows kept.
+    the CFL bound of one time level, from that level's own b, sigma,
+    f_y and f_z, and `passing_grid` a grid on `span` = [t_start, T]
+    whose every step passes it.  When the problem's expression variables
+    show b and sigma are time-independent, they and the upwind gather
+    are computed once, otherwise once per step; the bound is computed
+    once when f ignores time as well.  When the driver ignores z and u
+    it is evaluated once per call on (J+1,), and when b and sigma are
+    static as well the rows are cut once, here, to `_attaining_rows`;
+    `controls` holds the rows kept.
     """
 
     def __init__(self, spec, xs, controls, t_start=0.0):
@@ -179,17 +180,18 @@ class _Sweep:
         self.spec = spec
         self.xs = xs
         self.span = (t_start, spec.horizon)
-        # the time levels of the driver's share c0 and of `probe_bound`
-        self.probe_times = np.linspace(t_start, spec.horizon, 5)
         self.x_cols = xs[:, None]
         self.f_reads_zu = any(v[0] in "zu" for v in spec.f_variables)
         self.zeros_z = np.zeros((xs.size, spec.d))
         self._nodes = np.arange(xs.size)
         self._padded = np.empty(xs.size + 2)  # the row and one ghost node per side
+        static = _coefficients_static(spec)
         self.static_coeffs = None
         self._static_bound = None
+        self._bound_is_static = static and "s" not in spec.f_variables
+        self._y_probe = -spec.terminal(self.x_cols)  # y = -phi(x)
         self._bind(controls)
-        if _coefficients_static(spec):
+        if static:
             self.static_coeffs = self.coefficients(0.0)
             if not self.f_reads_zu:
                 b, _, _, half_s2 = self.static_coeffs
@@ -251,52 +253,37 @@ class _Sweep:
         """The nominal spacing 2L / J, which `ValueGrid.dx` reports too."""
         return float(self.xs[-1] - self.xs[0]) / (self.xs.size - 1)
 
-    @cached_property
-    def c0(self):
-        """The driver's share of the bound, over the five probe levels: f_y
-        and f_z at y = -phi(x) and z = 0."""
-        y_probe = -self.spec.terminal(self.x_cols)
-        max_fy = max_sfz = 0.0
-        for t in self.probe_times:
-            sg = self.coefficients(t)[1]
-            fy = self.spec.driver_y(t, self.x, y_probe, self.zeros_z, self.u)
-            fz = self.spec.driver_z(t, self.x, y_probe, self.zeros_z, self.u)
-            max_fy = max(max_fy, float(np.max(np.abs(fy))))
-            sfz = np.sum(np.abs(sg * fz), axis=-1)
-            max_sfz = max(max_sfz, float(np.max(sfz)))
-        return self.dx * max_sfz + self.dx * self.dx * max_fy
-
     def dt_bound(self, t, coeffs=None):
-        """The CFL bound of time level t's own b and sigma, or of `coeffs`,
-        the level's `coefficients`: dx^2 / (max |sigma|^2 + dx max |b| + c0)."""
+        """The CFL bound of time level t, from its own b and sigma (or
+        `coeffs`, the level's `coefficients`) and its f_y and f_z."""
         if self._static_bound is not None:
             return self._static_bound
-        b, _, _, half_s2 = coeffs or self.coefficients(t)
-        dx, max_b = self.dx, float(np.max(np.abs(b)))
-        denom = 2.0 * float(np.max(half_s2)) + dx * max_b + self.c0
+        b, sg, _, half_s2 = coeffs or self.coefficients(t)
+        args = (t, self.x, self._y_probe, self.zeros_z, self.u)
+        max_fy = float(np.max(np.abs(self.spec.driver_y(*args))))
+        sfz = np.sum(np.abs(sg * self.spec.driver_z(*args)), axis=-1)
+        dx, max_b, max_sfz = self.dx, float(np.max(np.abs(b))), float(np.max(sfz))
+        driver_share = dx * max_sfz + dx * dx * max_fy
+        denom = 2.0 * float(np.max(half_s2)) + dx * max_b + driver_share
         bound = np.inf if denom == 0.0 else dx * dx / denom
-        if self.static_coeffs is not None:
+        if self._bound_is_static:
             self._static_bound = bound
         return bound
 
-    def probe_bound(self):
-        """The tightest bound of the five probe levels."""
-        return min(map(self.dt_bound, self.probe_times))
+    def passing_grid(self):
+        """TimeGrid on `span` whose every step passes its own CFL bound.
 
-    def steps_passing(self):
-        """Step count on `span` whose every step passes its own CFL bound.
-
-        Starts from the five levels' bound, checks the bound at each step
-        time of the candidate grid and raises N to the tightest bound seen
-        until one grid passes every step.  For static b and sigma the
-        first candidate passes.
+        Starts from one step, checks the bound at each step time of the
+        candidate grid and raises N to the tightest bound seen until one
+        grid passes every step.  For a static bound the first or the
+        second candidate passes.
         """
-        n = _steps_for(self.span, self.probe_bound())
+        n = 1
         while True:
             grid = TimeGrid(*self.span, n)
             bound = min(map(self.dt_bound, grid.times[1:]))
             if not _exceeds(grid.dt, bound):
-                return n
+                return grid
             n = max(n + 1, _steps_for(self.span, bound))
 
 
@@ -328,7 +315,7 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
         bound = sweep.dt_bound(t, coeffs)
         if bound < tightest:  # a looser bound passes where a tighter one did
             if _exceeds(dt, bound):
-                raise CFLError(dt, bound, sweep.steps_passing(), sweep.span)
+                raise CFLError(dt, bound, sweep.passing_grid().steps, sweep.span)
             tightest = bound
         values[i] = sweep.step(values[i + 1], t, dt, coeffs)
         if not np.isfinite(values[i]).all():

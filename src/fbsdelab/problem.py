@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -382,9 +382,12 @@ class CoefficientExpr:
 
     source: str
     tree: tuple
-    variables: frozenset
+    variables: frozenset = field(init=False)  # the names the tree reads
 
     def __post_init__(self):
+        used = set()
+        _collect_vars(self.tree, used)
+        self.variables = frozenset(used)
         self._evaluate = _compile(self.tree, self.source)
 
     def evaluate(self, env):
@@ -393,10 +396,7 @@ class CoefficientExpr:
 
     def derivative(self, var):
         """The partial derivative in `var`, labelled d(source)/d`var`."""
-        tree = _derivative(self.tree, var)
-        used = set()
-        _collect_vars(tree, used)
-        return CoefficientExpr(f"d({self.source})/d{var}", tree, frozenset(used))
+        return CoefficientExpr(f"d({self.source})/d{var}", _derivative(self.tree, var))
 
 
 def parse_expression(text, allowed_vars, line=1, col0=0):
@@ -406,10 +406,8 @@ def parse_expression(text, allowed_vars, line=1, col0=0):
     on references to variables outside the allowed set.
     """
     tokens = _tokenize(text, line, col0)
-    tree = _Parser(tokens, line).parse()
-    used = set()
-    _collect_vars(tree, used)
-    bad = used - set(allowed_vars)
+    expr = CoefficientExpr(text, _Parser(tokens, line).parse())
+    bad = expr.variables - set(allowed_vars)
     if bad:
         # report the first offending occurrence with its column
         for tok in tokens:
@@ -418,7 +416,7 @@ def parse_expression(text, allowed_vars, line=1, col0=0):
                     f"variable {tok[1]!r} not available here", line, tok[2]
                 )
         raise ExpressionSyntaxError(f"undeclared variables {sorted(bad)}", line, col0)
-    return CoefficientExpr(text, tree, frozenset(used))
+    return expr
 
 
 # --------------------------------------------------------------------------
@@ -428,12 +426,6 @@ def parse_expression(text, allowed_vars, line=1, col0=0):
 
 def _names(prefix, count):
     return [f"{prefix}{i + 1}" for i in range(count)]
-
-
-_GRADIENTS = (
-    "drift_x", "diffusion_x", "driver_x", "driver_y", "driver_z", "terminal_x",
-    "drift_u", "diffusion_u", "driver_u",
-)
 
 
 @dataclass
@@ -464,15 +456,15 @@ class ProblemSpec:
     # b_x (..., n, n), sigma_x (..., n, d, n), f_x (..., n), f_y (...,), f_z
     # (..., d), phi_x (..., n), b_u (..., n, k), sigma_u (..., n, d, k), f_u
     # (..., k); spec_from_expressions derives them
-    drift_x: callable = None
-    diffusion_x: callable = None
-    driver_x: callable = None
-    driver_y: callable = None
-    driver_z: callable = None
-    terminal_x: callable = None
-    drift_u: callable = None
-    diffusion_u: callable = None
-    driver_u: callable = None
+    drift_x: callable
+    diffusion_x: callable
+    driver_x: callable
+    driver_y: callable
+    driver_z: callable
+    terminal_x: callable
+    drift_u: callable
+    diffusion_u: callable
+    driver_u: callable
     lipschitz_hint: float = 1.0
     name: str = ""
 
@@ -489,9 +481,6 @@ class ProblemSpec:
                 f"empty control box: lo[{i}] = {self.control_lo[i]} > "
                 f"hi[{i}] = {self.control_hi[i]}"
             )
-        for grad in _GRADIENTS:
-            if getattr(self, grad) is None:
-                raise ProblemError(f"gradient {grad} is missing")
 
     def control_inside(self, u, atol=1e-12):
         u = np.asarray(u, dtype=float)
@@ -656,12 +645,15 @@ def _parse_kv_lines(text):
     return data, headers
 
 
-def _as_int(item, key):
+def _as_dimension(item, key):
     value, line, col = item
     try:
-        return int(value)
+        size = int(value)
     except ValueError:
         raise ConfigError(f"{key} must be an integer, got {value!r}", line, col)
+    if size < 1:
+        raise ConfigError(f"{key} must be >= 1, got {size}", line, col)
+    return size
 
 
 def _as_float(item, key):
@@ -720,7 +712,7 @@ def parse_problem(config_text):
             raise ConfigError(msg, headers[section], 1)
         return data[section][key]
 
-    n, d, k = (_as_int(need("dims", key), key) for key in ("n", "d", "k"))
+    n, d, k = (_as_dimension(need("dims", key), key) for key in ("n", "d", "k"))
     hint = 1.0
     if "lipschitz_hint" in data["dims"]:
         hint = _as_float(data["dims"]["lipschitz_hint"], "lipschitz_hint")

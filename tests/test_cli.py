@@ -200,6 +200,23 @@ def test_derived_gradient_domain_error_names_the_derivative(tmp_path):
     assert adjoint["metrics"]["error"] == "division by zero in 'd(x1 * sqrt(u1))/du1'"
 
 
+def test_non_finite_backward_solution_fails_the_stage(tmp_path):
+    # exp(50 * y) overflows: the run stops at the backward stage, and its
+    # summary stays strict JSON, with no NaN
+    text = _problem_text(["x1 * u1"], ["x1"], "exp(50 * y)", "x1 + 10")
+    (tmp_path / "exp.cfg").write_text(text + "[initial]\nt = 0.0\nx = 1.0\n")
+    res = _run(
+        ["run", "--problem", "exp.cfg", "--stage", "forward", "--stage",
+         "backward", "--M", "200", "--N", "10", "--out", "e"],
+        tmp_path,
+    )
+    assert res.returncode == 1, res.stderr
+    text = (tmp_path / "e" / "summary.json").read_text()
+    backward_stage = json.loads(text, parse_constant=pytest.fail)["stages"][1]
+    assert backward_stage["metrics"] == {"error": "non-finite Y or Z at step 9"}
+    assert not (tmp_path / "e" / "cost.json").exists()
+
+
 def test_stage_raising_midway_stops_the_run(tmp_path, monkeypatch):
     def diverge(*args, **kwargs):
         raise problem.ProblemError("adjoint diverged")
@@ -366,6 +383,11 @@ def test_config_validation_in_process():
     both = cli.ExperimentConfig(builtin="example31", problem_path="x")
     with pytest.raises(cli.ConfigurationError):
         both.validate()
+
+
+def test_options_not_given_keep_the_config_defaults():
+    args = cli._build_parser().parse_args(["run", "--builtin", "example31"])
+    assert cli._config_from_args(args) == cli.ExperimentConfig(builtin="example31")
 
 
 def _csv_column(path, name):

@@ -39,18 +39,16 @@ def _oscillating_sigma():
     )
 
 
-def _five_level_grid(spec, half_width, n_cells):
-    """The grid of `cfl_max_dt`'s bound alone, from five sampled time levels."""
-    dt_max = H.cfl_max_dt(spec, half_width, n_cells, 11)
-    return F.TimeGrid(0.0, spec.horizon, int(np.ceil(spec.horizon / dt_max)))
+# Too coarse for `_oscillating_sigma` at L = 2: the N of a bound taken
+# from sigma at five time levels only, where sigma^2 is at most 30.9;
+# between them it reaches 36, so dt is 1.16 times too large at the worst
+# steps.
+_FIVE_LEVEL_N = {20: 786, 100: 19405}
 
 
 def test_time_dependent_cfl_checked_each_step():
-    # cfl_max_dt samples sigma at five time levels, where sigma^2 is at
-    # most 30.9; between them it reaches 36, so dt on that bound's grid is
-    # 1.16 times too large at the worst steps
     spec = _oscillating_sigma()
-    grid = _five_level_grid(spec, 2.0, 100)
+    grid = F.TimeGrid(0.0, 1.0, _FIVE_LEVEL_N[100])
     with pytest.raises(H.CFLError, match="use at least N") as err:
         H.solve_hjb_fd(spec, 2.0, 100, grid, 11)
     assert err.value.n_required > grid.steps
@@ -89,7 +87,7 @@ _PRUNED_PROBLEMS = {
 
 def _sweep_problem(name):
     if name == "time_dependent":
-        # sigma grows with s, so the last of the five probe levels is its maximum
+        # sigma grows with s, so each step has its own CFL bound
         return P.spec_from_expressions(
             1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1 * (1 + s)"],
             "x1 - y + u1", "x1",
@@ -363,7 +361,7 @@ def test_mid_sweep_refusal_names_a_passing_step_count():
     # the refusal checks sigma at every step time of its candidate grids,
     # so one rerun with its N is not refused again
     spec = _oscillating_sigma()
-    grid = _five_level_grid(spec, 2.0, 20)
+    grid = F.TimeGrid(0.0, 1.0, _FIVE_LEVEL_N[20])
     with pytest.raises(H.CFLError, match="use at least N") as err:
         H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
     n_required = err.value.n_required
@@ -374,10 +372,9 @@ def test_mid_sweep_refusal_names_a_passing_step_count():
 
 
 def test_cfl_time_grid_passes_every_step_of_time_dependent_coefficients():
-    # the five levels' bound alone gives N = 786 here, which the sweep refuses
     spec = _oscillating_sigma()
     grid = H.cfl_time_grid(spec, 2.0, 20, 11)
-    assert grid.steps > _five_level_grid(spec, 2.0, 20).steps
+    assert grid.steps > _FIVE_LEVEL_N[20]
     vg = H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
     assert vg.cfl_ratio <= 1.0
     assert np.all(np.isfinite(vg.values))
@@ -398,8 +395,8 @@ def test_solve_builds_one_sweep(spec31, monkeypatch):
 
 
 def test_time_dependent_solve_evaluates_b_once_per_step():
-    # N steps, and the five probe levels of the driver's share c0; no
-    # scan before the sweep
+    # once per step, where the step and its CFL bound share the level's
+    # coefficients; no scan before the sweep
     spec, half_width = _sweep_problem("time_dependent")
     grid = H.cfl_time_grid(spec, half_width, 100, 11)
     drift, calls = spec.drift, []
@@ -410,13 +407,13 @@ def test_time_dependent_solve_evaluates_b_once_per_step():
 
     spec.drift = counted
     H.solve_hjb_fd(spec, half_width, 100, grid, 11)
-    assert len(calls) <= grid.steps + 5
+    assert len(calls) == grid.steps
 
 
 def test_cfl_ratio_is_against_the_tightest_step_bound():
-    # sigma^2 = (1 + 5 sin(20 s))^2 reaches 36 between the five probe
-    # levels, where it is at most 30.9; max |b| = 2 (x = 2, u = 1), and
-    # f = x1 - y has f_y = -1 and f_z = 0, so c0 = dx^2
+    # sigma^2 = (1 + 5 sin(20 s))^2 peaks at 36; max |b| = 2 (x = 2,
+    # u = 1), and f = x1 - y has f_y = -1 and f_z = 0, so the driver's
+    # share is dx^2
     spec = _oscillating_sigma()
     grid = H.cfl_time_grid(spec, 2.0, 20, 11)
     vg = H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
@@ -438,3 +435,35 @@ def test_non_finite_value_refused_at_its_time_level():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(P.ProblemError, match="non-finite value at time level 110"):
             H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
+
+
+def _decreasing_nodes(spec, xs, row, t, dt):
+    """Interior nodes whose update at time level t decreases when the
+    value of some single node is raised by 1e-3."""
+    base = H.sweep_step(spec, xs, row, t, dt, 11)
+    nodes = set()
+    for m in range(xs.size):
+        raised = row.copy()
+        raised[m] += 1e-3
+        upd = H.sweep_step(spec, xs, raised, t, dt, 11)
+        nodes |= set(np.flatnonzero(upd[1:-1] < base[1:-1] - 1e-13) + 1)
+    return nodes
+
+
+def test_time_dependent_driver_bound_checked_each_step():
+    # |f_y| = 400 sin(20 s)^2 peaks at s = pi/40, between five levels
+    # spread over [0, 1]; a bound with f_y from those levels alone gives
+    # N = 478, whose steps near the peak are not monotone
+    spec = P.spec_from_expressions(
+        1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"],
+        "x1 - 400 * sin(20 * s) ^ 2 * y", "x1",
+    )
+    with pytest.raises(H.CFLError, match="use at least N"):
+        H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, 478), 11)
+    grid = H.cfl_time_grid(spec, 2.0, 20, 11)
+    vg = H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
+    assert vg.cfl_ratio <= 1.0
+    i = int(np.argmin(np.abs(grid.times - np.pi / 40)))
+    t, row = grid.times[i], vg.values[i]
+    assert _decreasing_nodes(spec, vg.xs, row, t, grid.dt) == set()
+    assert _decreasing_nodes(spec, vg.xs, row, t, 1.0 / 478) != set()

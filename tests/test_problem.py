@@ -91,13 +91,25 @@ def test_unknown_key_reported_before_missing_section():
         ),
         (EXAMPLE_CONFIG + "\n[initial]\nt = 2.0\nx = 0.0\n", "initial time", 21),
         (EXAMPLE_CONFIG.replace("T = 1.0", "T = 0.0"), "strictly positive", 8),
+        # a zero dimension: its own line, before the b1 it makes unknown
+        (EXAMPLE_CONFIG.replace("n = 1", "n = 0"), "n must be >= 1, got 0", 3),
+        (EXAMPLE_CONFIG.replace("k = 1", "k = -2"), "k must be >= 1, got -2", 5),
     ],
-    ids=["key", "coefficient", "section", "control_box", "initial_t", "horizon"],
+    ids=[
+        "key", "coefficient", "section", "control_box", "initial_t", "horizon",
+        "zero_n", "negative_k",
+    ],
 )
 def test_config_errors_carry_a_line(bad, match, line):
     with pytest.raises(P.ConfigError, match=match) as err:
         P.parse_problem(bad)
     assert err.value.line == line
+
+
+def test_zero_dimension_points_at_its_value():
+    with pytest.raises(P.ConfigError, match="d must be >= 1") as err:
+        P.parse_problem(EXAMPLE_CONFIG.replace("d = 1", "d = 0"))
+    assert (err.value.line, err.value.col) == (4, 5)
 
 
 def test_missing_sigma_entry_rejected():
@@ -389,8 +401,14 @@ def test_builtin_gradients_are_their_closed_forms():
 
 
 def test_spec_without_a_gradient_is_rejected(spec31):
-    with pytest.raises(P.ProblemError, match="gradient driver_z"):
-        dataclasses.replace(spec31, driver_z=None)
+    # every gradient is a required field
+    fields = {
+        f.name: getattr(spec31, f.name)
+        for f in dataclasses.fields(spec31)
+        if f.name != "driver_z"
+    }
+    with pytest.raises(TypeError, match="driver_z"):
+        P.ProblemSpec(**fields)
 
 
 def test_unknown_builtin():
