@@ -10,7 +10,6 @@ from .adjoint import (
     AdjointTriple,
     MaxConditionReport,
     check_maximum_condition,
-    hamiltonian,
     solve_adjoint,
     solve_pk,
     solve_q,

@@ -138,9 +138,7 @@ def _q_max_error(q, grid, t0):
 def _adjoint_stage(config, state):
     spec, batch, sol = state["spec"], state["batch"], state["backward"]
     triple = state["adjoint"] = adjoint_mod.solve_adjoint(spec, batch, sol)
-    mc = adjoint_mod.check_maximum_condition(
-        spec, batch, sol, triple, control_grid_size=config.control_grid_size
-    )
+    mc = adjoint_mod.check_maximum_condition(spec, batch, sol, triple)
     q_path_min = triple.q.swapaxes(0, 1).min(axis=0)  # (M,), over time-major rows
     n_bad = int(np.count_nonzero(q_path_min <= 0.0))
     metrics = {
@@ -408,7 +406,10 @@ def _build_parser():
         p.add_argument("--L", type=float, dest="half_width")
         p.add_argument("--J", type=int, dest="j_cells")
         p.add_argument("--pdeg", type=int, dest="p_deg")
-        p.add_argument("--ugrid", type=int, dest="control_grid_size")
+        p.add_argument(
+            "--ugrid", type=int, dest="control_grid_size",
+            help="points per axis of the HJB control grid",
+        )
         p.add_argument("--seed", type=int)
         p.add_argument("--picard", type=int, dest="n_picard")
         p.add_argument("--out", dest="out_dir")

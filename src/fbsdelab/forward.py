@@ -156,7 +156,7 @@ def simulate_forward(spec, control, t, x, grid, n_paths, seed):
     control = np.array(control, dtype=float, ndmin=1)
     if control.shape != (spec.k,):
         raise SimulationError(f"control must have shape ({spec.k},)")
-    if not spec.control_inside(control, atol=0.0):
+    if not spec.control_inside(control):
         raise ControlBoxError(f"control {control} outside the control box")
     dw = generate_increments(grid, n_paths, spec.d, seed)
     dw_t = dw.swapaxes(0, 1)

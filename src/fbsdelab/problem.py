@@ -482,11 +482,9 @@ class ProblemSpec:
                 f"hi[{i}] = {self.control_hi[i]}"
             )
 
-    def control_inside(self, u, atol=1e-12):
+    def control_inside(self, u):
         u = np.asarray(u, dtype=float)
-        return bool(
-            np.all(u >= self.control_lo - atol) and np.all(u <= self.control_hi + atol)
-        )
+        return bool(np.all(u >= self.control_lo) and np.all(u <= self.control_hi))
 
 
 def _evaluator(exprs, shape, signature):

@@ -118,17 +118,11 @@ def test_criterion_4_bsde_oracle_equivalence(spec31):
 
 def test_criterion_5_maximum_condition(pipeline_optimal, pipeline_suboptimal, spec31):
     pipe = pipeline_optimal
-    rep_opt = A.check_maximum_condition(
-        spec31, pipe["batch"], pipe["sol"], pipe["triple"],
-        control_grid_size=11,
-    )
+    rep_opt = A.check_maximum_condition(spec31, pipe["batch"], pipe["sol"], pipe["triple"])
     optimal_ok = bool(np.all(rep_opt.residuals == 0.0)) and rep_opt.passed
 
     sub = pipeline_suboptimal
-    rep_sub = A.check_maximum_condition(
-        spec31, sub["batch"], sub["sol"], sub["triple"],
-        control_grid_size=11,
-    )
+    rep_sub = A.check_maximum_condition(spec31, sub["batch"], sub["sol"], sub["triple"])
     suboptimal_ok = rep_sub.worst < -1e-2 and not rep_sub.passed
     _report(
         5,

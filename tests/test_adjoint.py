@@ -172,16 +172,41 @@ def test_connection_accepts_path_major_arrays(spec31, zero_control, vgrid100):
     assert reports[0].to_json() == reports[1].to_json()
 
 
+def _hamiltonian(spec, t, x, y, z, u, p, q, k):
+    """Reference H = <p, b> - q f + tr[sigma^T k] at one point or a batch of
+    points, whose control differences the H_u test takes."""
+    scalar = np.ndim(x) <= 1 and np.ndim(u) <= 1
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    u2 = np.atleast_2d(np.asarray(u, dtype=float))
+    if not spec.control_inside(u2):
+        raise P.ControlBoxError(f"control {u} outside the control box")
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    p2 = np.atleast_2d(np.asarray(p, dtype=float))
+    q1 = np.atleast_1d(np.asarray(q, dtype=float))
+    k2 = np.asarray(k, dtype=float).reshape(-1, spec.n, spec.d)
+
+    b = spec.drift(t, x, u2)
+    sg = spec.diffusion(t, x, u2)
+    f = spec.driver(t, x, y, z, u2)
+    val = (
+        np.einsum("ma,ma->m", p2, b)
+        - q1 * f
+        + np.einsum("mad,mad->m", sg, k2)
+    )
+    return float(val[0]) if scalar else val
+
+
 def test_hamiltonian_hand_values(spec31):
-    assert A.hamiltonian(spec31, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 1.0, 0.0) == pytest.approx(-1.0)
-    assert A.hamiltonian(spec31, 0.3, 2.0, 1.0, 0.5, 0.7, 0.0, 0.0, 0.0) == 0.0
+    assert _hamiltonian(spec31, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 1.0, 0.0) == pytest.approx(-1.0)
+    assert _hamiltonian(spec31, 0.3, 2.0, 1.0, 0.5, 0.7, 0.0, 0.0, 0.0) == 0.0
     # x = 0 annihilates b and sigma, leaving -q f = q y
-    assert A.hamiltonian(spec31, 0.3, 0.0, 2.5, 0.5, 0.7, -1.0, 3.0, 0.0) == pytest.approx(7.5)
+    assert _hamiltonian(spec31, 0.3, 0.0, 2.5, 0.5, 0.7, -1.0, 3.0, 0.0) == pytest.approx(7.5)
 
 
 def test_hamiltonian_rejects_outside_control(spec31):
     with pytest.raises(P.ControlBoxError):
-        A.hamiltonian(spec31, 0.0, 1.0, 0.0, 0.0, 3.0, -1.0, 1.0, 0.0)
+        _hamiltonian(spec31, 0.0, 1.0, 0.0, 0.0, 3.0, -1.0, 1.0, 0.0)
 
 
 @given(
@@ -206,8 +231,8 @@ def test_hamiltonian_gradient_u_matches_richardson_differences(bs, f):
     def fd(h, j):
         e = np.zeros(2)
         e[j] = h
-        up = A.hamiltonian(spec, 0.3, x, y, z, u + e, p, q, k)
-        dn = A.hamiltonian(spec, 0.3, x, y, z, u - e, p, q, k)
+        up = _hamiltonian(spec, 0.3, x, y, z, u + e, p, q, k)
+        dn = _hamiltonian(spec, 0.3, x, y, z, u - e, p, q, k)
         return (up - dn) / (2.0 * h)
 
     # Richardson extrapolation cancels the h^2 term of central differences
@@ -242,40 +267,63 @@ def test_max_condition_degenerate_box_axis():
 def test_max_condition_zero_on_optimal_pair(spec31, zero_control):
     batch, sol = _pipeline(spec31, zero_control, [0.0], 50, 500, seed=1)
     triple = A.solve_adjoint(spec31, batch, sol)
-    rep = A.check_maximum_condition(spec31, batch, sol, triple, control_grid_size=11)
+    rep = A.check_maximum_condition(spec31, batch, sol, triple)
     assert np.all(rep.residuals == 0.0)
     assert rep.passed
 
 
 def test_max_condition_flags_suboptimal_pair(pipeline_suboptimal, spec31):
     pipe = pipeline_suboptimal
-    rep = A.check_maximum_condition(
-        spec31, pipe["batch"], pipe["sol"], pipe["triple"], control_grid_size=11
-    )
+    rep = A.check_maximum_condition(spec31, pipe["batch"], pipe["sol"], pipe["triple"])
     assert rep.worst < -1e-2
     assert not rep.passed
 
 
-def test_max_condition_coarsest_grid(pipeline_suboptimal, spec31):
+def test_max_condition_upper_corner(pipeline_suboptimal, spec31):
     pipe = pipeline_suboptimal
-    rep = A.check_maximum_condition(
-        spec31, pipe["batch"], pipe["sol"], pipe["triple"], control_grid_size=2
-    )
-    # grid {0, 1}: the minimizing point is u = 1 and the residual matches
-    # mean <H_u, 1 - 0> = mean(p X)
+    rep = A.check_maximum_condition(spec31, pipe["batch"], pipe["sol"], pipe["triple"])
+    # box [0, 1] from u_bar = 0: the minimizing corner is u = 1 and the
+    # residual matches mean <H_u, 1 - 0> = mean(p X)
     i = 10
     hu_mean = (pipe["triple"].p[:, i, 0] * pipe["batch"].states[:, i, 0]).mean()
     assert rep.residuals[i] == pytest.approx(hu_mean, rel=1e-6)
+
+
+def test_control_grid_refuses_fewer_than_two_points(spec31):
     with pytest.raises(P.ProblemError):
-        A.check_maximum_condition(
-            spec31, pipe["batch"], pipe["sol"], pipe["triple"], control_grid_size=1
+        P.control_grid(spec31, 1)
+
+
+def test_max_condition_is_the_box_minimum_off_unit_offsets():
+    # u_bar = (0.5, 1) in [-1, 2] x [0, 3]: the corner offsets are
+    # {-1.5, 1.5} on axis 1 and {-1, 2} on axis 2, not those of a unit box;
+    # mean H_u is positive on axis 1 and negative on axis 2, so the
+    # minimizing corner takes the lower end of axis 1, the upper of axis 2
+    spec = P.spec_from_expressions(
+        1, 1, 2, 1.0, [-1.0, 0.0], [2.0, 3.0], ["x1 * u1 + u2 * u2"],
+        ["0.5 + 0.2 * u1 * u2"], "x1 - y - 3 * u1 * u2", "x1",
+    )
+    batch, sol = _pipeline(spec, [0.5, 1.0], [0.5], 20, 300, seed=2, p_deg=2)
+    triple = A.solve_adjoint(spec, batch, sol)
+    rep = A.check_maximum_condition(spec, batch, sol, triple)
+    offsets = P.control_grid(spec, 11) - batch.control
+    brute = np.empty(batch.grid.steps)
+    p, q, k = (a.swapaxes(0, 1) for a in (triple.p, triple.q, triple.k))
+    u_bar = np.broadcast_to(batch.control, (batch.n_paths, 2))
+    for i in range(batch.grid.steps):
+        hu = A.hamiltonian_gradient_u(
+            spec, *A._gradient_args(batch, sol, i), u_bar, p[i], q[i], k[i]
         )
+        brute[i] = min((hu @ offset).mean() for offset in offsets)
+    assert np.all(brute < -0.5)
+    np.testing.assert_allclose(rep.residuals, brute, rtol=1e-12, atol=0.0)
+    assert np.all(rep.residuals <= brute)
 
 
 def test_adjoint_csv_export(tmp_path, spec31, zero_control):
     batch, sol = _pipeline(spec31, zero_control, [0.0], 10, 50, seed=1)
     triple = A.solve_adjoint(spec31, batch, sol)
-    rep = A.check_maximum_condition(spec31, batch, sol, triple, control_grid_size=3)
+    rep = A.check_maximum_condition(spec31, batch, sol, triple)
     path = tmp_path / "adjoint.csv"
     A.adjoint_csv(triple, rep, path)
     lines = path.read_text().strip().splitlines()
