@@ -9,8 +9,9 @@ where |sigma|^2 = sum_j sigma_1j^2 and sigma^T p has components
 sigma_1j p, is swept backward in time with upwind first differences
 (side chosen by the sign of b), central second differences, and linear
 extrapolation of the outermost two nodes as the boundary rule.  The
-explicit update is monotone in the neighboring values provided each
-step's dt satisfies the CFL bound of its own time level t,
+explicit update is monotone in the neighboring values at the interior
+nodes provided each step's dt satisfies the CFL bound of its own time
+level t,
 
     dt <= dx^2 / (max |sigma|^2 + dx max |b| + dx max |sigma f_z| + dx^2 max |f_y|),
 
@@ -23,6 +24,19 @@ the driver's share, are exact for drivers affine in (y, z).
 `cfl_time_grid` raises N until every step passes.  When b, sigma and f
 ignore time the bound is one number.  Monotone schemes of this type
 converge to the PDE's viscosity solution, which is why one is used here.
+The end nodes are the exception: the ghost nodes 2 v_0 - v_1 and
+2 v_J - v_{J-1} cancel the second difference there and fold into rows 0
+and J a weight on v_1 (v_{J-1}) of dt b / dx (-dt b / dx), which is
+negative wherever b points out of [-L, L], whatever dt.  So the update is
+not monotone at nodes 0 and J, and the monotonicity tests probe interior
+nodes only.
+
+The step divides coefficients, not differences: it forms the raw
+differences of the row once, nd = v_{j-1} - v_j over the padded row and
+a = nd_{j+1} - nd_j, shared by every control's row, and each row reads
+them with its coefficients divided once, b / dx, |sigma|^2 / (2 dx^2) and,
+for a driver that reads z, sigma / dx.  That is once per sweep when b and
+sigma ignore time and once per time level otherwise.
 
 One method, `_Sweep.hamiltonian`, gives sup_u G over the controls of the
 grid, the maximum of G's (C, J+1) rows, one per control, with a driver
@@ -34,7 +48,8 @@ controls that can attain sup_u G at some node: within one upwind side a
 row of G is then monotone in (|sigma|^2 / 2, b), so a row that another
 row of its side dominates in both, with the signs of A and p, is never
 needed (`_attaining_rows`).  The rows it keeps give the same maximum,
-bit for bit; for example31 they are 3 of 11.
+bit for bit, also with the divided coefficients; for example31 they are
+3 of 11.
 """
 
 from __future__ import annotations
@@ -125,9 +140,12 @@ def _attaining_rows(b, half_s2):
     nor u.
 
     At one node and within one upwind side (b >= 0 or b < 0) the rows then
-    share A, p and the driver value, so row c of G is F(|sigma_c|^2 / 2,
-    b_c) with F monotone in each argument, also under rounding: its
-    products with A and p and its sums each round monotonically.  A row
+    share `step`'s raw differences a and nd, which carry the signs of A
+    and p, and the driver value, so with h_c = |sigma_c|^2 / 2 row c of G
+    is F(h_c, b_c) = fl(fl(h_c / dx^2) a + fl(b_c / dx) nd), monotone in
+    each argument also under rounding: fl(h / dx^2) is monotone in h and
+    fl(b / dx) in b, and the products with a and nd and their sum each
+    round monotonically.  A row
     that another row of its side dominates -- is at least as large in
     both arguments, taken with the signs of A and p -- is therefore never
     above it, and the maximum is attained by an undominated row.  A row
@@ -159,16 +177,19 @@ class _Sweep:
     `hamiltonian` gives sup_u G at the nodes `xs`, the maximum of G's
     rows, one per control; it needs no grid spacing, so `xs` may be one
     node.  `step` writes the row and its two linear-extrapolation ghost
-    nodes into one buffer, takes one array of negated first differences,
-    from which each node gathers its upwind side's (forward where
-    b >= 0) by the index array `coefficients` gives, and the negated
-    central second difference, and updates with sup_u G.  `dt_bound` is
+    nodes into one buffer and takes two raw difference arrays, the
+    negated first differences, from which each node gathers its upwind
+    side's (forward where b >= 0) by the index array `coefficients`
+    gives, and their differences, the negated central second
+    differences; it updates with sup_u G of the coefficients divided by
+    dx and dx^2 (`_scale`), so it divides no differences.  `dt_bound` is
     the CFL bound of one time level, from that level's own b, sigma,
     f_y and f_z, and `passing_grid` a grid on `span` = [t_start, T]
     whose every step passes it.  When the problem's expression variables
-    show b and sigma are time-independent, they and the upwind gather
-    are computed once, otherwise once per step; the bound is computed
-    once when f ignores time as well.  When the driver ignores z and u
+    show b and sigma are time-independent, they, the upwind gather and
+    their divided forms (`static_scaled`) are computed once, otherwise
+    once per step; the bound is computed once when f ignores time as
+    well.  When the driver ignores z and u
     it is evaluated once per call on (J+1,), and when b and sigma are
     static as well the rows are cut once, here, to `_attaining_rows`;
     `controls` holds the rows kept.
@@ -231,16 +252,38 @@ class _Sweep:
         fval = self.spec.driver(t, self.x_cols, r, self.zeros_z, self.u[0])
         return (half_s2 * big_a + p * b).max(axis=0) + fval
 
-    def step(self, v, t, dt, coeffs=None):
-        """One explicit update of a value row at known time level t."""
-        dx, dx2 = self._step_spacing
+    def step(self, v, t, dt, coeffs=None, out=None):
+        """One explicit update of a value row at known time level t, into
+        `out` when given.
+
+        The differences stay raw: nd = vp[:-1] - vp[1:] over the padded
+        row, whose nd[j] is minus the backward and nd[j + 1] minus the
+        forward difference at node j, and a = nd[1:] - nd[:-1], minus the
+        second difference.  Every row shares them; the rows divide their
+        coefficients instead (`_scale`), so G's rows are
+        |sigma|^2 / (2 dx^2) a + b / dx nd[gather].
+        """
         vp = self._padded
         vp[0], vp[1:-1], vp[-1] = 2.0 * v[0] - v[1], v, 2.0 * v[-1] - v[-2]
-        # -(backward difference at j) = nd[j] = -(forward difference at j - 1)
-        nd = (vp[:-1] - vp[1:]) / dx
-        neg_dxx = ((2.0 * vp[1:-1] - vp[2:]) - vp[:-2]) / dx2
-        coeffs = coeffs or self.coefficients(t)
-        return v - dt * self.hamiltonian(t, -v, nd[coeffs[2]], neg_dxx, coeffs)
+        nd = vp[:-1] - vp[1:]
+        scaled = self.static_scaled or self._scale(coeffs or self.coefficients(t))
+        g = self.hamiltonian(t, -v, nd[scaled[2]], nd[1:] - nd[:-1], scaled)
+        g *= dt
+        return np.subtract(v, g, out=out)
+
+    def _scale(self, coeffs):
+        """`coefficients` divided for `step`'s raw differences: (b / dx,
+        sigma's row / dx when the driver reads z or u, gather,
+        |sigma|^2 / (2 dx^2)), with dx = xs[1] - xs[0]."""
+        b, sg, gather, half_s2 = coeffs
+        dx, dx2 = self._step_spacing
+        return b / dx, sg / dx if self.f_reads_zu else sg, gather, half_s2 / dx2
+
+    @cached_property
+    def static_scaled(self):
+        """`_scale` of the static coefficients, taken once on the first
+        step; None when b or sigma depend on time."""
+        return self.static_coeffs and self._scale(self.static_coeffs)
 
     @cached_property
     def _step_spacing(self):
@@ -317,7 +360,7 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
             if _exceeds(dt, bound):
                 raise CFLError(dt, bound, sweep.passing_grid().steps, sweep.span)
             tightest = bound
-        values[i] = sweep.step(values[i + 1], t, dt, coeffs)
+        sweep.step(values[i + 1], t, dt, coeffs, out=values[i])
         if not np.isfinite(values[i]).all():
             raise ProblemError(f"non-finite value at time level {i}")
     return ValueGrid(

@@ -494,9 +494,13 @@ def _evaluator(exprs, shape, signature):
     argument ("s", "y"), a list of names binds the components along the
     last axis of a vector argument (x1..xn).  Only the variables some
     expression reads are bound.  The result is a fresh array with the
-    batch shape of the first vector argument, x, followed by `shape`.
+    batch shape of the first vector argument, x, followed by `shape`.  A
+    single scalar expression whose root is an operation returns its
+    result as it is when that is already a float64 array of that shape:
+    an operation's result is a new array, so it is fresh as well.
     """
     slots = [((...,) + idx, ex) for idx, ex in zip(np.ndindex(*shape), exprs)]
+    direct = shape == () and exprs[0].tree[0] in ("neg", "bin", "call")
     x_pos = next(i for i, names in enumerate(signature) if not isinstance(names, str))
     reads = frozenset().union(*(ex.variables for ex in exprs))
     binds = []  # (variable, argument position, component; None for a scalar)
@@ -507,13 +511,20 @@ def _evaluator(exprs, shape, signature):
             binds += [(name, pos, i) for i, name in enumerate(names) if name in reads]
 
     def evaluate(*values):
+        x = np.asarray(values[x_pos], dtype=float)
         env = {}
         for name, pos, i in binds:
-            value = np.asarray(values[pos], dtype=float)
+            value = x if pos == x_pos else np.asarray(values[pos], dtype=float)
             env[name] = value if i is None else value[..., i]
-        out = np.empty(np.shape(values[x_pos])[:-1] + shape)
+        batch = x.shape[:-1] + shape
+        if direct:
+            result = exprs[0].evaluate(env)
+            if type(result) is np.ndarray and result.dtype == np.float64:
+                if result.shape == batch:
+                    return result
+        out = np.empty(batch)
         for idx, ex in slots:
-            out[idx] = ex.evaluate(env)
+            out[idx] = result if direct else ex.evaluate(env)
         return out
 
     return evaluate

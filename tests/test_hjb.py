@@ -58,7 +58,28 @@ def test_time_dependent_cfl_checked_each_step():
 
 
 def _reference_step(spec, xs, v, t, dt, controls):
-    """The explicit update written as a plain loop over the controls."""
+    """The explicit update written as a plain loop over the controls, in
+    the sweep's arithmetic: raw differences, coefficients divided by dx."""
+    dx = xs[1] - xs[0]
+    vp = np.concatenate(([2.0 * v[0] - v[1]], v, [2.0 * v[-1] - v[-2]]))
+    nd = vp[:-1] - vp[1:]  # minus the backward (nd[:-1]) or forward (nd[1:])
+    neg_dxx = nd[1:] - nd[:-1]
+    x_cols = xs[:, None]
+    best = None
+    for u in controls:
+        uu = np.broadcast_to(u, (xs.size, spec.k))
+        b = spec.drift(t, x_cols, uu)[:, 0]
+        sg = spec.diffusion(t, x_cols, uu)[:, 0, 0]
+        p = np.where(b >= 0.0, nd[1:], nd[:-1])
+        fval = spec.driver(t, x_cols, -v, ((sg / dx) * p)[:, None], uu)
+        g = 0.5 * sg * sg / (dx * dx) * neg_dxx + p * (b / dx) + fval
+        best = g if best is None else np.maximum(best, g)
+    return v - dt * best
+
+
+def _divided_reference_step(spec, xs, v, t, dt, controls):
+    """The explicit update as a plain loop over the controls, on
+    differences divided by dx: the same scheme up to rounding."""
     dx = xs[1] - xs[0]
     vp = np.concatenate(([2.0 * v[0] - v[1]], v, [2.0 * v[-1] - v[-2]]))
     dxx = (vp[2:] - 2.0 * vp[1:-1] + vp[:-2]) / (dx * dx)
@@ -75,6 +96,16 @@ def _reference_step(spec, xs, v, t, dt, controls):
         g = 0.5 * sg * sg * (-dxx) + (-d1) * b + fval
         best = g if best is None else np.maximum(best, g)
     return v - dt * best
+
+
+def _reference_solve(reference_step, spec, xs, grid, controls):
+    values = np.empty((grid.steps + 1, xs.size))
+    values[-1] = -spec.terminal(xs[:, None])
+    for i in range(grid.steps - 1, -1, -1):
+        values[i] = reference_step(
+            spec, xs, values[i + 1], grid.times[i + 1], grid.dt, controls
+        )
+    return values
 
 
 # two controls, b and sigma static and a driver without z and u: the
@@ -111,18 +142,16 @@ def test_sweep_bit_identical_to_per_control_loop(name):
     if name in _PRUNED_PROBLEMS:
         kept = H._Sweep(spec, vg.xs, controls).controls
         assert len(kept) == _PRUNED_PROBLEMS[name][3]
-    ref = np.empty_like(vg.values)
-    ref[-1] = -spec.terminal(vg.xs[:, None])
-    for i in range(grid.steps - 1, -1, -1):
-        ref[i] = _reference_step(
-            spec, vg.xs, ref[i + 1], grid.times[i + 1], grid.dt, controls
-        )
+    ref = _reference_solve(_reference_step, spec, vg.xs, grid, controls)
     assert np.array_equal(vg.values, ref)
     i = grid.steps // 2
     stepped = H.sweep_step(
         spec, vg.xs, ref[i + 1], grid.times[i + 1], grid.dt, 11
     )
     assert np.array_equal(stepped, ref[i])
+    # dividing the differences instead of the coefficients moves only bits
+    divided = _reference_solve(_divided_reference_step, spec, vg.xs, grid, controls)
+    assert np.max(np.abs(vg.values - divided)) <= 1e-14 * np.max(np.abs(vg.values))
 
 
 def test_pruning_keeps_the_rows_that_can_attain_the_maximum(spec31):
@@ -408,6 +437,27 @@ def test_time_dependent_solve_evaluates_b_once_per_step():
     spec.drift = counted
     H.solve_hjb_fd(spec, half_width, 100, grid, 11)
     assert len(calls) == grid.steps
+
+
+def test_static_solve_evaluates_and_scales_coefficients_once(monkeypatch):
+    # b and sigma ignore time: one evaluation each, and one division of
+    # them for the raw differences, for the whole sweep
+    spec = P.builtin_problem("example31")
+    grid = H.cfl_time_grid(spec, 2.0, 100, 11)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    spec.drift = counted("drift", spec.drift)
+    spec.diffusion = counted("diffusion", spec.diffusion)
+    monkeypatch.setattr(H._Sweep, "_scale", counted("scale", H._Sweep._scale))
+    H.solve_hjb_fd(spec, 2.0, 100, grid, 11)
+    assert sorted(calls) == ["diffusion", "drift", "scale"]
 
 
 def test_cfl_ratio_is_against_the_tightest_step_bound():

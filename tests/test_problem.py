@@ -164,7 +164,9 @@ def test_expression_functions_and_precedence():
     assert e.evaluate({}) == 5.0
 
 
-@pytest.mark.parametrize("f", ["y", "x1", "2"])
+# "x1 - y" comes back as the operation's own result; "2 * s" is a scalar
+# that must still come back with the batch shape
+@pytest.mark.parametrize("f", ["y", "x1", "2", "x1 - y", "2 * s"])
 def test_evaluator_output_is_fresh_with_the_batch_shape(f):
     spec = P.spec_from_expressions(1, 1, 1, 1.0, [0.0], [1.0], ["0"], ["0"], f, "x1")
     x = np.array([[0.5], [-1.5], [2.0]])
@@ -173,7 +175,11 @@ def test_evaluator_output_is_fresh_with_the_batch_shape(f):
     out = spec.driver(0.2, x, y, z, u)
     assert out.dtype == np.float64
     assert out.shape == (3,)
-    assert np.array_equal(out, {"y": y, "x1": x[:, 0], "2": np.full(3, 2.0)}[f])
+    expected = {
+        "y": y, "x1": x[:, 0], "2": np.full(3, 2.0), "x1 - y": x[:, 0] - y,
+        "2 * s": np.full(3, 2.0 * 0.2),
+    }
+    assert np.array_equal(out, expected[f])
     # arguments given as lists are read as float arrays
     listed = spec.driver(0.2, x.tolist(), y.tolist(), z.tolist(), u.tolist())
     assert np.array_equal(listed, out)
