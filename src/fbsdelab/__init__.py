@@ -31,6 +31,7 @@ from .forward import (
 )
 from .hjb import (
     CFLError,
+    PolicyError,
     ValueGrid,
     ViscosityCheckReport,
     cfl_max_dt,

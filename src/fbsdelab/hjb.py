@@ -1,4 +1,4 @@
-"""Monotone explicit finite-difference solver for the value equation.
+"""Monotone implicit finite-difference solver for the value equation.
 
 The generalized value PDE in one spatial dimension, with d noise columns,
 
@@ -6,50 +6,89 @@ The generalized value PDE in one spatial dimension, with d noise columns,
     G(t, x, r, p, A, u) = 0.5 |sigma|^2 A + p b + f(t, x, r, sigma^T p, u),
 
 where |sigma|^2 = sum_j sigma_1j^2 and sigma^T p has components
-sigma_1j p, is swept backward in time with upwind first differences
-(side chosen by the sign of b), central second differences, and linear
-extrapolation of the outermost two nodes as the boundary rule.  The
-explicit update is monotone in the neighboring values at the interior
-nodes provided each step's dt satisfies the CFL bound of its own time
-level t,
+sigma_1j p, is swept backward in time on the J+1 nodes of [-L, L],
+dx = 2L / J, with upwind first differences (side chosen by the sign of
+b), central second differences, and linear extrapolation of the
+outermost two nodes as the boundary rule (ghost nodes 2 v_0 - v_1 and
+2 v_J - v_{J-1}).  A step goes from the known level v' at time t to v
+at t - dt, with b, sigma, f and its slopes taken at t.  It is implicit
+in the drift and diffusion:
 
-    dt <= dx^2 / (max |sigma|^2 + dx max |b| + dx max |sigma f_z| + dx^2 max |f_y|),
+    max_u (B_u v - r_u) = 0,   B_u = I - dt (L_u + f_y),   r_u = v' - dt c_u,
 
-with every term taken at t, the maxima over the grid's nodes and
-controls, |sigma f_z| = sum_j |sigma_1j f_zj|, the nominal spacing
-dx = 2L / J, and f_y and f_z at y = -phi(x), z = 0.  The last two terms,
-the driver's share, are exact for drivers affine in (y, z).
-`_Sweep.dt_bound` is that bound and the only place it is computed:
-`solve_hjb_fd` refuses the first step that exceeds it, and
-`cfl_time_grid` raises N until every step passes.  When b, sigma and f
-ignore time the bound is one number.  Monotone schemes of this type
-converge to the PDE's viscosity solution, which is why one is used here.
-The end nodes are the exception: the ghost nodes 2 v_0 - v_1 and
-2 v_J - v_{J-1} cancel the second difference there and fold into rows 0
-and J a weight on v_1 (v_{J-1}) of dt b / dx (-dt b / dx), which is
-negative wherever b points out of [-L, L], whatever dt.  So the update is
-not monotone at nodes 0 and J, and the monotonicity tests probe interior
-nodes only.
+where L_u v is |sigma|^2 / 2 times the second difference of v plus b
+times its upwind difference.  The driver is linearized in y at the
+known level, f(t, x, -v, z', u) ~ f(t, x, -v', z', u) - f_y (v - v'),
+so c_u = f(t, x, -v', z', u) + f_y v', with z' = sigma^T p' read from
+the upwind differences of v': the driver's z and u part stays
+explicit.  f_y and f_z are taken at y = -phi(x), z = 0; for a driver
+affine in y the linearization is exact and its y part fully implicit
+(example31's f = x - y gives c_u = x).
 
-The step divides coefficients, not differences: it forms the raw
-differences of the row once, nd = v_{j-1} - v_j over the padded row and
-a = nd_{j+1} - nd_j, shared by every control's row, and each row reads
-them with its coefficients divided once, b / dx, |sigma|^2 / (2 dx^2) and,
-for a driver that reads z, sigma / dx.  That is once per sweep when b and
-sigma ignore time and once per time level otherwise.
+Interior row j of B_u is -dt (h + b^-/dx) v_{j-1} + (1 + dt (2 h +
+|b|/dx - f_y)) v_j - dt (h + b^+/dx) v_{j+1}, with h = |sigma|^2 /
+(2 dx^2): whatever dt its off-diagonal weights are never positive, and
+its row sum is 1 - dt f_y.  The step is monotone in v' at the interior
+nodes when each B_u is an M-matrix there, which holds for dt f_y < 1,
+and each r_u is nondecreasing in v'.  For a driver affine in (y, z),
+r_u = v' - dt f(t, x, 0, z', u), whose weight on v'_j is
+1 - dt sigma f_z / dx on the side b picks, at least
+1 - dt |sigma f_z| / dx with |sigma f_z| = sum_j |sigma_1j f_zj|.  Both
+hold when, at every node and control,
 
-One method, `_Sweep.hamiltonian`, gives sup_u G over the controls of the
-grid, the maximum of G's (C, J+1) rows, one per control, with a driver
-that reads neither z nor u added once, after the maximum; the step
-updates with it, the bound reads the rows' coefficients, and the
-viscosity probe evaluates it at a single node.  When b and sigma ignore
-time and the driver reads neither z nor u, the rows are cut once to the
-controls that can attain sup_u G at some node: within one upwind side a
-row of G is then monotone in (|sigma|^2 / 2, b), so a row that another
-row of its side dominates in both, with the signs of A and p, is never
-needed (`_attaining_rows`).  The rows it keeps give the same maximum,
-bit for bit, also with the divided coefficients; for example31 they are
-3 of 11.
+    dt (max(f_y, 0) + |sigma f_z| / dx) <= 1,
+
+the driver's explicit share (at equality with f_z = 0 a row sum is 0).
+The drift and diffusion add nothing to it: the step is unconditionally
+monotone in them.  `_Sweep.slopes` computes that bound, `dt_bound`, of
+one time level, and is the only place it is computed; `solve_hjb_fd`
+refuses the first step that exceeds it.  Like the explicit bound
+before it, it is exact for drivers affine in (y, z), and it covers the
+own-node weight only: the neighbor weight dt sigma f_z / dx of the z
+difference is nonnegative only where sigma f_z has the sign of b.
+
+The end nodes are the exception: the ghost nodes cancel the second
+difference there and leave rows 0 and J as (1 + dt (b/dx - f_y)) v_0 -
+dt b/dx v_1 and (1 - dt (b/dx + f_y)) v_J + dt b/dx v_{J-1}, whose
+off-diagonal weight is positive wherever b points out of [-L, L],
+whatever dt.  So the step is not monotone at nodes 0 and J, and the
+monotonicity tests probe interior nodes only.  Eliminating v_0 and v_J
+leaves M-matrix rows with a larger diagonal while the end rows' own
+diagonal stays positive, so no rise of v' lowers an interior node.
+
+N is chosen for accuracy, not by the bound: `cfl_time_grid` takes the
+fewest steps whose dt meets, at every level, the Courant rule
+dt max |b| / dx <= 1/2 and dt <= dt_bound / 2.  The Courant rule makes
+dt of the order of dx, where the step's first-order errors in time and
+space balance, and keeps 1 - dt |b| / dx >= 1/2 on the end rows'
+diagonal for the Thomas solve; halving dt_bound keeps the rule apart
+from the refusal, so `cfl_ratio` is at most 1/2 on the rule's grids.
+On example31 at L = 2 the Courant rule gives N = J, and f_y = -1 with
+f_z = 0 leaves no bound at all (`cfl_ratio` 0).  The rule evaluates b
+and the bound once when they ignore time, and at every level of its
+candidate grids otherwise; b and sigma for the bound only when the
+driver reads z.
+
+Each step is solved by policy iteration (Howard's algorithm).  The
+policy, one row per node, starts from the previous level's (on the
+first step, the rows that maximize G at the terminal level); the
+tridiagonal system of its rows is solved by the Thomas algorithm
+(`_thomas`), each node re-picks the row that maximizes B_u v - r_u,
+keeping its row on a tie, and the loop stops when no node changes.
+With M-matrix rows the iteration converges in finitely many solves;
+past `_POLICY_SOLVES` solves a level raises PolicyError.  On example31
+every level takes one solve.
+
+One method, `_Sweep.hamiltonian`, gives sup_u G over the controls of
+the grid at given (r, p, A), the maximum of G's (C, J+1) rows, one per
+control, with a driver that reads neither z nor u added once, after
+the maximum; the viscosity probe evaluates it at a single node.  The
+policy step maximizes the same rows: B_u v - r_u = v - v' + dt G_u with
+G_u = h a + (b/dx) nd[upwind] + c_u - f_y v in the raw differences
+nd_j = v_{j-1} - v_j and a = nd_{j+1} - nd_j.  When b and sigma ignore
+time and the driver reads neither z nor u, c_u - f_y v is the same for
+every row, and the rows are cut once to the controls that can attain
+the maximum at some node (`_attaining_rows`): for example31 3 of 11.
 """
 
 from __future__ import annotations
@@ -57,11 +96,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .forward import TimeGrid
 from .problem import ProblemError, control_grid
+
+# policy-iteration solves per time level before the step gives up
+_POLICY_SOLVES = 50
 
 
 class CFLError(ProblemError):
@@ -74,6 +117,15 @@ class CFLError(ProblemError):
         )
 
 
+class PolicyError(ProblemError):
+    def __init__(self, level):
+        self.level = level
+        super().__init__(
+            f"policy iteration did not settle in {_POLICY_SOLVES} solves "
+            f"at time level {level}"
+        )
+
+
 @dataclass
 class ValueGrid:
     """Finite-difference value approximation on [-L, L] x time grid."""
@@ -83,8 +135,13 @@ class ValueGrid:
     grid: TimeGrid
     values: np.ndarray  # (N+1, J+1)
     control_grid_size: int
-    # grid.dt over the tightest bound its steps met; None if not solved
+    # grid.dt over the tightest monotonicity bound (`dt_bound`) its steps
+    # met, 0 when no step had one; None if not solved
     cfl_ratio: float = None
+    # tridiagonal solves of the policy iteration: in all, and at the
+    # level that took the most; None if not solved
+    policy_solves: int = None
+    max_level_solves: int = None
 
     @property
     def dx(self):
@@ -117,14 +174,16 @@ def _grid_sweep(spec, half_width, n_cells, control_grid_size, t_start):
 
 
 def cfl_max_dt(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
-    """The tightest CFL bound over the steps of `cfl_time_grid`'s grid."""
+    """The tightest monotonicity bound `dt_bound` over the steps of
+    `cfl_time_grid`'s grid; inf when the driver's share is zero."""
     sweep = _grid_sweep(spec, half_width, n_cells, control_grid_size, t_start)
     return min(map(sweep.dt_bound, sweep.passing_grid().times[1:]))
 
 
 def cfl_time_grid(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
-    """TimeGrid on [t_start, T] whose every step passes the CFL bound of its
-    own time level, as `solve_hjb_fd` checks it."""
+    """TimeGrid on [t_start, T] with the fewest steps that meet the N rule
+    at every level: Courant number dt max |b| / dx <= 1/2 and half the
+    monotonicity bound, so `solve_hjb_fd` never refuses it."""
     sweep = _grid_sweep(spec, half_width, n_cells, control_grid_size, t_start)
     return sweep.passing_grid()
 
@@ -140,12 +199,12 @@ def _attaining_rows(b, half_s2):
     nor u.
 
     At one node and within one upwind side (b >= 0 or b < 0) the rows then
-    share `step`'s raw differences a and nd, which carry the signs of A
-    and p, and the driver value, so with h_c = |sigma_c|^2 / 2 row c of G
-    is F(h_c, b_c) = fl(fl(h_c / dx^2) a + fl(b_c / dx) nd), monotone in
-    each argument also under rounding: fl(h / dx^2) is monotone in h and
-    fl(b / dx) in b, and the products with a and nd and their sum each
-    round monotonically.  A row
+    share the raw differences a and nd of the value row, which carry the
+    signs of A and p, and the driver's part, so with h_c = |sigma_c|^2 / 2
+    row c of G is F(h_c, b_c) = fl(fl(h_c / dx^2) a + fl(b_c / dx) nd),
+    monotone in each argument also under rounding: fl(h / dx^2) is
+    monotone in h and fl(b / dx) in b, and the products with a and nd and
+    their sum each round monotonically.  A row
     that another row of its side dominates -- is at least as large in
     both arguments, taken with the signs of A and p -- is therefore never
     above it, and the maximum is attained by an undominated row.  A row
@@ -171,26 +230,72 @@ def _attaining_rows(b, half_s2):
     return np.flatnonzero(keep)
 
 
+def _neg_differences(v):
+    """nd over the row and its two ghost nodes: nd[j] = v_{j-1} - v_j, so
+    nd[j] is minus the backward and nd[j + 1] minus the forward
+    difference at node j; J+2 entries."""
+    vp = np.concatenate(([2.0 * v[0] - v[1]], v, [2.0 * v[-1] - v[-2]]))
+    return vp[:-1] - vp[1:]
+
+
+def _thomas(lower, diag, upper, rhs):
+    """Solve the tridiagonal system with sub-diagonal lower[1:], diagonal
+    diag and super-diagonal upper[:-1] by Gaussian elimination without
+    pivoting, in Python floats; a zero pivot raises ZeroDivisionError."""
+    n = len(diag)
+    lower, diag, upper, x = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    ratio = [0.0] * n
+    pivot = diag[0]
+    ratio[0] = upper[0] / pivot
+    x[0] /= pivot
+    for j in range(1, n):
+        low = lower[j]
+        pivot = diag[j] - low * ratio[j - 1]
+        ratio[j] = upper[j] / pivot
+        x[j] = (x[j] - low * x[j - 1]) / pivot
+    for j in range(n - 2, -1, -1):
+        x[j] -= ratio[j] * x[j + 1]
+    return np.array(x)
+
+
+class _Level(NamedTuple):
+    """One time level's implicit rows, (C, J+1) each, one row per control.
+
+    `lower`, `diag` and `upper` are the tridiagonal of B_u = I - dt (L_u +
+    f_y) with the ghost nodes folded into rows 0 and J; `h`, `bd` and
+    `gather` give G's rows h a + bd nd[gather] in the raw differences, with
+    h = |sigma|^2 / (2 dx^2), bd = b / dx and gather, per node, the index
+    into nd of its upwind side; `sgd` is sigma's row / dx (C, J+1, d),
+    for z = sigma^T p; `f_y` is the driver's y slope; `bound` is
+    `dt_bound` of the level.
+    """
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    h: np.ndarray
+    bd: np.ndarray
+    gather: np.ndarray
+    sgd: np.ndarray
+    f_y: np.ndarray
+    bound: float
+
+
 class _Sweep:
     """Backward-in-time sweep state with loop invariants hoisted.
 
     `hamiltonian` gives sup_u G at the nodes `xs`, the maximum of G's
     rows, one per control; it needs no grid spacing, so `xs` may be one
-    node.  `step` writes the row and its two linear-extrapolation ghost
-    nodes into one buffer and takes two raw difference arrays, the
-    negated first differences, from which each node gathers its upwind
-    side's (forward where b >= 0) by the index array `coefficients`
-    gives, and their differences, the negated central second
-    differences; it updates with sup_u G of the coefficients divided by
-    dx and dx^2 (`_scale`), so it divides no differences.  `dt_bound` is
-    the CFL bound of one time level, from that level's own b, sigma,
-    f_y and f_z, and `passing_grid` a grid on `span` = [t_start, T]
-    whose every step passes it.  When the problem's expression variables
-    show b and sigma are time-independent, they, the upwind gather and
-    their divided forms (`static_scaled`) are computed once, otherwise
-    once per step; the bound is computed once when f ignores time as
-    well.  When the driver ignores z and u
-    it is evaluated once per call on (J+1,), and when b and sigma are
+    node.  `level` gives a time level's implicit rows and `step` one
+    implicit step by policy iteration.  `slopes` gives a level's f_y and
+    monotonicity bound, `dt_bound` that bound, `max_drift` its max |b|,
+    and `passing_grid` the N rule's grid on `span` = [t_start, T].  When
+    the problem's expression variables show b and sigma are
+    time-independent they and their gather are computed once, otherwise
+    once per level; f_y and the bound once when the driver ignores time
+    and reads z only with a static sigma, and a level's rows once when
+    all of b, sigma and f ignore time.  When the driver ignores z and u
+    it is evaluated once per level on (J+1,), and when b and sigma are
     static as well the rows are cut once, here, to `_attaining_rows`;
     `controls` holds the rows kept.
     """
@@ -202,14 +307,19 @@ class _Sweep:
         self.xs = xs
         self.span = (t_start, spec.horizon)
         self.x_cols = xs[:, None]
-        self.f_reads_zu = any(v[0] in "zu" for v in spec.f_variables)
+        reads = {v[0] for v in spec.f_variables}
+        self.f_reads_z = "z" in reads
+        self.f_reads_zu = bool(reads & {"z", "u"})
         self.zeros_z = np.zeros((xs.size, spec.d))
         self._nodes = np.arange(xs.size)
-        self._padded = np.empty(xs.size + 2)  # the row and one ghost node per side
         static = _coefficients_static(spec)
         self.static_coeffs = None
-        self._static_bound = None
-        self._bound_is_static = static and "s" not in spec.f_variables
+        self._b_static = "s" not in spec.b_variables
+        self._slopes_static = "s" not in spec.f_variables and not (
+            self.f_reads_z and "s" in spec.sigma_variables
+        )
+        self._level_static = static and "s" not in spec.f_variables
+        self._max_b = self._slopes = self._static_level = None
         self._y_probe = -spec.terminal(self.x_cols)  # y = -phi(x)
         self._bind(controls)
         if static:
@@ -231,8 +341,9 @@ class _Sweep:
         """(b, sigma's row, upwind gather, |sigma|^2 / 2) at time t.
 
         Each is (C, J+1), one row per control, but sigma's row, which is
-        (C, J+1, d).  The gather holds, per node j, the index into `step`'s
-        difference array of its upwind side: j + 1 where b >= 0, else j.
+        (C, J+1, d).  The gather holds, per node j, the index into the
+        raw differences nd (`_neg_differences`) of its upwind side: j + 1
+        where b >= 0, else j.
         """
         if self.static_coeffs is not None:
             return self.static_coeffs
@@ -240,110 +351,182 @@ class _Sweep:
         sg = self.spec.diffusion(t, self.x, self.u)[..., 0, :]
         return b, sg, self._nodes + (b >= 0.0), 0.5 * np.sum(sg * sg, axis=-1)
 
-    def hamiltonian(self, t, r, p, big_a, coeffs=None):
+    def hamiltonian(self, t, r, p, big_a):
         """sup_u G: per node the maximum over the controls' rows of
         0.5 |sigma|^2 A + p b + f(t, x, r, sigma^T p, u).  An f that reads
         neither z nor u is added after the maximum, which rounds the same
         because rounding a + f is monotone in a."""
-        b, sg, _, half_s2 = coeffs or self.coefficients(t)
+        b, sg, _, half_s2 = self.coefficients(t)
         if self.f_reads_zu:
             fval = self.spec.driver(t, self.x, r, sg * p[..., None], self.u)
             return (half_s2 * big_a + p * b + fval).max(axis=0)
         fval = self.spec.driver(t, self.x_cols, r, self.zeros_z, self.u[0])
         return (half_s2 * big_a + p * b).max(axis=0) + fval
 
-    def step(self, v, t, dt, coeffs=None, out=None):
-        """One explicit update of a value row at known time level t, into
-        `out` when given.
-
-        The differences stay raw: nd = vp[:-1] - vp[1:] over the padded
-        row, whose nd[j] is minus the backward and nd[j + 1] minus the
-        forward difference at node j, and a = nd[1:] - nd[:-1], minus the
-        second difference.  Every row shares them; the rows divide their
-        coefficients instead (`_scale`), so G's rows are
-        |sigma|^2 / (2 dx^2) a + b / dx nd[gather].
-        """
-        vp = self._padded
-        vp[0], vp[1:-1], vp[-1] = 2.0 * v[0] - v[1], v, 2.0 * v[-1] - v[-2]
-        nd = vp[:-1] - vp[1:]
-        scaled = self.static_scaled or self._scale(coeffs or self.coefficients(t))
-        g = self.hamiltonian(t, -v, nd[scaled[2]], nd[1:] - nd[:-1], scaled)
-        g *= dt
-        return np.subtract(v, g, out=out)
-
-    def _scale(self, coeffs):
-        """`coefficients` divided for `step`'s raw differences: (b / dx,
-        sigma's row / dx when the driver reads z or u, gather,
-        |sigma|^2 / (2 dx^2)), with dx = xs[1] - xs[0]."""
-        b, sg, gather, half_s2 = coeffs
-        dx, dx2 = self._step_spacing
-        return b / dx, sg / dx if self.f_reads_zu else sg, gather, half_s2 / dx2
-
-    @cached_property
-    def static_scaled(self):
-        """`_scale` of the static coefficients, taken once on the first
-        step; None when b or sigma depend on time."""
-        return self.static_coeffs and self._scale(self.static_coeffs)
-
-    @cached_property
-    def _step_spacing(self):
-        """(xs[1] - xs[0], its square): the spacing of `step`'s differences."""
-        dx = self.xs[1] - self.xs[0]
-        return dx, dx * dx
-
     @cached_property
     def dx(self):
-        """The nominal spacing 2L / J, which `ValueGrid.dx` reports too."""
+        """The spacing 2L / J, which `ValueGrid.dx` reports too."""
         return float(self.xs[-1] - self.xs[0]) / (self.xs.size - 1)
 
-    def dt_bound(self, t, coeffs=None):
-        """The CFL bound of time level t, from its own b and sigma (or
-        `coeffs`, the level's `coefficients`) and its f_y and f_z."""
-        if self._static_bound is not None:
-            return self._static_bound
-        b, sg, _, half_s2 = coeffs or self.coefficients(t)
+    def slopes(self, t, sg=None):
+        """(f_y, dt_bound) of time level t: the driver's y slope (C, J+1)
+        and the monotonicity bound 1 / max (max(f_y, 0) + |sigma f_z| / dx),
+        inf when that maximum is 0, with f_y and f_z at y = -phi(x),
+        z = 0 and sigma's row `sg` of the level, evaluated when not given
+        and the driver reads z."""
+        if self._slopes is not None:
+            return self._slopes
         args = (t, self.x, self._y_probe, self.zeros_z, self.u)
-        max_fy = float(np.max(np.abs(self.spec.driver_y(*args))))
-        sfz = np.sum(np.abs(sg * self.spec.driver_z(*args)), axis=-1)
-        dx, max_b, max_sfz = self.dx, float(np.max(np.abs(b))), float(np.max(sfz))
-        driver_share = dx * max_sfz + dx * dx * max_fy
-        denom = 2.0 * float(np.max(half_s2)) + dx * max_b + driver_share
-        bound = np.inf if denom == 0.0 else dx * dx / denom
-        if self._bound_is_static:
-            self._static_bound = bound
-        return bound
+        f_y = self.spec.driver_y(*args)
+        share = np.maximum(f_y, 0.0)
+        if self.f_reads_z:
+            if sg is None:
+                sg = self.spec.diffusion(t, self.x, self.u)[..., 0, :]
+            share += np.sum(np.abs(sg * self.spec.driver_z(*args)), axis=-1) / self.dx
+        worst = float(np.max(share))
+        slopes = f_y, np.inf if worst == 0.0 else 1.0 / worst
+        if self._slopes_static:
+            self._slopes = slopes
+        return slopes
+
+    def dt_bound(self, t):
+        """The monotonicity bound of time level t (`slopes`)."""
+        return self.slopes(t)[1]
+
+    def max_drift(self, t):
+        """max |b| over the nodes and controls at time t."""
+        if self._max_b is not None:
+            return self._max_b
+        if self.static_coeffs is not None:
+            b = self.static_coeffs[0]
+        else:
+            b = self.spec.drift(t, self.x, self.u)
+        max_b = float(np.max(np.abs(b)))
+        if self._b_static:
+            self._max_b = max_b
+        return max_b
+
+    def rule_dt(self, t):
+        """The largest dt the N rule allows at time level t: Courant number
+        dt max |b| / dx <= 1/2 and half of `dt_bound`."""
+        max_b = self.max_drift(t)
+        courant = np.inf if max_b == 0.0 else 0.5 * self.dx / max_b
+        return min(courant, 0.5 * self.dt_bound(t))
 
     def passing_grid(self):
-        """TimeGrid on `span` whose every step passes its own CFL bound.
+        """TimeGrid on `span` with the fewest steps that meet the N rule at
+        every level.
 
-        Starts from one step, checks the bound at each step time of the
-        candidate grid and raises N to the tightest bound seen until one
-        grid passes every step.  For a static bound the first or the
+        Starts from one step, checks the rule at each step time of the
+        candidate grid and raises N to the tightest dt seen until one
+        grid passes every step.  For a static rule the first or the
         second candidate passes.
         """
         n = 1
         while True:
             grid = TimeGrid(*self.span, n)
-            bound = min(map(self.dt_bound, grid.times[1:]))
-            if not _exceeds(grid.dt, bound):
+            dt_max = min(map(self.rule_dt, grid.times[1:]))
+            if not _exceeds(grid.dt, dt_max):
                 return grid
-            n = max(n + 1, _steps_for(self.span, bound))
+            n = max(n + 1, _steps_for(self.span, dt_max))
+
+    def level(self, t, dt):
+        """The implicit rows of time level t for a step of dt (`_Level`),
+        built once when b, sigma and f all ignore time."""
+        if self._static_level is not None and self._static_level[0] == dt:
+            return self._static_level[1]
+        b, sg, gather, half_s2 = self.coefficients(t)
+        dx = self.dx
+        h, bd = half_s2 / (dx * dx), b / dx
+        f_y, bound = self.slopes(t, sg)
+        lower = -dt * (h + np.maximum(-bd, 0.0))
+        upper = -dt * (h + np.maximum(bd, 0.0))
+        diag = 1.0 + dt * (2.0 * h + np.abs(bd) - f_y)
+        # rows 0 and J read the ghost nodes 2 v_0 - v_1 and 2 v_J - v_{J-1}
+        diag[:, 0] += 2.0 * lower[:, 0]
+        upper[:, 0] -= lower[:, 0]
+        diag[:, -1] += 2.0 * upper[:, -1]
+        lower[:, -1] -= upper[:, -1]
+        lower[:, 0] = upper[:, -1] = 0.0
+        sgd = sg / dx if self.f_reads_zu else None
+        rows = _Level(lower, diag, upper, h, bd, gather, sgd, f_y, bound)
+        if self._level_static:
+            self._static_level = (dt, rows)
+        return rows
+
+    def _pick(self, rows, nd, extra, policy):
+        """Per node, the row of G = h a + bd nd[gather] + extra that is
+        largest, keeping `policy`'s row where it ties; `extra` is None
+        when it is the same for every row."""
+        g = rows.h * (nd[1:] - nd[:-1]) + rows.bd * nd[rows.gather]
+        if extra is not None:
+            g += extra
+        best = g.argmax(axis=0)
+        if policy is None:
+            return best
+        keep = g[policy, self._nodes] >= g[best, self._nodes]
+        return np.where(keep, policy, best)
+
+    def step(self, v, t, dt, policy=None, index=0, rows=None):
+        """One implicit step from the known level v at time t to t - dt.
+
+        Returns (value row, policy, tridiagonal solves).  The policy
+        iteration starts from `policy`, one row index per node, or, when
+        it is None, from the rows that maximize G at v.  A non-finite row
+        or a zero pivot is refused, and so is a policy that has not
+        settled after `_POLICY_SOLVES` solves, each naming time level
+        `index`.  `rows` are the level's (`level`), built when not given.
+        """
+        rows = rows or self.level(t, dt)
+        nd = _neg_differences(v)
+        if self.f_reads_zu:
+            z = rows.sgd * nd[rows.gather][..., None]
+            fval = self.spec.driver(t, self.x, -v, z, self.u)
+            c = fval + rows.f_y * v
+        else:
+            fval = self.spec.driver(t, self.x_cols, -v, self.zeros_z, self.u[0])
+            c = fval + rows.f_y[0] * v
+        rhs = v - dt * c
+        if policy is None:
+            policy = self._pick(rows, nd, fval if self.f_reads_zu else None, None)
+        for solves in range(1, _POLICY_SOLVES + 1):
+            pick = (policy, self._nodes)
+            try:
+                new = _thomas(
+                    rows.lower[pick], rows.diag[pick], rows.upper[pick],
+                    rhs[pick] if self.f_reads_zu else rhs,
+                )
+            except ZeroDivisionError:
+                raise ProblemError(f"zero pivot at time level {index}") from None
+            if not np.isfinite(new).all():
+                raise ProblemError(f"non-finite value at time level {index}")
+            extra = c - rows.f_y * new if self.f_reads_zu else None
+            settled = self._pick(rows, _neg_differences(new), extra, policy)
+            if np.array_equal(settled, policy):
+                return new, policy, solves
+            policy = settled
+        raise PolicyError(index)
 
 
 def sweep_step(spec, xs, v, t, dt, control_grid_size=11):
-    """Single explicit update of a value row (used directly by probes)."""
-    return _Sweep(spec, xs, control_grid(spec, control_grid_size)).step(v, t, dt)
+    """One implicit step of a value row from time t to t - dt, its policy
+    started from the rows that maximize G at v (used directly by probes)."""
+    sweep = _Sweep(spec, xs, control_grid(spec, control_grid_size))
+    return sweep.step(v, t, dt)[0]
 
 
 def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
     """Solve the value PDE on [-L, L] x [grid.start, T].
 
     One-dimensional only (spec.n == 1).  Each step is checked against the
-    CFL bound of its own time level (`_Sweep.dt_bound`, with dx = 2L / J)
-    before it updates anything; the first step whose bound grid.dt
-    exceeds raises CFLError, whose `n_required` passes every step.  The
-    result's `cfl_ratio` is grid.dt over the tightest bound the steps
-    met.  The terminal row is -phi exactly.
+    monotonicity bound of its own time level (`_Sweep.slopes`, with
+    dx = 2L / J) before it updates anything; the first step whose bound
+    grid.dt exceeds raises CFLError, whose `n_required` is the N rule's
+    (`cfl_time_grid`).  Each level is solved by policy iteration, its
+    policy started from the previous level's.  The result's `cfl_ratio`
+    is grid.dt over the tightest bound the steps met, 0 when none had
+    one, and `policy_solves` and `max_level_solves` count the
+    tridiagonal solves.  The terminal row is -phi exactly.
     """
     if abs(grid.end - spec.horizon) > 1e-12:
         raise ProblemError("grid must end at the problem horizon")
@@ -352,17 +535,17 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
     values = np.empty((grid.steps + 1, n_cells + 1))
     values[-1] = -spec.terminal(sweep.x_cols)
     tightest = np.inf
+    policy = None
+    solves = []
     for i in range(grid.steps - 1, -1, -1):
         t = times[i + 1]
-        coeffs = sweep.coefficients(t)
-        bound = sweep.dt_bound(t, coeffs)
-        if bound < tightest:  # a looser bound passes where a tighter one did
-            if _exceeds(dt, bound):
-                raise CFLError(dt, bound, sweep.passing_grid().steps, sweep.span)
-            tightest = bound
-        sweep.step(values[i + 1], t, dt, coeffs, out=values[i])
-        if not np.isfinite(values[i]).all():
-            raise ProblemError(f"non-finite value at time level {i}")
+        rows = sweep.level(t, dt)
+        if rows.bound < tightest:  # a looser bound passes where a tighter one did
+            if _exceeds(dt, rows.bound):
+                raise CFLError(dt, rows.bound, sweep.passing_grid().steps, sweep.span)
+            tightest = rows.bound
+        values[i], policy, n = sweep.step(values[i + 1], t, dt, policy, i, rows)
+        solves.append(n)
     return ValueGrid(
         space_half_width=half_width,
         n_cells=n_cells,
@@ -370,6 +553,8 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
         values=values,
         control_grid_size=control_grid_size,
         cfl_ratio=dt / tightest,
+        policy_solves=sum(solves),
+        max_level_solves=max(solves),
     )
 
 
@@ -566,6 +751,10 @@ def value_grid_meta_json(vgrid, path):
     }
     if vgrid.cfl_ratio is not None:
         meta["cfl_ratio"] = vgrid.cfl_ratio
+    if vgrid.policy_solves is not None:
+        meta["scheme"] = "implicit"
+        meta["policy_solves"] = vgrid.policy_solves
+        meta["max_level_solves"] = vgrid.max_level_solves
     with open(path, "w") as fh:
         json.dump(meta, fh, sort_keys=True)
         fh.write("\n")

@@ -28,84 +28,101 @@ def test_stationary_transport_free_equation_preserved():
 
 
 def test_cfl_violation_refused(spec31):
-    with pytest.raises(H.CFLError, match="use at least N"):
-        H.solve_hjb_fd(spec31, 2.0, 400, F.TimeGrid(0.0, 1.0, 100), 11)
+    # f_y = 25 leaves the rows of B_u a sum of 1 - 25 dt: the bound is
+    # dt <= 1/25, and the N rule takes half of it, N = 50
+    spec = P.spec_from_expressions(
+        1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"], "x1 + 25 * y", "x1"
+    )
+    assert H.cfl_max_dt(spec, 2.0, 20) == pytest.approx(1.0 / 25.0, rel=1e-12)
+    with pytest.raises(H.CFLError, match="use at least N = 50 "):
+        H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, 20), 11)
+    grid = H.cfl_time_grid(spec, 2.0, 20, 11)
+    assert grid.steps == 50
+    assert H.solve_hjb_fd(spec, 2.0, 20, grid, 11).cfl_ratio == pytest.approx(0.5)
+    # example31's f_y = -1 and f_z = 0 leave no bound: no N is refused
+    vg = H.solve_hjb_fd(spec31, 2.0, 400, F.TimeGrid(0.0, 1.0, 10), 11)
+    assert vg.cfl_ratio == 0.0 and H.cfl_max_dt(spec31, 2.0, 400) == np.inf
 
 
 def _oscillating_sigma():
+    # the driver reads z, so the bound dx / |sigma f_z| follows sigma,
+    # and |sigma| reaches 6 between the levels of a coarse grid
     return P.spec_from_expressions(
         1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["1 + 5 * sin(20 * s)"],
-        "x1 - y", "x1",
+        "x1 - y + z1", "x1",
     )
 
 
-# Too coarse for `_oscillating_sigma` at L = 2: the N of a bound taken
-# from sigma at five time levels only, where sigma^2 is at most 30.9;
-# between them it reaches 36, so dt is 1.16 times too large at the worst
-# steps.
-_FIVE_LEVEL_N = {20: 786, 100: 19405}
+# passes the bound of the first step, at t = 1 where |sigma| = 5.56, but
+# not of the steps where |sigma| nears 6 (L = 2, J = 20: dx = 0.2)
+_FIRST_LEVEL_N = 28
 
 
 def test_time_dependent_cfl_checked_each_step():
     spec = _oscillating_sigma()
-    grid = F.TimeGrid(0.0, 1.0, _FIVE_LEVEL_N[100])
+    grid = F.TimeGrid(0.0, 1.0, _FIRST_LEVEL_N)
+    sweep = H._grid_sweep(spec, 2.0, 20, 11, 0.0)
+    assert not H._exceeds(grid.dt, sweep.dt_bound(1.0))
     with pytest.raises(H.CFLError, match="use at least N") as err:
-        H.solve_hjb_fd(spec, 2.0, 100, grid, 11)
+        H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
+    assert err.value.dt_max < grid.dt < sweep.dt_bound(1.0)
     assert err.value.n_required > grid.steps
-    fine = F.TimeGrid(0.0, 1.0, 2 * grid.steps)
-    vg = H.solve_hjb_fd(spec, 2.0, 100, fine, 11)
+    vg = H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, 2 * grid.steps), 11)
     assert np.all(np.isfinite(vg.values))
 
 
-def _reference_step(spec, xs, v, t, dt, controls):
-    """The explicit update written as a plain loop over the controls, in
-    the sweep's arithmetic: raw differences, coefficients divided by dx."""
-    dx = xs[1] - xs[0]
-    vp = np.concatenate(([2.0 * v[0] - v[1]], v, [2.0 * v[-1] - v[-2]]))
-    nd = vp[:-1] - vp[1:]  # minus the backward (nd[:-1]) or forward (nd[1:])
-    neg_dxx = nd[1:] - nd[:-1]
+def _rows_per_control(spec, xs, t, dt, controls):
+    """The implicit rows of one level as a plain loop over the controls,
+    in the sweep's arithmetic: (lower, diag, upper, h, b / dx), one row
+    of each per control."""
+    dx = (xs[-1] - xs[0]) / (xs.size - 1)
     x_cols = xs[:, None]
+    rows = []
+    for u in controls:
+        uu = np.broadcast_to(u, (xs.size, spec.k))
+        b = spec.drift(t, x_cols, uu)[:, 0]
+        sg = spec.diffusion(t, x_cols, uu)[:, 0, :]
+        f_y = spec.driver_y(t, x_cols, -spec.terminal(x_cols), 0.0 * sg, uu)
+        h, bd = 0.5 * np.sum(sg * sg, axis=-1) / (dx * dx), b / dx
+        lower = -dt * (h + np.maximum(-bd, 0.0))
+        upper = -dt * (h + np.maximum(bd, 0.0))
+        diag = 1.0 + dt * (2.0 * h + np.abs(bd) - f_y)
+        diag[0] += 2.0 * lower[0]
+        upper[0] -= lower[0]
+        diag[-1] += 2.0 * upper[-1]
+        lower[-1] -= upper[-1]
+        lower[0] = upper[-1] = 0.0
+        rows.append((lower, diag, upper, h, bd))
+    return [np.array(r) for r in zip(*rows)]
+
+
+def _bellman_residual(spec, xs, v, v_known, t, dt, controls):
+    """max_u (B_u v - r_u) per node, written on divided differences over
+    every control: B_u v = v - dt (L_u v + f_y v) and r_u = v_known -
+    dt (f(t, x, -v_known, sigma^T p_known, u) + f_y v_known)."""
+    dx = (xs[-1] - xs[0]) / (xs.size - 1)
+    x_cols = xs[:, None]
+
+    def differences(w):
+        wp = np.concatenate(([2.0 * w[0] - w[1]], w, [2.0 * w[-1] - w[-2]]))
+        fwd, bwd = (wp[2:] - wp[1:-1]) / dx, (wp[1:-1] - wp[:-2]) / dx
+        return fwd, bwd, (wp[2:] - 2.0 * wp[1:-1] + wp[:-2]) / (dx * dx)
+
+    fwd, bwd, dxx = differences(v)
+    kfwd, kbwd, _ = differences(v_known)
     best = None
     for u in controls:
         uu = np.broadcast_to(u, (xs.size, spec.k))
         b = spec.drift(t, x_cols, uu)[:, 0]
-        sg = spec.diffusion(t, x_cols, uu)[:, 0, 0]
-        p = np.where(b >= 0.0, nd[1:], nd[:-1])
-        fval = spec.driver(t, x_cols, -v, ((sg / dx) * p)[:, None], uu)
-        g = 0.5 * sg * sg / (dx * dx) * neg_dxx + p * (b / dx) + fval
-        best = g if best is None else np.maximum(best, g)
-    return v - dt * best
-
-
-def _divided_reference_step(spec, xs, v, t, dt, controls):
-    """The explicit update as a plain loop over the controls, on
-    differences divided by dx: the same scheme up to rounding."""
-    dx = xs[1] - xs[0]
-    vp = np.concatenate(([2.0 * v[0] - v[1]], v, [2.0 * v[-1] - v[-2]]))
-    dxx = (vp[2:] - 2.0 * vp[1:-1] + vp[:-2]) / (dx * dx)
-    fwd = (vp[2:] - vp[1:-1]) / dx
-    bwd = (vp[1:-1] - vp[:-2]) / dx
-    x_cols = xs[:, None]
-    best = None
-    for u in controls:
-        uu = np.broadcast_to(u, (xs.size, spec.k))
-        b = spec.drift(t, x_cols, uu)[:, 0]
-        sg = spec.diffusion(t, x_cols, uu)[:, 0, 0]
-        d1 = np.where(b >= 0.0, fwd, bwd)
-        fval = spec.driver(t, x_cols, -v, (-sg * d1)[:, None], uu)
-        g = 0.5 * sg * sg * (-dxx) + (-d1) * b + fval
-        best = g if best is None else np.maximum(best, g)
-    return v - dt * best
-
-
-def _reference_solve(reference_step, spec, xs, grid, controls):
-    values = np.empty((grid.steps + 1, xs.size))
-    values[-1] = -spec.terminal(xs[:, None])
-    for i in range(grid.steps - 1, -1, -1):
-        values[i] = reference_step(
-            spec, xs, values[i + 1], grid.times[i + 1], grid.dt, controls
-        )
-    return values
+        sg = spec.diffusion(t, x_cols, uu)[:, 0, :]
+        up = b >= 0.0
+        lv = 0.5 * np.sum(sg * sg, axis=-1) * dxx + b * np.where(up, fwd, bwd)
+        z = -sg * np.where(up, kfwd, kbwd)[:, None]
+        f_y = spec.driver_y(t, x_cols, -spec.terminal(x_cols), 0.0 * sg, uu)
+        r = v_known - dt * (spec.driver(t, x_cols, -v_known, z, uu) + f_y * v_known)
+        res = v - dt * (lv + f_y * v) - r
+        best = res if best is None else np.maximum(best, res)
+    return best
 
 
 # two controls, b and sigma static and a driver without z and u: the
@@ -118,7 +135,7 @@ _PRUNED_PROBLEMS = {
 
 def _sweep_problem(name):
     if name == "time_dependent":
-        # sigma grows with s, so each step has its own CFL bound
+        # sigma grows with s, so each level has its own rows
         return P.spec_from_expressions(
             1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1 * (1 + s)"],
             "x1 - y + u1", "x1",
@@ -131,6 +148,11 @@ def _sweep_problem(name):
     return P.builtin_problem(name), 2.0 if name == "example31" else 4.0
 
 
+# max_u (B_u v - r_u) of the solved levels against every control, relative
+# to 1 + max |v|: the Thomas solve and the difference form move only bits
+_BELLMAN_RESIDUAL = 1e-13
+
+
 @pytest.mark.parametrize(
     "name", ["example31", "smooth1d", "time_dependent", *_PRUNED_PROBLEMS]
 )
@@ -139,19 +161,25 @@ def test_sweep_bit_identical_to_per_control_loop(name):
     grid = H.cfl_time_grid(spec, half_width, 40, 11)
     vg = H.solve_hjb_fd(spec, half_width, 40, grid, 11)
     controls = P.control_grid(spec, 11)
+    sweep = H._Sweep(spec, vg.xs, controls)
     if name in _PRUNED_PROBLEMS:
-        kept = H._Sweep(spec, vg.xs, controls).controls
-        assert len(kept) == _PRUNED_PROBLEMS[name][3]
-    ref = _reference_solve(_reference_step, spec, vg.xs, grid, controls)
-    assert np.array_equal(vg.values, ref)
+        assert len(sweep.controls) == _PRUNED_PROBLEMS[name][3]
+    scale = 1.0 + np.max(np.abs(vg.values))
+    for i in (grid.steps - 1, grid.steps // 2, 0):
+        t = grid.times[i + 1]
+        # the level's rows, bit for bit those of a loop over its controls
+        rows = sweep.level(t, grid.dt)
+        ref = _rows_per_control(spec, vg.xs, t, grid.dt, sweep.controls)
+        for got, want in zip(rows, ref):
+            assert np.array_equal(got, want)
+        # the Howard fixed point solves the level's Bellman equation
+        res = _bellman_residual(spec, vg.xs, vg.values[i], vg.values[i + 1], t, grid.dt, controls)
+        assert np.max(np.abs(res)) <= _BELLMAN_RESIDUAL * scale
+    # a step from the maximizing rows of its own known level, not the
+    # previous level's policy, reaches the same fixed point
     i = grid.steps // 2
-    stepped = H.sweep_step(
-        spec, vg.xs, ref[i + 1], grid.times[i + 1], grid.dt, 11
-    )
-    assert np.array_equal(stepped, ref[i])
-    # dividing the differences instead of the coefficients moves only bits
-    divided = _reference_solve(_divided_reference_step, spec, vg.xs, grid, controls)
-    assert np.max(np.abs(vg.values - divided)) <= 1e-14 * np.max(np.abs(vg.values))
+    stepped = H.sweep_step(spec, vg.xs, vg.values[i + 1], grid.times[i + 1], grid.dt, 11)
+    assert np.max(np.abs(stepped - vg.values[i])) <= _BELLMAN_RESIDUAL * scale
 
 
 def test_pruning_keeps_the_rows_that_can_attain_the_maximum(spec31):
@@ -245,18 +273,18 @@ def test_degenerate_control_axis_has_one_grid_point():
 
 
 def test_update_monotone_in_neighbors(vgrid400, spec31):
-    # bumping any single neighbor value upward never decreases the update
+    # raising the known level at any single node, an end node included,
+    # never lowers the update at an interior node
     xs = vgrid400.xs
     row = vgrid400.values[len(vgrid400.values) // 2].copy()
     dt = vgrid400.grid.dt
     base = H.sweep_step(spec31, xs, row, 0.9, dt, 11)
     rng = np.random.default_rng(3)
-    for j in rng.integers(2, xs.size - 2, size=12):
-        for nb in (-1, 0, 1):
-            pert = row.copy()
-            pert[j + nb] += 1e-3
-            upd = H.sweep_step(spec31, xs, pert, 0.9, dt, 11)
-            assert upd[j] >= base[j] - 1e-13, (j, nb)
+    for m in [0, xs.size - 1, *rng.integers(1, xs.size - 1, size=12)]:
+        pert = row.copy()
+        pert[m] += 1e-3
+        upd = H.sweep_step(spec31, xs, pert, 0.9, dt, 11)
+        assert np.all(upd[1:-1] >= base[1:-1] - 1e-13), m
 
 
 def test_comparison_principle(spec31):
@@ -384,28 +412,32 @@ def test_value_grid_exports(tmp_path, vgrid100, spec31):
     assert data["J"] == 100
     assert data["cfl_ratio"] <= 1.0 + 1e-9
     assert data["cfl_ratio"] == vgrid100.cfl_ratio
+    # example31 settles every level in one solve
+    assert data["scheme"] == "implicit"
+    assert data["policy_solves"] == vgrid100.grid.steps
+    assert data["max_level_solves"] == 1
 
 
 def test_mid_sweep_refusal_names_a_passing_step_count():
-    # the refusal checks sigma at every step time of its candidate grids,
-    # so one rerun with its N is not refused again
+    # the refusal's N meets the rule at every step time of its candidate
+    # grids, so one rerun with it is not refused again
     spec = _oscillating_sigma()
-    grid = F.TimeGrid(0.0, 1.0, _FIVE_LEVEL_N[20])
+    grid = F.TimeGrid(0.0, 1.0, _FIRST_LEVEL_N)
     with pytest.raises(H.CFLError, match="use at least N") as err:
         H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
     n_required = err.value.n_required
     assert n_required > grid.steps
     vg = H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, n_required), 11)
-    assert vg.cfl_ratio <= 1.0
+    assert vg.cfl_ratio <= 0.5
     assert np.all(np.isfinite(vg.values))
 
 
 def test_cfl_time_grid_passes_every_step_of_time_dependent_coefficients():
     spec = _oscillating_sigma()
     grid = H.cfl_time_grid(spec, 2.0, 20, 11)
-    assert grid.steps > _FIVE_LEVEL_N[20]
+    assert grid.steps > 2 * _FIRST_LEVEL_N
     vg = H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
-    assert vg.cfl_ratio <= 1.0
+    assert vg.cfl_ratio <= 0.5
     assert np.all(np.isfinite(vg.values))
 
 
@@ -424,7 +456,7 @@ def test_solve_builds_one_sweep(spec31, monkeypatch):
 
 
 def test_time_dependent_solve_evaluates_b_once_per_step():
-    # once per step, where the step and its CFL bound share the level's
+    # once per step, where the step and its bound share the level's
     # coefficients; no scan before the sweep
     spec, half_width = _sweep_problem("time_dependent")
     grid = H.cfl_time_grid(spec, half_width, 100, 11)
@@ -439,37 +471,61 @@ def test_time_dependent_solve_evaluates_b_once_per_step():
     assert len(calls) == grid.steps
 
 
-def test_static_solve_evaluates_and_scales_coefficients_once(monkeypatch):
-    # b and sigma ignore time: one evaluation each, and one division of
-    # them for the raw differences, for the whole sweep
-    spec = P.builtin_problem("example31")
-    grid = H.cfl_time_grid(spec, 2.0, 100, 11)
-    calls = []
+def _counting(spec, names):
+    """Replace spec's evaluators `names` by wrappers that count calls."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args):
-            calls.append(name)
+            calls[name] += 1
             return fn(*args)
 
         return wrapper
 
-    spec.drift = counted("drift", spec.drift)
-    spec.diffusion = counted("diffusion", spec.diffusion)
-    monkeypatch.setattr(H._Sweep, "_scale", counted("scale", H._Sweep._scale))
+    for name in names:
+        setattr(spec, name, counted(name, getattr(spec, name)))
+    return calls
+
+
+def test_hjb_stage_evaluates_time_dependent_sigma_once_per_level():
+    # sigma = x1 * (1 + s) depends on time and b = x1 * u1 does not: the
+    # stage, its grid and then its solve, evaluates sigma once per level,
+    # in the solve, and b once more, for the Courant number of the grid
+    spec, half_width = _sweep_problem("time_dependent")
+    calls = _counting(spec, ("drift", "diffusion"))
+    grid = H.cfl_time_grid(spec, half_width, 100, 11)
+    H.solve_hjb_fd(spec, half_width, 100, grid, 11)
+    assert grid.steps == 100
+    assert calls == {"drift": grid.steps + 1, "diffusion": grid.steps}
+
+
+def test_static_solve_evaluates_and_scales_coefficients_once(monkeypatch):
+    # b, sigma and f ignore time: one evaluation of each, and one set of
+    # implicit rows, for the whole sweep; f = x1 - y reads no z, so f_z
+    # is not evaluated
+    spec = P.builtin_problem("example31")
+    grid = H.cfl_time_grid(spec, 2.0, 100, 11)
+    calls = _counting(spec, ("drift", "diffusion", "driver_y", "driver_z"))
+    built, rows = [], H._Level
+
+    def level(*args):
+        built.append(args)
+        return rows(*args)
+
+    monkeypatch.setattr(H, "_Level", level)
     H.solve_hjb_fd(spec, 2.0, 100, grid, 11)
-    assert sorted(calls) == ["diffusion", "drift", "scale"]
+    assert calls == {"drift": 1, "diffusion": 1, "driver_y": 1, "driver_z": 0}
+    assert len(built) == 1
 
 
 def test_cfl_ratio_is_against_the_tightest_step_bound():
-    # sigma^2 = (1 + 5 sin(20 s))^2 peaks at 36; max |b| = 2 (x = 2,
-    # u = 1), and f = x1 - y has f_y = -1 and f_z = 0, so the driver's
-    # share is dx^2
+    # f = x1 - y + z1 has f_y = -1 and f_z = 1, so the bound of level t
+    # is dx / |sigma(t)| with sigma = 1 + 5 sin(20 t)
     spec = _oscillating_sigma()
     grid = H.cfl_time_grid(spec, 2.0, 20, 11)
     vg = H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
     dx = 4.0 / 20
-    sig2 = (1.0 + 5.0 * np.sin(20.0 * grid.times[1:])) ** 2
-    tightest = np.min(dx * dx / (sig2 + dx * 2.0 + dx * dx))
+    tightest = np.min(dx / np.abs(1.0 + 5.0 * np.sin(20.0 * grid.times[1:])))
     assert vg.cfl_ratio == pytest.approx(grid.dt / tightest, rel=1e-12)
 
 
@@ -480,11 +536,37 @@ def test_non_finite_value_refused_at_its_time_level():
         1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"], "x1 - y + 1e308 * 10", "x1"
     )
     grid = H.cfl_time_grid(spec, 2.0, 20, 11)
-    assert grid.steps == 111
+    assert grid.steps == 20
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(P.ProblemError, match="non-finite value at time level 110"):
+        with pytest.raises(P.ProblemError, match="non-finite value at time level 19"):
             H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
+
+
+def test_zero_pivot_refused_at_its_time_level():
+    # u = 1 only and b = x1 points out of [-2, 2] at both ends; with f_y = 0
+    # and dt |b| / dx = 1 there the end rows' diagonal is 0
+    spec = P.spec_from_expressions(
+        1, 1, 1, 1.0, [1.0], [1.0], ["x1 * u1"], ["x1"], "x1", "x1"
+    )
+    grid = F.TimeGrid(0.0, 1.0, 10)
+    with pytest.raises(P.ProblemError, match="zero pivot at time level 9"):
+        H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
+    # the N rule keeps dt |b| / dx at 1/2
+    assert H.cfl_time_grid(spec, 2.0, 20, 11).steps == 20
+
+
+def test_policy_iteration_cap_names_the_level(monkeypatch):
+    # two_controls_corners needs more than one solve at some levels
+    spec, half_width = _sweep_problem("two_controls_corners")
+    grid = H.cfl_time_grid(spec, half_width, 40, 11)
+    vg = H.solve_hjb_fd(spec, half_width, 40, grid, 11)
+    assert vg.max_level_solves > 1 and vg.policy_solves > grid.steps
+    monkeypatch.setattr(H, "_POLICY_SOLVES", 1)
+    with pytest.raises(H.PolicyError, match="at time level") as err:
+        H.solve_hjb_fd(spec, half_width, 40, grid, 11)
+    assert isinstance(err.value, P.ProblemError)
+    assert 0 <= err.value.level < grid.steps
 
 
 def _decreasing_nodes(spec, xs, row, t, dt):
@@ -501,19 +583,22 @@ def _decreasing_nodes(spec, xs, row, t, dt):
 
 
 def test_time_dependent_driver_bound_checked_each_step():
-    # |f_y| = 400 sin(20 s)^2 peaks at s = pi/40, between five levels
-    # spread over [0, 1]; a bound with f_y from those levels alone gives
-    # N = 478, whose steps near the peak are not monotone
+    # f_y = 40 sin(20 s)^2 peaks at 40 between the levels; at t = 1 it is
+    # 33.3, so N = 36 passes the first step's bound and not the peaks'
     spec = P.spec_from_expressions(
         1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"],
-        "x1 - 400 * sin(20 * s) ^ 2 * y", "x1",
+        "x1 + 40 * sin(20 * s) ^ 2 * y", "x1",
     )
+    coarse = F.TimeGrid(0.0, 1.0, 36)
+    sweep = H._grid_sweep(spec, 2.0, 20, 11, 0.0)
+    assert not H._exceeds(coarse.dt, sweep.dt_bound(1.0))
     with pytest.raises(H.CFLError, match="use at least N"):
-        H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, 478), 11)
+        H.solve_hjb_fd(spec, 2.0, 20, coarse, 11)
     grid = H.cfl_time_grid(spec, 2.0, 20, 11)
     vg = H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
-    assert vg.cfl_ratio <= 1.0
-    i = int(np.argmin(np.abs(grid.times - np.pi / 40)))
+    assert vg.cfl_ratio <= 0.5
+    # the last peak before T, at s = 11 pi / 40
+    i = int(np.argmin(np.abs(grid.times - 11.0 * np.pi / 40.0)))
     t, row = grid.times[i], vg.values[i]
     assert _decreasing_nodes(spec, vg.xs, row, t, grid.dt) == set()
-    assert _decreasing_nodes(spec, vg.xs, row, t, 1.0 / 478) != set()
+    assert _decreasing_nodes(spec, vg.xs, row, t, coarse.dt) != set()
