@@ -33,19 +33,7 @@ nodes when each B_u is an M-matrix there, which holds for dt f_y < 1,
 and each r_u is nondecreasing in v'.  For a driver affine in (y, z),
 r_u = v' - dt f(t, x, 0, z', u), whose weight on v'_j is
 1 - dt sigma f_z / dx on the side b picks, at least
-1 - dt |sigma f_z| / dx with |sigma f_z| = sum_j |sigma_1j f_zj|.  Both
-hold when, at every node and control,
-
-    dt (max(f_y, 0) + |sigma f_z| / dx) <= 1,
-
-the driver's explicit share (at equality with f_z = 0 a row sum is 0).
-The drift and diffusion add nothing to it: the step is unconditionally
-monotone in them.  `_Sweep.slopes` computes that bound, `dt_bound`, of
-one time level, and is the only place it is computed; `solve_hjb_fd`
-refuses the first step that exceeds it.  Like the explicit bound
-before it, it is exact for drivers affine in (y, z), and it covers the
-own-node weight only: the neighbor weight dt sigma f_z / dx of the z
-difference is nonnegative only where sigma f_z has the sign of b.
+1 - dt |sigma f_z| / dx with |sigma f_z| = sum_j |sigma_1j f_zj|.
 
 The end nodes are the exception: the ghost nodes cancel the second
 difference there and leave rows 0 and J as (1 + dt (b/dx - f_y)) v_0 -
@@ -53,20 +41,38 @@ dt b/dx v_1 and (1 - dt (b/dx + f_y)) v_J + dt b/dx v_{J-1}, whose
 off-diagonal weight is positive wherever b points out of [-L, L],
 whatever dt.  So the step is not monotone at nodes 0 and J, and the
 monotonicity tests probe interior nodes only.  Eliminating v_0 and v_J
-leaves M-matrix rows with a larger diagonal while the end rows' own
-diagonal stays positive, so no rise of v' lowers an interior node.
+leaves M-matrix rows with a larger diagonal, and a right-hand side
+nondecreasing in r_0 and r_J, as long as the end rows' own diagonal
+stays positive: with b_out the part of b that points out (-b at node 0,
+b at node J, where positive), dt (b_out/dx + f_y) < 1.  A negative end
+diagonal instead lowers the next row's, and a rise of v' then lowers
+interior nodes.  All of this holds when, at every node and control,
+
+    dt (max(f_y, 0) + |sigma f_z| / dx) <= 1,
+    and at nodes 0 and J,  dt (max(f_y, 0) + b_out / dx) <= 1,
+
+the driver's explicit share and the end rows' outflow (at equality with
+f_y >= 0 an end row's pivot is 0, which the solve refuses).  The
+diffusion adds nothing, and the drift only at the end rows: in the
+interior the step is unconditionally monotone in both.  `_Sweep.slopes`
+computes that bound, `dt_bound`, of one time level, and is the only
+place it is computed; `solve_hjb_fd` refuses the first step that exceeds
+it.  Like the explicit bound before it, it is exact for drivers affine
+in (y, z), and it covers the own-node weight only: the neighbor weight
+dt sigma f_z / dx of the z difference is nonnegative only where sigma
+f_z has the sign of b.
 
 N is chosen for accuracy, not by the bound: `cfl_time_grid` takes the
 fewest steps whose dt meets, at every level, the Courant rule
 dt max |b| / dx <= 1/2 and dt <= dt_bound / 2.  The Courant rule makes
 dt of the order of dx, where the step's first-order errors in time and
-space balance, and keeps 1 - dt |b| / dx >= 1/2 on the end rows'
-diagonal for the Thomas solve; halving dt_bound keeps the rule apart
-from the refusal, so `cfl_ratio` is at most 1/2 on the rule's grids.
-On example31 at L = 2 the Courant rule gives N = J, and f_y = -1 with
-f_z = 0 leaves no bound at all (`cfl_ratio` 0).  The rule evaluates b
-and the bound once when they ignore time, and at every level of its
-candidate grids otherwise; b and sigma for the bound only when the
+space balance; halving dt_bound keeps the end rows' diagonal at least
+1/2 for the Thomas solve and the rule apart from the refusal, so
+`cfl_ratio` is at most 1/2 on the rule's grids.  On example31 at L = 2
+(f_y = -1, f_z = 0, |b| = 2 pointing out at both ends) the bound is
+dx / 2 and both parts of the rule give dx / 4: N = J, `cfl_ratio` 1/2.
+The rule evaluates b and the bound once when they ignore time, and at
+every level of its candidate grids otherwise; sigma only when the
 driver reads z.
 
 Each step is solved by policy iteration (Howard's algorithm).  The
@@ -79,16 +85,17 @@ With M-matrix rows the iteration converges in finitely many solves;
 past `_POLICY_SOLVES` solves a level raises PolicyError.  On example31
 every level takes one solve.
 
-One method, `_Sweep.hamiltonian`, gives sup_u G over the controls of
-the grid at given (r, p, A), the maximum of G's (C, J+1) rows, one per
-control, with a driver that reads neither z nor u added once, after
-the maximum; the viscosity probe evaluates it at a single node.  The
-policy step maximizes the same rows: B_u v - r_u = v - v' + dt G_u with
-G_u = h a + (b/dx) nd[upwind] + c_u - f_y v in the raw differences
-nd_j = v_{j-1} - v_j and a = nd_{j+1} - nd_j.  When b and sigma ignore
-time and the driver reads neither z nor u, c_u - f_y v is the same for
-every row, and the rows are cut once to the controls that can attain
-the maximum at some node (`_attaining_rows`): for example31 3 of 11.
+One function, `_g_rows`, writes G's (C, J+1) rows, one per control.
+`_Sweep.hamiltonian` gives sup_u G over the controls of the grid at
+given (r, p, A) as their maximum, with a driver that reads neither z nor
+u added once, after the maximum; the viscosity probe evaluates it at a
+single node.  The policy step maximizes the same rows in the raw
+differences nd_j = v_{j-1} - v_j and a = nd_{j+1} - nd_j: B_u v - r_u =
+v - v' + dt G_u with G_u = h a + (b/dx) nd[upwind] + c_u - f_y v.  When
+b and sigma ignore time and the driver reads neither z nor u, c_u - f_y
+v is the same for every row, and the rows are cut once to the controls
+that can attain the maximum at some node (`_attaining_rows`): for
+example31 3 of 11.
 """
 
 from __future__ import annotations
@@ -175,7 +182,8 @@ def _grid_sweep(spec, half_width, n_cells, control_grid_size, t_start):
 
 def cfl_max_dt(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
     """The tightest monotonicity bound `dt_bound` over the steps of
-    `cfl_time_grid`'s grid; inf when the driver's share is zero."""
+    `cfl_time_grid`'s grid; inf when neither the driver's share nor the
+    end rows' outflow bounds the step."""
     sweep = _grid_sweep(spec, half_width, n_cells, control_grid_size, t_start)
     return min(map(sweep.dt_bound, sweep.passing_grid().times[1:]))
 
@@ -186,11 +194,6 @@ def cfl_time_grid(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
     monotonicity bound, so `solve_hjb_fd` never refuses it."""
     sweep = _grid_sweep(spec, half_width, n_cells, control_grid_size, t_start)
     return sweep.passing_grid()
-
-
-def _coefficients_static(spec):
-    """True when the expression variables show b and sigma ignore time."""
-    return "s" not in spec.b_variables | spec.sigma_variables
 
 
 def _attaining_rows(b, half_s2):
@@ -236,6 +239,17 @@ def _neg_differences(v):
     difference at node j; J+2 entries."""
     vp = np.concatenate(([2.0 * v[0] - v[1]], v, [2.0 * v[-1] - v[-2]]))
     return vp[:-1] - vp[1:]
+
+
+def _g_rows(h, bd, a, nd_up, f=None):
+    """G's rows, one per control: h a + bd nd_up + f, with f left out when
+    it is None.  With h = |sigma|^2 / 2, bd = b and (a, nd_up) = (A, p)
+    it is 0.5 |sigma|^2 A + p b + f; the step uses the raw differences
+    a = dx^2 A and nd_up = dx p with h and bd divided by dx^2 and dx."""
+    g = h * a + bd * nd_up
+    if f is not None:
+        g += f
+    return g
 
 
 def _thomas(lower, diag, upper, rhs):
@@ -289,15 +303,16 @@ class _Sweep:
     node.  `level` gives a time level's implicit rows and `step` one
     implicit step by policy iteration.  `slopes` gives a level's f_y and
     monotonicity bound, `dt_bound` that bound, `max_drift` its max |b|,
-    and `passing_grid` the N rule's grid on `span` = [t_start, T].  When
-    the problem's expression variables show b and sigma are
-    time-independent they and their gather are computed once, otherwise
-    once per level; f_y and the bound once when the driver ignores time
-    and reads z only with a static sigma, and a level's rows once when
-    all of b, sigma and f ignore time.  When the driver ignores z and u
-    it is evaluated once per level on (J+1,), and when b and sigma are
-    static as well the rows are cut once, here, to `_attaining_rows`;
-    `controls` holds the rows kept.
+    and `passing_grid` the N rule's grid on `span` = [t_start, T].
+
+    Each of b, sigma, the slopes, the N rule and a level's rows is a term
+    that `_term` evaluates once per time level, and once in all when the
+    problem's expression variables show it ignores time: b and sigma by
+    their own expressions, the slopes when b and f do and sigma too if f
+    reads z, the rule when b and the slopes do, a level's rows when all
+    of b, sigma and f do.  When b and sigma ignore time and the driver
+    reads neither z nor u, the rows are cut once, here, to
+    `_attaining_rows`; `controls` holds the rows kept.
     """
 
     def __init__(self, spec, xs, controls, t_start=0.0):
@@ -312,23 +327,25 @@ class _Sweep:
         self.f_reads_zu = bool(reads & {"z", "u"})
         self.zeros_z = np.zeros((xs.size, spec.d))
         self._nodes = np.arange(xs.size)
-        static = _coefficients_static(spec)
-        self.static_coeffs = None
-        self._b_static = "s" not in spec.b_variables
-        self._slopes_static = "s" not in spec.f_variables and not (
-            self.f_reads_z and "s" in spec.sigma_variables
-        )
-        self._level_static = static and "s" not in spec.f_variables
-        self._max_b = self._slopes = self._static_level = None
         self._y_probe = -spec.terminal(self.x_cols)  # y = -phi(x)
+        b, sigma, f = (
+            "s" not in names
+            for names in (spec.b_variables, spec.sigma_variables, spec.f_variables)
+        )
+        slopes = b and f and (sigma or not self.f_reads_z)
+        static = {
+            "b": b, "sigma": sigma, "slopes": slopes,
+            "rule": b and slopes, "level": b and sigma and f,
+        }
+        self._static = {name for name, s in static.items() if s}
+        self._memo = {}
         self._bind(controls)
-        if static:
-            self.static_coeffs = self.coefficients(0.0)
-            if not self.f_reads_zu:
-                b, _, _, half_s2 = self.static_coeffs
-                keep = _attaining_rows(b, half_s2)
-                self._bind(controls[keep])
-                self.static_coeffs = tuple(c[keep] for c in self.static_coeffs)
+        if b and sigma and not self.f_reads_zu:
+            keep = _attaining_rows(self._drift(0.0)[0], self._diffusion(0.0)[1])
+            self._bind(controls[keep])
+            for name in ("b", "sigma"):
+                key, terms = self._memo[name]
+                self._memo[name] = key, tuple(c[keep] for c in terms)
 
     def _bind(self, controls):
         """Take `controls` as G's rows: (C, k), one control per row."""
@@ -337,57 +354,80 @@ class _Sweep:
         self.x = np.broadcast_to(self.xs[None, :, None], shape + (1,))
         self.u = np.broadcast_to(controls[:, None, :], shape + (self.spec.k,))
 
-    def coefficients(self, t):
-        """(b, sigma's row, upwind gather, |sigma|^2 / 2) at time t.
+    def _term(self, name, t, compute, *args):
+        """compute(t, *args), kept until the time level or `args` change,
+        and for a term that ignores time until `args` change."""
+        key = (None if name in self._static else t, *args)
+        hit = self._memo.get(name)
+        if hit is None or hit[0] != key:
+            hit = self._memo[name] = key, compute(t, *args)
+        return hit[1]
 
-        Each is (C, J+1), one row per control, but sigma's row, which is
-        (C, J+1, d).  The gather holds, per node j, the index into the
-        raw differences nd (`_neg_differences`) of its upwind side: j + 1
-        where b >= 0, else j.
-        """
-        if self.static_coeffs is not None:
-            return self.static_coeffs
-        b = self.spec.drift(t, self.x, self.u)[..., 0]
-        sg = self.spec.diffusion(t, self.x, self.u)[..., 0, :]
-        return b, sg, self._nodes + (b >= 0.0), 0.5 * np.sum(sg * sg, axis=-1)
+    def _drift(self, t):
+        """(b, upwind gather) at time t, (C, J+1) each.  The gather holds,
+        per node j, the index into the raw differences nd
+        (`_neg_differences`) of its upwind side: j + 1 where b >= 0,
+        else j."""
+
+        def compute(t):
+            b = self.spec.drift(t, self.x, self.u)[..., 0]
+            return b, self._nodes + (b >= 0.0)
+
+        return self._term("b", t, compute)
+
+    def _diffusion(self, t):
+        """(sigma's row (C, J+1, d), |sigma|^2 / 2 (C, J+1)) at time t."""
+
+        def compute(t):
+            sg = self.spec.diffusion(t, self.x, self.u)[..., 0, :]
+            return sg, 0.5 * np.sum(sg * sg, axis=-1)
+
+        return self._term("sigma", t, compute)
+
+    def coefficients(self, t):
+        """(b, sigma's row, upwind gather, |sigma|^2 / 2) at time t, one
+        row per control (`_drift`, `_diffusion`)."""
+        b, gather = self._drift(t)
+        sg, half_s2 = self._diffusion(t)
+        return b, sg, gather, half_s2
 
     def hamiltonian(self, t, r, p, big_a):
         """sup_u G: per node the maximum over the controls' rows of
-        0.5 |sigma|^2 A + p b + f(t, x, r, sigma^T p, u).  An f that reads
-        neither z nor u is added after the maximum, which rounds the same
-        because rounding a + f is monotone in a."""
+        0.5 |sigma|^2 A + p b + f(t, x, r, sigma^T p, u) (`_g_rows`).  An
+        f that reads neither z nor u is added after the maximum, which
+        rounds the same because rounding a + f is monotone in a."""
         b, sg, _, half_s2 = self.coefficients(t)
         if self.f_reads_zu:
             fval = self.spec.driver(t, self.x, r, sg * p[..., None], self.u)
-            return (half_s2 * big_a + p * b + fval).max(axis=0)
+            return _g_rows(half_s2, b, big_a, p, fval).max(axis=0)
         fval = self.spec.driver(t, self.x_cols, r, self.zeros_z, self.u[0])
-        return (half_s2 * big_a + p * b).max(axis=0) + fval
+        return _g_rows(half_s2, b, big_a, p).max(axis=0) + fval
 
     @cached_property
     def dx(self):
         """The spacing 2L / J, which `ValueGrid.dx` reports too."""
         return float(self.xs[-1] - self.xs[0]) / (self.xs.size - 1)
 
-    def slopes(self, t, sg=None):
-        """(f_y, dt_bound) of time level t: the driver's y slope (C, J+1)
-        and the monotonicity bound 1 / max (max(f_y, 0) + |sigma f_z| / dx),
-        inf when that maximum is 0, with f_y and f_z at y = -phi(x),
-        z = 0 and sigma's row `sg` of the level, evaluated when not given
-        and the driver reads z."""
-        if self._slopes is not None:
-            return self._slopes
-        args = (t, self.x, self._y_probe, self.zeros_z, self.u)
-        f_y = self.spec.driver_y(*args)
-        share = np.maximum(f_y, 0.0)
-        if self.f_reads_z:
-            if sg is None:
-                sg = self.spec.diffusion(t, self.x, self.u)[..., 0, :]
-            share += np.sum(np.abs(sg * self.spec.driver_z(*args)), axis=-1) / self.dx
-        worst = float(np.max(share))
-        slopes = f_y, np.inf if worst == 0.0 else 1.0 / worst
-        if self._slopes_static:
-            self._slopes = slopes
-        return slopes
+    def slopes(self, t):
+        """(f_y, dt_bound) of time level t: the driver's y slope (C, J+1),
+        with f_y and f_z at y = -phi(x), z = 0, and the monotonicity
+        bound 1 / max of max(f_y, 0) + |sigma f_z| / dx over the nodes and
+        of max(f_y, 0) + b_out / dx over the end rows, b_out the part of b
+        that points out of [-L, L]; inf when that maximum is 0."""
+
+        def compute(t):
+            args = (t, self.x, self._y_probe, self.zeros_z, self.u)
+            f_y = self.spec.driver_y(*args)
+            share = np.maximum(f_y, 0.0)
+            b_out = np.maximum(self._drift(t)[0][:, [0, -1]] * [-1.0, 1.0], 0.0)
+            ends = share[:, [0, -1]] + b_out / self.dx
+            if self.f_reads_z:
+                sg = self._diffusion(t)[0]
+                share += np.sum(np.abs(sg * self.spec.driver_z(*args)), axis=-1) / self.dx
+            worst = max(float(np.max(share)), float(np.max(ends)))
+            return f_y, np.inf if worst == 0.0 else 1.0 / worst
+
+        return self._term("slopes", t, compute)
 
     def dt_bound(self, t):
         """The monotonicity bound of time level t (`slopes`)."""
@@ -395,23 +435,18 @@ class _Sweep:
 
     def max_drift(self, t):
         """max |b| over the nodes and controls at time t."""
-        if self._max_b is not None:
-            return self._max_b
-        if self.static_coeffs is not None:
-            b = self.static_coeffs[0]
-        else:
-            b = self.spec.drift(t, self.x, self.u)
-        max_b = float(np.max(np.abs(b)))
-        if self._b_static:
-            self._max_b = max_b
-        return max_b
+        return float(np.max(np.abs(self._drift(t)[0])))
 
     def rule_dt(self, t):
         """The largest dt the N rule allows at time level t: Courant number
         dt max |b| / dx <= 1/2 and half of `dt_bound`."""
-        max_b = self.max_drift(t)
-        courant = np.inf if max_b == 0.0 else 0.5 * self.dx / max_b
-        return min(courant, 0.5 * self.dt_bound(t))
+
+        def compute(t):
+            max_b = self.max_drift(t)
+            courant = np.inf if max_b == 0.0 else 0.5 * self.dx / max_b
+            return min(courant, 0.5 * self.dt_bound(t))
+
+        return self._term("rule", t, compute)
 
     def passing_grid(self):
         """TimeGrid on `span` with the fewest steps that meet the N rule at
@@ -431,14 +466,14 @@ class _Sweep:
             n = max(n + 1, _steps_for(self.span, dt_max))
 
     def level(self, t, dt):
-        """The implicit rows of time level t for a step of dt (`_Level`),
-        built once when b, sigma and f all ignore time."""
-        if self._static_level is not None and self._static_level[0] == dt:
-            return self._static_level[1]
+        """The implicit rows of time level t for a step of dt (`_Level`)."""
+        return self._term("level", t, self._rows, dt)
+
+    def _rows(self, t, dt):
         b, sg, gather, half_s2 = self.coefficients(t)
         dx = self.dx
         h, bd = half_s2 / (dx * dx), b / dx
-        f_y, bound = self.slopes(t, sg)
+        f_y, bound = self.slopes(t)
         lower = -dt * (h + np.maximum(-bd, 0.0))
         upper = -dt * (h + np.maximum(bd, 0.0))
         diag = 1.0 + dt * (2.0 * h + np.abs(bd) - f_y)
@@ -449,18 +484,13 @@ class _Sweep:
         lower[:, -1] -= upper[:, -1]
         lower[:, 0] = upper[:, -1] = 0.0
         sgd = sg / dx if self.f_reads_zu else None
-        rows = _Level(lower, diag, upper, h, bd, gather, sgd, f_y, bound)
-        if self._level_static:
-            self._static_level = (dt, rows)
-        return rows
+        return _Level(lower, diag, upper, h, bd, gather, sgd, f_y, bound)
 
     def _pick(self, rows, nd, extra, policy):
-        """Per node, the row of G = h a + bd nd[gather] + extra that is
-        largest, keeping `policy`'s row where it ties; `extra` is None
+        """Per node, the row of G (`_g_rows` in the raw differences) that
+        is largest, keeping `policy`'s row where it ties; `extra` is None
         when it is the same for every row."""
-        g = rows.h * (nd[1:] - nd[:-1]) + rows.bd * nd[rows.gather]
-        if extra is not None:
-            g += extra
+        g = _g_rows(rows.h, rows.bd, nd[1:] - nd[:-1], nd[rows.gather], extra)
         best = g.argmax(axis=0)
         if policy is None:
             return best

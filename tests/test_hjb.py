@@ -28,20 +28,23 @@ def test_stationary_transport_free_equation_preserved():
 
 
 def test_cfl_violation_refused(spec31):
-    # f_y = 25 leaves the rows of B_u a sum of 1 - 25 dt: the bound is
-    # dt <= 1/25, and the N rule takes half of it, N = 50
+    # f_y = 25, and b = x1 * u1 points out of [-2, 2] with |b| up to 2 at
+    # the end rows, whose diagonal is then 1 - dt (25 + 2 / dx), dx = 0.2:
+    # the bound is dt <= 1/35, and the N rule takes half of it, N = 70
     spec = P.spec_from_expressions(
         1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"], "x1 + 25 * y", "x1"
     )
-    assert H.cfl_max_dt(spec, 2.0, 20) == pytest.approx(1.0 / 25.0, rel=1e-12)
-    with pytest.raises(H.CFLError, match="use at least N = 50 "):
+    assert H.cfl_max_dt(spec, 2.0, 20) == pytest.approx(1.0 / 35.0, rel=1e-12)
+    with pytest.raises(H.CFLError, match="use at least N = 70 "):
         H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, 20), 11)
     grid = H.cfl_time_grid(spec, 2.0, 20, 11)
-    assert grid.steps == 50
+    assert grid.steps == 70
     assert H.solve_hjb_fd(spec, 2.0, 20, grid, 11).cfl_ratio == pytest.approx(0.5)
-    # example31's f_y = -1 and f_z = 0 leave no bound: no N is refused
-    vg = H.solve_hjb_fd(spec31, 2.0, 400, F.TimeGrid(0.0, 1.0, 10), 11)
-    assert vg.cfl_ratio == 0.0 and H.cfl_max_dt(spec31, 2.0, 400) == np.inf
+    # example31's f_y = -1 and f_z = 0 leave the end rows' bound dx / 2:
+    # N = 10 at J = 400, where dt |b| / dx reaches 20, is refused
+    assert H.cfl_max_dt(spec31, 2.0, 400) == pytest.approx(0.005, rel=1e-12)
+    with pytest.raises(H.CFLError, match="use at least N = 400 "):
+        H.solve_hjb_fd(spec31, 2.0, 400, F.TimeGrid(0.0, 1.0, 10), 11)
 
 
 def _oscillating_sigma():
@@ -172,9 +175,13 @@ def test_sweep_bit_identical_to_per_control_loop(name):
         ref = _rows_per_control(spec, vg.xs, t, grid.dt, sweep.controls)
         for got, want in zip(rows, ref):
             assert np.array_equal(got, want)
-        # the Howard fixed point solves the level's Bellman equation
-        res = _bellman_residual(spec, vg.xs, vg.values[i], vg.values[i + 1], t, grid.dt, controls)
-        assert np.max(np.abs(res)) <= _BELLMAN_RESIDUAL * scale
+    # at every level the Howard fixed point solves the Bellman equation
+    for i in range(grid.steps):
+        t = grid.times[i + 1]
+        res = _bellman_residual(
+            spec, vg.xs, vg.values[i], vg.values[i + 1], t, grid.dt, controls
+        )
+        assert np.max(np.abs(res)) <= _BELLMAN_RESIDUAL * scale, i
     # a step from the maximizing rows of its own known level, not the
     # previous level's policy, reaches the same fixed point
     i = grid.steps // 2
@@ -456,9 +463,12 @@ def test_solve_builds_one_sweep(spec31, monkeypatch):
 
 
 def test_time_dependent_solve_evaluates_b_once_per_step():
-    # once per step, where the step and its bound share the level's
-    # coefficients; no scan before the sweep
-    spec, half_width = _sweep_problem("time_dependent")
+    # b grows with s: once per step, where the step's rows, its bound and
+    # the end rows' share of it read the level's b; no scan before the sweep
+    spec = P.spec_from_expressions(
+        1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1 * (1 + s)"], ["x1"], "x1 - y", "x1"
+    )
+    half_width = 2.0
     grid = H.cfl_time_grid(spec, half_width, 100, 11)
     drift, calls = spec.drift, []
 
@@ -490,13 +500,14 @@ def _counting(spec, names):
 def test_hjb_stage_evaluates_time_dependent_sigma_once_per_level():
     # sigma = x1 * (1 + s) depends on time and b = x1 * u1 does not: the
     # stage, its grid and then its solve, evaluates sigma once per level,
-    # in the solve, and b once more, for the Courant number of the grid
+    # in the solve, and b once in each, the grid's for its Courant number
+    # and the end rows' bound
     spec, half_width = _sweep_problem("time_dependent")
     calls = _counting(spec, ("drift", "diffusion"))
     grid = H.cfl_time_grid(spec, half_width, 100, 11)
     H.solve_hjb_fd(spec, half_width, 100, grid, 11)
     assert grid.steps == 100
-    assert calls == {"drift": grid.steps + 1, "diffusion": grid.steps}
+    assert calls == {"drift": 2, "diffusion": grid.steps}
 
 
 def test_static_solve_evaluates_and_scales_coefficients_once(monkeypatch):
@@ -569,6 +580,27 @@ def test_policy_iteration_cap_names_the_level(monkeypatch):
     assert 0 <= err.value.level < grid.steps
 
 
+def test_outflow_beyond_the_end_row_bound_refused():
+    # u = 1 only, b = sigma = x1 and f = x1: f_y = 0 and f_z = 0, so only
+    # the end rows bound the step, where b = 2 points out of [-2, 2] and
+    # their diagonal is 1 - dt |b| / dx (dx = 0.2): the bound is
+    # dt <= 0.1, a Courant number of 1
+    spec = P.spec_from_expressions(
+        1, 1, 1, 1.0, [1.0], [1.0], ["x1"], ["x1"], "x1", "x1"
+    )
+    assert H.cfl_max_dt(spec, 2.0, 20, 11) == pytest.approx(0.1, rel=1e-12)
+    with pytest.raises(H.CFLError, match="use at least N = 20 ") as err:
+        H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, 5), 11)
+    assert err.value.dt_max == pytest.approx(0.1, rel=1e-12)
+    # beyond the bound the end rows' negative diagonal lowers interior
+    # nodes when the known level rises; within it none is lowered
+    xs = np.linspace(-2.0, 2.0, 21)
+    assert _decreasing_nodes(spec, xs, -xs, 1.0, 0.2) != set()
+    assert _decreasing_nodes(spec, xs, -xs, 1.0, 1.0 / 11.0) == set()
+    vg = H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, 11), 11)
+    assert vg.cfl_ratio == pytest.approx(10.0 / 11.0, rel=1e-12)
+
+
 def _decreasing_nodes(spec, xs, row, t, dt):
     """Interior nodes whose update at time level t decreases when the
     value of some single node is raised by 1e-3."""
@@ -584,12 +616,14 @@ def _decreasing_nodes(spec, xs, row, t, dt):
 
 def test_time_dependent_driver_bound_checked_each_step():
     # f_y = 40 sin(20 s)^2 peaks at 40 between the levels; at t = 1 it is
-    # 33.3, so N = 36 passes the first step's bound and not the peaks'
+    # 33.3, and with the end rows' |b| / dx = 10 the bound is 1 / 43.3
+    # there and 1/50 at the peaks: N = 44 passes the first step's bound
+    # and not the peaks'
     spec = P.spec_from_expressions(
         1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"],
         "x1 + 40 * sin(20 * s) ^ 2 * y", "x1",
     )
-    coarse = F.TimeGrid(0.0, 1.0, 36)
+    coarse = F.TimeGrid(0.0, 1.0, 44)
     sweep = H._grid_sweep(spec, 2.0, 20, 11, 0.0)
     assert not H._exceeds(coarse.dt, sweep.dt_bound(1.0))
     with pytest.raises(H.CFLError, match="use at least N"):
