@@ -57,10 +57,9 @@ diffusion adds nothing, and the drift only at the end rows: in the
 interior the step is unconditionally monotone in both.  `_Sweep.slopes`
 computes that bound, `dt_bound`, of one time level, and is the only
 place it is computed; `solve_hjb_fd` refuses the first step that exceeds
-it.  Like the explicit bound before it, it is exact for drivers affine
-in (y, z), and it covers the own-node weight only: the neighbor weight
-dt sigma f_z / dx of the z difference is nonnegative only where sigma
-f_z has the sign of b.
+it.  It is exact for drivers affine in (y, z), and it covers the
+own-node weight only: the neighbor weight dt sigma f_z / dx of the z
+difference is nonnegative only where sigma f_z has the sign of b.
 
 N is chosen for accuracy, not by the bound: `cfl_time_grid` takes the
 fewest steps whose dt meets, at every level, the Courant rule
@@ -85,17 +84,14 @@ With M-matrix rows the iteration converges in finitely many solves;
 past `_POLICY_SOLVES` solves a level raises PolicyError.  On example31
 every level takes one solve.
 
-One function, `_g_rows`, writes G's (C, J+1) rows, one per control.
-`_Sweep.hamiltonian` gives sup_u G over the controls of the grid at
-given (r, p, A) as their maximum, with a driver that reads neither z nor
-u added once, after the maximum; the viscosity probe evaluates it at a
-single node.  The policy step maximizes the same rows in the raw
-differences nd_j = v_{j-1} - v_j and a = nd_{j+1} - nd_j: B_u v - r_u =
-v - v' + dt G_u with G_u = h a + (b/dx) nd[upwind] + c_u - f_y v.  When
-b and sigma ignore time and the driver reads neither z nor u, c_u - f_y
-v is the same for every row, and the rows are cut once to the controls
-that can attain the maximum at some node (`_attaining_rows`): for
-example31 3 of 11.
+One function, `_g_rows`, writes G's (C, J+1) rows, one per control of
+the grid.  `_Sweep.hamiltonian` gives sup_u G at given (r, p, A) as
+their maximum; the viscosity probe evaluates it at a single node.  The
+policy step maximizes the same rows in the raw differences
+nd_j = v_{j-1} - v_j and a = nd_{j+1} - nd_j: B_u v - r_u = v - v' +
+dt G_u with G_u = h a + (b/dx) nd[upwind] + c_u - f_y v.  When the
+driver reads neither z nor u, c_u - f_y v is the same for every row and
+is left out of the maximum.
 """
 
 from __future__ import annotations
@@ -196,43 +192,6 @@ def cfl_time_grid(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
     return sweep.passing_grid()
 
 
-def _attaining_rows(b, half_s2):
-    """Indices of the rows of static (C, J+1) coefficients that can attain
-    the maximum of G's rows at some node, when the driver reads neither z
-    nor u.
-
-    At one node and within one upwind side (b >= 0 or b < 0) the rows then
-    share the raw differences a and nd of the value row, which carry the
-    signs of A and p, and the driver's part, so with h_c = |sigma_c|^2 / 2
-    row c of G is F(h_c, b_c) = fl(fl(h_c / dx^2) a + fl(b_c / dx) nd),
-    monotone in each argument also under rounding: fl(h / dx^2) is
-    monotone in h and fl(b / dx) in b, and the products with a and nd and
-    their sum each round monotonically.  A row
-    that another row of its side dominates -- is at least as large in
-    both arguments, taken with the signs of A and p -- is therefore never
-    above it, and the maximum is attained by an undominated row.  A row
-    is kept when it is undominated at some node, on its side, for some
-    pair of signs; of equal rows the first is kept.  The maximum over the
-    kept rows equals the maximum over all in value (a zero could differ
-    in sign only).  The vertices of each side's convex hull, where a
-    linear G attains its maximum, are among the rows kept.  A row with a
-    non-finite coefficient is always kept, so the sweep still meets it.
-    """
-    keep = ~(np.isfinite(b).all(axis=1) & np.isfinite(half_s2).all(axis=1))
-    up = b >= 0.0
-    no_row = np.full((1, b.shape[1]), -np.inf)
-    for side in (up, ~up):
-        for sign_h, sign_b in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-            hh = np.where(side, sign_h * half_s2, -np.inf)
-            bb = np.where(side, sign_b * b, -np.inf)
-            # per node, rows by hh and then bb, both descending; stable
-            order = np.lexsort((-bb, -hh), axis=0)
-            bb = np.take_along_axis(bb, order, axis=0)
-            best_before = np.maximum.accumulate(np.concatenate((no_row, bb[:-1])))
-            keep[order[bb > best_before]] = True
-    return np.flatnonzero(keep)
-
-
 def _neg_differences(v):
     """nd over the row and its two ghost nodes: nd[j] = v_{j-1} - v_j, so
     nd[j] is minus the backward and nd[j + 1] minus the forward
@@ -310,9 +269,8 @@ class _Sweep:
     problem's expression variables show it ignores time: b and sigma by
     their own expressions, the slopes when b and f do and sigma too if f
     reads z, the rule when b and the slopes do, a level's rows when all
-    of b, sigma and f do.  When b and sigma ignore time and the driver
-    reads neither z nor u, the rows are cut once, here, to
-    `_attaining_rows`; `controls` holds the rows kept.
+    of b, sigma and f do.  `controls` (C, k) holds G's rows, one control
+    per row.
     """
 
     def __init__(self, spec, xs, controls, t_start=0.0):
@@ -339,20 +297,10 @@ class _Sweep:
         }
         self._static = {name for name, s in static.items() if s}
         self._memo = {}
-        self._bind(controls)
-        if b and sigma and not self.f_reads_zu:
-            keep = _attaining_rows(self._drift(0.0)[0], self._diffusion(0.0)[1])
-            self._bind(controls[keep])
-            for name in ("b", "sigma"):
-                key, terms = self._memo[name]
-                self._memo[name] = key, tuple(c[keep] for c in terms)
-
-    def _bind(self, controls):
-        """Take `controls` as G's rows: (C, k), one control per row."""
         self.controls = controls
-        shape = (len(controls), self.xs.size)
-        self.x = np.broadcast_to(self.xs[None, :, None], shape + (1,))
-        self.u = np.broadcast_to(controls[:, None, :], shape + (self.spec.k,))
+        shape = (len(controls), xs.size)
+        self.x = np.broadcast_to(xs[None, :, None], shape + (1,))
+        self.u = np.broadcast_to(controls[:, None, :], shape + (spec.k,))
 
     def _term(self, name, t, compute, *args):
         """compute(t, *args), kept until the time level or `args` change,
@@ -393,15 +341,10 @@ class _Sweep:
 
     def hamiltonian(self, t, r, p, big_a):
         """sup_u G: per node the maximum over the controls' rows of
-        0.5 |sigma|^2 A + p b + f(t, x, r, sigma^T p, u) (`_g_rows`).  An
-        f that reads neither z nor u is added after the maximum, which
-        rounds the same because rounding a + f is monotone in a."""
+        0.5 |sigma|^2 A + p b + f(t, x, r, sigma^T p, u) (`_g_rows`)."""
         b, sg, _, half_s2 = self.coefficients(t)
-        if self.f_reads_zu:
-            fval = self.spec.driver(t, self.x, r, sg * p[..., None], self.u)
-            return _g_rows(half_s2, b, big_a, p, fval).max(axis=0)
-        fval = self.spec.driver(t, self.x_cols, r, self.zeros_z, self.u[0])
-        return _g_rows(half_s2, b, big_a, p).max(axis=0) + fval
+        fval = self.spec.driver(t, self.x, r, sg * p[..., None], self.u)
+        return _g_rows(half_s2, b, big_a, p, fval).max(axis=0)
 
     @cached_property
     def dx(self):
@@ -626,6 +569,9 @@ _TOUCH_TOL = 1e-9
 # cross term a quadratic cannot represent at a kink -- must not veto a
 # test function; 0.5 d^2 separates them from genuine first-order gaps
 _TOUCH_CURVATURE = 0.5
+# grid steps on each side of the probe in t and in x: the fit window is
+# (2 _FIT_RADIUS + 1)^2 nodes, and the one-sided slopes read two steps
+_FIT_RADIUS = 3
 
 
 def _one_sided_slope(vals, idx, h, side):
@@ -635,10 +581,8 @@ def _one_sided_slope(vals, idx, h, side):
     return 2.0 * s1 - s2
 
 
-def viscosity_check(vgrid, spec, probe_points, fit_radius=3):
+def viscosity_check(vgrid, spec, probe_points):
     """Test the viscosity inequalities at interior probe points."""
-    if fit_radius < 2:
-        raise ProblemError("fit_radius must be >= 2")
     times = vgrid.grid.times
     xs = vgrid.xs
     v = vgrid.values
@@ -646,26 +590,21 @@ def viscosity_check(vgrid, spec, probe_points, fit_radius=3):
     results = []
     worst = 0.0
     controls = control_grid(spec, vgrid.control_grid_size)
+    rc = _FIT_RADIUS
 
     for t_probe, x_probe in probe_points:
         it = int(np.argmin(np.abs(times - t_probe)))
         jx = int(np.argmin(np.abs(xs - x_probe)))
-        if not (
-            fit_radius <= it < n_t - fit_radius
-            and fit_radius <= jx < n_x - fit_radius
-        ):
+        if not (rc <= it < n_t - rc and rc <= jx < n_x - rc):
             raise ProblemError(
                 f"probe point ({t_probe}, {x_probe}) too close to the grid edge"
             )
         t0, x0 = times[it], xs[jx]
-        st = times[it + fit_radius] - times[it - fit_radius]
-        sx = xs[jx + fit_radius] - xs[jx - fit_radius]
-        window = v[
-            it - fit_radius : it + fit_radius + 1,
-            jx - fit_radius : jx + fit_radius + 1,
-        ]
-        tt = (times[it - fit_radius : it + fit_radius + 1] - t0) / st
-        xx = (xs[jx - fit_radius : jx + fit_radius + 1] - x0) / sx
+        st = times[it + rc] - times[it - rc]
+        sx = xs[jx + rc] - xs[jx - rc]
+        window = v[it - rc : it + rc + 1, jx - rc : jx + rc + 1]
+        tt = (times[it - rc : it + rc + 1] - t0) / st
+        xx = (xs[jx - rc : jx + rc + 1] - x0) / sx
         tg, xg = np.meshgrid(tt, xx, indexing="ij")
         design = np.column_stack(
             [
@@ -680,7 +619,6 @@ def viscosity_check(vgrid, spec, probe_points, fit_radius=3):
         coef, *_ = np.linalg.lstsq(design, window.ravel(), rcond=None)
 
         # replace the least-squares linear part by one-sided midpoints
-        rc = fit_radius
         t_col = window[:, rc]
         x_row = window[rc, :]
         ht = times[it + 1] - times[it]
@@ -700,8 +638,8 @@ def viscosity_check(vgrid, spec, probe_points, fit_radius=3):
         center = fit[rc, rc]
         gap = (fit - center + v[it, jx]) - window
         scale = 1.0 + np.max(np.abs(window))
-        dt_off = (times[it - fit_radius : it + fit_radius + 1] - t0)[:, None]
-        dx_off = (xs[jx - fit_radius : jx + fit_radius + 1] - x0)[None, :]
+        dt_off = (times[it - rc : it + rc + 1] - t0)[:, None]
+        dx_off = (xs[jx - rc : jx + rc + 1] - x0)[None, :]
         allowance = _TOUCH_TOL * scale + _TOUCH_CURVATURE * (
             dt_off**2 + dx_off**2
         )
@@ -723,11 +661,6 @@ def viscosity_check(vgrid, spec, probe_points, fit_radius=3):
     return ViscosityCheckReport(points=results, worst_violation=worst)
 
 
-# time rows per block in regularity_probe: bounds its temporaries to a
-# few MB where whole-grid temporaries are each as large as the grid
-_REGULARITY_BLOCK_ROWS = 1024
-
-
 def regularity_probe(vgrid):
     """(max adjacent slope, max |v| / (1 + |x|)) over all time slices.
 
@@ -736,16 +669,10 @@ def regularity_probe(vgrid):
     the largest and smallest difference, the growth from each column's
     largest and smallest value, with no |.| or quotient array.
     """
-    big = small = 0.0
-    col_max = col_min = vgrid.values[0]
-    for i in range(0, vgrid.values.shape[0], _REGULARITY_BLOCK_ROWS):
-        block = vgrid.values[i : i + _REGULARITY_BLOCK_ROWS]
-        diffs = np.diff(block, axis=1)
-        big, small = np.maximum(big, diffs.max()), np.minimum(small, diffs.min())
-        col_max = np.maximum(col_max, block.max(axis=0))
-        col_min = np.minimum(col_min, block.min(axis=0))
-    slope = np.maximum(big, -small) / vgrid.dx
-    growth = np.maximum(col_max, -col_min) / (1.0 + np.abs(vgrid.xs))
+    v = vgrid.values
+    diffs = np.diff(v, axis=1)
+    slope = max(diffs.max(), -diffs.min()) / vgrid.dx
+    growth = np.maximum(v.max(axis=0), -v.min(axis=0)) / (1.0 + np.abs(vgrid.xs))
     return float(slope), float(growth.max())
 
 
@@ -754,10 +681,15 @@ def regularity_probe(vgrid):
 # --------------------------------------------------------------------------
 
 
-def value_grid_csv(vgrid, path, max_time_slices=101):
-    """CSV of (t, x, v) rows, downsampling time to at most max_time_slices."""
+# time slices value_grid_csv aims at: it writes every
+# ceil(levels / _CSV_TIME_SLICES)-th level and the last
+_CSV_TIME_SLICES = 101
+
+
+def value_grid_csv(vgrid, path):
+    """CSV of (t, x, v) rows at about `_CSV_TIME_SLICES` time slices."""
     times = vgrid.grid.times
-    stride = max(1, int(np.ceil(times.size / max_time_slices)))
+    stride = max(1, int(np.ceil(times.size / _CSV_TIME_SLICES)))
     idx = list(range(0, times.size, stride))
     if idx[-1] != times.size - 1:
         idx.append(times.size - 1)

@@ -75,7 +75,6 @@ class JetEstimate:
     right_slope: float
     subjet: JetSet
     superjet: JetSet
-    tol: float
 
 
 def _as_callable(v):
@@ -110,11 +109,11 @@ def _richardson(h1, d1, h2, d2):
     return (h1 * d2 - h2 * d1) / (h1 - h2)
 
 
-def estimate_jets_1d(v_slice, x_hat, steps=None, tol_jet=DEFAULT_TOL_JET):
+def estimate_jets_1d(v_slice, x_hat, steps=None):
     """One-sided slopes of a scalar function with jet classification.
 
     Difference quotients at each step are extrapolated to step -> 0 with
-    the two smallest steps.  Slopes equal within tol_jet collapse both
+    the two smallest steps.  Slopes equal within DEFAULT_TOL_JET collapse both
     jets to the same singleton.
     """
     v = _as_callable(v_slice)
@@ -128,7 +127,7 @@ def estimate_jets_1d(v_slice, x_hat, steps=None, tol_jet=DEFAULT_TOL_JET):
     right = _richardson(h1, rights[-2], h2, rights[-1])
     left = _richardson(h1, lefts[-2], h2, lefts[-1])
 
-    if abs(left - right) <= tol_jet:
+    if abs(left - right) <= DEFAULT_TOL_JET:
         mid = 0.5 * (left + right)
         sub = JetSet.singleton(mid)
         sup = JetSet.singleton(mid)
@@ -144,7 +143,6 @@ def estimate_jets_1d(v_slice, x_hat, steps=None, tol_jet=DEFAULT_TOL_JET):
         right_slope=right,
         subjet=sub,
         superjet=sup,
-        tol=tol_jet,
     )
 
 

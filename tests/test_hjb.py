@@ -128,11 +128,10 @@ def _bellman_residual(spec, xs, v, v_known, t, dt, controls):
     return best
 
 
-# two controls, b and sigma static and a driver without z and u: the
-# sweep keeps only the rows that can attain the maximum, this many of 121
-_PRUNED_PROBLEMS = {
-    "two_controls_corners": (["x1 * u1"], ["1 + u2"], "cos(x1) - y", 6),
-    "two_controls_mixed": (["x1 * u1 + 0.3 * u2"], ["1 + u2 * x1"], "x1 - y", 75),
+# two controls, b and sigma static and a driver without z and u: 121 rows
+_TWO_CONTROL_PROBLEMS = {
+    "two_controls_corners": (["x1 * u1"], ["1 + u2"], "cos(x1) - y"),
+    "two_controls_mixed": (["x1 * u1 + 0.3 * u2"], ["1 + u2 * x1"], "x1 - y"),
 }
 
 
@@ -143,8 +142,8 @@ def _sweep_problem(name):
             1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1 * (1 + s)"],
             "x1 - y + u1", "x1",
         ), 2.0
-    if name in _PRUNED_PROBLEMS:
-        b, sigma, f, _ = _PRUNED_PROBLEMS[name]
+    if name in _TWO_CONTROL_PROBLEMS:
+        b, sigma, f = _TWO_CONTROL_PROBLEMS[name]
         return P.spec_from_expressions(
             1, 1, 2, 1.0, [0.0, 0.0], [1.0, 1.0], b, sigma, f, "x1"
         ), 2.0
@@ -157,7 +156,7 @@ _BELLMAN_RESIDUAL = 1e-13
 
 
 @pytest.mark.parametrize(
-    "name", ["example31", "smooth1d", "time_dependent", *_PRUNED_PROBLEMS]
+    "name", ["example31", "smooth1d", "time_dependent", *_TWO_CONTROL_PROBLEMS]
 )
 def test_sweep_bit_identical_to_per_control_loop(name):
     spec, half_width = _sweep_problem(name)
@@ -165,14 +164,13 @@ def test_sweep_bit_identical_to_per_control_loop(name):
     vg = H.solve_hjb_fd(spec, half_width, 40, grid, 11)
     controls = P.control_grid(spec, 11)
     sweep = H._Sweep(spec, vg.xs, controls)
-    if name in _PRUNED_PROBLEMS:
-        assert len(sweep.controls) == _PRUNED_PROBLEMS[name][3]
+    assert np.array_equal(sweep.controls, controls)
     scale = 1.0 + np.max(np.abs(vg.values))
     for i in (grid.steps - 1, grid.steps // 2, 0):
         t = grid.times[i + 1]
-        # the level's rows, bit for bit those of a loop over its controls
+        # the level's rows, bit for bit those of a loop over every control
         rows = sweep.level(t, grid.dt)
-        ref = _rows_per_control(spec, vg.xs, t, grid.dt, sweep.controls)
+        ref = _rows_per_control(spec, vg.xs, t, grid.dt, controls)
         for got, want in zip(rows, ref):
             assert np.array_equal(got, want)
     # at every level the Howard fixed point solves the Bellman equation
@@ -187,19 +185,6 @@ def test_sweep_bit_identical_to_per_control_loop(name):
     i = grid.steps // 2
     stepped = H.sweep_step(spec, vg.xs, vg.values[i + 1], grid.times[i + 1], grid.dt, 11)
     assert np.max(np.abs(stepped - vg.values[i])) <= _BELLMAN_RESIDUAL * scale
-
-
-def test_pruning_keeps_the_rows_that_can_attain_the_maximum(spec31):
-    xs = np.linspace(-2.0, 2.0, 401)
-    controls = P.control_grid(spec31, 11)
-    # u = 0 and u = 1 attain it where x >= 0, u = 0.1 and u = 1 where b < 0
-    kept = H._Sweep(spec31, xs, controls).controls
-    assert np.array_equal(kept[:, 0], [0.0, 0.1, 1.0])
-    # a driver that reads u differs between rows: every row is kept
-    reads_u = P.spec_from_expressions(
-        1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"], "x1 - y + u1", "x1"
-    )
-    assert np.array_equal(H._Sweep(reads_u, xs, controls).controls, controls)
 
 
 def test_multidimensional_state_rejected():
@@ -219,6 +204,29 @@ def _g_row(spec, t, x, r, p, big_a, u):
     g = sweep.hamiltonian(t, r, np.array([p]), big_a)
     assert g.shape == (1,)
     return float(g[0])
+
+
+@pytest.mark.parametrize("name", ["example31", "smooth1d"])
+def test_hamiltonian_equals_per_control_loop(name):
+    # sup_u G at the 401 nodes of J = 400, bit for bit the per-node maximum
+    # of a plain loop over every control; example31's driver reads neither
+    # z nor u, smooth1d's reads z
+    spec, half_width = _sweep_problem(name)
+    xs = np.linspace(-half_width, half_width, 401)
+    x_cols = xs[:, None]
+    rng = np.random.default_rng(5)
+    r, p, big_a = rng.normal(0.0, 1.0, (3, xs.size))
+    t = 0.5
+    controls = P.control_grid(spec, 11)
+    got = H._Sweep(spec, xs, controls).hamiltonian(t, r, p, big_a)
+    rows = []
+    for u in controls:
+        uu = np.broadcast_to(u, (xs.size, spec.k))
+        b = spec.drift(t, x_cols, uu)[:, 0]
+        sg = spec.diffusion(t, x_cols, uu)[:, 0, :]
+        f = spec.driver(t, x_cols, r, sg * p[:, None], uu)
+        rows.append(0.5 * np.sum(sg * sg, axis=-1) * big_a + p * b + f)
+    assert np.array_equal(got, np.max(rows, axis=0))
 
 
 def test_generalized_hamiltonian_hand_values(spec31):
@@ -325,7 +333,7 @@ def test_consistency_residual_smooth_region(vgrid100, vgrid400, spec31):
 
 
 def test_viscosity_smooth_probes_both_sides(vgrid400, spec31):
-    rep = H.viscosity_check(vgrid400, spec31, [(0.5, 1.0), (0.5, -1.0)], fit_radius=3)
+    rep = H.viscosity_check(vgrid400, spec31, [(0.5, 1.0), (0.5, -1.0)])
     for point in rep.points:
         assert point.sub_residual == pytest.approx(0.0, abs=1e-9)
         assert point.super_residual == pytest.approx(0.0, abs=1e-9)
@@ -333,7 +341,7 @@ def test_viscosity_smooth_probes_both_sides(vgrid400, spec31):
 
 
 def test_viscosity_kink_supersolution_vacuous(vgrid400, spec31):
-    rep = H.viscosity_check(vgrid400, spec31, [(0.5, 0.0)], fit_radius=3)
+    rep = H.viscosity_check(vgrid400, spec31, [(0.5, 0.0)])
     point = rep.points[0]
     assert point.super_residual is None  # no touching quadratic from below
     assert point.sub_residual is not None
@@ -346,7 +354,7 @@ def test_viscosity_convex_kink_opposite(spec31):
     xs = np.linspace(-2, 2, 81)
     fake = H.ValueGrid(2.0, 80, tg, np.tile(np.abs(xs), (11, 1)), 3)
     nul = P.spec_from_expressions(1, 1, 1, 1.0, [0.0], [1.0], ["0"], ["0"], "0", "x1")
-    point = H.viscosity_check(fake, nul, [(0.5, 0.0)], fit_radius=3).points[0]
+    point = H.viscosity_check(fake, nul, [(0.5, 0.0)]).points[0]
     assert point.sub_residual is None
     assert point.super_residual is not None
 
@@ -358,16 +366,14 @@ def test_viscosity_constant_grid_null_equation():
     nul = P.spec_from_expressions(
         1, 1, 1, 1.0, [0.0], [1.0], ["0"], ["0"], "0", "0 - 1.5"
     )
-    point = H.viscosity_check(fake, nul, [(0.5, 0.0)], fit_radius=3).points[0]
+    point = H.viscosity_check(fake, nul, [(0.5, 0.0)]).points[0]
     assert point.sub_residual == pytest.approx(0.0, abs=1e-12)
     assert point.super_residual == pytest.approx(0.0, abs=1e-12)
 
 
 def test_viscosity_probe_validation(vgrid100, spec31):
     with pytest.raises(P.ProblemError, match="edge"):
-        H.viscosity_check(vgrid100, spec31, [(1.0, 0.0)], fit_radius=3)
-    with pytest.raises(P.ProblemError, match="fit_radius"):
-        H.viscosity_check(vgrid100, spec31, [(0.5, 0.0)], fit_radius=1)
+        H.viscosity_check(vgrid100, spec31, [(1.0, 0.0)])
 
 
 def test_regularity_probe_on_solved_grid(vgrid400):
@@ -384,9 +390,9 @@ def _regularity_full_array(vgrid):
 
 
 def test_regularity_probe_equals_full_array_formula(vgrid400):
-    # random values of both signs, over more than one block of rows
+    # random values of both signs
     rng = np.random.default_rng(11)
-    values = rng.normal(0.0, 1.0, (2 * H._REGULARITY_BLOCK_ROWS + 7, 51))
+    values = rng.normal(0.0, 1.0, (2055, 51))
     values *= rng.uniform(0.1, 10.0, 51)
     noisy = H.ValueGrid(3.0, 50, F.TimeGrid(0.0, 1.0, values.shape[0] - 1), values, 3)
     for vg in (vgrid400, noisy):
@@ -404,24 +410,26 @@ def test_regularity_probe_degenerate_grids():
     assert lip == pytest.approx(1.0)
 
 
-def test_value_grid_exports(tmp_path, vgrid100, spec31):
+def test_value_grid_exports(tmp_path, vgrid400):
+    # 401 levels are written every 4th: 101 time slices, the last at T
     csv = tmp_path / "grid.csv"
-    H.value_grid_csv(vgrid100, csv, max_time_slices=11)
+    H.value_grid_csv(vgrid400, csv)
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "t,x,v"
-    assert len(lines) <= 1 + 13 * 101
+    assert len(lines) == 1 + 101 * 401
     assert len([float(v) for v in lines[1].split(",")]) == 3
+    assert float(lines[-1].split(",")[0]) == 1.0
     meta = tmp_path / "meta.json"
-    H.value_grid_meta_json(vgrid100, meta)
+    H.value_grid_meta_json(vgrid400, meta)
     import json
 
     data = json.loads(meta.read_text())
-    assert data["J"] == 100
+    assert data["J"] == 400
     assert data["cfl_ratio"] <= 1.0 + 1e-9
-    assert data["cfl_ratio"] == vgrid100.cfl_ratio
+    assert data["cfl_ratio"] == vgrid400.cfl_ratio
     # example31 settles every level in one solve
     assert data["scheme"] == "implicit"
-    assert data["policy_solves"] == vgrid100.grid.steps
+    assert data["policy_solves"] == vgrid400.grid.steps
     assert data["max_level_solves"] == 1
 
 
