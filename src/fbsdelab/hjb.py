@@ -77,12 +77,20 @@ driver reads z.
 Each step is solved by policy iteration (Howard's algorithm).  The
 policy, one row per node, starts from the previous level's (on the
 first step, the rows that maximize G at the terminal level); the
-tridiagonal system of its rows is solved by the Thomas algorithm
-(`_thomas`), each node re-picks the row that maximizes B_u v - r_u,
-keeping its row on a tie, and the loop stops when no node changes.
-With M-matrix rows the iteration converges in finitely many solves;
-past `_POLICY_SOLVES` solves a level raises PolicyError.  On example31
-every level takes one solve.
+tridiagonal system of its rows is solved by the Thomas algorithm, split
+into the elimination (`_factor`) and the substitution of a right-hand
+side (`_substitute`); each node re-picks the row that maximizes
+B_u v - r_u, keeping its row on a tie, and the loop stops when no node
+changes.  With M-matrix rows the iteration converges in finitely many
+solves; past `_POLICY_SOLVES` solves a level raises PolicyError.  The
+sweep keeps its last factorization with the level's rows object and the
+policy it came from, and a solve factors again only when either
+changes: a problem whose rows ignore time keeps one `_Level` for the
+whole sweep, so a policy that settles and stays is factored once, while
+rows that depend on time are factored at every solve.  A re-pick first
+tests the policy's rows against the per-node maximum and returns the
+policy itself when no node would move.  On example31 every level takes
+one solve, and the sweep one factorization.
 
 One function, `_g_rows`, writes G's (C, J+1) rows, one per control of
 the grid.  `_Sweep.hamiltonian` gives sup_u G at given (r, p, A) as
@@ -145,6 +153,9 @@ class ValueGrid:
     # level that took the most; None if not solved
     policy_solves: int = None
     max_level_solves: int = None
+    # factorizations of a policy's tridiagonal (`_factor`) those solves
+    # took; None if not solved
+    factorizations: int = None
 
     @property
     def dx(self):
@@ -211,32 +222,42 @@ def _g_rows(h, bd, a, nd_up, f=None):
     return g
 
 
-def _thomas(lower, diag, upper, rhs):
-    """Solve the tridiagonal system with sub-diagonal lower[1:], diagonal
-    diag and super-diagonal upper[:-1] by Gaussian elimination without
-    pivoting, in Python floats; a zero pivot raises ZeroDivisionError."""
-    n = len(diag)
-    lower, diag, upper, x = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
-    ratio = [0.0] * n
-    pivot = diag[0]
-    ratio[0] = upper[0] / pivot
-    x[0] /= pivot
-    for j in range(1, n):
-        low = lower[j]
-        pivot = diag[j] - low * ratio[j - 1]
-        ratio[j] = upper[j] / pivot
-        x[j] = (x[j] - low * x[j - 1]) / pivot
-    for j in range(n - 2, -1, -1):
-        x[j] -= ratio[j] * x[j + 1]
-    return np.array(x)
+def _factor(lower, diag, upper):
+    """Gaussian elimination without pivoting of the tridiagonal with
+    sub-diagonal lower[1:], diagonal diag and super-diagonal upper[:-1]:
+    (sub-diagonal, pivots, ratios) as Python float lists, the ratio of row
+    j being upper[j] over its pivot; a zero pivot raises ZeroDivisionError."""
+    lower, diag, upper = lower.tolist(), diag.tolist(), upper.tolist()
+    pivots, ratios = [diag[0]], [upper[0] / diag[0]]
+    for low, d, up in zip(lower[1:], diag[1:], upper[1:]):
+        pivot = d - low * ratios[-1]
+        ratios.append(up / pivot)
+        pivots.append(pivot)
+    return lower, pivots, ratios
+
+
+def _substitute(factors, rhs):
+    """Solve the tridiagonal system factored by `_factor` for rhs: forward
+    then back substitution, in Python floats."""
+    lower, pivots, ratios = factors
+    rhs = rhs.tolist()
+    prev = rhs[0] / pivots[0]
+    x = [prev]
+    for low, r, pivot in zip(lower[1:], rhs[1:], pivots[1:]):
+        prev = (r - low * prev) / pivot
+        x.append(prev)
+    for j in range(len(x) - 2, -1, -1):
+        prev = x[j] = x[j] - ratios[j] * prev
+    return np.array(x, dtype=float)
 
 
 class _Level(NamedTuple):
     """One time level's implicit rows, (C, J+1) each, one row per control.
 
     `lower`, `diag` and `upper` are the tridiagonal of B_u = I - dt (L_u +
-    f_y) with the ghost nodes folded into rows 0 and J; `h`, `bd` and
-    `gather` give G's rows h a + bd nd[gather] in the raw differences, with
+    f_y) with the ghost nodes folded into rows 0 and J, from which a
+    policy picks one row per node for `_factor`; `h`, `bd` and `gather`
+    give G's rows h a + bd nd[gather] in the raw differences, with
     h = |sigma|^2 / (2 dx^2), bd = b / dx and gather, per node, the index
     into nd of its upwind side; `sgd` is sigma's row / dx (C, J+1, d),
     for z = sigma^T p; `f_y` is the driver's y slope; `bound` is
@@ -260,7 +281,10 @@ class _Sweep:
     `hamiltonian` gives sup_u G at the nodes `xs`, the maximum of G's
     rows, one per control; it needs no grid spacing, so `xs` may be one
     node.  `level` gives a time level's implicit rows and `step` one
-    implicit step by policy iteration.  `slopes` gives a level's f_y and
+    implicit step by policy iteration, whose solves substitute
+    (`_substitute`) into the last factorization (`_factor`) while the
+    level object and the policy stay; `factorizations` counts the
+    factorizations made.  `slopes` gives a level's f_y and
     monotonicity bound, `dt_bound` that bound, `max_drift` its max |b|,
     and `passing_grid` the N rule's grid on `span` = [t_start, T].
 
@@ -297,6 +321,10 @@ class _Sweep:
         }
         self._static = {name for name, s in static.items() if s}
         self._memo = {}
+        # the last factorization: (the _Level it came from, the policy's
+        # bytes, `_factor`'s lists), and how many `step` has made
+        self._factored = None
+        self.factorizations = 0
         self.controls = controls
         shape = (len(controls), xs.size)
         self.x = np.broadcast_to(xs[None, :, None], shape + (1,))
@@ -434,21 +462,25 @@ class _Sweep:
         is largest, keeping `policy`'s row where it ties; `extra` is None
         when it is the same for every row."""
         g = _g_rows(rows.h, rows.bd, nd[1:] - nd[:-1], nd[rows.gather], extra)
-        best = g.argmax(axis=0)
         if policy is None:
-            return best
-        keep = g[policy, self._nodes] >= g[best, self._nodes]
-        return np.where(keep, policy, best)
+            return g.argmax(axis=0)
+        own = g[policy, self._nodes]
+        if (own >= g.max(axis=0)).all():
+            return policy
+        best = g.argmax(axis=0)
+        return np.where(own >= g[best, self._nodes], policy, best)
 
     def step(self, v, t, dt, policy=None, index=0, rows=None):
         """One implicit step from the known level v at time t to t - dt.
 
         Returns (value row, policy, tridiagonal solves).  The policy
         iteration starts from `policy`, one row index per node, or, when
-        it is None, from the rows that maximize G at v.  A non-finite row
-        or a zero pivot is refused, and so is a policy that has not
-        settled after `_POLICY_SOLVES` solves, each naming time level
-        `index`.  `rows` are the level's (`level`), built when not given.
+        it is None, from the rows that maximize G at v.  Each solve
+        substitutes into the kept factorization (`_factors`).  A
+        non-finite row or a zero pivot is refused, and so is a policy that
+        has not settled after `_POLICY_SOLVES` solves, each naming time
+        level `index`.  `rows` are the level's (`level`), built when not
+        given.
         """
         rows = rows or self.level(t, dt)
         nd = _neg_differences(v)
@@ -463,22 +495,34 @@ class _Sweep:
         if policy is None:
             policy = self._pick(rows, nd, fval if self.f_reads_zu else None, None)
         for solves in range(1, _POLICY_SOLVES + 1):
-            pick = (policy, self._nodes)
-            try:
-                new = _thomas(
-                    rows.lower[pick], rows.diag[pick], rows.upper[pick],
-                    rhs[pick] if self.f_reads_zu else rhs,
-                )
-            except ZeroDivisionError:
-                raise ProblemError(f"zero pivot at time level {index}") from None
+            new = _substitute(
+                self._factors(rows, policy, index),
+                rhs[policy, self._nodes] if self.f_reads_zu else rhs,
+            )
             if not np.isfinite(new).all():
                 raise ProblemError(f"non-finite value at time level {index}")
             extra = c - rows.f_y * new if self.f_reads_zu else None
             settled = self._pick(rows, _neg_differences(new), extra, policy)
-            if np.array_equal(settled, policy):
+            if settled is policy or np.array_equal(settled, policy):
                 return new, policy, solves
             policy = settled
         raise PolicyError(index)
+
+    def _factors(self, rows, policy, index):
+        """`_factor` of `policy`'s rows of the level `rows`, kept until the
+        level object or the policy changes; a zero pivot is refused,
+        naming time level `index`."""
+        key = policy.tobytes()
+        kept = self._factored
+        if kept is None or kept[0] is not rows or kept[1] != key:
+            pick = (policy, self._nodes)
+            try:
+                factors = _factor(rows.lower[pick], rows.diag[pick], rows.upper[pick])
+            except ZeroDivisionError:
+                raise ProblemError(f"zero pivot at time level {index}") from None
+            self.factorizations += 1
+            kept = self._factored = rows, key, factors
+        return kept[2]
 
 
 def sweep_step(spec, xs, v, t, dt, control_grid_size=11):
@@ -498,8 +542,9 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
     (`cfl_time_grid`).  Each level is solved by policy iteration, its
     policy started from the previous level's.  The result's `cfl_ratio`
     is grid.dt over the tightest bound the steps met, 0 when none had
-    one, and `policy_solves` and `max_level_solves` count the
-    tridiagonal solves.  The terminal row is -phi exactly.
+    one, `policy_solves` and `max_level_solves` count the tridiagonal
+    solves and `factorizations` the factorizations they took.  The
+    terminal row is -phi exactly.
     """
     if abs(grid.end - spec.horizon) > 1e-12:
         raise ProblemError("grid must end at the problem horizon")
@@ -528,6 +573,7 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
         cfl_ratio=dt / tightest,
         policy_solves=sum(solves),
         max_level_solves=max(solves),
+        factorizations=sweep.factorizations,
     )
 
 
@@ -717,6 +763,7 @@ def value_grid_meta_json(vgrid, path):
         meta["scheme"] = "implicit"
         meta["policy_solves"] = vgrid.policy_solves
         meta["max_level_solves"] = vgrid.max_level_solves
+        meta["factorizations"] = vgrid.factorizations
     with open(path, "w") as fh:
         json.dump(meta, fh, sort_keys=True)
         fh.write("\n")

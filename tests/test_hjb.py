@@ -431,6 +431,8 @@ def test_value_grid_exports(tmp_path, vgrid400):
     assert data["scheme"] == "implicit"
     assert data["policy_solves"] == vgrid400.grid.steps
     assert data["max_level_solves"] == 1
+    # and one static level and one policy: a single factorization
+    assert data["factorizations"] == vgrid400.factorizations == 1
 
 
 def test_mid_sweep_refusal_names_a_passing_step_count():
@@ -586,6 +588,133 @@ def test_policy_iteration_cap_names_the_level(monkeypatch):
         H.solve_hjb_fd(spec, half_width, 40, grid, 11)
     assert isinstance(err.value, P.ProblemError)
     assert 0 <= err.value.level < grid.steps
+
+
+def _thomas(lower, diag, upper, rhs):
+    """Textbook Thomas elimination and substitution in one pass."""
+    n = len(diag)
+    lower, diag, upper, x = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    ratio = [0.0] * n
+    pivot = diag[0]
+    ratio[0] = upper[0] / pivot
+    x[0] /= pivot
+    for j in range(1, n):
+        pivot = diag[j] - lower[j] * ratio[j - 1]
+        ratio[j] = upper[j] / pivot
+        x[j] = (x[j] - lower[j] * x[j - 1]) / pivot
+    for j in range(n - 2, -1, -1):
+        x[j] -= ratio[j] * x[j + 1]
+    return np.array(x)
+
+
+def test_factor_and_substitute_bit_identical_to_one_pass_thomas():
+    rng = np.random.default_rng(21)
+    n = 401
+    lower, upper = -rng.random(n), -rng.random(n)
+    lower[0] = upper[-1] = 0.0
+    diag = 1.0 + rng.random(n) - lower - upper
+    factors = H._factor(lower, diag, upper)
+    assert all(type(part) is list for part in factors)
+    for _ in range(3):
+        rhs = rng.standard_normal(n)
+        assert np.array_equal(H._substitute(factors, rhs), _thomas(lower, diag, upper, rhs))
+    with pytest.raises(ZeroDivisionError):
+        H._factor(np.zeros(3), np.array([1.0, 0.0, 1.0]), np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "name, n_cells",
+    [("example31", 400), ("two_controls_corners", 40), ("time_dependent", 40)],
+)
+def test_kept_factorization_bit_identical_to_factoring_every_solve(
+    name, n_cells, monkeypatch
+):
+    spec, half_width = _sweep_problem(name)
+    grid = H.cfl_time_grid(spec, half_width, n_cells, 11)
+    kept = H.solve_hjb_fd(spec, half_width, n_cells, grid, 11)
+    factors = H._Sweep._factors
+
+    def fresh(self, *args):
+        self._factored = None
+        return factors(self, *args)
+
+    monkeypatch.setattr(H._Sweep, "_factors", fresh)
+    ref = H.solve_hjb_fd(spec, half_width, n_cells, grid, 11)
+    assert np.array_equal(kept.values, ref.values)
+    assert (kept.policy_solves, kept.max_level_solves) == (
+        ref.policy_solves, ref.max_level_solves
+    )
+    assert ref.factorizations == ref.policy_solves
+    if name == "two_controls_corners":
+        # levels that take several solves: a moved policy factors again,
+        # a policy that stays across levels does not
+        assert kept.max_level_solves > 1
+        assert 1 < kept.factorizations < grid.steps
+
+
+def _count_factor(monkeypatch):
+    calls = []
+    factor = H._factor
+
+    def counted(*args):
+        calls.append(1)
+        return factor(*args)
+
+    monkeypatch.setattr(H, "_factor", counted)
+    return calls
+
+
+def test_static_level_with_a_settled_policy_factors_once(spec31, monkeypatch):
+    calls = _count_factor(monkeypatch)
+    grid = H.cfl_time_grid(spec31, 2.0, 400, 11)
+    vg = H.solve_hjb_fd(spec31, 2.0, 400, grid, 11)
+    assert vg.policy_solves == grid.steps == 400
+    assert len(calls) == vg.factorizations == 1
+
+
+def test_time_dependent_rows_factor_at_every_solve(monkeypatch):
+    calls = _count_factor(monkeypatch)
+    spec, half_width = _sweep_problem("time_dependent")
+    grid = H.cfl_time_grid(spec, half_width, 100, 11)
+    vg = H.solve_hjb_fd(spec, half_width, 100, grid, 11)
+    assert vg.policy_solves > grid.steps
+    assert len(calls) == vg.factorizations == vg.policy_solves
+
+
+def _pick_by_argmax(g, policy):
+    """The re-pick as the argmax and the tie rule alone."""
+    nodes = np.arange(g.shape[1])
+    best = g.argmax(axis=0)
+    return np.where(g[policy, nodes] >= g[best, nodes], policy, best)
+
+
+def test_pick_keeps_ties_moves_on_larger_rows_and_follows_argmax_on_nan(spec31):
+    # h = bd = 0 and zero differences leave G's rows equal to `extra`
+    sweep = H._Sweep(spec31, np.linspace(-1.0, 1.0, 3), P.control_grid(spec31, 2))
+    zeros = np.zeros((2, 3))
+    rows = H._Level(None, None, None, zeros, zeros, np.zeros((2, 3), int), None, None, None)
+    nd = np.zeros(4)
+
+    def pick(g, policy):
+        return sweep._pick(rows, nd, np.array(g, dtype=float), policy)
+
+    # a tie keeps the given policy, the very object
+    policy = np.array([1, 0, 1])
+    assert pick([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]], policy) is policy
+    # a strictly larger row moves its node only
+    g = [[1.0, 5.0, 3.0], [2.0, 2.0, 3.0]]
+    policy = np.array([0, 0, 0])
+    moved = pick(g, policy)
+    assert moved.tolist() == [1, 0, 0]
+    assert np.array_equal(moved, _pick_by_argmax(np.array(g), policy))
+    # NaN: what the argmax and the tie rule give
+    g = [[np.nan, 1.0, 0.0], [0.0, np.nan, 1.0]]
+    for policy in ([0, 0, 0], [1, 0, 1]):
+        policy = np.array(policy)
+        got = pick(g, policy)
+        assert got is not policy
+        assert np.array_equal(got, _pick_by_argmax(np.array(g), policy))
+    assert pick(g, np.array([0, 0, 0])).tolist() == [0, 1, 1]
 
 
 def test_outflow_beyond_the_end_row_bound_refused():
