@@ -215,13 +215,13 @@ def adjoint_csv(triple, report, path):
     pm = triple.p.swapaxes(0, 1)[:, :, 0].mean(axis=1).tolist()
     qm = triple.q.swapaxes(0, 1).mean(axis=1).tolist()
     nan = [float("nan")]  # pads the per-step columns to the N+1 nodes
-    k = triple.k.swapaxes(0, 1)  # (N, M, n, d)
-    # the Frobenius norm of a 1 x 1 k is |k| bit for bit unless k*k underflows
-    if k.shape[-2:] == (1, 1):
-        kn = np.abs(k[:, :, 0, 0])
-    else:
-        kn = np.linalg.norm(k, axis=(-2, -1))
-    kn = kn.mean(axis=1).tolist() + nan
+    # one (M,) norm per time row of k; the Frobenius norm of a 1 x 1 k is
+    # |k| bit for bit unless k*k underflows
+    scalar = triple.k.shape[-2:] == (1, 1)
+    kn = [
+        float((np.abs(ki[:, 0, 0]) if scalar else np.linalg.norm(ki, axis=(-2, -1))).mean())
+        for ki in triple.k.swapaxes(0, 1)
+    ] + nan
     res = report.residuals.tolist() + nan
     with open(path, "w") as fh:
         fh.write("t,mean_p,mean_q,mean_abs_k,worst_residual\n")

@@ -48,17 +48,19 @@ class _StepRegression:
     """Ridge-regularized polynomial projection onto functions of X_i.
 
     States are standardized coordinate-wise before taking powers; that
-    spans the same polynomial space but keeps the Gram matrix tame.  Each
-    design column is one multiply of a lower-degree column by a single
-    standardized coordinate (for n = 1: 1, t, t*t, (t*t)*t), so a column
+    spans the same polynomial space but keeps the Gram matrix tame.  The
+    design is stored (P, M), one C-contiguous row per monomial, so the
+    Gram matrix is `design @ design.T` and every product runs over rows.
+    Each design row is one multiply of a lower-degree row by a single
+    standardized coordinate (for n = 1: 1, t, t*t, (t*t)*t), so a row
     of degree j carries j - 1 roundings and no `pow`.  The
-    normal equations are solved for each monomial column divided by its
-    root mean square `scale` (a zero column by 1), so the ridge term (1e-8
-    times the trace of that scaled Gram matrix) weighs every column alike
+    normal equations are solved for each monomial row divided by its
+    root mean square `scale` (a zero row by 1), so the ridge term (1e-8
+    times the trace of that scaled Gram matrix) weighs every monomial alike
     and shrinks a fit by about 1e-8 times the basis size whatever the
     states' spread; it makes degenerate designs -- e.g. a deterministic
     state column -- fall back to the plain mean.  The scaling acts on the
-    (P, P) system only.  `basis` rebuilds the (M, P) `design` bit for bit,
+    (P, P) system only.  `basis` rebuilds the (P, M) `design` bit for bit,
     so a kept projection may drop it.
     """
 
@@ -69,7 +71,7 @@ class _StepRegression:
         sd = x.std(axis=0)
         self.sd = np.where(sd > 1e-300, sd, 1.0)
         self.design = self.basis(x)
-        gram = self.design.T @ self.design
+        gram = self.design @ self.design.T
         rms = np.sqrt(np.diag(gram) / x.shape[0])
         self.scale = np.where(rms > 0.0, rms, 1.0)
         gram = gram / np.outer(self.scale, self.scale)
@@ -79,25 +81,26 @@ class _StepRegression:
         self.chol = np.linalg.cholesky(gram)
 
     def basis(self, x):
-        """Standardized monomials of the states x: the (M, P) design."""
+        """Standardized monomials of the (M, n) states x: the (P, M)
+        design, one C-contiguous row per monomial."""
         t = (x - self.mu) / self.sd
         monomials = _monomials(x.shape[1], self.degree)
-        design = np.empty((x.shape[0], len(monomials)))
-        design[:, 0] = 1.0
-        column = {(): 0}
+        design = np.empty((len(monomials), x.shape[0]))
+        design[0] = 1.0
+        row = {(): 0}
         for j, combo in enumerate(monomials[1:], 1):
-            lower = design[:, column[combo[:-1]]]
-            np.multiply(lower, t[:, combo[-1]], out=design[:, j])
-            column[combo] = j
+            np.multiply(design[row[combo[:-1]]], t[:, combo[-1]], out=design[j])
+            row[combo] = j
         return design
 
     def fit(self, targets, design=None):
-        """Fitted values at the design points; targets (M,) or (M, q)."""
+        """Fitted values at the design points, (M,) or (M, q) like the
+        targets; `design` is a (P, M) `basis`."""
         design = self.design if design is None else design
         scale = self.scale.reshape(self.scale.shape + (1,) * (np.ndim(targets) - 1))
-        rhs = design.T @ targets / scale
+        rhs = design @ targets / scale
         coef = np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, rhs))
-        return design @ (coef / scale)
+        return ((coef / scale).T @ design).T
 
 
 @dataclass
@@ -162,7 +165,7 @@ def solve_backward(spec, batch, p_deg, n_picard=0):
         if not (np.isfinite(ycur).all() and np.isfinite(z[i]).all()):
             raise ProblemError(f"non-finite Y or Z at step {i}")
         driver_sum += fval * dt
-        reg.design = None  # (M, P) per step is too much to keep
+        reg.design = None  # (P, M) per step is too much to keep
         regressions[i] = reg
 
     # deterministic start: the time-t conditional expectation is a constant
@@ -275,15 +278,16 @@ def backward_csv(sol, path):
     the two per-step columns read NaN on the terminal row."""
     times = sol.grid.times.tolist()
     z = sol.z.swapaxes(0, 1)  # (N, M, d)
-    # sqrt(z*z) == |z| in binary64 unless z*z underflows
-    zn = np.abs(z[:, :, 0]) if z.shape[-1] == 1 else np.linalg.norm(z, axis=-1)
-    nan = float("nan")
     with open(path, "w") as fh:
         fh.write("t,mean_y,std_y,mean_abs_z,condition\n")
         for i, (t, y) in enumerate(zip(times, sol.y.swapaxes(0, 1))):
-            last = i == zn.shape[0]
-            zcol = nan if last else float(zn[i].mean())
-            cond = nan if last else float(sol.conditions[i])
+            zcol = cond = float("nan")
+            if i < z.shape[0]:
+                # one (M,) norm at a time; sqrt(z*z) == |z| in binary64
+                # unless z*z underflows
+                zi = z[i]
+                zn = np.abs(zi[:, 0]) if zi.shape[-1] == 1 else np.linalg.norm(zi, axis=-1)
+                zcol, cond = float(zn.mean()), float(sol.conditions[i])
             fh.write(
                 f"{t!r},{float(y.mean())!r},{float(y.std())!r},{zcol!r},{cond!r}\n"
             )

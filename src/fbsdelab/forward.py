@@ -5,9 +5,11 @@ Paths follow Euler-Maruyama on a uniform grid,
     X_{i+1} = X_i + b(t_i, X_i, u) dt + sigma(t_i, X_i, u) dW_i,
 
 under one constant control u, checked against the control box before the
-first step.  Brownian increments come from per-path counter-based streams
-(Philox keyed by (seed, path index)), so batches are bit-reproducible
-regardless of how work is split across workers.
+first step.  Brownian increments come from counter-based streams, one
+per block of `_BLOCK` paths (Philox keyed by (seed, block index)), so
+batches are bit-reproducible, a batch is a prefix of any larger batch
+with the same seed, and results do not depend on worker count or on
+chunking at block boundaries.
 
 Monte Carlo arrays are stored time-major, (N+1, M, ...), so every
 per-step access reads one contiguous row; here and in the backward and
@@ -75,7 +77,11 @@ class PathBatch:
     path-major views of time-major (N+1, M, n) and (N, M, d) buffers;
     `states.swapaxes(0, 1)[i]` is step i's contiguous row.  Arrays are
     frozen after construction; regenerating with the same arguments
-    reproduces the batch bit-exactly.
+    reproduces the batch bit-exactly.  The increments are
+    `generate_increments`' streams: block b of 1,024 paths comes from the
+    one Philox keyed by (seed, b), so a batch of fewer paths is a prefix
+    of this one and splitting the paths at block boundaries changes
+    nothing.
     """
 
     grid: TimeGrid
@@ -103,38 +109,37 @@ class PathBatch:
         return self.increments.shape[2]
 
 
-# paths drawn per pass through the path-major scratch buffer
+# paths per Philox stream, drawn in one pass through the path-major
+# scratch buffer
 _BLOCK = 1024
 
 
 def generate_increments(grid, n_paths, d, seed):
     """Gaussian increments of shape (n_paths, N, d), variance dt each.
 
-    Each path draws from its own counter-based stream keyed by
-    (seed, path index), which makes the result independent of worker
-    count or path chunking.  One Philox is rewound to each path's key;
-    blocks of paths are drawn path-major into a scratch buffer and
-    transposed into the time-major (N, n_paths, d) buffer, of which the
-    result is a view.
+    Block b, the `_BLOCK` paths from path `_BLOCK` b on (fewer in the
+    last block), draws from one counter-based stream,
+    `Philox(key=[seed, b])`, and path j of the block takes the j-th run
+    of N d standard normals in it (step by step, each step's d noise
+    columns together).  So a batch is a prefix of any
+    larger batch with the same seed, and results do not depend on
+    worker count or on chunking at block boundaries.  Each block is
+    drawn path-major into a scratch buffer by one call and written,
+    scaled by sqrt(dt), into the time-major (N, n_paths, d) buffer, of
+    which the result is a view.
     """
     if n_paths < 1:
         raise SimulationError("n_paths must be >= 1")
     n = grid.steps
     out = np.empty((n, n_paths, d))
-    bitgen = np.random.Philox(key=np.array([seed & (2**64 - 1), 0], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    # the state a fresh Philox(key=[seed, m]) starts from
-    fresh = bitgen.state
-    key = fresh["state"]["key"]
+    sqrt_dt = np.sqrt(grid.dt)
     scratch = np.empty((min(_BLOCK, n_paths), n, d))
-    for start in range(0, n_paths, _BLOCK):
-        block = scratch[: min(_BLOCK, n_paths - start)]
-        for j, path in enumerate(block):
-            key[1] = start + j
-            bitgen.state = fresh
-            gen.standard_normal(out=path)
-        out[:, start : start + block.shape[0]] = block.swapaxes(0, 1)
-    out *= np.sqrt(grid.dt)
+    for b, start in enumerate(range(0, n_paths, _BLOCK)):
+        stop = min(start + _BLOCK, n_paths)
+        block = scratch[: stop - start]
+        key = np.array([seed & (2**64 - 1), b], dtype=np.uint64)
+        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=block)
+        np.multiply(block.swapaxes(0, 1), sqrt_dt, out=out[:, start:stop])
     return out.swapaxes(0, 1)
 
 
@@ -268,10 +273,10 @@ def perturbation_moment_probe(
 def pathbatch_summary_csv(batch, path):
     """Per-node mean/std of the state's Euclidean norm, |x| for n = 1."""
     times = batch.grid.times.tolist()
-    states = batch.states.swapaxes(0, 1)  # (N+1, M, n)
-    # sqrt(x*x) == |x| in binary64 unless x*x underflows
-    norms = np.abs(states[:, :, 0]) if batch.n == 1 else np.linalg.norm(states, axis=-1)
     with open(path, "w") as fh:
         fh.write("t,mean_state_norm,std_state_norm\n")
-        for t, row in zip(times, norms):
+        # one (M,) norm at a time; sqrt(x*x) == |x| in binary64 unless x*x
+        # underflows
+        for t, states in zip(times, batch.states.swapaxes(0, 1)):
+            row = np.abs(states[:, 0]) if batch.n == 1 else np.linalg.norm(states, axis=-1)
             fh.write(f"{t!r},{float(row.mean())!r},{float(row.std())!r}\n")

@@ -325,6 +325,9 @@ class _Sweep:
         # bytes, `_factor`'s lists), and how many `step` has made
         self._factored = None
         self.factorizations = 0
+        # the last row `step` returned and its `_neg_differences`, which
+        # the next level's step reads when handed that row object
+        self._last_row = None
         self.controls = controls
         shape = (len(controls), xs.size)
         self.x = np.broadcast_to(xs[None, :, None], shape + (1,))
@@ -480,10 +483,12 @@ class _Sweep:
         non-finite row or a zero pivot is refused, and so is a policy that
         has not settled after `_POLICY_SOLVES` solves, each naming time
         level `index`.  `rows` are the level's (`level`), built when not
-        given.
+        given.  Handed the row object the last step returned, it reuses
+        that row's differences from the last pick.
         """
         rows = rows or self.level(t, dt)
-        nd = _neg_differences(v)
+        kept = self._last_row
+        nd = kept[1] if kept is not None and kept[0] is v else _neg_differences(v)
         if self.f_reads_zu:
             z = rows.sgd * nd[rows.gather][..., None]
             fval = self.spec.driver(t, self.x, -v, z, self.u)
@@ -502,8 +507,10 @@ class _Sweep:
             if not np.isfinite(new).all():
                 raise ProblemError(f"non-finite value at time level {index}")
             extra = c - rows.f_y * new if self.f_reads_zu else None
-            settled = self._pick(rows, _neg_differences(new), extra, policy)
+            nd = _neg_differences(new)
+            settled = self._pick(rows, nd, extra, policy)
             if settled is policy or np.array_equal(settled, policy):
+                self._last_row = new, nd
                 return new, policy, solves
             policy = settled
         raise PolicyError(index)
@@ -552,6 +559,7 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
     times, dt = grid.times, grid.dt
     values = np.empty((grid.steps + 1, n_cells + 1))
     values[-1] = -spec.terminal(sweep.x_cols)
+    v = values[-1]
     tightest = np.inf
     policy = None
     solves = []
@@ -562,7 +570,9 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
             if _exceeds(dt, rows.bound):
                 raise CFLError(dt, rows.bound, sweep.passing_grid().steps, sweep.span)
             tightest = rows.bound
-        values[i], policy, n = sweep.step(values[i + 1], t, dt, policy, i, rows)
+        # the row `step` returned, so it reuses the row's differences
+        v, policy, n = sweep.step(v, t, dt, policy, i, rows)
+        values[i] = v
         solves.append(n)
     return ValueGrid(
         space_half_width=half_width,

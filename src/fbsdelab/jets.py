@@ -235,7 +235,8 @@ def verify_connection(spec, batch, backward, triple, vgrid, check_times):
     """
     if spec.n != 1:
         raise JetError("connection verification requires a one-dimensional state")
-    if np.min(np.abs(triple.q)) < _Q_FLOOR:
+    # min |q| one time row at a time: no (N+1, M) temporary
+    if min(np.abs(row).min() for row in triple.q.swapaxes(0, 1)) < _Q_FLOOR:
         raise QInvertibilityError(
             f"|q| below {_Q_FLOOR:g}; the ratio p q^-1 is not computable"
         )

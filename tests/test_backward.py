@@ -233,10 +233,11 @@ def _pow_design(reg, x):
 def test_design_products_match_pow_reference(n):
     x = np.random.default_rng(5).normal(0.5, 2.0, (4000, n))
     reg = B._StepRegression(x, 3)
-    design, reference = reg.basis(x), _pow_design(reg, x)
-    assert design.shape == (4000, 4 if n == 1 else 10)
+    design, reference = reg.basis(x), _pow_design(reg, x).T
+    assert design.shape == (4 if n == 1 else 10, 4000)
+    assert design.flags.c_contiguous
     assert np.array_equal(reg.design, design)
-    assert np.array_equal(design[:, : n + 1], reference[:, : n + 1])
+    assert np.array_equal(design[: n + 1], reference[: n + 1])
     ulp = np.finfo(float).eps
     assert np.all(np.abs(design - reference) <= 2.0 * ulp * np.abs(reference))
 
@@ -246,5 +247,5 @@ def test_design_exact_on_constant_states(n, value):
     # the pipeline's X = 0 paths standardize to t = 0: every column is exact
     x = np.full((300, n), value)
     reg = B._StepRegression(x, 3)
-    assert np.array_equal(reg.basis(x), _pow_design(reg, x))
+    assert np.array_equal(reg.basis(x), _pow_design(reg, x).T)
     assert np.array_equal(reg.design, reg.basis(x))

@@ -38,24 +38,49 @@ def test_increments_bit_identical_and_prefix_stable():
     a = F.generate_increments(grid, 40, 2, seed=3)
     b = F.generate_increments(grid, 40, 2, seed=3)
     assert np.array_equal(a, b)
-    # per-path keying: a smaller batch is a prefix of a larger one
+    # per-block keying: a smaller batch is a prefix of a larger one
     c = F.generate_increments(grid, 10, 2, seed=3)
     assert np.array_equal(a[:10], c)
     d = F.generate_increments(grid, 40, 2, seed=4)
     assert not np.array_equal(a, d)
 
 
-def test_increments_match_per_path_philox_reference():
-    # a fresh Philox keyed by (seed, m) for every path; 1,500 paths end in
-    # a partial block of the generator's scratch buffer
+def test_increments_match_per_block_philox_reference():
+    # a fresh Philox keyed by (seed, b) for every block of 1,024 paths, its
+    # normals taken path by path; 2,500 paths are two full blocks and a
+    # partial one
     grid = F.TimeGrid(0.0, 1.0, 20)
-    dw = F.generate_increments(grid, 1500, 2, seed=9)
-    ref = np.empty((1500, 20, 2))
-    for m in range(1500):
-        key = np.array([9, m], dtype=np.uint64)
-        ref[m] = np.random.Generator(np.random.Philox(key=key)).standard_normal((20, 2))
+    dw = F.generate_increments(grid, 2500, 2, seed=9)
+    ref = np.empty((2500, 20, 2))
+    for b, start in enumerate(range(0, 2500, F._BLOCK)):
+        rows = min(F._BLOCK, 2500 - start)
+        key = np.array([9, b], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        ref[start : start + rows] = gen.standard_normal((rows, 20, 2))
     ref *= np.sqrt(grid.dt)
     assert np.array_equal(dw, ref)
+
+
+def test_increments_prefix_across_a_block_boundary():
+    grid = F.TimeGrid(0.0, 1.0, 20)
+    small = F.generate_increments(grid, 1500, 2, seed=9)
+    large = F.generate_increments(grid, 2500, 2, seed=9)
+    assert np.array_equal(small, large[:1500])
+
+
+@pytest.mark.parametrize("m", [1, 1024, 1025, 2500])
+def test_one_philox_per_block_of_paths(monkeypatch, m):
+    # no per-path rewind: one stream is built per block of 1,024 paths
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(kwargs.get("key"))
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    F.generate_increments(F.TimeGrid(0.0, 1.0, 5), m, 1, seed=2)
+    assert [int(key[1]) for key in built] == list(range(-(-m // 1024)))
 
 
 def _assert_time_major_view(arr):

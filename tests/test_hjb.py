@@ -435,6 +435,29 @@ def test_value_grid_exports(tmp_path, vgrid400):
     assert data["factorizations"] == vgrid400.factorizations == 1
 
 
+def test_each_row_differenced_once(spec31, vgrid400, monkeypatch):
+    # the next level reuses the differences of the row the last pick read:
+    # one call for the terminal row and one per solve, bit for bit the same
+    calls = []
+    differences = H._neg_differences
+
+    def counted(v):
+        calls.append(None)
+        return differences(v)
+
+    monkeypatch.setattr(H, "_neg_differences", counted)
+    vg = H.solve_hjb_fd(spec31, 2.0, 400, vgrid400.grid, 11)
+    assert vg.policy_solves == vg.grid.steps == 400
+    assert len(calls) == 401
+    # a copy of the known row is differenced afresh at every level
+    step = H._Sweep.step
+    monkeypatch.setattr(H._Sweep, "step", lambda self, v, *args: step(self, v.copy(), *args))
+    calls.clear()
+    fresh = H.solve_hjb_fd(spec31, 2.0, 400, vgrid400.grid, 11)
+    assert len(calls) == 800
+    assert np.array_equal(vg.values, fresh.values)
+
+
 def test_mid_sweep_refusal_names_a_passing_step_count():
     # the refusal's N meets the rule at every step time of its candidate
     # grids, so one rerun with it is not refused again
