@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import forward
 from .problem import ProblemError
 
 
@@ -51,13 +52,14 @@ class AdjointTriple:
     k: np.ndarray
 
 
-def _gradient_args(batch, backward, i):
-    """(s, x, y, z) along the batch at step i < N."""
+def _gradient_args(batch, backward, i, times=None, rows=slice(None)):
+    """(s, x, y, z) along the batch's `rows` at step i < N; the solvers
+    pass the grid's `times`, built once per solve."""
     return (
-        batch.grid.times[i],
-        batch.states.swapaxes(0, 1)[i],
-        backward.y.swapaxes(0, 1)[i],
-        backward.z.swapaxes(0, 1)[i],
+        (batch.grid.times if times is None else times)[i],
+        batch.states.swapaxes(0, 1)[i, rows],
+        backward.y.swapaxes(0, 1)[i, rows],
+        backward.z.swapaxes(0, 1)[i, rows],
     )
 
 
@@ -67,23 +69,31 @@ def solve_q(spec, batch, backward):
     Uses the batch's stored Brownian increments.  Nonpositive values
     (the stochastic exponential should stay positive for bounded f_y,
     f_z) are returned as they are, never clipped; the CLI's adjoint stage
-    counts the paths that reach them.
+    counts the paths that reach them.  Each path slab runs the whole time
+    loop on its own worker (`forward._run_steps`), so q is bit-identical
+    at any worker count; the error raised is the serial loop's, so within
+    a step an evaluator's error comes before "non-finite q at step i".
     """
     m = batch.n_paths
     n_steps = batch.grid.steps
     dt = batch.grid.dt
+    times = batch.grid.times
     dw = batch.increments.swapaxes(0, 1)
     q = np.empty((n_steps + 1, m))
     q[0] = 1.0
-    u = np.broadcast_to(batch.control, (m, spec.k))
-    for i in range(n_steps):
-        s, x, y, z = _gradient_args(batch, backward, i)
+    u_all = np.broadcast_to(batch.control, (m, spec.k))
+
+    def step(i, lo, hi):
+        s, x, y, z = _gradient_args(batch, backward, i, times, slice(lo, hi))
+        u = u_all[lo:hi]
         fy = spec.driver_y(s, x, y, z, u)
         fz = spec.driver_z(s, x, y, z, u)
-        growth = 1.0 + fy * dt + np.einsum("md,md->m", fz, dw[i])
-        q[i + 1] = q[i] * growth
-        if not np.all(np.isfinite(q[i + 1])):
+        growth = 1.0 + fy * dt + np.einsum("md,md->m", fz, dw[i, lo:hi])
+        q[i + 1, lo:hi] = q[i, lo:hi] * growth
+        if not np.all(np.isfinite(q[i + 1, lo:hi])):
             raise ProblemError(f"non-finite q at step {i + 1}")
+
+    forward._run_steps(step, n_steps, m)
     return q.swapaxes(0, 1)
 
 
@@ -100,6 +110,7 @@ def solve_pk(spec, batch, backward, q):
     states = batch.states.swapaxes(0, 1)
     dw = batch.increments.swapaxes(0, 1)
     q = q.swapaxes(0, 1)  # (N+1, M) from here on
+    times = batch.grid.times
 
     p = np.empty((n_steps + 1, m, n))
     k = np.empty((n_steps, m, n, d))
@@ -115,7 +126,7 @@ def solve_pk(spec, batch, backward, q):
         targets = centered[:, :, None] * dw[i][:, None, :]
         k[i] = reg.fit(targets.reshape(m, n * d), design).reshape(m, n, d) / dt
 
-        s, x, y, z = _gradient_args(batch, backward, i)
+        s, x, y, z = _gradient_args(batch, backward, i, times)
         bx = spec.drift_x(s, x, u)  # (M, n, n)
         fx = spec.driver_x(s, x, y, z, u)  # (M, n)
         sx = spec.diffusion_x(s, x, u)  # (M, n, d, n)
@@ -178,6 +189,10 @@ def check_maximum_condition(spec, batch, backward, triple):
     smaller product with mean H_u, the lower end on a tie.  The per-step
     pass allowance is _TOL_MC plus four standard errors of that corner's
     path average, so Monte Carlo noise does not trigger false failures.
+
+    The steps are independent: step i runs on worker i mod W, over all
+    paths, so the residuals and standard errors are bit-identical at any
+    worker count W, and the earliest failing step's error is raised.
     """
     lo = spec.control_lo - batch.control
     hi = spec.control_hi - batch.control
@@ -188,13 +203,16 @@ def check_maximum_condition(spec, batch, backward, triple):
     stderrs = np.empty(n_steps)
     u_bar = np.broadcast_to(batch.control, (batch.n_paths, spec.k))
     p, q, k = (a.swapaxes(0, 1) for a in (triple.p, triple.q, triple.k))
-    for i in range(n_steps):
-        s, x, y, z = _gradient_args(batch, backward, i)
+
+    def step(i, *_):  # over all paths, whatever range it is given
+        s, x, y, z = _gradient_args(batch, backward, i, times)
         hu = hamiltonian_gradient_u(spec, s, x, y, z, u_bar, p[i], q[i], k[i])
         mean = hu.mean(axis=0)
         inner = hu @ np.where(hi * mean < lo * mean, hi, lo)
         residuals[i] = inner.mean()
         stderrs[i] = inner.std() / np.sqrt(batch.n_paths)
+
+    forward._run_steps(step, n_steps, batch.n_paths, interleave=True)
     allowance = _TOL_MC + 4.0 * stderrs
     passed = bool(np.all(residuals >= -allowance))
     return MaxConditionReport(

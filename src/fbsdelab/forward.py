@@ -11,6 +11,17 @@ batches are bit-reproducible, a batch is a prefix of any larger batch
 with the same seed, and results do not depend on worker count or on
 chunking at block boundaries.
 
+Work that is independent across paths runs on every usable core: the
+increments, the Euler loop and the adjoint's q recursion are split into
+path slabs cut at block boundaries, one per worker, each running its
+whole time loop; the maximum condition deals its independent steps out
+round-robin.  Every element is computed by the same operations on the
+same inputs whatever the split, so every result is bit-identical at any
+worker count, and a failure raises the error the serial loop would: the
+earliest failing step, rerun on all paths, so that within a step an
+evaluator's error comes before a non-finite result and the lowest path
+is reported.
+
 Monte Carlo arrays are stored time-major, (N+1, M, ...), so every
 per-step access reads one contiguous row; here and in the backward and
 adjoint solvers the path-major fields, (M, N+1, ...), are zero-copy
@@ -20,6 +31,8 @@ indexes `field.swapaxes(0, 1)[i]`.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +125,81 @@ class PathBatch:
 # paths per Philox stream, drawn in one pass through the path-major
 # scratch buffer
 _BLOCK = 1024
+# threads the Monte Carlo kernels split their work across: the usable cores
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+
+def _slabs(n_paths):
+    """(start, stop) path ranges, one per worker (at most one per block),
+    cut at block boundaries."""
+    blocks = -(-n_paths // _BLOCK)
+    w = min(_WORKERS, blocks)
+    cuts = [min(blocks * j // w * _BLOCK, n_paths) for j in range(w + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _run_parts(fn, parts):
+    """[fn(part) for part in parts], the first part on the calling thread
+    and the others on threads started and joined inside the call, each
+    under the caller's numpy error state (a thread does not inherit it).
+
+    An exception that escapes `fn` is raised here once every thread has
+    finished; the kernels return their expected failures instead.
+    """
+    results = [None] * len(parts)
+    escaped = []
+    errstate = np.geterr()
+
+    def run(j):
+        try:
+            with np.errstate(**errstate):
+                results[j] = fn(parts[j])
+        except BaseException as exc:  # re-raised on the calling thread
+            escaped.append(exc)
+
+    threads = [threading.Thread(target=run, args=(j,)) for j in range(1, len(parts))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if escaped:
+        raise escaped[0]
+    return results
+
+
+def _run_steps(step, n_steps, n_paths, interleave=False):
+    """step(i, lo, hi) for every step i < n_steps and paths [lo, hi), on
+    every worker.
+
+    By default each path slab (`_slabs`) runs every step in order on its
+    own worker; with `interleave` worker j runs steps j, j + W, ... over
+    all paths.  A part stops at its first failing step.  The earliest
+    failing step is then rerun on all paths, which raises the error the
+    serial loop raises.
+    """
+    if interleave:
+        w = min(_WORKERS, n_steps)
+        parts = [(range(j, n_steps, w), (0, n_paths)) for j in range(w)]
+    else:
+        parts = [(range(n_steps), slab) for slab in _slabs(n_paths)]
+
+    def run(part):
+        steps, (lo, hi) = part
+        for i in steps:
+            try:
+                step(i, lo, hi)
+            except Exception as exc:
+                return i, exc
+        return None
+
+    failed = [r for r in _run_parts(run, parts) if r is not None]
+    if failed:
+        i, exc = min(failed, key=lambda r: r[0])
+        step(i, 0, n_paths)  # raises what the serial loop raised
+        raise exc
 
 
 def generate_increments(grid, n_paths, d, seed):
@@ -126,20 +214,26 @@ def generate_increments(grid, n_paths, d, seed):
     worker count or on chunking at block boundaries.  Each block is
     drawn path-major into a scratch buffer by one call and written,
     scaled by sqrt(dt), into the time-major (N, n_paths, d) buffer, of
-    which the result is a view.
+    which the result is a view.  The blocks are split into contiguous
+    ranges, one per worker (`_slabs`), each with its own scratch buffer.
     """
     if n_paths < 1:
         raise SimulationError("n_paths must be >= 1")
     n = grid.steps
     out = np.empty((n, n_paths, d))
     sqrt_dt = np.sqrt(grid.dt)
-    scratch = np.empty((min(_BLOCK, n_paths), n, d))
-    for b, start in enumerate(range(0, n_paths, _BLOCK)):
-        stop = min(start + _BLOCK, n_paths)
-        block = scratch[: stop - start]
-        key = np.array([seed & (2**64 - 1), b], dtype=np.uint64)
-        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=block)
-        np.multiply(block.swapaxes(0, 1), sqrt_dt, out=out[:, start:stop])
+
+    def draw(slab):
+        lo, hi = slab
+        scratch = np.empty((min(_BLOCK, hi - lo), n, d))
+        for start in range(lo, hi, _BLOCK):
+            stop = min(start + _BLOCK, hi)
+            block = scratch[: stop - start]
+            key = np.array([seed & (2**64 - 1), start // _BLOCK], dtype=np.uint64)
+            np.random.Generator(np.random.Philox(key=key)).standard_normal(out=block)
+            np.multiply(block.swapaxes(0, 1), sqrt_dt, out=out[:, start:stop])
+
+    _run_parts(draw, _slabs(n_paths))
     return out.swapaxes(0, 1)
 
 
@@ -147,8 +241,14 @@ def simulate_forward(spec, control, t, x, grid, n_paths, seed):
     """Simulate the controlled state over a batch of Brownian paths.
 
     The grid must span [t, spec.horizon] and the (k,) control must lie in
-    the control box (ControlBoxError otherwise).  Returns a PathBatch;
-    raises NonFiniteStateError as soon as any path leaves the finite range.
+    the control box (ControlBoxError otherwise).  Returns a PathBatch.
+    After the increments are drawn, each path slab (`_slabs`) runs the
+    whole Euler loop on its own worker; the states are bit-identical at
+    any worker count.  The first failure is the serial loop's: at the
+    earliest step where any slab fails, the step is rerun on all paths,
+    so an evaluator's error (DomainError) comes before a non-finite
+    state, and NonFiniteStateError names the lowest path that left the
+    finite range at that step.
     """
     if abs(grid.start - t) > 1e-12 or abs(grid.end - spec.horizon) > 1e-12:
         raise SimulationError(
@@ -169,18 +269,21 @@ def simulate_forward(spec, control, t, x, grid, n_paths, seed):
     dt = grid.dt
     states = np.empty((grid.steps + 1, n_paths, spec.n))
     states[0] = x
-    xi = states[0]
-    u = np.broadcast_to(control, (n_paths, spec.k))
-    for i in range(grid.steps):
+    u_all = np.broadcast_to(control, (n_paths, spec.k))
+
+    def step(i, lo, hi):
+        xi, u = states[i, lo:hi], u_all[lo:hi]
         # overflow is reported below as the first non-finite state
         with np.errstate(over="ignore", invalid="ignore"):
             b = spec.drift(times[i], xi, u)
             sg = spec.diffusion(times[i], xi, u)
-            xi = xi + b * dt + np.einsum("mnd,md->mn", sg, dw_t[i])
+            xi = xi + b * dt + np.einsum("mnd,md->mn", sg, dw_t[i, lo:hi])
         if not np.all(np.isfinite(xi)):
             bad = np.argwhere(~np.isfinite(xi))
-            raise NonFiniteStateError(int(bad[0, 0]), i + 1)
-        states[i + 1] = xi
+            raise NonFiniteStateError(lo + int(bad[0, 0]), i + 1)
+        states[i + 1, lo:hi] = xi
+
+    _run_steps(step, grid.steps, n_paths)
     return PathBatch(
         grid=grid,
         states=states.swapaxes(0, 1),

@@ -435,7 +435,9 @@ class ProblemSpec:
     Evaluators are vectorized over leading batch axes: `drift(s, x, u)`
     maps (..., n) states and (..., k) controls to (..., n); `diffusion`
     to (..., n, d); `driver(s, x, y, z, u)` and `terminal(x)` to (...,).
-    All evaluators are deterministic and safe to share between workers.
+    All evaluators are deterministic and safe to share between workers:
+    the Monte Carlo kernels call them from several threads at once, each
+    on its own slab of paths or its own time steps.
     """
 
     n: int

@@ -1,10 +1,11 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_forward import _assert_time_major_view
+from test_forward import _BROWNIAN, _assert_time_major_view
 from test_problem import _smooth_expressions
 
 from fbsdelab import adjoint as A
@@ -54,6 +55,105 @@ def test_q_single_step_formula(spec31, zero_control):
     q = A.solve_q(spec31, batch, sol)
     # f_y = -1, f_z = 0: q(T) = 1 + f_y dt exactly
     assert np.allclose(q[:, 1], 1.0 - batch.grid.dt)
+
+
+@pytest.mark.parametrize(
+    "f, serial, first_slab",
+    [
+        # f_y is inf from the step a path passes 2.5: at seed 9 first path
+        # 2199, in the last slab, at step 23; among the first 2,048 at 32
+        ("max(x1 - 2.5, 0) * 1e300 * 1e300 * y", "non-finite q at step 24",
+         "non-finite q at step 33"),
+        # at step 18 path 1414, in an earlier slab, falls below -2.5 (f_y
+        # inf) while paths of the last slab pass 2.15 (f_y's sqrt refuses
+        # them): the evaluator's error is the serial loop's
+        ("(max(-2.5 - x1, 0) * 1e300 * 1e300 + sqrt(2.15 - x1) * 0) * y",
+         "sqrt of a negative value", "non-finite q at step 19"),
+    ],
+)
+def test_q_error_is_the_serial_loops_at_any_worker_count(monkeypatch, f, serial, first_slab):
+    spec = P.spec_from_expressions(1, 1, 1, 1.0, [0.0], [1.0], ["0"], ["1"], f, "x1")
+
+    def message(workers, m=2500):
+        monkeypatch.setattr(F, "_WORKERS", workers)
+        batch = F.simulate_forward(spec, 0.0, n_paths=m, **_BROWNIAN)
+        n = batch.grid.steps
+        flat = types.SimpleNamespace(y=np.zeros((m, n + 1)), z=np.zeros((m, n, 1)))
+        with np.errstate(over="ignore"), pytest.raises(P.ProblemError) as err:
+            A.solve_q(spec, batch, flat)
+        return str(err.value)
+
+    assert message(1).startswith(serial)
+    assert message(1, 2048) == first_slab
+    assert message(2) == message(3) == message(1)
+
+
+def test_max_condition_raises_the_earliest_steps_error(monkeypatch, spec31, zero_control):
+    # steps 5 and 6 fail; at two workers step 6 is the first part's
+    batch, sol = _pipeline(spec31, zero_control, [1.0], 10, 200, seed=3)
+    triple = A.solve_adjoint(spec31, batch, sol)
+    times = batch.grid.times
+
+    def drift_u(t, x, u):
+        if t in (times[5], times[6]):
+            raise P.DomainError(f"refused at t = {float(t)}")
+        return spec31.drift_u(t, x, u)
+
+    failing = dataclasses.replace(spec31, drift_u=drift_u)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(F, "_WORKERS", workers)
+        with pytest.raises(P.DomainError, match=f"t = {float(times[5])}$"):
+            A.check_maximum_condition(failing, batch, sol, triple)
+
+
+# the perfbench config_text problem: example31 with the control reversed,
+# a geometric Brownian motion started at x = 1
+_CONFIG_TEXT = """\
+[dims]
+n = 1
+d = 1
+k = 1
+lipschitz_hint = 2.0
+
+[horizon]
+T = 1.0
+
+[control]
+lo = 0.0
+hi = 1.0
+
+[initial]
+t = 0.0
+x = 1.0
+
+[coefficients]
+b1 = "x1 * (1 - u1)"
+sigma1_1 = "x1"
+f = "x1 - y"
+phi = "x1"
+"""
+
+
+def test_results_bit_identical_at_any_worker_count(monkeypatch):
+    # 2,500 paths are two full blocks and a partial one; N = 25 is a
+    # multiple of neither 2 nor 3
+    spec, _ = P.parse_problem(_CONFIG_TEXT)
+    grid = F.TimeGrid(0.0, 1.0, 25)
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(F, "_WORKERS", workers)
+        increments = F.generate_increments(grid, 2500, 1, seed=5)
+        batch = F.simulate_forward(spec, 0.0, 0.0, [1.0], grid, 2500, seed=5)
+        sol = B.solve_backward(spec, batch, 3, n_picard=2)
+        triple = A.solve_adjoint(spec, batch, sol)
+        report = A.check_maximum_condition(spec, batch, sol, triple)
+        runs.append((
+            increments, batch.increments, batch.states, triple.q, triple.p,
+            triple.k, report.residuals, report.stderrs,
+        ))
+    assert np.all(np.isfinite(runs[0][-2])) and np.ptp(runs[0][2]) > 0
+    for other in runs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0], other))
 
 
 def test_pk_along_optimal_pair(spec31, zero_control):

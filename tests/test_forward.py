@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -70,7 +73,8 @@ def test_increments_prefix_across_a_block_boundary():
 
 @pytest.mark.parametrize("m", [1, 1024, 1025, 2500])
 def test_one_philox_per_block_of_paths(monkeypatch, m):
-    # no per-path rewind: one stream is built per block of 1,024 paths
+    # no per-path rewind: one stream is built per block of 1,024 paths, in
+    # whatever order the workers build them
     built = []
     philox = np.random.Philox
 
@@ -80,7 +84,7 @@ def test_one_philox_per_block_of_paths(monkeypatch, m):
 
     monkeypatch.setattr(np.random, "Philox", counted)
     F.generate_increments(F.TimeGrid(0.0, 1.0, 5), m, 1, seed=2)
-    assert [int(key[1]) for key in built] == list(range(-(-m // 1024)))
+    assert sorted(int(key[1]) for key in built) == list(range(-(-m // 1024)))
 
 
 def _assert_time_major_view(arr):
@@ -177,6 +181,108 @@ def test_non_finite_state_reported():
     with pytest.raises(F.NonFiniteStateError) as err:
         F.simulate_forward(spec, 0.0, 0.0, [10.0], grid, 4, seed=0)
     assert err.value.step >= 1
+
+
+# Brownian paths from 0 (b = 0, sigma = 1 until a coefficient fails): at
+# seed 9 and N = 50 the first of 2,500 paths to pass 2.5 is path 2199, in
+# the last slab at two and three workers, at step 23; the first 2,048 paths
+# pass it only at step 32
+_BROWNIAN = dict(t=0.0, x=[0.0], grid=F.TimeGrid(0.0, 1.0, 50), seed=9)
+
+
+def _first_error(spec, workers, monkeypatch, n_paths=2500):
+    """The exception simulate_forward raises with `workers` workers."""
+    monkeypatch.setattr(F, "_WORKERS", workers)
+    with pytest.raises(P.ProblemError) as err:
+        F.simulate_forward(spec, 0.0, n_paths=n_paths, **_BROWNIAN)
+    return type(err.value), str(err.value), getattr(err.value, "path", None)
+
+
+def test_run_parts_joins_threads_and_keeps_the_callers_state(monkeypatch):
+    before = threading.active_count()
+    with np.errstate(over="ignore"):
+        assert F._run_parts(lambda part: (part, np.geterr()["over"]), [0, 1, 2]) == [
+            (0, "ignore"), (1, "ignore"), (2, "ignore"),
+        ]
+
+    def fail(part):
+        if part == 2:
+            raise KeyError(part)
+
+    with pytest.raises(KeyError):
+        F._run_parts(fail, [0, 1, 2])
+    assert threading.active_count() == before
+
+
+def test_more_workers_than_cores_under_fast_switching(monkeypatch, spec31):
+    # eight slabs write disjoint rows of shared buffers while the
+    # interpreter switches threads every microsecond
+    grid = F.TimeGrid(0.0, 1.0, 20)
+    runs = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 8):
+            monkeypatch.setattr(F, "_WORKERS", workers)
+            batch = F.simulate_forward(spec31, 0.0, 0.0, [1.0], grid, 8 * 1024 + 5, seed=4)
+            runs.append((batch.increments, batch.states))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(F._slabs(8 * 1024 + 5)) == 8
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_slabs_cut_at_block_boundaries(monkeypatch, workers):
+    monkeypatch.setattr(F, "_WORKERS", workers)
+    assert F._slabs(1000) == [(0, 1000)]
+    cuts = {1: [0, 2500], 2: [0, 1024, 2500], 3: [0, 1024, 2048, 2500]}[workers]
+    assert F._slabs(2500) == list(zip(cuts, cuts[1:]))
+
+
+def test_non_finite_state_same_path_and_step_at_any_worker_count(monkeypatch):
+    # the state jumps to inf on the step after a path passes 2.5
+    spec = P.spec_from_expressions(
+        1, 1, 1, 1.0, [0.0], [1.0], ["max(x1 - 2.5, 0) * 1e300 * 1e300"], ["1"], "0", "x1"
+    )
+    serial = _first_error(spec, 1, monkeypatch)
+    assert serial == (F.NonFiniteStateError, "non-finite state at path 2199, step 24", 2199)
+    # the first slab alone fails later
+    assert _first_error(spec, 1, monkeypatch, 2048)[1] == (
+        "non-finite state at path 861, step 33"
+    )
+    for workers in (2, 3):
+        assert _first_error(spec, workers, monkeypatch) == serial
+    # every path blows up at the same step: the lowest one is reported
+    spec = P.spec_from_expressions(
+        1, 1, 1, 1.0, [0.0], [1.0], ["(x1 + 1) * 1e300"], ["1"], "0", "x1"
+    )
+    for workers in (1, 2, 3):
+        error = _first_error(spec, workers, monkeypatch)
+        assert error == (F.NonFiniteStateError, "non-finite state at path 0, step 2", 0)
+
+
+@pytest.mark.parametrize(
+    "b, sigma, message",
+    [
+        # only the last slab's path 2199 passes 2.5, at step 23
+        ("min(sqrt(2.5 - x1), 0)", "1", "sqrt"),
+        # at step 18 paths of the last slab pass 2.15 (the drift's sqrt
+        # refuses them) while path 1414, in an earlier slab, falls below
+        # -2.5 (the diffusion's log refuses it): the drift is evaluated
+        # first, so the sqrt error is the serial loop's
+        ("min(sqrt(2.15 - x1), 0)", "1 + 0 * log(x1 + 2.5)", "sqrt"),
+    ],
+)
+def test_domain_error_is_the_serial_loops_at_any_worker_count(monkeypatch, b, sigma, message):
+    spec = P.spec_from_expressions(1, 1, 1, 1.0, [0.0], [1.0], [b], [sigma], "0", "x1")
+    serial = _first_error(spec, 1, monkeypatch)
+    assert serial[0] is P.DomainError and message in serial[1]
+    for workers in (2, 3):
+        assert _first_error(spec, workers, monkeypatch) == serial
+    if "log" in sigma:
+        # the earlier slabs alone fail on the log
+        assert "log" in _first_error(spec, 1, monkeypatch, 2048)[1]
 
 
 def test_euler_strong_order_half(spec31, zero_control):
