@@ -198,7 +198,7 @@ def _first_error(spec, workers, monkeypatch, n_paths=2500):
     return type(err.value), str(err.value), getattr(err.value, "path", None)
 
 
-def test_run_parts_joins_threads_and_keeps_the_callers_state(monkeypatch):
+def test_run_parts_joins_threads_and_keeps_the_callers_state():
     before = threading.active_count()
     with np.errstate(over="ignore"):
         assert F._run_parts(lambda part: (part, np.geterr()["over"]), [0, 1, 2]) == [
@@ -263,21 +263,21 @@ def test_non_finite_state_same_path_and_step_at_any_worker_count(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "b, sigma, message",
+    "b, sigma",
     [
         # only the last slab's path 2199 passes 2.5, at step 23
-        ("min(sqrt(2.5 - x1), 0)", "1", "sqrt"),
+        ("min(sqrt(2.5 - x1), 0)", "1"),
         # at step 18 paths of the last slab pass 2.15 (the drift's sqrt
         # refuses them) while path 1414, in an earlier slab, falls below
         # -2.5 (the diffusion's log refuses it): the drift is evaluated
         # first, so the sqrt error is the serial loop's
-        ("min(sqrt(2.15 - x1), 0)", "1 + 0 * log(x1 + 2.5)", "sqrt"),
+        ("min(sqrt(2.15 - x1), 0)", "1 + 0 * log(x1 + 2.5)"),
     ],
 )
-def test_domain_error_is_the_serial_loops_at_any_worker_count(monkeypatch, b, sigma, message):
+def test_domain_error_is_the_serial_loops_at_any_worker_count(monkeypatch, b, sigma):
     spec = P.spec_from_expressions(1, 1, 1, 1.0, [0.0], [1.0], [b], [sigma], "0", "x1")
     serial = _first_error(spec, 1, monkeypatch)
-    assert serial[0] is P.DomainError and message in serial[1]
+    assert serial[0] is P.DomainError and "sqrt" in serial[1]
     for workers in (2, 3):
         assert _first_error(spec, workers, monkeypatch) == serial
     if "log" in sigma:
