@@ -19,10 +19,10 @@ axis the end whose offset has the smaller product with mean H_u, the
 lower end on a tie.
 
 (p, k) project with the regressions the backward pass fitted at each
-step (`BackwardSolution.regressions`), rebuilding only the design; the
-martingale integrand k is regressed from the centered increment
-(p_{i+1} - E_hat[p_{i+1}]) dW, which removes the O(1/sqrt(M dt)) noise
-of the raw product estimator.
+step (`BackwardSolution.regressions`), rebuilding the design only when
+the state row changes; the martingale integrand k is regressed from the
+centered increment (p_{i+1} - E_hat[p_{i+1}]) dW, which removes the
+O(1/sqrt(M dt)) noise of the raw product estimator.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forward
+from .backward import _same_row
 from .problem import ProblemError
 
 
@@ -101,7 +102,9 @@ def solve_pk(spec, batch, backward, q):
     """Regression solve for (p, k) with the backward pass's projections.
 
     q is solve_q's (M, N+1) result; p (M, N+1, n) and k (M, N, n, d)
-    are returned as path-major views of time-major buffers.
+    are returned as path-major views of time-major buffers.  Step i
+    rebuilds its (P, M) design only when its regression is not step
+    i+1's object or its state row differs from step i+1's in any bit.
     """
     m = batch.n_paths
     n_steps = batch.grid.steps
@@ -118,9 +121,11 @@ def solve_pk(spec, batch, backward, q):
     p[n_steps] = -phix * q[n_steps][:, None]
     u = np.broadcast_to(batch.control, (m, spec.k))
 
+    reg = None
     for i in range(n_steps - 1, -1, -1):
-        reg = backward.regressions[i]
-        design = reg.basis(states[i])
+        prev, reg = reg, backward.regressions[i]
+        if reg is not prev or not _same_row(states[i], states[i + 1]):
+            design = reg.basis(states[i])
         cont = reg.fit(p[i + 1], design)  # (M, n)
         centered = p[i + 1] - cont
         targets = centered[:, :, None] * dw[i][:, None, :]

@@ -14,7 +14,9 @@ regression onto global polynomials in the state of total degree p_deg
 
 where the driver consumes the regressed continuation value (explicit
 scheme).  Passing n_picard > 0 re-evaluates the driver at the updated Y
-that many times (implicit refinement).
+that many times (implicit refinement).  A regression is a deterministic
+function of its state row, so a run of steps whose rows hold the same
+bits shares one (e.g. a state absorbed at 0).
 """
 
 from __future__ import annotations
@@ -42,6 +44,12 @@ def _monomials(n, degree):
         for total in range(degree + 1)
         for combo in itertools.combinations_with_replacement(range(n), total)
     ]
+
+
+def _same_row(a, b):
+    """Whether two float arrays hold the same bits, compared through an
+    integer view without a copy; 0.0 and -0.0 differ."""
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class _StepRegression:
@@ -117,7 +125,8 @@ class BackwardSolution:
     conditions: np.ndarray  # per-step condition estimate of the Gram matrix
     pathwise_value: np.ndarray  # (M,) terminal + summed driver, for bootstraps
     # (N,) step i's _StepRegression (mu, sd, scale, Cholesky factor, condition)
-    # with its design dropped; the adjoint pass projects with the same ones
+    # with its design dropped; consecutive steps whose state rows hold the
+    # same bits share one object.  The adjoint pass projects with the same ones
     regressions: list
 
 
@@ -133,7 +142,10 @@ def solve_backward(spec, batch, p_deg, n_picard=0):
     n_picard : extra driver passes at the updated Y (0 = explicit scheme).
 
     Returns a BackwardSolution with Y[:, N] = phi(X[:, N]) exactly.  A
-    non-finite Y or Z raises ProblemError naming its step.
+    non-finite Y or Z raises ProblemError naming its step.  Step i reuses
+    step i+1's regression, design included, when X_i holds the same bits
+    as X_{i+1}; a design is dropped once its run of rows ends, so one
+    (P, M) design is alive at a time.
     """
     if p_deg < 0:
         raise ProblemError("p_deg must be >= 0")
@@ -151,22 +163,26 @@ def solve_backward(spec, batch, p_deg, n_picard=0):
     driver_sum = np.zeros(m)
     u = np.broadcast_to(batch.control, (m, spec.k))
 
+    reg = None
     for i in range(n_steps - 1, -1, -1):
-        reg = _StepRegression(x[i], p_deg)
+        if reg is None or not _same_row(x[i], x[i + 1]):
+            if reg is not None:
+                reg.design = None  # (P, M) per step is too much to keep
+            reg = _StepRegression(x[i], p_deg)
+        regressions[i] = reg
         conditions[i] = reg.condition
         z[i] = reg.fit(y[i + 1][:, None] * dw[i]) / dt
         cont = reg.fit(y[i + 1])
-        fval = spec.driver(times[i], x[i], cont, z[i], u)
-        ycur = cont + fval * dt
+        fdt = spec.driver(times[i], x[i], cont, z[i], u) * dt
+        ycur = cont + fdt
         for _ in range(n_picard):
-            fval = spec.driver(times[i], x[i], ycur, z[i], u)
-            ycur = cont + fval * dt
+            fdt = spec.driver(times[i], x[i], ycur, z[i], u) * dt
+            ycur = cont + fdt
         y[i] = ycur
         if not (np.isfinite(ycur).all() and np.isfinite(z[i]).all()):
             raise ProblemError(f"non-finite Y or Z at step {i}")
-        driver_sum += fval * dt
-        reg.design = None  # (P, M) per step is too much to keep
-        regressions[i] = reg
+        driver_sum += fdt
+    reg.design = None
 
     # deterministic start: the time-t conditional expectation is a constant
     if np.ptp(x[0], axis=0).max() == 0.0:

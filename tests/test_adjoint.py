@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import types
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_backward import _no_shared_rows, batch_with_equal_rows
 from test_forward import _BROWNIAN, _assert_time_major_view
 from test_problem import _smooth_expressions
 
@@ -154,6 +156,80 @@ def test_results_bit_identical_at_any_worker_count(monkeypatch):
     assert np.all(np.isfinite(runs[0][-2])) and np.ptp(runs[0][2]) > 0
     for other in runs[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(runs[0], other))
+
+
+def _outputs(monkeypatch, spec, batch, n_picard=0):
+    """Every array the backward and adjoint passes return, the regressions
+    they share, and the number of designs `solve_pk` built."""
+    sol = B.solve_backward(spec, batch, 3, n_picard=n_picard)
+    basis = B._StepRegression.basis
+    designs = []
+
+    def counting_basis(self, x):
+        designs.append(x)
+        return basis(self, x)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(B._StepRegression, "basis", counting_basis)
+        triple = A.solve_adjoint(spec, batch, sol)
+    report = A.check_maximum_condition(spec, batch, sol, triple)
+    arrays = (
+        sol.y, sol.z, sol.conditions, sol.pathwise_value,
+        triple.q, triple.p, triple.k, report.residuals, report.stderrs,
+    )
+    return arrays, sol.regressions, len(designs)
+
+
+def _assert_same_outputs_without_sharing(monkeypatch, spec, batch, n_picard=0):
+    shared = _outputs(monkeypatch, spec, batch, n_picard)
+    _no_shared_rows(monkeypatch)
+    fresh = _outputs(monkeypatch, spec, batch, n_picard)
+    assert len({id(r) for r in fresh[1]}) == fresh[2] == batch.grid.steps
+    assert all(np.array_equal(a, b) for a, b in zip(shared[0], fresh[0]))
+    return shared
+
+
+def test_absorbed_pipeline_builds_one_design(monkeypatch, spec31, zero_control):
+    # example31 from x = 0: X = 0 on every path, so the 21 rows are one
+    grid = F.TimeGrid(0.0, 1.0, 20)
+    batch = F.simulate_forward(spec31, zero_control, 0.0, [0.0], grid, 2100, seed=6)
+    arrays, regs, designs = _assert_same_outputs_without_sharing(monkeypatch, spec31, batch)
+    assert len({id(r) for r in regs}) == 1
+    assert designs == 1
+
+
+@pytest.mark.parametrize("n_picard", [0, 2])
+def test_equal_rows_share_one_design(monkeypatch, n_picard):
+    spec, batch = batch_with_equal_rows()
+    arrays, regs, designs = _assert_same_outputs_without_sharing(
+        monkeypatch, spec, batch, n_picard
+    )
+    assert len({id(r) for r in regs}) == designs == 6
+    assert np.all(np.isfinite(arrays[6])) and np.ptp(arrays[5][:, 5]) > 0
+
+
+def test_one_regression_over_changing_rows_rebuilds_the_design():
+    # the design is the basis at the step's own row, even when a caller
+    # hands solve_pk one regression object for every step
+    spec, batch = batch_with_equal_rows()
+    sol = B.solve_backward(spec, batch, 3)
+    q = A.solve_q(spec, batch, sol)
+    reg = sol.regressions[5]
+    single = dataclasses.replace(sol, regressions=[reg] * 10)
+    copies = dataclasses.replace(sol, regressions=[copy.copy(reg) for _ in range(10)])
+    shared = A.solve_pk(spec, batch, single, q)
+    fresh = A.solve_pk(spec, batch, copies, q)
+    assert all(np.array_equal(a, b) for a, b in zip(shared, fresh))
+
+
+def test_gbm_states_build_every_design(monkeypatch):
+    # the config_text problem: geometric Brownian states never repeat a row
+    spec, _ = P.parse_problem(_CONFIG_TEXT)
+    batch = F.simulate_forward(spec, 0.0, 0.0, [1.0], F.TimeGrid(0.0, 1.0, 25), 2100, seed=6)
+    arrays, regs, designs = _assert_same_outputs_without_sharing(
+        monkeypatch, spec, batch, n_picard=2
+    )
+    assert len({id(r) for r in regs}) == designs == 25
 
 
 def test_pk_along_optimal_pair(spec31, zero_control):

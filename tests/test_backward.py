@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from test_forward import _assert_time_major_view
 
+from fbsdelab import adjoint as A
 from fbsdelab import backward as B
 from fbsdelab import forward as F
 from fbsdelab import problem as P
@@ -249,3 +250,80 @@ def test_design_exact_on_constant_states(n, value):
     reg = B._StepRegression(x, 3)
     assert np.array_equal(reg.basis(x), _pow_design(reg, x).T)
     assert np.array_equal(reg.design, reg.basis(x))
+
+
+def test_same_row_compares_bits():
+    row = np.linspace(-1.0, 1.0, 12).reshape(6, 2)
+    assert B._same_row(row, row.copy())
+    assert not B._same_row(row, np.nextafter(row, 2.0))
+    # equal as floats, but not the same bits: never treated as one row
+    assert not B._same_row(np.zeros((6, 2)), -np.zeros((6, 2)))
+    # rows of a time-major buffer are compared as views, not copies
+    buf = np.zeros((3, 6, 2))
+    assert B._same_row(buf.swapaxes(0, 1)[:, 0], buf.swapaxes(0, 1)[:, 2])
+
+
+def _no_shared_rows(monkeypatch):
+    """Make every state row look new to the backward and adjoint sweeps."""
+    monkeypatch.setattr(B, "_same_row", lambda a, b: False)
+    monkeypatch.setattr(A, "_same_row", lambda a, b: False)
+
+
+# state rows 3-7 of the batch below hold the same bits
+_SHARED_ROWS = range(3, 8)
+
+
+def batch_with_equal_rows():
+    """A hand-built (n = 2, d = 1) problem and batch of 300 paths over
+    N = 10 steps, whose state rows 3-7 are equal and the others distinct;
+    with p_deg = 3 the regressions have P = 10 monomials."""
+    spec = P.spec_from_expressions(
+        2, 1, 1, 1.0, [0.0], [1.0],
+        ["x2 * u1", "0 - x1"], ["0.5", "0.3 * x1"],
+        "x1 * x2 - y + z1", "x1 + x2 * x2",
+    )
+    grid = F.TimeGrid(0.0, 1.0, 10)
+    rng = np.random.default_rng(11)
+    states = rng.normal(0.0, 1.0, (11, 300, 2))
+    states[_SHARED_ROWS] = states[_SHARED_ROWS[0]]
+    increments = rng.normal(0.0, np.sqrt(grid.dt), (10, 300, 1))
+    batch = F.PathBatch(
+        grid=grid,
+        states=states.swapaxes(0, 1),
+        increments=increments.swapaxes(0, 1),
+        seed=11,
+        control=np.array([0.5]),
+        x0=states[0, 0],
+    )
+    return spec, batch
+
+
+def test_equal_rows_share_one_regression(monkeypatch):
+    spec, batch = batch_with_equal_rows()
+    regs = B.solve_backward(spec, batch, 3).regressions
+    assert [r is regs[_SHARED_ROWS[0]] for r in regs] == [
+        i in _SHARED_ROWS for i in range(10)
+    ]
+    assert len({id(r) for r in regs}) == 6
+    assert all(r.design is None for r in regs)
+    _no_shared_rows(monkeypatch)
+    assert len({id(r) for r in B.solve_backward(spec, batch, 3).regressions}) == 10
+
+
+def test_absorbed_state_builds_one_regression(monkeypatch, spec31, zero_control):
+    # example31 from x = 0 stays at 0: all 21 state rows hold the same bits
+    grid = F.TimeGrid(0.0, 1.0, 20)
+    batch = F.simulate_forward(spec31, zero_control, 0.0, [0.0], grid, 2100, seed=6)
+    built = []
+    init = B._StepRegression.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(B._StepRegression, "__init__", counting_init)
+    sol = B.solve_backward(spec31, batch, 3)
+    assert len(built) == 1
+    assert all(r is built[0] for r in sol.regressions)
+    assert built[0].design is None
+
