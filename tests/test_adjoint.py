@@ -193,7 +193,7 @@ def test_absorbed_pipeline_builds_one_design(monkeypatch, spec31, zero_control):
     # example31 from x = 0: X = 0 on every path, so the 21 rows are one
     grid = F.TimeGrid(0.0, 1.0, 20)
     batch = F.simulate_forward(spec31, zero_control, 0.0, [0.0], grid, 2100, seed=6)
-    arrays, regs, designs = _assert_same_outputs_without_sharing(monkeypatch, spec31, batch)
+    _, regs, designs = _assert_same_outputs_without_sharing(monkeypatch, spec31, batch)
     assert len({id(r) for r in regs}) == 1
     assert designs == 1
 
@@ -226,7 +226,7 @@ def test_gbm_states_build_every_design(monkeypatch):
     # the config_text problem: geometric Brownian states never repeat a row
     spec, _ = P.parse_problem(_CONFIG_TEXT)
     batch = F.simulate_forward(spec, 0.0, 0.0, [1.0], F.TimeGrid(0.0, 1.0, 25), 2100, seed=6)
-    arrays, regs, designs = _assert_same_outputs_without_sharing(
+    _, regs, designs = _assert_same_outputs_without_sharing(
         monkeypatch, spec, batch, n_picard=2
     )
     assert len({id(r) for r in regs}) == designs == 25
