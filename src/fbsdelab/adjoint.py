@@ -53,11 +53,11 @@ class AdjointTriple:
     k: np.ndarray
 
 
-def _gradient_args(batch, backward, i, times=None, rows=slice(None)):
-    """(s, x, y, z) along the batch's `rows` at step i < N; the solvers
-    pass the grid's `times`, built once per solve."""
+def _gradient_args(batch, backward, i, times, rows=slice(None)):
+    """(s, x, y, z) along the batch's `rows` at step i < N; `times` is the
+    grid's, which the solvers build once per solve."""
     return (
-        (batch.grid.times if times is None else times)[i],
+        times[i],
         batch.states.swapaxes(0, 1)[i, rows],
         backward.y.swapaxes(0, 1)[i, rows],
         backward.z.swapaxes(0, 1)[i, rows],
@@ -82,11 +82,10 @@ def solve_q(spec, batch, backward):
     dw = batch.increments.swapaxes(0, 1)
     q = np.empty((n_steps + 1, m))
     q[0] = 1.0
-    u_all = np.broadcast_to(batch.control, (m, spec.k))
+    u = batch.control
 
     def step(i, lo, hi):
         s, x, y, z = _gradient_args(batch, backward, i, times, slice(lo, hi))
-        u = u_all[lo:hi]
         fy = spec.driver_y(s, x, y, z, u)
         fz = spec.driver_z(s, x, y, z, u)
         growth = 1.0 + fy * dt + np.einsum("md,md->m", fz, dw[i, lo:hi])
@@ -119,7 +118,7 @@ def solve_pk(spec, batch, backward, q):
     k = np.empty((n_steps, m, n, d))
     phix = spec.terminal_x(states[n_steps])
     p[n_steps] = -phix * q[n_steps][:, None]
-    u = np.broadcast_to(batch.control, (m, spec.k))
+    u = batch.control
 
     reg = None
     for i in range(n_steps - 1, -1, -1):
@@ -206,7 +205,7 @@ def check_maximum_condition(spec, batch, backward, triple):
 
     residuals = np.empty(n_steps)
     stderrs = np.empty(n_steps)
-    u_bar = np.broadcast_to(batch.control, (batch.n_paths, spec.k))
+    u_bar = batch.control
     p, q, k = (a.swapaxes(0, 1) for a in (triple.p, triple.q, triple.k))
 
     def step(i, *_):  # over all paths, whatever range it is given

@@ -161,7 +161,7 @@ def solve_backward(spec, batch, p_deg, n_picard=0):
     regressions = [None] * n_steps
     y[n_steps] = spec.terminal(x[n_steps])
     driver_sum = np.zeros(m)
-    u = np.broadcast_to(batch.control, (m, spec.k))
+    u = batch.control
 
     reg = None
     for i in range(n_steps - 1, -1, -1):

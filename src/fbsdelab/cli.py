@@ -56,10 +56,6 @@ from . import oracles
 from . import problem as problem_mod
 
 
-class ConfigurationError(Exception):
-    pass
-
-
 def _json_dump(obj, path):
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
@@ -161,11 +157,9 @@ def _adjoint_stage(config, state):
 
 def _hjb_stage(config, state):
     spec, t0 = state["spec"], state["t0"]
-    hgrid = hjb_mod.cfl_time_grid(
-        spec, config.half_width, config.j_cells, config.control_grid_size, t_start=t0
-    )
+    hgrid = hjb_mod.cfl_time_grid(spec, config.half_width, config.j_cells, t_start=t0)
     vgrid = state["vgrid"] = hjb_mod.solve_hjb_fd(
-        spec, config.half_width, config.j_cells, hgrid, config.control_grid_size
+        spec, config.half_width, config.j_cells, hgrid
     )
     lip, growth = hjb_mod.regularity_probe(vgrid)
     metrics = {"N_cfl": hgrid.steps, "dt": hgrid.dt, "lipschitz": lip, "growth": growth}
@@ -224,7 +218,6 @@ PARAMS = {
     "J": ("j_cells", (8, 100_000)),
     "L": ("half_width", (1e-6, 1e6)),
     "p_deg": ("p_deg", (0, 12)),
-    "control_grid_size": ("control_grid_size", (2, 10_001)),
     "seed": ("seed", (0, 2**63 - 1)),
     "n_picard": ("n_picard", (0, 100)),
 }
@@ -240,29 +233,28 @@ class ExperimentConfig:
     half_width: float = 2.0
     j_cells: int = 200
     p_deg: int = 3
-    control_grid_size: int = 11
     seed: int = 0
     out_dir: str = "out"
     n_picard: int = 0
 
     def validate(self):
         if (self.builtin is None) == (self.problem_path is None):
-            raise ConfigurationError(
+            raise problem_mod.ConfigError(
                 "exactly one of --builtin and --problem is required"
             )
         for stage in self.stages:
             if stage not in STAGES:
-                raise ConfigurationError(f"unknown stage {stage!r}")
+                raise problem_mod.ConfigError(f"unknown stage {stage!r}")
             for dep in STAGE_DEPS[stage]:
                 if dep not in self.stages:
-                    raise ConfigurationError(
+                    raise problem_mod.ConfigError(
                         f"stage {stage!r} requires stage {dep!r}; select it "
                         "explicitly (dependencies are never auto-run)"
                     )
         for name, (attr, (lo, hi)) in PARAMS.items():
             value = getattr(self, attr)
             if not lo <= value <= hi:
-                raise ConfigurationError(
+                raise problem_mod.ConfigError(
                     f"{name} = {value} outside documented bounds [{lo}, {hi}]"
                 )
 
@@ -344,19 +336,19 @@ def convergence_table(config, parameter, values):
     """
     config.validate()
     if parameter not in TABLE_METRICS:
-        raise ConfigurationError(
+        raise problem_mod.ConfigError(
             f"parameter must be one of {tuple(TABLE_METRICS)}, got {parameter!r}"
         )
     if config.builtin != "example31":
-        raise ConfigurationError(
+        raise problem_mod.ConfigError(
             "convergence tables need ground truth; use --builtin example31"
         )
     if not values:
-        raise ConfigurationError("need at least one parameter value")
+        raise problem_mod.ConfigError("need at least one parameter value")
     configs = []
     for value in values:
         if not float(value).is_integer():
-            raise ConfigurationError(f"{parameter} = {value!r} must be an integer")
+            raise problem_mod.ConfigError(f"{parameter} = {value!r} must be an integer")
         configs.append(
             dataclasses.replace(config, **{PARAMS[parameter][0]: int(value)})
         )
@@ -406,10 +398,6 @@ def _build_parser():
         p.add_argument("--L", type=float, dest="half_width")
         p.add_argument("--J", type=int, dest="j_cells")
         p.add_argument("--pdeg", type=int, dest="p_deg")
-        p.add_argument(
-            "--ugrid", type=int, dest="control_grid_size",
-            help="points per axis of the HJB control grid",
-        )
         p.add_argument("--seed", type=int)
         p.add_argument("--picard", type=int, dest="n_picard")
         p.add_argument("--out", dest="out_dir")
@@ -481,7 +469,9 @@ def main(argv=None):
         try:
             values = [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError:
-            raise ConfigurationError(f"--values must be numbers, got {args.values!r}")
+            raise problem_mod.ConfigError(
+                f"--values must be numbers, got {args.values!r}"
+            )
         rows = convergence_table(config, args.param, values)
         os.makedirs(config.out_dir, exist_ok=True)
         path = os.path.join(config.out_dir, f"table_{args.param}.csv")
@@ -490,7 +480,7 @@ def main(argv=None):
             print(f"{args.param} = {value:g}: metric = {metric!r}")
         print(f"table written to {path}")
         return 0
-    except (ConfigurationError, problem_mod.ConfigError) as exc:
+    except problem_mod.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (problem_mod.ProblemError, OSError, ValueError) as exc:

@@ -269,14 +269,13 @@ def simulate_forward(spec, control, t, x, grid, n_paths, seed):
     dt = grid.dt
     states = np.empty((grid.steps + 1, n_paths, spec.n))
     states[0] = x
-    u_all = np.broadcast_to(control, (n_paths, spec.k))
 
     def step(i, lo, hi):
-        xi, u = states[i, lo:hi], u_all[lo:hi]
+        xi = states[i, lo:hi]
         # overflow is reported below as the first non-finite state
         with np.errstate(over="ignore", invalid="ignore"):
-            b = spec.drift(times[i], xi, u)
-            sg = spec.diffusion(times[i], xi, u)
+            b = spec.drift(times[i], xi, control)
+            sg = spec.diffusion(times[i], xi, control)
             xi = xi + b * dt + np.einsum("mnd,md->mn", sg, dw_t[i, lo:hi])
         if not np.all(np.isfinite(xi)):
             bad = np.argwhere(~np.isfinite(xi))

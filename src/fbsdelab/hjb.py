@@ -112,7 +112,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .forward import TimeGrid
-from .problem import ProblemError, control_grid
+from .problem import CONTROL_GRID_SIZE, ProblemError, control_grid
 
 # policy-iteration solves per time level before the step gives up
 _POLICY_SOLVES = 50
@@ -139,13 +139,13 @@ class PolicyError(ProblemError):
 
 @dataclass
 class ValueGrid:
-    """Finite-difference value approximation on [-L, L] x time grid."""
+    """Finite-difference value approximation on [-L, L] x time grid, its
+    sup over u taken on `control_grid`'s fixed grid of the control box."""
 
     space_half_width: float
     n_cells: int
     grid: TimeGrid
     values: np.ndarray  # (N+1, J+1)
-    control_grid_size: int
     # grid.dt over the tightest monotonicity bound (`dt_bound`) its steps
     # met, 0 when no step had one; None if not solved
     cfl_ratio: float = None
@@ -181,25 +181,26 @@ def _steps_for(span, dt_max):
     return max(1, int(np.ceil((span[1] - span[0]) / dt_max)))
 
 
-def _grid_sweep(spec, half_width, n_cells, control_grid_size, t_start):
+def _grid_sweep(spec, half_width, n_cells, t_start):
     """The sweep over the J+1 nodes of [-L, L] from t_start to T."""
     xs = np.linspace(-half_width, half_width, n_cells + 1)
-    return _Sweep(spec, xs, control_grid(spec, control_grid_size), t_start)
+    return _Sweep(spec, xs, control_grid(spec), t_start)
 
 
-def cfl_max_dt(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
+def cfl_max_dt(spec, half_width, n_cells, t_start=0.0):
     """The tightest monotonicity bound `dt_bound` over the steps of
     `cfl_time_grid`'s grid; inf when neither the driver's share nor the
     end rows' outflow bounds the step."""
-    sweep = _grid_sweep(spec, half_width, n_cells, control_grid_size, t_start)
+    sweep = _grid_sweep(spec, half_width, n_cells, t_start)
     return min(map(sweep.dt_bound, sweep.passing_grid().times[1:]))
 
 
-def cfl_time_grid(spec, half_width, n_cells, control_grid_size=11, t_start=0.0):
+def cfl_time_grid(spec, half_width, n_cells, t_start=0.0):
     """TimeGrid on [t_start, T] with the fewest steps that meet the N rule
     at every level: Courant number dt max |b| / dx <= 1/2 and half the
-    monotonicity bound, so `solve_hjb_fd` never refuses it."""
-    sweep = _grid_sweep(spec, half_width, n_cells, control_grid_size, t_start)
+    monotonicity bound, both taken over every control of `control_grid`,
+    so `solve_hjb_fd` never refuses it."""
+    sweep = _grid_sweep(spec, half_width, n_cells, t_start)
     return sweep.passing_grid()
 
 
@@ -532,30 +533,32 @@ class _Sweep:
         return kept[2]
 
 
-def sweep_step(spec, xs, v, t, dt, control_grid_size=11):
+def sweep_step(spec, xs, v, t, dt):
     """One implicit step of a value row from time t to t - dt, its policy
     started from the rows that maximize G at v (used directly by probes)."""
-    sweep = _Sweep(spec, xs, control_grid(spec, control_grid_size))
+    sweep = _Sweep(spec, xs, control_grid(spec))
     return sweep.step(v, t, dt)[0]
 
 
-def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
+def solve_hjb_fd(spec, half_width, n_cells, grid):
     """Solve the value PDE on [-L, L] x [grid.start, T].
 
-    One-dimensional only (spec.n == 1).  Each step is checked against the
-    monotonicity bound of its own time level (`_Sweep.slopes`, with
-    dx = 2L / J) before it updates anything; the first step whose bound
-    grid.dt exceeds raises CFLError, whose `n_required` is the N rule's
-    (`cfl_time_grid`).  Each level is solved by policy iteration, its
-    policy started from the previous level's.  The result's `cfl_ratio`
-    is grid.dt over the tightest bound the steps met, 0 when none had
-    one, `policy_solves` and `max_level_solves` count the tridiagonal
-    solves and `factorizations` the factorizations they took.  The
-    terminal row is -phi exactly.
+    One-dimensional only (spec.n == 1).  The sup over u is taken over
+    `control_grid`'s fixed grid of the control box, CONTROL_GRID_SIZE
+    points per axis.  Each step is checked against the monotonicity bound
+    of its own time level (`_Sweep.slopes`, with dx = 2L / J) before it
+    updates anything; the first step whose bound grid.dt exceeds raises
+    CFLError, whose `n_required` is the N rule's (`cfl_time_grid`).  Each
+    level is solved by policy iteration, its policy started from the
+    previous level's.  The result's `cfl_ratio` is grid.dt over the
+    tightest bound the steps met, 0 when none had one, `policy_solves`
+    and `max_level_solves` count the tridiagonal solves and
+    `factorizations` the factorizations they took.  The terminal row is
+    -phi exactly.
     """
     if abs(grid.end - spec.horizon) > 1e-12:
         raise ProblemError("grid must end at the problem horizon")
-    sweep = _grid_sweep(spec, half_width, n_cells, control_grid_size, grid.start)
+    sweep = _grid_sweep(spec, half_width, n_cells, grid.start)
     times, dt = grid.times, grid.dt
     values = np.empty((grid.steps + 1, n_cells + 1))
     values[-1] = -spec.terminal(sweep.x_cols)
@@ -579,7 +582,6 @@ def solve_hjb_fd(spec, half_width, n_cells, grid, control_grid_size=11):
         n_cells=n_cells,
         grid=grid,
         values=values,
-        control_grid_size=control_grid_size,
         cfl_ratio=dt / tightest,
         policy_solves=sum(solves),
         max_level_solves=max(solves),
@@ -645,7 +647,7 @@ def viscosity_check(vgrid, spec, probe_points):
     n_t, n_x = v.shape
     results = []
     worst = 0.0
-    controls = control_grid(spec, vgrid.control_grid_size)
+    controls = control_grid(spec)
     rc = _FIT_RADIUS
 
     for t_probe, x_probe in probe_points:
@@ -762,18 +764,16 @@ def value_grid_meta_json(vgrid, path):
         "L": vgrid.space_half_width,
         "J": vgrid.n_cells,
         "N": vgrid.grid.steps,
-        "control_grid_size": vgrid.control_grid_size,
+        "control_grid_size": CONTROL_GRID_SIZE,
         "dt": vgrid.grid.dt,
         "dx": vgrid.dx,
         "boundary_rule": "linear-extrapolation",
+        "scheme": "implicit",
+        "cfl_ratio": vgrid.cfl_ratio,
+        "policy_solves": vgrid.policy_solves,
+        "max_level_solves": vgrid.max_level_solves,
+        "factorizations": vgrid.factorizations,
     }
-    if vgrid.cfl_ratio is not None:
-        meta["cfl_ratio"] = vgrid.cfl_ratio
-    if vgrid.policy_solves is not None:
-        meta["scheme"] = "implicit"
-        meta["policy_solves"] = vgrid.policy_solves
-        meta["max_level_solves"] = vgrid.max_level_solves
-        meta["factorizations"] = vgrid.factorizations
     with open(path, "w") as fh:
         json.dump(meta, fh, sort_keys=True)
         fh.write("\n")

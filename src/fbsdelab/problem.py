@@ -62,6 +62,7 @@ __all__ = [
     "builtin_problem",
     "builtin_names",
     "control_grid",
+    "CONTROL_GRID_SIZE",
 ]
 
 
@@ -435,6 +436,7 @@ class ProblemSpec:
     Evaluators are vectorized over leading batch axes: `drift(s, x, u)`
     maps (..., n) states and (..., k) controls to (..., n); `diffusion`
     to (..., n, d); `driver(s, x, y, z, u)` and `terminal(x)` to (...,).
+    The batch shape is x's, so one (k,) control serves a whole batch.
     All evaluators are deterministic and safe to share between workers:
     the Monte Carlo kernels call them from several threads at once, each
     on its own slab of paths or its own time steps.
@@ -828,14 +830,16 @@ def builtin_problem(name):
 # --------------------------------------------------------------------------
 
 
-def control_grid(spec, size):
-    """Uniform tensor grid over the control box: `size` points per axis,
-    one on an axis with lo == hi, so (size**k, k) controls for a box with
-    no degenerate axis."""
-    if size < 2:
-        raise ProblemError("control_grid_size must be >= 2")
+CONTROL_GRID_SIZE = 11
+
+
+def control_grid(spec):
+    """Uniform tensor grid over the control box: CONTROL_GRID_SIZE points
+    per axis, one on an axis with lo == hi, so (11**k, k) controls for a
+    box with no degenerate axis.  The HJB solver takes its sup over u on
+    this grid."""
     axes = [
-        np.linspace(lo, hi, size if hi > lo else 1)
+        np.linspace(lo, hi, CONTROL_GRID_SIZE if hi > lo else 1)
         for lo, hi in zip(spec.control_lo, spec.control_hi)
     ]
     mesh = np.meshgrid(*axes, indexing="ij")

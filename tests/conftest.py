@@ -55,13 +55,13 @@ def pipeline_suboptimal(spec31, zero_control):
 @pytest.fixture(scope="session")
 def vgrid400(spec31):
     start = time.perf_counter()
-    grid = hjb_mod.cfl_time_grid(spec31, 2.0, 400, 11)
-    vgrid = hjb_mod.solve_hjb_fd(spec31, 2.0, 400, grid, 11)
+    grid = hjb_mod.cfl_time_grid(spec31, 2.0, 400)
+    vgrid = hjb_mod.solve_hjb_fd(spec31, 2.0, 400, grid)
     TIMINGS["vgrid400"] = time.perf_counter() - start
     return vgrid
 
 
 @pytest.fixture(scope="session")
 def vgrid100(spec31):
-    grid = hjb_mod.cfl_time_grid(spec31, 2.0, 100, 11)
-    return hjb_mod.solve_hjb_fd(spec31, 2.0, 100, grid, 11)
+    grid = hjb_mod.cfl_time_grid(spec31, 2.0, 100)
+    return hjb_mod.solve_hjb_fd(spec31, 2.0, 100, grid)

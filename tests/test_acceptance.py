@@ -166,16 +166,16 @@ def test_criterion_7_property_suites(spec31, zero_control):
     )
 
     # scheme monotonicity probes
-    grid = H.cfl_time_grid(spec31, 2.0, 100, 11)
-    vg = H.solve_hjb_fd(spec31, 2.0, 100, grid, 11)
+    grid = H.cfl_time_grid(spec31, 2.0, 100)
+    vg = H.solve_hjb_fd(spec31, 2.0, 100, grid)
     row = vg.values[grid.steps // 2].copy()
-    base = H.sweep_step(spec31, vg.xs, row, 0.9, grid.dt, 11)
+    base = H.sweep_step(spec31, vg.xs, row, 0.9, grid.dt)
     mono = True
     for j in (30, 50, 51, 70):
         for nb in (-1, 0, 1):
             pert = row.copy()
             pert[j + nb] += 1e-3
-            upd = H.sweep_step(spec31, vg.xs, pert, 0.9, grid.dt, 11)
+            upd = H.sweep_step(spec31, vg.xs, pert, 0.9, grid.dt)
             mono = mono and upd[j] >= base[j] - 1e-13
     checks.append(mono)
 

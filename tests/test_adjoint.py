@@ -293,7 +293,7 @@ def test_pk_projects_with_the_backward_regressions(deg):
         centered = triple.p[:, i + 1] - cont
         k = reg.fit(centered * batch.increments[:, i]) / dt
         assert np.array_equal(triple.k[:, i, :, 0], k)
-        s, x, y, z = A._gradient_args(batch, sol, i)
+        s, x, y, z = A._gradient_args(batch, sol, i, batch.grid.times)
         drift_term = (
             np.einsum("mab,ma->mb", spec.drift_x(s, x, u), cont)
             - spec.driver_x(s, x, y, z, u) * triple.q[:, i][:, None]
@@ -465,11 +465,6 @@ def test_max_condition_upper_corner(pipeline_suboptimal, spec31):
     assert rep.residuals[i] == pytest.approx(hu_mean, rel=1e-6)
 
 
-def test_control_grid_refuses_fewer_than_two_points(spec31):
-    with pytest.raises(P.ProblemError):
-        P.control_grid(spec31, 1)
-
-
 def test_max_condition_is_the_box_minimum_off_unit_offsets():
     # u_bar = (0.5, 1) in [-1, 2] x [0, 3]: the corner offsets are
     # {-1.5, 1.5} on axis 1 and {-1, 2} on axis 2, not those of a unit box;
@@ -482,13 +477,14 @@ def test_max_condition_is_the_box_minimum_off_unit_offsets():
     batch, sol = _pipeline(spec, [0.5, 1.0], [0.5], 20, 300, seed=2, p_deg=2)
     triple = A.solve_adjoint(spec, batch, sol)
     rep = A.check_maximum_condition(spec, batch, sol, triple)
-    offsets = P.control_grid(spec, 11) - batch.control
+    offsets = P.control_grid(spec) - batch.control
     brute = np.empty(batch.grid.steps)
     p, q, k = (a.swapaxes(0, 1) for a in (triple.p, triple.q, triple.k))
     u_bar = np.broadcast_to(batch.control, (batch.n_paths, 2))
     for i in range(batch.grid.steps):
         hu = A.hamiltonian_gradient_u(
-            spec, *A._gradient_args(batch, sol, i), u_bar, p[i], q[i], k[i]
+            spec, *A._gradient_args(batch, sol, i, batch.grid.times), u_bar,
+            p[i], q[i], k[i],
         )
         brute[i] = min((hu @ offset).mean() for offset in offsets)
     assert np.all(brute < -0.5)

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -284,9 +286,10 @@ def test_negative_picard_rejected(tmp_path):
     assert "n_picard" in res.stderr
 
 
-@pytest.mark.parametrize("flag", ["--tol-jet", "--tol-conn", "--tol-mc"])
+@pytest.mark.parametrize("flag", ["--tol-jet", "--tol-conn", "--tol-mc", "--ugrid"])
 def test_tolerance_flags_rejected(tmp_path, flag):
-    # pass thresholds are constants; no flag may loosen a verdict
+    # pass thresholds are constants; no flag may loosen a verdict, and the
+    # HJB control grid is fixed
     res = _run([*RUN_SMALL, flag, "1e300"], tmp_path)
     assert res.returncode == 2
     assert f"unrecognized arguments: {flag}" in res.stderr
@@ -389,16 +392,34 @@ def test_oracle_subcommand(tmp_path):
 
 def test_config_validation_in_process():
     config = cli.ExperimentConfig(builtin="example31", stages=("jets",))
-    with pytest.raises(cli.ConfigurationError):
+    with pytest.raises(problem.ConfigError):
         config.validate()
     both = cli.ExperimentConfig(builtin="example31", problem_path="x")
-    with pytest.raises(cli.ConfigurationError):
+    with pytest.raises(problem.ConfigError):
         both.validate()
 
 
 def test_options_not_given_keep_the_config_defaults():
     args = cli._build_parser().parse_args(["run", "--builtin", "example31"])
     assert cli._config_from_args(args) == cli.ExperimentConfig(builtin="example31")
+
+
+def test_every_run_and_table_option_reaches_the_config():
+    # _config_from_args keeps the dests that are ExperimentConfig fields and
+    # drops any other silently; the subcommand, --all, --param and --values
+    # are the only others
+    fields = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+    read_from_args = {"command", "all", "param", "values"}
+    sub = next(
+        a for a in cli._build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    for name in ("run", "table"):
+        dests = {
+            a.dest for a in sub.choices[name]._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert dests <= fields | read_from_args, (name, dests - fields - read_from_args)
 
 
 def _csv_column(path, name):

@@ -22,8 +22,8 @@ def test_stationary_transport_free_equation_preserved():
     spec = P.spec_from_expressions(
         1, 1, 1, 1.0, [0.0], [1.0], ["0"], ["0"], "0", "x1"
     )
-    grid = H.cfl_time_grid(spec, 1.0, 50, 3)
-    vg = H.solve_hjb_fd(spec, 1.0, 50, grid, 3)
+    grid = H.cfl_time_grid(spec, 1.0, 50)
+    vg = H.solve_hjb_fd(spec, 1.0, 50, grid)
     assert np.array_equal(vg.values, np.tile(-vg.xs, (grid.steps + 1, 1)))
 
 
@@ -36,15 +36,15 @@ def test_cfl_violation_refused(spec31):
     )
     assert H.cfl_max_dt(spec, 2.0, 20) == pytest.approx(1.0 / 35.0, rel=1e-12)
     with pytest.raises(H.CFLError, match="use at least N = 70 "):
-        H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, 20), 11)
-    grid = H.cfl_time_grid(spec, 2.0, 20, 11)
+        H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, 20))
+    grid = H.cfl_time_grid(spec, 2.0, 20)
     assert grid.steps == 70
-    assert H.solve_hjb_fd(spec, 2.0, 20, grid, 11).cfl_ratio == pytest.approx(0.5)
+    assert H.solve_hjb_fd(spec, 2.0, 20, grid).cfl_ratio == pytest.approx(0.5)
     # example31's f_y = -1 and f_z = 0 leave the end rows' bound dx / 2:
     # N = 10 at J = 400, where dt |b| / dx reaches 20, is refused
     assert H.cfl_max_dt(spec31, 2.0, 400) == pytest.approx(0.005, rel=1e-12)
     with pytest.raises(H.CFLError, match="use at least N = 400 "):
-        H.solve_hjb_fd(spec31, 2.0, 400, F.TimeGrid(0.0, 1.0, 10), 11)
+        H.solve_hjb_fd(spec31, 2.0, 400, F.TimeGrid(0.0, 1.0, 10))
 
 
 def _oscillating_sigma():
@@ -64,13 +64,13 @@ _FIRST_LEVEL_N = 28
 def test_time_dependent_cfl_checked_each_step():
     spec = _oscillating_sigma()
     grid = F.TimeGrid(0.0, 1.0, _FIRST_LEVEL_N)
-    sweep = H._grid_sweep(spec, 2.0, 20, 11, 0.0)
+    sweep = H._grid_sweep(spec, 2.0, 20, 0.0)
     assert not H._exceeds(grid.dt, sweep.dt_bound(1.0))
     with pytest.raises(H.CFLError, match="use at least N") as err:
-        H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
+        H.solve_hjb_fd(spec, 2.0, 20, grid)
     assert err.value.dt_max < grid.dt < sweep.dt_bound(1.0)
     assert err.value.n_required > grid.steps
-    vg = H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, 2 * grid.steps), 11)
+    vg = H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, 2 * grid.steps))
     assert np.all(np.isfinite(vg.values))
 
 
@@ -160,9 +160,9 @@ _BELLMAN_RESIDUAL = 1e-13
 )
 def test_sweep_bit_identical_to_per_control_loop(name):
     spec, half_width = _sweep_problem(name)
-    grid = H.cfl_time_grid(spec, half_width, 40, 11)
-    vg = H.solve_hjb_fd(spec, half_width, 40, grid, 11)
-    controls = P.control_grid(spec, 11)
+    grid = H.cfl_time_grid(spec, half_width, 40)
+    vg = H.solve_hjb_fd(spec, half_width, 40, grid)
+    controls = P.control_grid(spec)
     sweep = H._Sweep(spec, vg.xs, controls)
     assert np.array_equal(sweep.controls, controls)
     scale = 1.0 + np.max(np.abs(vg.values))
@@ -183,7 +183,7 @@ def test_sweep_bit_identical_to_per_control_loop(name):
     # a step from the maximizing rows of its own known level, not the
     # previous level's policy, reaches the same fixed point
     i = grid.steps // 2
-    stepped = H.sweep_step(spec, vg.xs, vg.values[i + 1], grid.times[i + 1], grid.dt, 11)
+    stepped = H.sweep_step(spec, vg.xs, vg.values[i + 1], grid.times[i + 1], grid.dt)
     assert np.max(np.abs(stepped - vg.values[i])) <= _BELLMAN_RESIDUAL * scale
 
 
@@ -192,10 +192,10 @@ def test_multidimensional_state_rejected():
         2, 1, 1, 1.0, [0.0], [1.0], ["x1", "x2"], ["x1", "x2"], "y", "x1 + x2"
     )
     with pytest.raises(P.ProblemError, match="one-dimensional"):
-        H.solve_hjb_fd(spec, 1.0, 10, F.TimeGrid(0.0, 1.0, 10000), 3)
+        H.solve_hjb_fd(spec, 1.0, 10, F.TimeGrid(0.0, 1.0, 10000))
     # before the coefficient scan, which reads sigma as one-dimensional
     with pytest.raises(P.ProblemError, match="one-dimensional"):
-        H.cfl_time_grid(spec, 1.0, 10, 3)
+        H.cfl_time_grid(spec, 1.0, 10)
 
 
 def _g_row(spec, t, x, r, p, big_a, u):
@@ -217,7 +217,7 @@ def test_hamiltonian_equals_per_control_loop(name):
     rng = np.random.default_rng(5)
     r, p, big_a = rng.normal(0.0, 1.0, (3, xs.size))
     t = 0.5
-    controls = P.control_grid(spec, 11)
+    controls = P.control_grid(spec)
     got = H._Sweep(spec, xs, controls).hamiltonian(t, r, p, big_a)
     rows = []
     for u in controls:
@@ -277,9 +277,9 @@ def test_degenerate_control_axis_has_one_grid_point():
         1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1 + 0.5"],
         ["x1 * 0.5 + 0.5"], "x1 - y + u1 * 0.5", "x1",
     )
-    controls = P.control_grid(two, 11)
+    controls = P.control_grid(two)
     assert controls.shape == (11, 2)
-    assert np.array_equal(controls[:, 0], P.control_grid(one, 11)[:, 0])
+    assert np.array_equal(controls[:, 0], P.control_grid(one)[:, 0])
     assert np.all(controls[:, 1] == 0.5)
     grid = H.cfl_time_grid(one, 2.0, 100)
     v1 = H.solve_hjb_fd(one, 2.0, 100, grid)
@@ -293,12 +293,12 @@ def test_update_monotone_in_neighbors(vgrid400, spec31):
     xs = vgrid400.xs
     row = vgrid400.values[len(vgrid400.values) // 2].copy()
     dt = vgrid400.grid.dt
-    base = H.sweep_step(spec31, xs, row, 0.9, dt, 11)
+    base = H.sweep_step(spec31, xs, row, 0.9, dt)
     rng = np.random.default_rng(3)
     for m in [0, xs.size - 1, *rng.integers(1, xs.size - 1, size=12)]:
         pert = row.copy()
         pert[m] += 1e-3
-        upd = H.sweep_step(spec31, xs, pert, 0.9, dt, 11)
+        upd = H.sweep_step(spec31, xs, pert, 0.9, dt)
         assert np.all(upd[1:-1] >= base[1:-1] - 1e-13), m
 
 
@@ -308,9 +308,9 @@ def test_comparison_principle(spec31):
         1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"], "x1 - y", "x1 + 0.1",
         lipschitz_hint=2.0,
     )
-    grid = H.cfl_time_grid(spec31, 2.0, 50, 5)
-    v_hi = H.solve_hjb_fd(shifted, 2.0, 50, grid, 5)
-    v_lo = H.solve_hjb_fd(spec31, 2.0, 50, grid, 5)
+    grid = H.cfl_time_grid(spec31, 2.0, 50)
+    v_hi = H.solve_hjb_fd(shifted, 2.0, 50, grid)
+    v_lo = H.solve_hjb_fd(spec31, 2.0, 50, grid)
     assert np.all(v_hi.values <= v_lo.values + 1e-12)
 
 
@@ -323,7 +323,7 @@ def test_consistency_residual_smooth_region(vgrid100, vgrid400, spec31):
     for vg in (vgrid100, vgrid400):
         i = vg.grid.steps // 2
         stepped = H.sweep_step(
-            spec31, vg.xs, vg.values[i + 1], vg.grid.times[i + 1], vg.grid.dt, 11
+            spec31, vg.xs, vg.values[i + 1], vg.grid.times[i + 1], vg.grid.dt
         )
         res = np.abs(vg.values[i] - stepped) / vg.grid.dt
         residuals.append(res[vg.xs < -0.1].max())
@@ -352,7 +352,7 @@ def test_viscosity_convex_kink_opposite(spec31):
     # |x| has an empty super-jet at 0: from-above must be vacuous
     tg = F.TimeGrid(0.0, 1.0, 10)
     xs = np.linspace(-2, 2, 81)
-    fake = H.ValueGrid(2.0, 80, tg, np.tile(np.abs(xs), (11, 1)), 3)
+    fake = H.ValueGrid(2.0, 80, tg, np.tile(np.abs(xs), (11, 1)))
     nul = P.spec_from_expressions(1, 1, 1, 1.0, [0.0], [1.0], ["0"], ["0"], "0", "x1")
     point = H.viscosity_check(fake, nul, [(0.5, 0.0)]).points[0]
     assert point.sub_residual is None
@@ -362,7 +362,7 @@ def test_viscosity_convex_kink_opposite(spec31):
 def test_viscosity_constant_grid_null_equation():
     tg = F.TimeGrid(0.0, 1.0, 10)
     vals = np.full((11, 81), 1.5)
-    fake = H.ValueGrid(2.0, 80, tg, vals, 3)
+    fake = H.ValueGrid(2.0, 80, tg, vals)
     nul = P.spec_from_expressions(
         1, 1, 1, 1.0, [0.0], [1.0], ["0"], ["0"], "0", "0 - 1.5"
     )
@@ -394,7 +394,7 @@ def test_regularity_probe_equals_full_array_formula(vgrid400):
     rng = np.random.default_rng(11)
     values = rng.normal(0.0, 1.0, (2055, 51))
     values *= rng.uniform(0.1, 10.0, 51)
-    noisy = H.ValueGrid(3.0, 50, F.TimeGrid(0.0, 1.0, values.shape[0] - 1), values, 3)
+    noisy = H.ValueGrid(3.0, 50, F.TimeGrid(0.0, 1.0, values.shape[0] - 1), values)
     for vg in (vgrid400, noisy):
         assert H.regularity_probe(vg) == _regularity_full_array(vg)
 
@@ -402,10 +402,10 @@ def test_regularity_probe_equals_full_array_formula(vgrid400):
 def test_regularity_probe_degenerate_grids():
     tg = F.TimeGrid(0.0, 1.0, 1)
     xs = np.linspace(-1, 1, 11)
-    zero = H.ValueGrid(1.0, 10, tg, np.zeros((2, 11)), 2)
+    zero = H.ValueGrid(1.0, 10, tg, np.zeros((2, 11)))
     assert H.regularity_probe(zero) == (0.0, 0.0)
     # terminal slice only, phi(x) = x
-    term = H.ValueGrid(1.0, 10, tg, (-xs)[None, :], 2)
+    term = H.ValueGrid(1.0, 10, tg, (-xs)[None, :])
     lip, _ = H.regularity_probe(term)
     assert lip == pytest.approx(1.0)
 
@@ -425,6 +425,7 @@ def test_value_grid_exports(tmp_path, vgrid400):
 
     data = json.loads(meta.read_text())
     assert data["J"] == 400
+    assert data["control_grid_size"] == 11
     assert data["cfl_ratio"] <= 1.0 + 1e-9
     assert data["cfl_ratio"] == vgrid400.cfl_ratio
     # example31 settles every level in one solve
@@ -446,14 +447,14 @@ def test_each_row_differenced_once(spec31, vgrid400, monkeypatch):
         return differences(v)
 
     monkeypatch.setattr(H, "_neg_differences", counted)
-    vg = H.solve_hjb_fd(spec31, 2.0, 400, vgrid400.grid, 11)
+    vg = H.solve_hjb_fd(spec31, 2.0, 400, vgrid400.grid)
     assert vg.policy_solves == vg.grid.steps == 400
     assert len(calls) == 401
     # a copy of the known row is differenced afresh at every level
     step = H._Sweep.step
     monkeypatch.setattr(H._Sweep, "step", lambda self, v, *args: step(self, v.copy(), *args))
     calls.clear()
-    fresh = H.solve_hjb_fd(spec31, 2.0, 400, vgrid400.grid, 11)
+    fresh = H.solve_hjb_fd(spec31, 2.0, 400, vgrid400.grid)
     assert len(calls) == 800
     assert np.array_equal(vg.values, fresh.values)
 
@@ -464,25 +465,25 @@ def test_mid_sweep_refusal_names_a_passing_step_count():
     spec = _oscillating_sigma()
     grid = F.TimeGrid(0.0, 1.0, _FIRST_LEVEL_N)
     with pytest.raises(H.CFLError, match="use at least N") as err:
-        H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
+        H.solve_hjb_fd(spec, 2.0, 20, grid)
     n_required = err.value.n_required
     assert n_required > grid.steps
-    vg = H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, n_required), 11)
+    vg = H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, n_required))
     assert vg.cfl_ratio <= 0.5
     assert np.all(np.isfinite(vg.values))
 
 
 def test_cfl_time_grid_passes_every_step_of_time_dependent_coefficients():
     spec = _oscillating_sigma()
-    grid = H.cfl_time_grid(spec, 2.0, 20, 11)
+    grid = H.cfl_time_grid(spec, 2.0, 20)
     assert grid.steps > 2 * _FIRST_LEVEL_N
-    vg = H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
+    vg = H.solve_hjb_fd(spec, 2.0, 20, grid)
     assert vg.cfl_ratio <= 0.5
     assert np.all(np.isfinite(vg.values))
 
 
 def test_solve_builds_one_sweep(spec31, monkeypatch):
-    grid = H.cfl_time_grid(spec31, 2.0, 100, 11)
+    grid = H.cfl_time_grid(spec31, 2.0, 100)
     built = []
 
     class CountingSweep(H._Sweep):
@@ -491,7 +492,7 @@ def test_solve_builds_one_sweep(spec31, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(H, "_Sweep", CountingSweep)
-    H.solve_hjb_fd(spec31, 2.0, 100, grid, 11)
+    H.solve_hjb_fd(spec31, 2.0, 100, grid)
     assert len(built) == 1
 
 
@@ -502,7 +503,7 @@ def test_time_dependent_solve_evaluates_b_once_per_step():
         1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1 * (1 + s)"], ["x1"], "x1 - y", "x1"
     )
     half_width = 2.0
-    grid = H.cfl_time_grid(spec, half_width, 100, 11)
+    grid = H.cfl_time_grid(spec, half_width, 100)
     drift, calls = spec.drift, []
 
     def counted(*args):
@@ -510,7 +511,7 @@ def test_time_dependent_solve_evaluates_b_once_per_step():
         return drift(*args)
 
     spec.drift = counted
-    H.solve_hjb_fd(spec, half_width, 100, grid, 11)
+    H.solve_hjb_fd(spec, half_width, 100, grid)
     assert len(calls) == grid.steps
 
 
@@ -537,8 +538,8 @@ def test_hjb_stage_evaluates_time_dependent_sigma_once_per_level():
     # and the end rows' bound
     spec, half_width = _sweep_problem("time_dependent")
     calls = _counting(spec, ("drift", "diffusion"))
-    grid = H.cfl_time_grid(spec, half_width, 100, 11)
-    H.solve_hjb_fd(spec, half_width, 100, grid, 11)
+    grid = H.cfl_time_grid(spec, half_width, 100)
+    H.solve_hjb_fd(spec, half_width, 100, grid)
     assert grid.steps == 100
     assert calls == {"drift": 2, "diffusion": grid.steps}
 
@@ -548,7 +549,7 @@ def test_static_solve_evaluates_and_scales_coefficients_once(monkeypatch):
     # implicit rows, for the whole sweep; f = x1 - y reads no z, so f_z
     # is not evaluated
     spec = P.builtin_problem("example31")
-    grid = H.cfl_time_grid(spec, 2.0, 100, 11)
+    grid = H.cfl_time_grid(spec, 2.0, 100)
     calls = _counting(spec, ("drift", "diffusion", "driver_y", "driver_z"))
     built, rows = [], H._Level
 
@@ -557,7 +558,7 @@ def test_static_solve_evaluates_and_scales_coefficients_once(monkeypatch):
         return rows(*args)
 
     monkeypatch.setattr(H, "_Level", level)
-    H.solve_hjb_fd(spec, 2.0, 100, grid, 11)
+    H.solve_hjb_fd(spec, 2.0, 100, grid)
     assert calls == {"drift": 1, "diffusion": 1, "driver_y": 1, "driver_z": 0}
     assert len(built) == 1
 
@@ -566,8 +567,8 @@ def test_cfl_ratio_is_against_the_tightest_step_bound():
     # f = x1 - y + z1 has f_y = -1 and f_z = 1, so the bound of level t
     # is dx / |sigma(t)| with sigma = 1 + 5 sin(20 t)
     spec = _oscillating_sigma()
-    grid = H.cfl_time_grid(spec, 2.0, 20, 11)
-    vg = H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
+    grid = H.cfl_time_grid(spec, 2.0, 20)
+    vg = H.solve_hjb_fd(spec, 2.0, 20, grid)
     dx = 4.0 / 20
     tightest = np.min(dx / np.abs(1.0 + 5.0 * np.sin(20.0 * grid.times[1:])))
     assert vg.cfl_ratio == pytest.approx(grid.dt / tightest, rel=1e-12)
@@ -579,12 +580,12 @@ def test_non_finite_value_refused_at_its_time_level():
     spec = P.spec_from_expressions(
         1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"], "x1 - y + 1e308 * 10", "x1"
     )
-    grid = H.cfl_time_grid(spec, 2.0, 20, 11)
+    grid = H.cfl_time_grid(spec, 2.0, 20)
     assert grid.steps == 20
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(P.ProblemError, match="non-finite value at time level 19"):
-            H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
+            H.solve_hjb_fd(spec, 2.0, 20, grid)
 
 
 def test_zero_pivot_refused_at_its_time_level():
@@ -595,20 +596,20 @@ def test_zero_pivot_refused_at_its_time_level():
     )
     grid = F.TimeGrid(0.0, 1.0, 10)
     with pytest.raises(P.ProblemError, match="zero pivot at time level 9"):
-        H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
+        H.solve_hjb_fd(spec, 2.0, 20, grid)
     # the N rule keeps dt |b| / dx at 1/2
-    assert H.cfl_time_grid(spec, 2.0, 20, 11).steps == 20
+    assert H.cfl_time_grid(spec, 2.0, 20).steps == 20
 
 
 def test_policy_iteration_cap_names_the_level(monkeypatch):
     # two_controls_corners needs more than one solve at some levels
     spec, half_width = _sweep_problem("two_controls_corners")
-    grid = H.cfl_time_grid(spec, half_width, 40, 11)
-    vg = H.solve_hjb_fd(spec, half_width, 40, grid, 11)
+    grid = H.cfl_time_grid(spec, half_width, 40)
+    vg = H.solve_hjb_fd(spec, half_width, 40, grid)
     assert vg.max_level_solves > 1 and vg.policy_solves > grid.steps
     monkeypatch.setattr(H, "_POLICY_SOLVES", 1)
     with pytest.raises(H.PolicyError, match="at time level") as err:
-        H.solve_hjb_fd(spec, half_width, 40, grid, 11)
+        H.solve_hjb_fd(spec, half_width, 40, grid)
     assert isinstance(err.value, P.ProblemError)
     assert 0 <= err.value.level < grid.steps
 
@@ -653,8 +654,8 @@ def test_kept_factorization_bit_identical_to_factoring_every_solve(
     name, n_cells, monkeypatch
 ):
     spec, half_width = _sweep_problem(name)
-    grid = H.cfl_time_grid(spec, half_width, n_cells, 11)
-    kept = H.solve_hjb_fd(spec, half_width, n_cells, grid, 11)
+    grid = H.cfl_time_grid(spec, half_width, n_cells)
+    kept = H.solve_hjb_fd(spec, half_width, n_cells, grid)
     factors = H._Sweep._factors
 
     def fresh(self, *args):
@@ -662,7 +663,7 @@ def test_kept_factorization_bit_identical_to_factoring_every_solve(
         return factors(self, *args)
 
     monkeypatch.setattr(H._Sweep, "_factors", fresh)
-    ref = H.solve_hjb_fd(spec, half_width, n_cells, grid, 11)
+    ref = H.solve_hjb_fd(spec, half_width, n_cells, grid)
     assert np.array_equal(kept.values, ref.values)
     assert (kept.policy_solves, kept.max_level_solves) == (
         ref.policy_solves, ref.max_level_solves
@@ -689,8 +690,8 @@ def _count_factor(monkeypatch):
 
 def test_static_level_with_a_settled_policy_factors_once(spec31, monkeypatch):
     calls = _count_factor(monkeypatch)
-    grid = H.cfl_time_grid(spec31, 2.0, 400, 11)
-    vg = H.solve_hjb_fd(spec31, 2.0, 400, grid, 11)
+    grid = H.cfl_time_grid(spec31, 2.0, 400)
+    vg = H.solve_hjb_fd(spec31, 2.0, 400, grid)
     assert vg.policy_solves == grid.steps == 400
     assert len(calls) == vg.factorizations == 1
 
@@ -698,8 +699,8 @@ def test_static_level_with_a_settled_policy_factors_once(spec31, monkeypatch):
 def test_time_dependent_rows_factor_at_every_solve(monkeypatch):
     calls = _count_factor(monkeypatch)
     spec, half_width = _sweep_problem("time_dependent")
-    grid = H.cfl_time_grid(spec, half_width, 100, 11)
-    vg = H.solve_hjb_fd(spec, half_width, 100, grid, 11)
+    grid = H.cfl_time_grid(spec, half_width, 100)
+    vg = H.solve_hjb_fd(spec, half_width, 100, grid)
     assert vg.policy_solves > grid.steps
     assert len(calls) == vg.factorizations == vg.policy_solves
 
@@ -713,7 +714,7 @@ def _pick_by_argmax(g, policy):
 
 def test_pick_keeps_ties_moves_on_larger_rows_and_follows_argmax_on_nan(spec31):
     # h = bd = 0 and zero differences leave G's rows equal to `extra`
-    sweep = H._Sweep(spec31, np.linspace(-1.0, 1.0, 3), P.control_grid(spec31, 2))
+    sweep = H._Sweep(spec31, np.linspace(-1.0, 1.0, 3), np.array([[0.0], [1.0]]))
     zeros = np.zeros((2, 3))
     rows = H._Level(None, None, None, zeros, zeros, np.zeros((2, 3), int), None, None, None)
     nd = np.zeros(4)
@@ -748,28 +749,28 @@ def test_outflow_beyond_the_end_row_bound_refused():
     spec = P.spec_from_expressions(
         1, 1, 1, 1.0, [1.0], [1.0], ["x1"], ["x1"], "x1", "x1"
     )
-    assert H.cfl_max_dt(spec, 2.0, 20, 11) == pytest.approx(0.1, rel=1e-12)
+    assert H.cfl_max_dt(spec, 2.0, 20) == pytest.approx(0.1, rel=1e-12)
     with pytest.raises(H.CFLError, match="use at least N = 20 ") as err:
-        H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, 5), 11)
+        H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, 5))
     assert err.value.dt_max == pytest.approx(0.1, rel=1e-12)
     # beyond the bound the end rows' negative diagonal lowers interior
     # nodes when the known level rises; within it none is lowered
     xs = np.linspace(-2.0, 2.0, 21)
     assert _decreasing_nodes(spec, xs, -xs, 1.0, 0.2) != set()
     assert _decreasing_nodes(spec, xs, -xs, 1.0, 1.0 / 11.0) == set()
-    vg = H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, 11), 11)
+    vg = H.solve_hjb_fd(spec, 2.0, 20, F.TimeGrid(0.0, 1.0, 11))
     assert vg.cfl_ratio == pytest.approx(10.0 / 11.0, rel=1e-12)
 
 
 def _decreasing_nodes(spec, xs, row, t, dt):
     """Interior nodes whose update at time level t decreases when the
     value of some single node is raised by 1e-3."""
-    base = H.sweep_step(spec, xs, row, t, dt, 11)
+    base = H.sweep_step(spec, xs, row, t, dt)
     nodes = set()
     for m in range(xs.size):
         raised = row.copy()
         raised[m] += 1e-3
-        upd = H.sweep_step(spec, xs, raised, t, dt, 11)
+        upd = H.sweep_step(spec, xs, raised, t, dt)
         nodes |= set(np.flatnonzero(upd[1:-1] < base[1:-1] - 1e-13) + 1)
     return nodes
 
@@ -784,12 +785,12 @@ def test_time_dependent_driver_bound_checked_each_step():
         "x1 + 40 * sin(20 * s) ^ 2 * y", "x1",
     )
     coarse = F.TimeGrid(0.0, 1.0, 44)
-    sweep = H._grid_sweep(spec, 2.0, 20, 11, 0.0)
+    sweep = H._grid_sweep(spec, 2.0, 20, 0.0)
     assert not H._exceeds(coarse.dt, sweep.dt_bound(1.0))
     with pytest.raises(H.CFLError, match="use at least N"):
-        H.solve_hjb_fd(spec, 2.0, 20, coarse, 11)
-    grid = H.cfl_time_grid(spec, 2.0, 20, 11)
-    vg = H.solve_hjb_fd(spec, 2.0, 20, grid, 11)
+        H.solve_hjb_fd(spec, 2.0, 20, coarse)
+    grid = H.cfl_time_grid(spec, 2.0, 20)
+    vg = H.solve_hjb_fd(spec, 2.0, 20, grid)
     assert vg.cfl_ratio <= 0.5
     # the last peak before T, at s = 11 pi / 40
     i = int(np.argmin(np.abs(grid.times - 11.0 * np.pi / 40.0)))

@@ -130,8 +130,8 @@ def test_connection_smooth_start_matches_gradient():
     assert np.abs(batch.states).max() < 4.0
     sol = B.solve_backward(spec, batch, 3)
     triple = A.solve_adjoint(spec, batch, sol)
-    hgrid = H.cfl_time_grid(spec, 4.0, 200, 11)
-    vgrid = H.solve_hjb_fd(spec, 4.0, 200, hgrid, 11)
+    hgrid = H.cfl_time_grid(spec, 4.0, 200)
+    vgrid = H.solve_hjb_fd(spec, 4.0, 200, hgrid)
     rep = J.verify_connection(
         spec, batch, sol, triple, vgrid, [0.05, 0.125, 0.2]
     )
@@ -167,7 +167,7 @@ def test_nondegenerate_subjet_interval_forces_failure(pipeline_optimal, vgrid400
     tg = vgrid400.grid
     xs = vgrid400.xs
     vals = np.tile(np.abs(xs) - 1.0, (tg.steps + 1, 1))
-    convex = H.ValueGrid(vgrid400.space_half_width, vgrid400.n_cells, tg, vals, 11)
+    convex = H.ValueGrid(vgrid400.space_half_width, vgrid400.n_cells, tg, vals)
     rep = J.verify_connection(
         spec31, pipe["batch"], pipe["sol"], pipe["triple"], convex, [0.5]
     )
