@@ -253,42 +253,6 @@ def _bootstrap_stderr(values, seed):
     return float(means.std())
 
 
-def backward_perturbation_probe(
-    spec, control, s, x_base, sizes, k, grid, n_paths, p_deg, seed, n_picard=0
-):
-    """Moment-bound probe for the backward pair under state perturbations.
-
-    Couples batches from x_base and x_base + h*e1 with common random
-    numbers, solves both backward, and fits constants for
-    E[sup_r |Y_diff(r)|^{2k}] and E[(int |Z_diff|^2 dr)^k] against h^{2k}.
-    Returns a pair of PerturbationReports (Y channel, Z channel).
-    """
-    from .forward import SimulationError, _check_sizes, _fit_constants, simulate_forward
-
-    if k < 1:
-        raise SimulationError("moment order k must be >= 1")
-    sizes = _check_sizes(sizes)
-    x_base = np.atleast_1d(np.asarray(x_base, dtype=float))
-    base_batch = simulate_forward(spec, control, s, x_base, grid, n_paths, seed)
-    base_sol = solve_backward(spec, base_batch, p_deg, n_picard=n_picard)
-    dt = grid.dt
-    y_moments, z_moments = [], []
-    for h in sizes:
-        shifted = x_base.copy()
-        shifted[0] += h
-        pert_batch = simulate_forward(spec, control, s, shifted, grid, n_paths, seed)
-        pert_sol = solve_backward(spec, pert_batch, p_deg, n_picard=n_picard)
-        ydiff = np.abs(pert_sol.y - base_sol.y)
-        y_moments.append(float(np.mean(ydiff.max(axis=1) ** (2 * k))))
-        zdiff = np.linalg.norm(pert_sol.z - base_sol.z, axis=-1)
-        z_int = (zdiff**2).sum(axis=1) * dt
-        z_moments.append(float(np.mean(z_int**k)))
-    return (
-        _fit_constants("Y", 2 * k, sizes, y_moments, seed),
-        _fit_constants("Z", 2 * k, sizes, z_moments, seed),
-    )
-
-
 def backward_csv(sol, path):
     """Per-step CSV of (t, mean Y, std Y, mean |Z|, regression condition);
     the two per-step columns read NaN on the terminal row."""

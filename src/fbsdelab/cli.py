@@ -31,9 +31,11 @@ pairs, so both assume that control is optimal.  That is true for
 example31 from x0 = 0; it is not for smooth1d, whose `run --all`
 therefore fails `jets`.
 
-Exit codes: 0 all selected checks pass, 1 numerical failure in a stage,
-2 configuration error.  Reruns with an identical command line produce
-byte-identical outputs.
+Exit codes: 0 all selected checks pass, 1 numerical failure in a stage
+(a failed artifact write included), 2 configuration error: bad options or
+config, an unreadable problem file, an output directory that cannot be
+made, or oracle times outside 0 <= t <= T, T > 0.  Reruns with an
+identical command line produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -264,8 +266,12 @@ def _start_state(config):
     if config.builtin is not None:
         spec, initial = problem_mod.builtin_problem(config.builtin), None
     else:
-        with open(config.problem_path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(config.problem_path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            msg = f"cannot read problem file {config.problem_path!r}: {exc}"
+            raise problem_mod.ConfigError(msg) from None
         spec, initial = problem_mod.parse_problem(text)
     t0, x0 = (0.0, np.zeros(spec.n)) if initial is None else initial
     return {
@@ -277,11 +283,19 @@ def _start_state(config):
     }
 
 
+def _make_out_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        msg = f"cannot make output directory {path!r}: {exc}"
+        raise problem_mod.ConfigError(msg) from None
+
+
 def run_experiment(config):
     """Execute the selected stages; returns (exit_code, summary dict)."""
     config.validate()
     state = _start_state(config)
-    os.makedirs(config.out_dir, exist_ok=True)
+    _make_out_dir(config.out_dir)
     summary = {
         "problem": config.builtin or os.path.basename(config.problem_path),
         "seed": config.seed,
@@ -434,6 +448,9 @@ def _config_from_args(args):
 
 
 def _print_oracle(t, horizon):
+    if not (0.0 <= t <= horizon and 0.0 < horizon < float("inf")):
+        msg = f"oracle needs 0 <= t <= T with finite T > 0, got t = {t}, T = {horizon}"
+        raise problem_mod.ConfigError(msg)
     print(f"benchmark example31 reference values (t = {t}, T = {horizon})")
     print("value function V(t, x):")
     for x in (-2.0, -1.0, 0.0, 1.0, 2.0):
@@ -472,8 +489,8 @@ def main(argv=None):
             raise problem_mod.ConfigError(
                 f"--values must be numbers, got {args.values!r}"
             )
+        _make_out_dir(config.out_dir)
         rows = convergence_table(config, args.param, values)
-        os.makedirs(config.out_dir, exist_ok=True)
         path = os.path.join(config.out_dir, f"table_{args.param}.csv")
         _write_table(rows, args.param, path)
         for value, metric in rows:

@@ -293,80 +293,6 @@ def simulate_forward(spec, control, t, x, grid, n_paths, seed):
     )
 
 
-@dataclass
-class PerturbationReport:
-    """Fitted constants of a moment bound across perturbation sizes.
-
-    For each size h the probe couples a base batch and a batch started
-    at x + h*e1 with common random numbers, estimates the requested
-    moment of the difference process, and fits C_hat(h) = moment / h^2k.
-    Stable fitted constants (max/min <= 3 across sizes) support the
-    moment bound; the fitted constant reported is the max.
-    """
-
-    channel: str
-    order: int
-    sizes: list
-    moments: list
-    constants: list
-    fitted_constant: float
-    seed: int
-    passed: bool
-
-
-_STABILITY_FACTOR = 3.0
-
-
-def _fit_constants(channel, order, sizes, moments, seed):
-    constants = [m / h**order for m, h in zip(moments, sizes)]
-    nonzero = [c for c in constants if c > 0.0]
-    if not nonzero:
-        passed = True  # identically zero difference process
-        fitted = 0.0
-    else:
-        fitted = max(nonzero)
-        passed = bool(fitted / min(nonzero) <= _STABILITY_FACTOR)
-    return PerturbationReport(
-        channel=channel,
-        order=order,
-        sizes=list(sizes),
-        moments=list(moments),
-        constants=constants,
-        fitted_constant=fitted,
-        seed=seed,
-        passed=passed,
-    )
-
-
-def _check_sizes(sizes):
-    sizes = [float(h) for h in sizes]
-    if not sizes or any(h <= 0 for h in sizes):
-        raise SimulationError("perturbation sizes must be strictly positive")
-    if any(nxt >= prev for prev, nxt in zip(sizes, sizes[1:])):
-        raise SimulationError("perturbation sizes must be strictly decreasing")
-    return sizes
-
-
-def perturbation_moment_probe(
-    spec, control, s, x_base, sizes, k, grid, n_paths, seed
-):
-    """Probe E[sup_r |X^{x+h} (r) - X^x(r)|^{2k}] <= C h^{2k} empirically."""
-    if k < 1:
-        raise SimulationError("moment order k must be >= 1")
-    sizes = _check_sizes(sizes)
-    x_base = np.atleast_1d(np.asarray(x_base, dtype=float))
-    base = simulate_forward(spec, control, s, x_base, grid, n_paths, seed)
-    moments = []
-    for h in sizes:
-        shifted = x_base.copy()
-        shifted[0] += h
-        pert = simulate_forward(spec, control, s, shifted, grid, n_paths, seed)
-        diff = np.linalg.norm(pert.states - base.states, axis=-1)
-        sup = diff.max(axis=1)
-        moments.append(float(np.mean(sup ** (2 * k))))
-    return _fit_constants("X", 2 * k, sizes, moments, seed)
-
-
 # --------------------------------------------------------------------------
 # Exports
 # --------------------------------------------------------------------------

@@ -533,13 +533,6 @@ class _Sweep:
         return kept[2]
 
 
-def sweep_step(spec, xs, v, t, dt):
-    """One implicit step of a value row from time t to t - dt, its policy
-    started from the rows that maximize G at v (used directly by probes)."""
-    sweep = _Sweep(spec, xs, control_grid(spec))
-    return sweep.step(v, t, dt)[0]
-
-
 def solve_hjb_fd(spec, half_width, n_cells, grid):
     """Solve the value PDE on [-L, L] x [grid.start, T].
 

@@ -17,7 +17,7 @@ Config file format (UTF-8, ini-like; see also the CLI help)::
     n = 1
     d = 1
     k = 1
-    lipschitz_hint = 2.0     # optional
+    lipschitz_hint = 2.0     # optional; checked to be a number, then ignored
 
     [horizon]
     T = 1.0
@@ -48,22 +48,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-
-__all__ = [
-    "ProblemError",
-    "ConfigError",
-    "ExpressionSyntaxError",
-    "DomainError",
-    "ControlBoxError",
-    "CoefficientExpr",
-    "ProblemSpec",
-    "parse_expression",
-    "parse_problem",
-    "builtin_problem",
-    "builtin_names",
-    "control_grid",
-    "CONTROL_GRID_SIZE",
-]
 
 
 class ProblemError(Exception):
@@ -469,7 +453,6 @@ class ProblemSpec:
     drift_u: callable
     diffusion_u: callable
     driver_u: callable
-    lipschitz_hint: float = 1.0
     name: str = ""
 
     def __post_init__(self):
@@ -545,7 +528,6 @@ def spec_from_expressions(
     sigma_sources,
     f_source,
     phi_source,
-    lipschitz_hint=1.0,
     name="",
     line_info=None,
 ):
@@ -608,7 +590,6 @@ def spec_from_expressions(
         b_variables=b_vars,
         sigma_variables=sig_vars,
         f_variables=f_expr.variables,
-        lipschitz_hint=lipschitz_hint,
         name=name,
     )
 
@@ -726,9 +707,8 @@ def parse_problem(config_text):
         return data[section][key]
 
     n, d, k = (_as_dimension(need("dims", key), key) for key in ("n", "d", "k"))
-    hint = 1.0
-    if "lipschitz_hint" in data["dims"]:
-        hint = _as_float(data["dims"]["lipschitz_hint"], "lipschitz_hint")
+    if "lipschitz_hint" in data["dims"]:  # accepted for old configs; unused
+        _as_float(data["dims"]["lipschitz_hint"], "lipschitz_hint")
     item = need("horizon", "T")
     horizon = _as_float(item, "T")
     if not horizon > 0:
@@ -771,7 +751,6 @@ def parse_problem(config_text):
         [sources[f"sigma{i + 1}_{j + 1}"] for i in range(n) for j in range(d)],
         sources["f"],
         sources["phi"],
-        lipschitz_hint=hint,
         line_info=line_info,
     )
 
@@ -796,7 +775,7 @@ def _example31():
     return spec_from_expressions(
         1, 1, 1, 1.0, [0.0], [1.0],
         ["x1 * u1"], ["x1"], "x1 - y", "x1",
-        lipschitz_hint=2.0, name="example31",
+        name="example31",
     )
 
 
@@ -806,7 +785,7 @@ def _smooth1d():
         1, 1, 1, 1.0, [0.0], [1.0],
         ["sin(x1) * u1"], ["0.5 + 0.1 * cos(x1)"],
         "x1 - y + 0.1 * sin(z1)", "sin(x1)",
-        lipschitz_hint=2.0, name="smooth1d",
+        name="smooth1d",
     )
 
 

@@ -9,6 +9,7 @@ construction wall times are recorded for the runtime criteria.
 import dataclasses
 
 import numpy as np
+import probes
 import pytest
 
 from fbsdelab import adjoint as A
@@ -169,13 +170,13 @@ def test_criterion_7_property_suites(spec31, zero_control):
     grid = H.cfl_time_grid(spec31, 2.0, 100)
     vg = H.solve_hjb_fd(spec31, 2.0, 100, grid)
     row = vg.values[grid.steps // 2].copy()
-    base = H.sweep_step(spec31, vg.xs, row, 0.9, grid.dt)
+    base = probes.sweep_step(spec31, vg.xs, row, 0.9, grid.dt)
     mono = True
     for j in (30, 50, 51, 70):
         for nb in (-1, 0, 1):
             pert = row.copy()
             pert[j + nb] += 1e-3
-            upd = H.sweep_step(spec31, vg.xs, pert, 0.9, grid.dt)
+            upd = probes.sweep_step(spec31, vg.xs, pert, 0.9, grid.dt)
             mono = mono and upd[j] >= base[j] - 1e-13
     checks.append(mono)
 
@@ -193,10 +194,10 @@ def test_criterion_7_property_suites(spec31, zero_control):
 
     # perturbation-moment probes stable within factor 3 across three sizes
     sizes = [0.1, 0.05, 0.025]
-    fwd_rep = F.perturbation_moment_probe(
+    fwd_rep = probes.perturbation_moment_probe(
         spec31, zero_control, 0.0, [1.0], sizes, 1, tg, 4000, seed=9
     )
-    rep_y, rep_z = B.backward_perturbation_probe(
+    rep_y, rep_z = probes.backward_perturbation_probe(
         spec31, zero_control, 0.0, [1.0], sizes, 1, tg, 4000, 3, seed=9
     )
     checks.append(fwd_rep.passed and rep_y.passed and rep_z.passed)

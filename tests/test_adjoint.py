@@ -264,7 +264,7 @@ def test_scaling_family_scales_p_k_fixes_q(zero_control, spec31):
     # c, q unchanged (the only scaling with that property)
     scaled = P.spec_from_expressions(
         1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"],
-        "2 * x1 - y", "2 * x1", lipschitz_hint=4.0,
+        "2 * x1 - y", "2 * x1",
     )
     batch1, sol1 = _pipeline(spec31, zero_control, [1.0], 40, 3000, seed=8)
     batch2, sol2 = _pipeline(scaled, zero_control, [1.0], 40, 3000, seed=8)

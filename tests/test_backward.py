@@ -1,4 +1,5 @@
 import numpy as np
+import probes
 import pytest
 from test_forward import _assert_time_major_view
 
@@ -85,7 +86,7 @@ def test_terminal_shift_propagates_at_driver_rate(spec31, zero_control, batch_x1
     delta = 0.1
     shifted = P.spec_from_expressions(
         1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"], "x1 - y",
-        f"x1 + {delta}", lipschitz_hint=2.0,
+        f"x1 + {delta}",
     )
     sol2 = B.solve_backward(shifted, batch_x1, 3)
     m = batch_x1.n_paths
@@ -175,7 +176,7 @@ def test_condition_diagnostics_recorded(sol_x1):
 
 def test_backward_perturbation_probe_stable(spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 50)
-    rep_y, rep_z = B.backward_perturbation_probe(
+    rep_y, rep_z = probes.backward_perturbation_probe(
         spec31, zero_control, 0.0, [1.0], [0.1, 0.05, 0.025], 1, grid, 4000, 3, seed=3
     )
     assert rep_y.passed and rep_z.passed
@@ -186,7 +187,7 @@ def test_backward_perturbation_probe_stable(spec31, zero_control):
 
 def test_backward_probe_single_size_vacuous(spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 20)
-    rep_y, rep_z = B.backward_perturbation_probe(
+    rep_y, rep_z = probes.backward_perturbation_probe(
         spec31, zero_control, 0.0, [1.0], [0.1], 1, grid, 500, 3, seed=3
     )
     assert rep_y.passed and rep_z.passed
@@ -198,7 +199,7 @@ def test_backward_probe_null_data_zero():
         1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"], "0", "0"
     )
     grid = F.TimeGrid(0.0, 1.0, 20)
-    rep_y, rep_z = B.backward_perturbation_probe(
+    rep_y, rep_z = probes.backward_perturbation_probe(
         spec, 0.0, 0.0, [1.0], [0.1, 0.05], 1, grid, 500, 3, seed=3
     )
     assert rep_y.fitted_constant == 0.0

@@ -390,6 +390,44 @@ def test_oracle_subcommand(tmp_path):
     assert "q = 1.000000" in res.stdout
 
 
+@pytest.mark.parametrize(
+    "args", [["--t", "2", "--T", "1"], ["--T", "0"], ["--t", "-0.5"], ["--T", "inf"]]
+)
+def test_oracle_bad_times_exit_two_before_printing(capsys, args):
+    assert cli.main(["oracle", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "configuration error: oracle needs 0 <= t <= T" in err
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        (["run", "--problem", "{tmp}/missing.cfg"], "cannot read problem file"),
+        (["run", "--problem", "{tmp}"], "cannot read problem file"),
+        (["run", "--problem", "{tmp}/latin1.cfg"], "cannot read problem file"),
+        (["run", "--builtin", "example31", "--out", "{tmp}/latin1.cfg"],
+         "cannot make output directory"),
+        (["table", "--builtin", "example31", "--param", "J", "--values", "400",
+          "--out", "{tmp}/latin1.cfg"], "cannot make output directory"),
+    ],
+    ids=["missing", "directory", "not_utf8", "run_out_is_a_file", "table_out_is_a_file"],
+)
+def test_path_errors_exit_two_before_any_stage(tmp_path, monkeypatch, capsys, args, match):
+    (tmp_path / "latin1.cfg").write_bytes("[dims]\nn = 1  # \u00e9\n".encode("latin-1"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(cli.forward_mod, "simulate_forward", refuse)
+    monkeypatch.setattr(cli.hjb_mod, "cfl_time_grid", refuse)
+    argv = [a.format(tmp=tmp_path) for a in args]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"configuration error: {match}" in err
+
+
 def test_config_validation_in_process():
     config = cli.ExperimentConfig(builtin="example31", stages=("jets",))
     with pytest.raises(problem.ConfigError):

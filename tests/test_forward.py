@@ -2,6 +2,7 @@ import sys
 import threading
 
 import numpy as np
+import probes
 import pytest
 
 from fbsdelab import forward as F
@@ -303,7 +304,7 @@ def test_euler_strong_order_half(spec31, zero_control):
 
 def test_perturbation_probe_constants_stable(spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 100)
-    rep = F.perturbation_moment_probe(
+    rep = probes.perturbation_moment_probe(
         spec31, zero_control, 0.0, [1.0], [0.1, 0.05, 0.025], 1, grid, 2000, seed=9
     )
     assert rep.passed
@@ -316,15 +317,15 @@ def test_perturbation_probe_constants_stable(spec31, zero_control):
 def test_perturbation_probe_rejects_bad_sizes(spec31, zero_control):
     grid = F.TimeGrid(0.0, 1.0, 10)
     with pytest.raises(F.SimulationError):
-        F.perturbation_moment_probe(
+        probes.perturbation_moment_probe(
             spec31, zero_control, 0.0, [1.0], [0.0], 1, grid, 10, seed=0
         )
     with pytest.raises(F.SimulationError):
-        F.perturbation_moment_probe(
+        probes.perturbation_moment_probe(
             spec31, zero_control, 0.0, [1.0], [0.05, 0.1], 1, grid, 10, seed=0
         )
     with pytest.raises(F.SimulationError):
-        F.perturbation_moment_probe(
+        probes.perturbation_moment_probe(
             spec31, zero_control, 0.0, [1.0], [0.1, 0.05], 0, grid, 10, seed=0
         )
 
@@ -334,7 +335,7 @@ def test_perturbation_probe_frozen_dynamics_exact():
         1, 1, 1, 1.0, [0.0], [1.0], ["0"], ["0"], "0", "x1"
     )
     grid = F.TimeGrid(0.0, 1.0, 10)
-    rep = F.perturbation_moment_probe(
+    rep = probes.perturbation_moment_probe(
         spec, 0.0, 0.0, [1.0], [0.1, 0.05], 2, grid, 20, seed=0
     )
     assert rep.moments == pytest.approx([0.1**4, 0.05**4])

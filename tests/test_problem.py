@@ -77,33 +77,39 @@ def test_unknown_key_reported_before_missing_section():
 
 
 @pytest.mark.parametrize(
-    "bad, match, line",
+    "bad, match, where",
     [
         # a missing key or coefficient: the line of its section header
-        (EXAMPLE_CONFIG.replace("d = 1\n", ""), "missing required key 'd'", 2),
-        (EXAMPLE_CONFIG.replace('f = "x1 - y"\n', ""), "missing coefficient 'f'", 14),
+        (EXAMPLE_CONFIG.replace("d = 1\n", ""), "missing required key 'd'", (2, 1)),
+        (EXAMPLE_CONFIG.replace('f = "x1 - y"\n', ""), "missing coefficient 'f'", (14, 1)),
         # a missing section: the line after the last
-        (EXAMPLE_CONFIG.replace("[horizon]\nT = 1.0\n", ""), "section .horizon", 17),
+        (EXAMPLE_CONFIG.replace("[horizon]\nT = 1.0\n", ""), "section .horizon", (17, 1)),
         (
             EXAMPLE_CONFIG.replace("lo = 0.0", "lo = 1.0").replace("hi = 1.0", "hi = 0.0"),
             "empty control box",
-            11,
+            (11, 6),
         ),
-        (EXAMPLE_CONFIG + "\n[initial]\nt = 2.0\nx = 0.0\n", "initial time", 21),
-        (EXAMPLE_CONFIG.replace("T = 1.0", "T = 0.0"), "strictly positive", 8),
+        (EXAMPLE_CONFIG + "\n[initial]\nt = 2.0\nx = 0.0\n", "initial time", (21, 5)),
+        (EXAMPLE_CONFIG.replace("T = 1.0", "T = 0.0"), "strictly positive", (8, 5)),
         # a zero dimension: its own line, before the b1 it makes unknown
-        (EXAMPLE_CONFIG.replace("n = 1", "n = 0"), "n must be >= 1, got 0", 3),
-        (EXAMPLE_CONFIG.replace("k = 1", "k = -2"), "k must be >= 1, got -2", 5),
+        (EXAMPLE_CONFIG.replace("n = 1", "n = 0"), "n must be >= 1, got 0", (3, 5)),
+        (EXAMPLE_CONFIG.replace("k = 1", "k = -2"), "k must be >= 1, got -2", (5, 5)),
+        # accepted and ignored, but still a number
+        (
+            EXAMPLE_CONFIG.replace("k = 1\n", "k = 1\nlipschitz_hint = big\n"),
+            "lipschitz_hint must be a number, got 'big'",
+            (6, 18),
+        ),
     ],
     ids=[
         "key", "coefficient", "section", "control_box", "initial_t", "horizon",
-        "zero_n", "negative_k",
+        "zero_n", "negative_k", "lipschitz_hint",
     ],
 )
-def test_config_errors_carry_a_line(bad, match, line):
+def test_config_errors_carry_a_line(bad, match, where):
     with pytest.raises(P.ConfigError, match=match) as err:
         P.parse_problem(bad)
-    assert err.value.line == line
+    assert (err.value.line, err.value.col) == where
 
 
 def test_zero_dimension_points_at_its_value():
