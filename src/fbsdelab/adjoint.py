@@ -82,15 +82,20 @@ def solve_q(spec, batch, backward):
     dw = batch.increments.swapaxes(0, 1)
     q = np.empty((n_steps + 1, m))
     q[0] = 1.0
+    noise = np.empty(m)  # each slab writes its own entries
     u = batch.control
 
     def step(i, lo, hi):
         s, x, y, z = _gradient_args(batch, backward, i, times, slice(lo, hi))
         fy = spec.driver_y(s, x, y, z, u)
         fz = spec.driver_z(s, x, y, z, u)
-        growth = 1.0 + fy * dt + np.einsum("md,md->m", fz, dw[i, lo:hi])
-        q[i + 1, lo:hi] = q[i, lo:hi] * growth
-        if not np.all(np.isfinite(q[i + 1, lo:hi])):
+        # q_{i+1} = q_i ((1 + f_y dt) + f_z . dW), built in its own row
+        out = q[i + 1, lo:hi]
+        np.multiply(fy, dt, out=out)
+        out += 1.0
+        out += np.einsum("md,md->m", fz, dw[i, lo:hi], out=noise[lo:hi])
+        out *= q[i, lo:hi]
+        if not np.all(np.isfinite(out)):
             raise ProblemError(f"non-finite q at step {i + 1}")
 
     forward._run_steps(step, n_steps, m)
@@ -118,6 +123,7 @@ def solve_pk(spec, batch, backward, q):
     k = np.empty((n_steps, m, n, d))
     phix = spec.terminal_x(states[n_steps])
     p[n_steps] = -phix * q[n_steps][:, None]
+    scratch = np.empty((m, n))
     u = batch.control
 
     reg = None
@@ -126,20 +132,22 @@ def solve_pk(spec, batch, backward, q):
         if reg is not prev or not _same_row(states[i], states[i + 1]):
             design = reg.basis(states[i])
         cont = reg.fit(p[i + 1], design)  # (M, n)
-        centered = p[i + 1] - cont
-        targets = centered[:, :, None] * dw[i][:, None, :]
-        k[i] = reg.fit(targets.reshape(m, n * d), design).reshape(m, n, d) / dt
+        # k's targets are built in k[i], from the centered value in p[i]
+        centered = np.subtract(p[i + 1], cont, out=p[i])
+        np.multiply(centered[:, :, None], dw[i][:, None, :], out=k[i])
+        fit = reg.fit(k[i].reshape(m, n * d), design)
+        np.divide(fit.reshape(m, n, d), dt, out=k[i])
 
         s, x, y, z = _gradient_args(batch, backward, i, times)
         bx = spec.drift_x(s, x, u)  # (M, n, n)
         fx = spec.driver_x(s, x, y, z, u)  # (M, n)
         sx = spec.diffusion_x(s, x, u)  # (M, n, d, n)
-        drift_term = (
-            np.einsum("mab,ma->mb", bx, cont)
-            - fx * q[i][:, None]
-            + np.einsum("majb,maj->mb", sx, k[i])
-        )
-        p[i] = cont + drift_term * dt
+        # p_i = cont + ((b_x^T cont - f_x q) + sigma_x k) dt, in p[i]
+        np.einsum("mab,ma->mb", bx, cont, out=p[i])
+        p[i] -= np.multiply(fx, q[i][:, None], out=scratch)
+        p[i] += np.einsum("majb,maj->mb", sx, k[i], out=scratch)
+        p[i] *= dt
+        p[i] += cont
         if not np.all(np.isfinite(p[i])):
             raise ProblemError(f"non-finite p at step {i}")
     return p.swapaxes(0, 1), k.swapaxes(0, 1)
@@ -154,11 +162,11 @@ def solve_adjoint(spec, batch, backward):
 
 def hamiltonian_gradient_u(spec, t, x, y, z, u, p, q, k):
     """dH/du = b_u^T p - q f_u + sum_j (sigma_u^j)^T k^j along a batch."""
-    return (
-        np.einsum("mal,ma->ml", spec.drift_u(t, x, u), p)
-        - q[:, None] * spec.driver_u(t, x, y, z, u)
-        + np.einsum("majl,maj->ml", spec.diffusion_u(t, x, u), k)
-    )
+    hu = np.einsum("mal,ma->ml", spec.drift_u(t, x, u), p)
+    scratch = q[:, None] * spec.driver_u(t, x, y, z, u)
+    hu -= scratch
+    hu += np.einsum("majl,maj->ml", spec.diffusion_u(t, x, u), k, out=scratch)
+    return hu
 
 
 @dataclass

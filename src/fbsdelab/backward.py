@@ -16,7 +16,8 @@ where the driver consumes the regressed continuation value (explicit
 scheme).  Passing n_picard > 0 re-evaluates the driver at the updated Y
 that many times (implicit refinement).  A regression is a deterministic
 function of its state row, so a run of steps whose rows hold the same
-bits shares one (e.g. a state absorbed at 0).
+bits shares one (e.g. a state absorbed at 0).  The cost J = -Y(t) comes
+with the standard error of the pathwise value's mean, std / sqrt(M).
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class BackwardSolution:
     y: np.ndarray  # (M, N+1)
     z: np.ndarray  # (M, N, d)
     conditions: np.ndarray  # per-step condition estimate of the Gram matrix
-    pathwise_value: np.ndarray  # (M,) terminal + summed driver, for bootstraps
+    pathwise_value: np.ndarray  # (M,) terminal + summed driver; CostReport's stderr
     # (N,) step i's _StepRegression (mu, sd, scale, Cholesky factor, condition)
     # with its design dropped; consecutive steps whose state rows hold the
     # same bits share one object.  The adjoint pass projects with the same ones
@@ -161,6 +162,7 @@ def solve_backward(spec, batch, p_deg, n_picard=0):
     regressions = [None] * n_steps
     y[n_steps] = spec.terminal(x[n_steps])
     driver_sum = np.zeros(m)
+    fdt = np.empty(m)  # f dt of the step's last driver pass
     u = batch.control
 
     reg = None
@@ -171,15 +173,15 @@ def solve_backward(spec, batch, p_deg, n_picard=0):
             reg = _StepRegression(x[i], p_deg)
         regressions[i] = reg
         conditions[i] = reg.condition
-        z[i] = reg.fit(y[i + 1][:, None] * dw[i]) / dt
+        np.multiply(y[i + 1][:, None], dw[i], out=z[i])  # the fit's targets
+        np.divide(reg.fit(z[i]), dt, out=z[i])
         cont = reg.fit(y[i + 1])
-        fdt = spec.driver(times[i], x[i], cont, z[i], u) * dt
-        ycur = cont + fdt
-        for _ in range(n_picard):
-            fdt = spec.driver(times[i], x[i], ycur, z[i], u) * dt
-            ycur = cont + fdt
-        y[i] = ycur
-        if not (np.isfinite(ycur).all() and np.isfinite(z[i]).all()):
+        y_drv = cont  # the driver's y: the regressed value, then y[i]
+        for _ in range(n_picard + 1):
+            np.multiply(spec.driver(times[i], x[i], y_drv, z[i], u), dt, out=fdt)
+            np.add(cont, fdt, out=y[i])
+            y_drv = y[i]
+        if not (np.isfinite(y[i]).all() and np.isfinite(z[i]).all()):
             raise ProblemError(f"non-finite Y or Z at step {i}")
         driver_sum += fdt
     reg.design = None
@@ -200,7 +202,8 @@ def solve_backward(spec, batch, p_deg, n_picard=0):
 
 @dataclass
 class CostReport:
-    """Recursive cost J = -Y(t) with a bootstrap standard error."""
+    """Recursive cost J = -Y(t) with the standard error of the pathwise
+    value's mean, std / sqrt(M)."""
 
     j: float
     stderr: float
@@ -222,35 +225,22 @@ class CostReport:
 
     @classmethod
     def of(cls, sol, seed):
-        """J(t, x; u) = -Y(t) of a backward solution, with a path-resampling
-        standard error.
+        """J(t, x; u) = -Y(t) of a backward solution, with a standard error.
 
-        The bootstrap resamples the pathwise accumulant (terminal value plus
-        summed driver) whose mean equals the reported Y(t) up to the ridge
-        regularization, keeping regression surfaces frozen.
+        The pathwise accumulant (terminal value plus summed driver) has a
+        mean equal to the reported Y(t) up to the ridge regularization.
+        With the regression surfaces frozen, its mean's standard error is
+        the population std over sqrt(M): the exact value a path-resampling
+        bootstrap estimates.  `seed` is the batch's, recorded with it.
         """
+        values = sol.pathwise_value
         return cls(
             j=float(-sol.y[0, 0]),
-            stderr=_bootstrap_stderr(sol.pathwise_value, seed),
-            n_paths=sol.pathwise_value.shape[0],
+            stderr=float(values.std() / np.sqrt(values.shape[0])),
+            n_paths=values.shape[0],
             steps=sol.grid.steps,
             seed=seed,
         )
-
-
-_N_BOOTSTRAP = 64
-
-
-def _bootstrap_stderr(values, seed):
-    m = values.shape[0]
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed & (2**64 - 1), 2**63 + 1], dtype=np.uint64))
-    )
-    means = np.empty(_N_BOOTSTRAP)
-    for b in range(_N_BOOTSTRAP):
-        idx = rng.integers(0, m, size=m)
-        means[b] = values[idx].mean()
-    return float(means.std())
 
 
 def backward_csv(sol, path):

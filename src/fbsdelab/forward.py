@@ -269,18 +269,21 @@ def simulate_forward(spec, control, t, x, grid, n_paths, seed):
     dt = grid.dt
     states = np.empty((grid.steps + 1, n_paths, spec.n))
     states[0] = x
+    noise = np.empty((n_paths, spec.n))  # each slab writes its own rows
 
     def step(i, lo, hi):
-        xi = states[i, lo:hi]
-        # overflow is reported below as the first non-finite state
+        xi, out = states[i, lo:hi], states[i + 1, lo:hi]
+        # overflow is reported below as the first non-finite state; the
+        # row is built in place as (xi + b dt) + sigma dW
         with np.errstate(over="ignore", invalid="ignore"):
             b = spec.drift(times[i], xi, control)
             sg = spec.diffusion(times[i], xi, control)
-            xi = xi + b * dt + np.einsum("mnd,md->mn", sg, dw_t[i, lo:hi])
-        if not np.all(np.isfinite(xi)):
-            bad = np.argwhere(~np.isfinite(xi))
+            np.multiply(b, dt, out=out)
+            out += xi
+            out += np.einsum("mnd,md->mn", sg, dw_t[i, lo:hi], out=noise[lo:hi])
+        if not np.all(np.isfinite(out)):
+            bad = np.argwhere(~np.isfinite(out))
             raise NonFiniteStateError(lo + int(bad[0, 0]), i + 1)
-        states[i + 1, lo:hi] = xi
 
     _run_steps(step, grid.steps, n_paths)
     return PathBatch(

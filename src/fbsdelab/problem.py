@@ -653,9 +653,12 @@ def _as_dimension(item, key):
 def _as_float(item, key):
     value, line, col = item
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {value!r}", line, col)
+    if not np.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}", line, col)
+    return number
 
 
 def _as_floats(item, key, count):
@@ -668,9 +671,12 @@ def _as_floats(item, key, count):
             col,
         )
     try:
-        return np.array([float(p) for p in parts])
+        numbers = np.array([float(p) for p in parts])
     except ValueError:
         raise ConfigError(f"{key} must be numeric, got {value!r}", line, col)
+    if not np.isfinite(numbers).all():
+        raise ConfigError(f"{key} must be finite, got {value!r}", line, col)
+    return numbers
 
 
 def _unquote(item, key):

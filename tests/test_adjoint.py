@@ -232,6 +232,42 @@ def test_gbm_states_build_every_design(monkeypatch):
     assert len({id(r) for r in regs}) == designs == 25
 
 
+def _read_only_results(spec):
+    """The spec with every evaluator returning a read-only view of its result."""
+
+    def freeze(evaluate):
+        def frozen(*args):
+            out = np.asarray(evaluate(*args)).view()
+            out.setflags(write=False)
+            return out
+
+        return frozen
+
+    names = [f.name for f in dataclasses.fields(spec) if f.type == "callable"]
+    return dataclasses.replace(spec, **{name: freeze(getattr(spec, name)) for name in names})
+
+
+@pytest.mark.parametrize("problem", ["example31", "reversed"])
+def test_kernels_never_write_into_evaluator_results(monkeypatch, spec31, problem):
+    # the kernels build their rows in buffers they own, so evaluators whose
+    # results are read-only give the same bits
+    if problem == "example31":
+        spec, n_picard = spec31, 0
+    else:
+        spec, n_picard = P.parse_problem(_CONFIG_TEXT)[0], 2
+    frozen = _read_only_results(spec)
+    assert frozen.drift(0.0, np.ones((3, 1)), [0.5]).flags.writeable is False
+
+    def every_output(spec):
+        grid = F.TimeGrid(0.0, 1.0, 20)
+        batch = F.simulate_forward(spec, 0.5, 0.0, [1.0], grid, 2100, seed=8)
+        return (batch.states,) + _outputs(monkeypatch, spec, batch, n_picard)[0]
+
+    plain, wrapped = every_output(spec), every_output(frozen)
+    assert np.ptp(plain[0]) > 0 and np.all(np.isfinite(plain[-2]))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(plain, wrapped))
+
+
 def test_pk_along_optimal_pair(spec31, zero_control):
     batch, sol = _pipeline(spec31, zero_control, [0.0], 100, 2000, seed=1)
     triple = A.solve_adjoint(spec31, batch, sol)

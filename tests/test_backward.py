@@ -136,6 +136,20 @@ def test_cost_at_zero_start_is_exactly_zero(spec31):
         assert rep.stderr == 0.0
 
 
+@pytest.mark.parametrize("x0", [0.0, 1.0])
+def test_cost_stderr_is_the_closed_form(spec31, x0):
+    # std / sqrt(M) of the pathwise value, bit for bit, whatever the seed
+    # recorded with it; 0.0 from the zero start, where every path is 0
+    batch = F.simulate_forward(spec31, 0.5, 0.0, [x0], F.TimeGrid(0.0, 1.0, 20), 3000, 2)
+    sol = B.solve_backward(spec31, batch, 3)
+    values = sol.pathwise_value
+    closed = values.std() / np.sqrt(values.shape[0])
+    for seed in (0, 2, 2**64 - 1):
+        rep = B.CostReport.of(sol, seed)
+        assert rep.stderr == closed and rep.seed == seed
+    assert (closed == 0.0) == (x0 == 0.0)
+
+
 def test_cost_constant_policies_match_oracle(spec31):
     grid = F.TimeGrid(0.0, 1.0, 50)
     rep0 = _cost(spec31, 0.0, [1.0], grid, 20000, 3, seed=2)

@@ -100,10 +100,16 @@ def test_unknown_key_reported_before_missing_section():
             "lipschitz_hint must be a number, got 'big'",
             (6, 18),
         ),
+        # numbers that parse but are not finite
+        (EXAMPLE_CONFIG.replace("T = 1.0", "T = inf"), "T must be finite", (8, 5)),
+        (EXAMPLE_CONFIG.replace("lo = 0.0", "lo = -inf"), "lo must be finite", (11, 6)),
+        (EXAMPLE_CONFIG.replace("hi = 1.0", "hi = nan"), "hi must be finite", (12, 6)),
+        (EXAMPLE_CONFIG + "\n[initial]\nt = 0.0\nx = nan\n", "x must be finite", (22, 5)),
     ],
     ids=[
         "key", "coefficient", "section", "control_box", "initial_t", "horizon",
         "zero_n", "negative_k", "lipschitz_hint",
+        "infinite_T", "infinite_lo", "nan_hi", "nan_x",
     ],
 )
 def test_config_errors_carry_a_line(bad, match, where):
