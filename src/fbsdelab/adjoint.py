@@ -1,7 +1,9 @@
 """Adjoint process triple (p, q, k) along a simulated optimal trajectory.
 
 The scalar multiplier q solves a forward linear SDE driven by the driver
-gradients (q(t) = 1), and (p, k) solve the linear backward equation
+gradients (q(t) = 1); when f_y reads no path variable and f reads no z
+that SDE is an ODE in time, and q is kept as one column broadcast over
+the paths.  (p, k) solve the linear backward equation
 
     -dp = [b_x^T p - f_x^T q + sigma_x k] ds - k dW,
      p(T) = -phi_x(X(T))^T q(T),
@@ -44,7 +46,9 @@ class AdjointTriple:
     p[:, N] = -phi_x(X_N)^T q_N by construction.  The solvers store
     path-major views of time-major (N+1, M, n), (N+1, M) and (N, M, n, d)
     buffers; readers index `field.swapaxes(0, 1)[i]`, which works on plain
-    path-major arrays too.
+    path-major arrays too.  q may instead be a read-only broadcast of one
+    (N+1,) column, stride 0 along the paths (`solve_q`), so readers never
+    write into it.
     """
 
     grid: object
@@ -64,26 +68,59 @@ def _gradient_args(batch, backward, i, times, rows=slice(None)):
     )
 
 
+def _q_is_one_curve(spec):
+    """True when q is the same on every path: f_y reads no x, y or z and f
+    reads no z, so dq = f_y q ds is an ODE in s alone."""
+    return not {"x", "y", "z"} & {v[0] for v in spec.f_y_variables} and not any(
+        v[0] == "z" for v in spec.f_variables
+    )
+
+
 def solve_q(spec, batch, backward):
     """Forward Euler for dq = f_y q ds + f_z q dW from q(t) = 1.
 
     Uses the batch's stored Brownian increments.  Nonpositive values
     (the stochastic exponential should stay positive for bounded f_y,
     f_z) are returned as they are, never clipped; the CLI's adjoint stage
-    counts the paths that reach them.  Each path slab runs the whole time
-    loop on its own worker (`forward._run_steps`), so q is bit-identical
-    at any worker count; the error raised is the serial loop's, so within
-    a step an evaluator's error comes before "non-finite q at step i".
+    counts the paths that reach them.
+
+    When f_y reads no path variable (x, y, z) and f reads no z, q is one
+    deterministic curve: the recursion runs once per step on one column,
+    serially, with f_y evaluated on path 0's arguments, and the result is
+    the read-only (M, N+1) broadcast of that column (stride 0 along the
+    paths).  The f_z dW term it skips only adds +0.0 there, and the
+    column keeps the per-path operation order, so q's bits are those of
+    the per-path loop.
+
+    Every other driver runs the per-path loop: each path slab runs the
+    whole time loop on its own worker (`forward._run_steps`), so q is
+    bit-identical at any worker count.  Either way the error raised is
+    the serial loop's, so within a step an evaluator's error comes
+    before "non-finite q at step i".
     """
     m = batch.n_paths
     n_steps = batch.grid.steps
     dt = batch.grid.dt
     times = batch.grid.times
+    u = batch.control
+
+    if _q_is_one_curve(spec):
+        col = np.empty(n_steps + 1)
+        col[0] = 1.0
+        for i in range(n_steps):
+            s, x, y, z = _gradient_args(batch, backward, i, times, slice(0, 1))
+            out = col[i + 1 : i + 2]
+            np.multiply(spec.driver_y(s, x, y, z, u), dt, out=out)
+            out += 1.0
+            out *= col[i]
+            if not np.isfinite(out[0]):
+                raise ProblemError(f"non-finite q at step {i + 1}")
+        return np.broadcast_to(col[:, None], (n_steps + 1, m)).swapaxes(0, 1)
+
     dw = batch.increments.swapaxes(0, 1)
     q = np.empty((n_steps + 1, m))
     q[0] = 1.0
     noise = np.empty(m)  # each slab writes its own entries
-    u = batch.control
 
     def step(i, lo, hi):
         s, x, y, z = _gradient_args(batch, backward, i, times, slice(lo, hi))
@@ -220,7 +257,7 @@ def check_maximum_condition(spec, batch, backward, triple):
         s, x, y, z = _gradient_args(batch, backward, i, times)
         hu = hamiltonian_gradient_u(spec, s, x, y, z, u_bar, p[i], q[i], k[i])
         mean = hu.mean(axis=0)
-        inner = hu @ np.where(hi * mean < lo * mean, hi, lo)
+        inner = np.dot(hu, np.where(hi * mean < lo * mean, hi, lo))
         residuals[i] = inner.mean()
         stderrs[i] = inner.std() / np.sqrt(batch.n_paths)
 

@@ -423,7 +423,9 @@ class ProblemSpec:
     The batch shape is x's, so one (k,) control serves a whole batch.
     All evaluators are deterministic and safe to share between workers:
     the Monte Carlo kernels call them from several threads at once, each
-    on its own slab of paths or its own time steps.
+    on its own slab of paths or its own time steps.  `f_y_variables`
+    names what the derived f_y reads: with no x, y or z among them and no
+    z in `f_variables`, `adjoint.solve_q` keeps q as one column.
     """
 
     n: int
@@ -437,10 +439,11 @@ class ProblemSpec:
     driver: callable
     terminal: callable
     # variable names each coefficient group actually references; lets
-    # solvers hoist invariants
+    # solvers hoist invariants; f_y_variables are those of the derived f_y
     b_variables: frozenset
     sigma_variables: frozenset
     f_variables: frozenset
+    f_y_variables: frozenset
     # b_x (..., n, n), sigma_x (..., n, d, n), f_x (..., n), f_y (...,), f_z
     # (..., d), phi_x (..., n), b_u (..., n, k), sigma_u (..., n, d, k), f_u
     # (..., k); spec_from_expressions derives them
@@ -567,6 +570,8 @@ def spec_from_expressions(
     def grad(exprs, names):
         return [ex.derivative(v) for ex in exprs for v in names]
 
+    f_y = f_expr.derivative("y")
+
     return ProblemSpec(
         n=n,
         d=d,
@@ -581,7 +586,7 @@ def spec_from_expressions(
         drift_x=_evaluator(grad(b_exprs, sx), (n, n), bs_args),
         diffusion_x=_evaluator(grad(sig_exprs, sx), (n, d, n), bs_args),
         driver_x=_evaluator(grad([f_expr], sx), (n,), f_args),
-        driver_y=_evaluator(grad([f_expr], ["y"]), (), f_args),
+        driver_y=_evaluator([f_y], (), f_args),
         driver_z=_evaluator(grad([f_expr], sz), (d,), f_args),
         terminal_x=_evaluator(grad([phi_expr], sx), (n,), (sx,)),
         drift_u=_evaluator(grad(b_exprs, su), (n, k), bs_args),
@@ -590,6 +595,7 @@ def spec_from_expressions(
         b_variables=b_vars,
         sigma_variables=sig_vars,
         f_variables=f_expr.variables,
+        f_y_variables=f_y.variables,
         name=name,
     )
 

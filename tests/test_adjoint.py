@@ -59,6 +59,77 @@ def test_q_single_step_formula(spec31, zero_control):
     assert np.allclose(q[:, 1], 1.0 - batch.grid.dt)
 
 
+def _per_path(spec):
+    """The spec with f_y marked as reading x1, so solve_q runs per path."""
+    return dataclasses.replace(spec, f_y_variables=frozenset({"x1"}))
+
+
+def _rate_spec(f):
+    return P.spec_from_expressions(1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1"], f, "x1")
+
+
+@pytest.mark.parametrize(
+    "problem, x0, n_picard",
+    [
+        ("example31", 0.0, 0),
+        ("example31", 1.0, 0),
+        ("reversed", 1.0, 2),
+        ("x1 - (1 + s) * y", 1.0, 0),
+    ],
+)
+def test_q_column_gives_the_per_path_bits(spec31, problem, x0, n_picard):
+    # a driver whose f_y reads no x, y, z and whose f reads no z gets q as
+    # one broadcast column; every adjoint output keeps the per-path bits
+    if problem == "example31":
+        spec = spec31
+    elif problem == "reversed":
+        spec = P.parse_problem(_CONFIG_TEXT)[0]
+    else:
+        spec = _rate_spec(problem)
+    grid = F.TimeGrid(0.0, 1.0, 20)
+    batch = F.simulate_forward(spec, 0.0, 0.0, [x0], grid, 2100, seed=4)
+    sol = B.solve_backward(spec, batch, 3, n_picard=n_picard)
+    runs = []
+    for s in (spec, _per_path(spec)):
+        triple = A.solve_adjoint(s, batch, sol)
+        report = A.check_maximum_condition(s, batch, sol, triple)
+        runs.append((triple.q, triple.p, triple.k, report.residuals, report.stderrs))
+    column, per_path = runs[0][0], runs[1][0]
+    assert column.strides[0] == 0 and not column.flags.writeable
+    _assert_time_major_view(per_path)
+    assert np.ptp(column) > 0 and np.all(np.isfinite(runs[0][-1]))
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+@pytest.mark.parametrize("problem", ["x1 * y", "smooth1d"])
+def test_q_per_path_when_f_y_reads_x_or_f_reads_z(problem):
+    spec = P.builtin_problem(problem) if problem == "smooth1d" else _rate_spec(problem)
+    batch, sol = _pipeline(spec, 0.5, [0.5], 20, 300, seed=2)
+    q = A.solve_q(spec, batch, sol)
+    _assert_time_major_view(q)
+    assert np.ptp(q[:, -1]) > 0
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        ("sqrt(s - 0.5) * y + x1", "sqrt of a negative value"),
+        ("max(s - 0.5, 0) * 1e300 * 1e300 * y + x1", "non-finite q at step 12$"),
+    ],
+)
+def test_q_column_raises_the_per_path_error(f, message):
+    spec = _rate_spec(f)
+    grid = F.TimeGrid(0.0, 1.0, 20)
+    batch = F.simulate_forward(spec, 0.0, 0.0, [1.0], grid, 300, seed=2)
+    flat = types.SimpleNamespace(y=np.zeros((300, 21)), z=np.zeros((300, 20, 1)))
+    errors = []
+    for s in (spec, _per_path(spec)):
+        with np.errstate(over="ignore"), pytest.raises(P.ProblemError, match=message) as err:
+            A.solve_q(s, batch, flat)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+
+
 @pytest.mark.parametrize(
     "f, serial, first_slab",
     [
@@ -344,13 +415,16 @@ def test_pk_projects_with_the_backward_regressions(deg):
 
 
 def test_triple_fields_view_time_major_rows(spec31, zero_control):
+    # example31's q is one column broadcast over the paths; per-path q keeps
+    # its time-major buffer (test_q_per_path_when_f_y_reads_x_or_f_reads_z)
     batch, sol = _pipeline(spec31, zero_control, [1.0], 10, 200, seed=3)
     triple = A.solve_adjoint(spec31, batch, sol)
     assert triple.p.shape == (200, 11, 1)
     assert triple.q.shape == (200, 11)
     assert triple.k.shape == (200, 10, 1, 1)
-    for arr in (triple.p, triple.q, triple.k):
+    for arr in (triple.p, triple.k):
         _assert_time_major_view(arr)
+    assert triple.q.strides[0] == 0 and not triple.q.flags.writeable
 
 
 def _path_major(triple):
