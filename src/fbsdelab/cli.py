@@ -183,8 +183,7 @@ def _jets_stage(config, state):
         t0 + frac * (spec.horizon - t0) for frac in (0.0, 0.25, 0.5, 0.75, 0.95)
     ]
     rep = jets_mod.verify_connection(
-        spec, state["batch"], state["backward"], state["adjoint"], state["vgrid"],
-        check_times,
+        spec, state["batch"], state["adjoint"], state["vgrid"], check_times,
     )
     metrics = {
         "n_times": len(rep.records),
@@ -267,7 +266,7 @@ def _start_state(config):
         spec, initial = problem_mod.builtin_problem(config.builtin), None
     else:
         try:
-            with open(config.problem_path, encoding="utf-8") as fh:
+            with open(config.problem_path, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             msg = f"cannot read problem file {config.problem_path!r}: {exc}"
@@ -308,7 +307,7 @@ def run_experiment(config):
             metrics, passed, writers = STAGE_FUNCTIONS[name](config, state)
             for filename, write in writers:
                 write(os.path.join(config.out_dir, filename))
-        except (problem_mod.ProblemError, ValueError) as exc:
+        except (problem_mod.ProblemError, OSError, ValueError) as exc:
             error = str(exc)
             metrics, passed = {"error": error}, False
         summary["stages"].append({"name": name, "metrics": metrics, "pass": passed})

@@ -100,7 +100,6 @@ class PathBatch:
     grid: TimeGrid
     states: np.ndarray
     increments: np.ndarray
-    seed: int
     control: np.ndarray
     x0: np.ndarray
 
@@ -290,7 +289,6 @@ def simulate_forward(spec, control, t, x, grid, n_paths, seed):
         grid=grid,
         states=states.swapaxes(0, 1),
         increments=dw,
-        seed=seed,
         control=control,
         x0=x.copy(),
     )

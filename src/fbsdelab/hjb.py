@@ -55,11 +55,11 @@ the driver's explicit share and the end rows' outflow (at equality with
 f_y >= 0 an end row's pivot is 0, which the solve refuses).  The
 diffusion adds nothing, and the drift only at the end rows: in the
 interior the step is unconditionally monotone in both.  `_Sweep.slopes`
-computes that bound, `dt_bound`, of one time level, and is the only
-place it is computed; `solve_hjb_fd` refuses the first step that exceeds
-it.  It is exact for drivers affine in (y, z), and it covers the
-own-node weight only: the neighbor weight dt sigma f_z / dx of the z
-difference is nonnegative only where sigma f_z has the sign of b.
+computes that bound, dt_bound, of one time level, and is the only place
+it is computed; `solve_hjb_fd` refuses the first step that exceeds it.
+It is exact for drivers affine in (y, z), and it covers the own-node
+weight only: the neighbor weight dt sigma f_z / dx of the z difference
+is nonnegative only where sigma f_z has the sign of b.
 
 N is chosen for accuracy, not by the bound: `cfl_time_grid` takes the
 fewest steps whose dt meets, at every level, the Courant rule
@@ -106,7 +106,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -146,8 +146,8 @@ class ValueGrid:
     n_cells: int
     grid: TimeGrid
     values: np.ndarray  # (N+1, J+1)
-    # grid.dt over the tightest monotonicity bound (`dt_bound`) its steps
-    # met, 0 when no step had one; None if not solved
+    # grid.dt over the tightest monotonicity bound (`_Sweep.slopes`) its
+    # steps met, 0 when no step had one; None if not solved
     cfl_ratio: float = None
     # tridiagonal solves of the policy iteration: in all, and at the
     # level that took the most; None if not solved
@@ -188,11 +188,11 @@ def _grid_sweep(spec, half_width, n_cells, t_start):
 
 
 def cfl_max_dt(spec, half_width, n_cells, t_start=0.0):
-    """The tightest monotonicity bound `dt_bound` over the steps of
+    """The tightest monotonicity bound (`_Sweep.slopes`) over the steps of
     `cfl_time_grid`'s grid; inf when neither the driver's share nor the
     end rows' outflow bounds the step."""
     sweep = _grid_sweep(spec, half_width, n_cells, t_start)
-    return min(map(sweep.dt_bound, sweep.passing_grid().times[1:]))
+    return min(sweep.slopes(t)[1] for t in sweep.passing_grid().times[1:])
 
 
 def cfl_time_grid(spec, half_width, n_cells, t_start=0.0):
@@ -261,8 +261,8 @@ class _Level(NamedTuple):
     give G's rows h a + bd nd[gather] in the raw differences, with
     h = |sigma|^2 / (2 dx^2), bd = b / dx and gather, per node, the index
     into nd of its upwind side; `sgd` is sigma's row / dx (C, J+1, d),
-    for z = sigma^T p; `f_y` is the driver's y slope; `bound` is
-    `dt_bound` of the level.
+    for z = sigma^T p; `f_y` is the driver's y slope; `bound` is the
+    level's monotonicity bound (`_Sweep.slopes`).
     """
 
     lower: np.ndarray
@@ -276,6 +276,24 @@ class _Level(NamedTuple):
     bound: float
 
 
+def _per_level(compute):
+    """A `_Sweep` term under the sweep's memo, keyed by the term's name:
+    compute(self, t, *args) is kept until the time level or `args`
+    change, and for a term in `_static`, which ignores time, until `args`
+    change."""
+    name = compute.__name__
+
+    @wraps(compute)
+    def term(self, t, *args):
+        key = (None if name in self._static else t, *args)
+        hit = self._memo.get(name)
+        if hit is None or hit[0] != key:
+            hit = self._memo[name] = key, compute(self, t, *args)
+        return hit[1]
+
+    return term
+
+
 class _Sweep:
     """Backward-in-time sweep state with loop invariants hoisted.
 
@@ -286,16 +304,16 @@ class _Sweep:
     (`_substitute`) into the last factorization (`_factor`) while the
     level object and the policy stay; `factorizations` counts the
     factorizations made.  `slopes` gives a level's f_y and
-    monotonicity bound, `dt_bound` that bound, `max_drift` its max |b|,
-    and `passing_grid` the N rule's grid on `span` = [t_start, T].
+    monotonicity bound, `rule_dt` the N rule's dt and `passing_grid` the
+    rule's grid on `span` = [t_start, T].  `terminal_row` is -phi(x).
 
-    Each of b, sigma, the slopes, the N rule and a level's rows is a term
-    that `_term` evaluates once per time level, and once in all when the
-    problem's expression variables show it ignores time: b and sigma by
-    their own expressions, the slopes when b and f do and sigma too if f
-    reads z, the rule when b and the slopes do, a level's rows when all
-    of b, sigma and f do.  `controls` (C, k) holds G's rows, one control
-    per row.
+    Each of b (`_drift`), sigma (`_diffusion`), the slopes, the N rule
+    and a level's rows is a method under `_per_level`, evaluated once per
+    time level, and once in all when the problem's expression variables
+    show it ignores time: b and sigma by their own expressions, the
+    slopes when b and f do and sigma too if f reads z, the rule when b
+    and the slopes do, a level's rows when all of b, sigma and f do.
+    `controls` (C, k) gives G's rows, one control per row.
     """
 
     def __init__(self, spec, xs, controls, t_start=0.0):
@@ -310,15 +328,15 @@ class _Sweep:
         self.f_reads_zu = bool(reads & {"z", "u"})
         self.zeros_z = np.zeros((xs.size, spec.d))
         self._nodes = np.arange(xs.size)
-        self._y_probe = -spec.terminal(self.x_cols)  # y = -phi(x)
+        self.terminal_row = -spec.terminal(self.x_cols)  # also the slopes' y
         b, sigma, f = (
             "s" not in names
             for names in (spec.b_variables, spec.sigma_variables, spec.f_variables)
         )
         slopes = b and f and (sigma or not self.f_reads_z)
         static = {
-            "b": b, "sigma": sigma, "slopes": slopes,
-            "rule": b and slopes, "level": b and sigma and f,
+            "_drift": b, "_diffusion": sigma, "slopes": slopes,
+            "rule_dt": b and slopes, "level": b and sigma and f,
         }
         self._static = {name for name, s in static.items() if s}
         self._memo = {}
@@ -326,102 +344,62 @@ class _Sweep:
         # bytes, `_factor`'s lists), and how many `step` has made
         self._factored = None
         self.factorizations = 0
-        # the last row `step` returned and its `_neg_differences`, which
-        # the next level's step reads when handed that row object
-        self._last_row = None
-        self.controls = controls
         shape = (len(controls), xs.size)
         self.x = np.broadcast_to(xs[None, :, None], shape + (1,))
         self.u = np.broadcast_to(controls[:, None, :], shape + (spec.k,))
 
-    def _term(self, name, t, compute, *args):
-        """compute(t, *args), kept until the time level or `args` change,
-        and for a term that ignores time until `args` change."""
-        key = (None if name in self._static else t, *args)
-        hit = self._memo.get(name)
-        if hit is None or hit[0] != key:
-            hit = self._memo[name] = key, compute(t, *args)
-        return hit[1]
-
+    @_per_level
     def _drift(self, t):
         """(b, upwind gather) at time t, (C, J+1) each.  The gather holds,
         per node j, the index into the raw differences nd
         (`_neg_differences`) of its upwind side: j + 1 where b >= 0,
         else j."""
+        b = self.spec.drift(t, self.x, self.u)[..., 0]
+        return b, self._nodes + (b >= 0.0)
 
-        def compute(t):
-            b = self.spec.drift(t, self.x, self.u)[..., 0]
-            return b, self._nodes + (b >= 0.0)
-
-        return self._term("b", t, compute)
-
+    @_per_level
     def _diffusion(self, t):
         """(sigma's row (C, J+1, d), |sigma|^2 / 2 (C, J+1)) at time t."""
-
-        def compute(t):
-            sg = self.spec.diffusion(t, self.x, self.u)[..., 0, :]
-            return sg, 0.5 * np.sum(sg * sg, axis=-1)
-
-        return self._term("sigma", t, compute)
-
-    def coefficients(self, t):
-        """(b, sigma's row, upwind gather, |sigma|^2 / 2) at time t, one
-        row per control (`_drift`, `_diffusion`)."""
-        b, gather = self._drift(t)
-        sg, half_s2 = self._diffusion(t)
-        return b, sg, gather, half_s2
+        sg = self.spec.diffusion(t, self.x, self.u)[..., 0, :]
+        return sg, 0.5 * np.sum(sg * sg, axis=-1)
 
     def hamiltonian(self, t, r, p, big_a):
         """sup_u G: per node the maximum over the controls' rows of
         0.5 |sigma|^2 A + p b + f(t, x, r, sigma^T p, u) (`_g_rows`)."""
-        b, sg, _, half_s2 = self.coefficients(t)
+        sg, half_s2 = self._diffusion(t)
         fval = self.spec.driver(t, self.x, r, sg * p[..., None], self.u)
-        return _g_rows(half_s2, b, big_a, p, fval).max(axis=0)
+        return _g_rows(half_s2, self._drift(t)[0], big_a, p, fval).max(axis=0)
 
     @cached_property
     def dx(self):
         """The spacing 2L / J, which `ValueGrid.dx` reports too."""
         return float(self.xs[-1] - self.xs[0]) / (self.xs.size - 1)
 
+    @_per_level
     def slopes(self, t):
-        """(f_y, dt_bound) of time level t: the driver's y slope (C, J+1),
-        with f_y and f_z at y = -phi(x), z = 0, and the monotonicity
-        bound 1 / max of max(f_y, 0) + |sigma f_z| / dx over the nodes and
-        of max(f_y, 0) + b_out / dx over the end rows, b_out the part of b
+        """(f_y, monotonicity bound) of time level t: the driver's y slope
+        (C, J+1), with f_y and f_z at y = -phi(x), z = 0, and the bound
+        1 / max of max(f_y, 0) + |sigma f_z| / dx over the nodes and of
+        max(f_y, 0) + b_out / dx over the end rows, b_out the part of b
         that points out of [-L, L]; inf when that maximum is 0."""
+        args = (t, self.x, self.terminal_row, self.zeros_z, self.u)
+        f_y = self.spec.driver_y(*args)
+        share = np.maximum(f_y, 0.0)
+        b_out = np.maximum(self._drift(t)[0][:, [0, -1]] * [-1.0, 1.0], 0.0)
+        ends = share[:, [0, -1]] + b_out / self.dx
+        if self.f_reads_z:
+            sg = self._diffusion(t)[0]
+            share += np.sum(np.abs(sg * self.spec.driver_z(*args)), axis=-1) / self.dx
+        worst = max(float(np.max(share)), float(np.max(ends)))
+        return f_y, np.inf if worst == 0.0 else 1.0 / worst
 
-        def compute(t):
-            args = (t, self.x, self._y_probe, self.zeros_z, self.u)
-            f_y = self.spec.driver_y(*args)
-            share = np.maximum(f_y, 0.0)
-            b_out = np.maximum(self._drift(t)[0][:, [0, -1]] * [-1.0, 1.0], 0.0)
-            ends = share[:, [0, -1]] + b_out / self.dx
-            if self.f_reads_z:
-                sg = self._diffusion(t)[0]
-                share += np.sum(np.abs(sg * self.spec.driver_z(*args)), axis=-1) / self.dx
-            worst = max(float(np.max(share)), float(np.max(ends)))
-            return f_y, np.inf if worst == 0.0 else 1.0 / worst
-
-        return self._term("slopes", t, compute)
-
-    def dt_bound(self, t):
-        """The monotonicity bound of time level t (`slopes`)."""
-        return self.slopes(t)[1]
-
-    def max_drift(self, t):
-        """max |b| over the nodes and controls at time t."""
-        return float(np.max(np.abs(self._drift(t)[0])))
-
+    @_per_level
     def rule_dt(self, t):
         """The largest dt the N rule allows at time level t: Courant number
-        dt max |b| / dx <= 1/2 and half of `dt_bound`."""
-
-        def compute(t):
-            max_b = self.max_drift(t)
-            courant = np.inf if max_b == 0.0 else 0.5 * self.dx / max_b
-            return min(courant, 0.5 * self.dt_bound(t))
-
-        return self._term("rule", t, compute)
+        dt max |b| / dx <= 1/2 and half the monotonicity bound."""
+        max_b = float(np.max(np.abs(self._drift(t)[0])))
+        courant = np.inf if max_b == 0.0 else 0.5 * self.dx / max_b
+        return min(courant, 0.5 * self.slopes(t)[1])
 
     def passing_grid(self):
         """TimeGrid on `span` with the fewest steps that meet the N rule at
@@ -440,12 +418,11 @@ class _Sweep:
                 return grid
             n = max(n + 1, _steps_for(self.span, dt_max))
 
+    @_per_level
     def level(self, t, dt):
         """The implicit rows of time level t for a step of dt (`_Level`)."""
-        return self._term("level", t, self._rows, dt)
-
-    def _rows(self, t, dt):
-        b, sg, gather, half_s2 = self.coefficients(t)
+        b, gather = self._drift(t)
+        sg, half_s2 = self._diffusion(t)
         dx = self.dx
         h, bd = half_s2 / (dx * dx), b / dx
         f_y, bound = self.slopes(t)
@@ -474,22 +451,21 @@ class _Sweep:
         best = g.argmax(axis=0)
         return np.where(own >= g[best, self._nodes], policy, best)
 
-    def step(self, v, t, dt, policy=None, index=0, rows=None):
+    def step(self, v, t, dt, policy=None, index=0):
         """One implicit step from the known level v at time t to t - dt.
 
         Returns (value row, policy, tridiagonal solves).  The policy
         iteration starts from `policy`, one row index per node, or, when
-        it is None, from the rows that maximize G at v.  Each solve
-        substitutes into the kept factorization (`_factors`).  A
-        non-finite row or a zero pivot is refused, and so is a policy that
-        has not settled after `_POLICY_SOLVES` solves, each naming time
-        level `index`.  `rows` are the level's (`level`), built when not
-        given.  Handed the row object the last step returned, it reuses
-        that row's differences from the last pick.
+        it is None, from the rows that maximize G at v.  The rows are the
+        level's (`level`), and each solve substitutes into the kept
+        factorization (`_factors`).  A non-finite row or a zero pivot is
+        refused, and so is a policy that has not settled after
+        `_POLICY_SOLVES` solves, each naming time level `index`.  v is
+        differenced only where it is read: for z when the driver reads z
+        or u, and for the first pick.
         """
-        rows = rows or self.level(t, dt)
-        kept = self._last_row
-        nd = kept[1] if kept is not None and kept[0] is v else _neg_differences(v)
+        rows = self.level(t, dt)
+        nd = _neg_differences(v) if self.f_reads_zu or policy is None else None
         if self.f_reads_zu:
             z = rows.sgd * nd[rows.gather][..., None]
             fval = self.spec.driver(t, self.x, -v, z, self.u)
@@ -508,10 +484,8 @@ class _Sweep:
             if not np.isfinite(new).all():
                 raise ProblemError(f"non-finite value at time level {index}")
             extra = c - rows.f_y * new if self.f_reads_zu else None
-            nd = _neg_differences(new)
-            settled = self._pick(rows, nd, extra, policy)
+            settled = self._pick(rows, _neg_differences(new), extra, policy)
             if settled is policy or np.array_equal(settled, policy):
-                self._last_row = new, nd
                 return new, policy, solves
             policy = settled
         raise PolicyError(index)
@@ -554,20 +528,18 @@ def solve_hjb_fd(spec, half_width, n_cells, grid):
     sweep = _grid_sweep(spec, half_width, n_cells, grid.start)
     times, dt = grid.times, grid.dt
     values = np.empty((grid.steps + 1, n_cells + 1))
-    values[-1] = -spec.terminal(sweep.x_cols)
-    v = values[-1]
+    values[-1] = v = sweep.terminal_row
     tightest = np.inf
     policy = None
     solves = []
     for i in range(grid.steps - 1, -1, -1):
         t = times[i + 1]
-        rows = sweep.level(t, dt)
-        if rows.bound < tightest:  # a looser bound passes where a tighter one did
-            if _exceeds(dt, rows.bound):
-                raise CFLError(dt, rows.bound, sweep.passing_grid().steps, sweep.span)
-            tightest = rows.bound
-        # the row `step` returned, so it reuses the row's differences
-        v, policy, n = sweep.step(v, t, dt, policy, i, rows)
+        bound = sweep.level(t, dt).bound
+        if bound < tightest:  # a looser bound passes where a tighter one did
+            if _exceeds(dt, bound):
+                raise CFLError(dt, bound, sweep.passing_grid().steps, sweep.span)
+            tightest = bound
+        v, policy, n = sweep.step(v, t, dt, policy, i)
         values[i] = v
         solves.append(n)
     return ValueGrid(

@@ -223,7 +223,7 @@ def connection_csv(report, path):
             )
 
 
-def verify_connection(spec, batch, backward, triple, vgrid, check_times):
+def verify_connection(spec, batch, triple, vgrid, check_times):
     """Check the adjoint-ratio jet inclusions along the batch.
 
     At each check time (snapped to the value grid's nearest time level)

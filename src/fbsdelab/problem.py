@@ -11,7 +11,8 @@ tie -- it is taken as the mean of the two one-sided derivatives, the
 value central differences return there: abs'(0) = 0, and each tied
 argument of min or max carries weight 1/2.
 
-Config file format (UTF-8, ini-like; see also the CLI help)::
+Config file format (UTF-8, a leading byte-order mark allowed, ini-like;
+see also the CLI help)::
 
     [dims]
     n = 1
@@ -37,8 +38,9 @@ Config file format (UTF-8, ini-like; see also the CLI help)::
     phi = "x1"
 
 Expressions may use s, x1..xn, y, z1..zd, u1..uk (per slot: b/sigma see
-s,x,u; f sees everything; phi sees x only), numeric literals, + - * / ^,
-unary minus, and exp, log, sin, cos, sqrt, abs, min, max.
+s,x,u; f sees everything; phi sees x only), finite numeric literals,
++ - * / ^, unary minus, and exp, log, sin, cos, sqrt, abs, min, max,
+nested at most `_MAX_DEPTH` (64) levels deep.
 """
 
 from __future__ import annotations
@@ -127,7 +129,12 @@ def _tokenize(text, line, col0):
         # a token's column is where it starts, past the whitespace before it
         col = col0 + m.start(m.lastgroup)
         if m.group("num") is not None:
-            tokens.append(("num", float(m.group(0)), col))
+            literal = m.group(0).strip()
+            number = float(literal)
+            if not np.isfinite(number):
+                msg = f"numeric literal {literal!r} must be finite"
+                raise ExpressionSyntaxError(msg, line, col)
+            tokens.append(("num", number, col))
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name"), col))
         else:
@@ -140,13 +147,24 @@ def _tokenize(text, line, col0):
     return tokens
 
 
+# the most levels an expression may nest: its tree counts one level per node
+# on the longest path from the root to a leaf (x1 - y: two), and while
+# parsing so do the open parentheses, calls, signs and exponents.  A derived
+# gradient's tree is at most about four times as deep, and compiling and
+# evaluating a tree takes about two Python frames per level, so every tree
+# stays within the default recursion limit of 1000, on any thread.
+_MAX_DEPTH = 64
+
+
 class _Parser:
-    """Recursive-descent parser for the coefficient DSL."""
+    """Recursive-descent parser for the coefficient DSL.  The parse
+    methods return (node, its tree's depth)."""
 
     def __init__(self, tokens, line):
         self.tokens = tokens
         self.i = 0
         self.line = line
+        self.open = 0  # parentheses, calls, signs and exponents being parsed
 
     def peek(self):
         return self.tokens[self.i]
@@ -160,6 +178,25 @@ class _Parser:
         tok = tok or self.peek()
         raise ExpressionSyntaxError(msg, self.line, tok[2])
 
+    def too_deep(self, tok):
+        self.error(f"expression nested deeper than {_MAX_DEPTH} levels", tok)
+
+    def inner(self, tok, parse):
+        """parse() one level further in, opened at tok."""
+        self.open += 1
+        if self.open > _MAX_DEPTH:
+            self.too_deep(tok)
+        result = parse()
+        self.open -= 1
+        return result
+
+    def node(self, tok, node, *depths):
+        """(node, its depth) over its operands' depths, built at tok."""
+        depth = 1 + max(depths)
+        if depth > _MAX_DEPTH:
+            self.too_deep(tok)
+        return node, depth
+
     def expect(self, kind):
         tok = self.take()
         if tok[0] != kind:
@@ -167,53 +204,58 @@ class _Parser:
         return tok
 
     def parse(self):
-        node = self.expression()
+        node, _ = self.expression()
         if self.peek()[0] != "end":
             self.error("trailing input after expression")
         return node
 
     def expression(self):
-        node = self.term()
+        node, depth = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            node = ("bin", op, node, self.term())
-        return node
+            tok = self.take()
+            right, right_depth = self.term()
+            node, depth = self.node(tok, ("bin", tok[0], node, right), depth, right_depth)
+        return node, depth
 
     def term(self):
-        node = self.unary()
+        node, depth = self.unary()
         while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            node = ("bin", op, node, self.unary())
-        return node
+            tok = self.take()
+            right, right_depth = self.unary()
+            node, depth = self.node(tok, ("bin", tok[0], node, right), depth, right_depth)
+        return node, depth
 
     def unary(self):
-        if self.peek()[0] == "-":
+        tok = self.peek()
+        if tok[0] in ("-", "+"):
             self.take()
-            return ("neg", self.unary())
-        if self.peek()[0] == "+":
-            self.take()
-            return self.unary()
+            node, depth = self.inner(tok, self.unary)
+            if tok[0] == "+":
+                return node, depth
+            return self.node(tok, ("neg", node), depth)
         return self.power()
 
     def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
+        base, depth = self.atom()
+        tok = self.peek()
+        if tok[0] == "^":
             self.take()
             # right-associative exponent
-            return ("bin", "^", base, self.unary())
-        return base
+            exponent, exp_depth = self.inner(tok, self.unary)
+            return self.node(tok, ("bin", "^", base, exponent), depth, exp_depth)
+        return base, depth
 
     def atom(self):
         tok = self.take()
         if tok[0] == "num":
-            return ("num", tok[1])
+            return ("num", tok[1]), 1
         if tok[0] == "name":
             if self.peek()[0] == "(":
-                self.take()
-                args = [self.expression()]
+                paren = self.take()
+                args = [self.inner(paren, self.expression)]
                 while self.peek()[0] == ",":
                     self.take()
-                    args.append(self.expression())
+                    args.append(self.inner(paren, self.expression))
                 self.expect(")")
                 name = tok[1]
                 if name not in _FUNCTIONS:
@@ -222,10 +264,11 @@ class _Parser:
                 if len(args) != arity:
                     count = ("one argument", "two arguments")[arity - 1]
                     self.error(f"{name} takes {count}", tok)
-                return ("call", name, args)
-            return ("var", tok[1], tok[2])
+                nodes, depths = zip(*args)
+                return self.node(tok, ("call", name, list(nodes)), *depths)
+            return ("var", tok[1], tok[2]), 1
         if tok[0] == "(":
-            node = self.expression()
+            node = self.inner(tok, self.expression)
             self.expect(")")
             return node
         if tok[0] == "end":
@@ -685,7 +728,7 @@ def _as_floats(item, key, count):
     return numbers
 
 
-def _unquote(item, key):
+def _unquote(item):
     value, line, col = item
     if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
         return value[1:-1], line, col + 1
@@ -748,7 +791,7 @@ def parse_problem(config_text):
         if key not in coeff:
             msg = f"missing coefficient {key!r} in [coefficients]"
             raise ConfigError(msg, headers["coefficients"], 1)
-        src, line, col = _unquote(coeff[key], key)
+        src, line, col = _unquote(coeff[key])
         sources[key] = src
         line_info[key] = (line, col)
 

@@ -72,7 +72,7 @@ def test_criterion_3_connection_theorem(pipeline_optimal, vgrid400, spec31):
     pipe = pipeline_optimal
     check_times = [0.0, 0.25, 0.5, 0.75, 0.95]
     rep = J.verify_connection(
-        spec31, pipe["batch"], pipe["sol"], pipe["triple"], vgrid400, check_times
+        spec31, pipe["batch"], pipe["triple"], vgrid400, check_times
     )
     ratio_ok = all(abs(r.pq_inv_median + 1.0) <= 2e-2 for r in rep.records)
     hausdorff = []
@@ -84,7 +84,7 @@ def test_criterion_3_connection_theorem(pipeline_optimal, vgrid400, spec31):
 
     flipped = dataclasses.replace(pipe["triple"], p=-pipe["triple"].p)
     rep_bad = J.verify_connection(
-        spec31, pipe["batch"], pipe["sol"], flipped, vgrid400, check_times
+        spec31, pipe["batch"], flipped, vgrid400, check_times
     )
     control_ok = all(not r.passed for r in rep_bad.records) and not rep_bad.passed
 

@@ -452,7 +452,7 @@ def test_connection_accepts_path_major_arrays(spec31, zero_control, vgrid100):
     triple = A.solve_adjoint(spec31, batch, sol)
     check_times = [0.0, 0.5, 0.9]
     reports = [
-        J.verify_connection(spec31, batch, sol, t, vgrid100, check_times)
+        J.verify_connection(spec31, batch, t, vgrid100, check_times)
         for t in (triple, _path_major(triple))
     ]
     assert reports[0].to_json() == reports[1].to_json()

@@ -306,7 +306,6 @@ def batch_with_equal_rows():
         grid=grid,
         states=states.swapaxes(0, 1),
         increments=increments.swapaxes(0, 1),
-        seed=11,
         control=np.array([0.5]),
         x0=states[0, 0],
     )

@@ -251,6 +251,93 @@ def test_stage_raising_midway_stops_the_run(tmp_path, monkeypatch):
     assert not (out / "adjoint.csv").exists() and not (out / "hjb.csv").exists()
 
 
+def test_failed_artifact_write_is_recorded(tmp_path):
+    # backward.csv cannot be written over a directory: the backward stage
+    # fails with the write's error, and the adjoint stage does not run
+    out = tmp_path / "o"
+    (out / "backward.csv").mkdir(parents=True)
+    code = cli.main(
+        ["run", "--builtin", "example31", "--stage", "forward", "--stage", "backward",
+         "--stage", "adjoint", "--M", "200", "--N", "10", "--out", str(out)]
+    )
+    assert code == 1
+    summary = _summary(out)
+    assert summary["pass"] is False
+    assert [(s["name"], s["pass"]) for s in summary["stages"]] == [
+        ("forward", True), ("backward", False),
+    ]
+    assert "backward.csv" in summary["stages"][1]["metrics"]["error"]
+    assert not (out / "adjoint.csv").exists()
+
+
+def test_byte_order_mark_config_runs_like_the_plain_one(tmp_path):
+    text = _problem_text(["x1 * u1"], ["x1"], "x1 - y", "x1")
+    blobs = []
+    # the same bytes, and then with the UTF-8 byte-order mark before them
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "p.cfg").write_bytes(data)
+        code = cli.main(
+            ["run", "--problem", str(tmp_path / name / "p.cfg"), "--stage", "forward",
+             "--stage", "backward", "--M", "200", "--N", "10", "--out",
+             str(tmp_path / name / "out")]
+        )
+        assert code == 0
+        blobs.append(_read_all(tmp_path / name / "out"))
+    assert blobs[0] == blobs[1]
+
+
+# expressions past the parser's depth limit, and the column its refusal
+# names on the config's f line (line 13), whose value starts at column 6:
+# the 65th opening parenthesis, the 64th plus sign and the 65th minus sign
+_TOO_DEEP = {
+    "parentheses": ("(" * 400 + "x1" + ")" * 400 + " - y", 6 + 64),
+    "sum": (" + ".join(["x1"] * 3000) + " - y", 6 + 5 * 63 + 3),
+    "unary_minus": ("-" * 1500 + "x1 - y", 6 + 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOO_DEEP))
+def test_too_deep_expression_exits_two_with_position(tmp_path, name):
+    f, col = _TOO_DEEP[name]
+    (tmp_path / "deep.cfg").write_text(_problem_text(["x1 * u1"], ["x1"], f, "x1"))
+    res = _run(["run", "--problem", "deep.cfg", "--stage", "forward"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert (
+        f"configuration error: expression nested deeper than {problem._MAX_DEPTH} "
+        f"levels (line 13, col {col})"
+    ) in res.stderr
+
+
+def test_driver_at_the_depth_limit_runs_the_monte_carlo_stages(tmp_path):
+    # x1 - y / (3 + y / (3 + ... / (3 + y))): two levels per fraction, so
+    # 31 fractions make the limit; f_y's tree is about three times as deep
+    inner = "y"
+    for _ in range(31):
+        inner = f"y / (3 + {inner})"
+    f = f"x1 - {inner}"
+    assert problem._MAX_DEPTH == 64
+    with pytest.raises(problem.ExpressionSyntaxError, match="nested deeper"):
+        problem.parse_expression(f"x1 - y / (3 + {inner})", ["x1", "y"])
+    text = _problem_text(["x1 * u1"], ["x1"], f, "x1")
+    (tmp_path / "limit.cfg").write_text(text + "[initial]\nt = 0.0\nx = 1.0\n")
+    out = tmp_path / "o"
+    code = cli.main(
+        ["run", "--problem", str(tmp_path / "limit.cfg"), "--stage", "forward",
+         "--stage", "backward", "--stage", "adjoint", "--M", "500", "--N", "20",
+         "--seed", "3", "--out", str(out)]
+    )
+    # every stage runs; the baseline control u = 0 is not optimal here, so
+    # the maximum-condition verdict fails
+    assert code == 1
+    stages = _summary(out)["stages"]
+    assert [(s["name"], s["pass"]) for s in stages] == [
+        ("forward", True), ("backward", True), ("adjoint", False),
+    ]
+    assert stages[2]["metrics"]["mc_pass"] is False
+
+
 def test_malformed_config_exits_two_with_position(tmp_path):
     (tmp_path / "bad.cfg").write_text("[dims]\nn = 1\nbogus = 2\n")
     res = _run(["run", "--problem", "bad.cfg", "--stage", "forward"], tmp_path)

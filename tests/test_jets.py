@@ -94,7 +94,7 @@ def test_grid_column_interpolation():
 def test_connection_full_pipeline(pipeline_optimal, vgrid400, spec31):
     pipe = pipeline_optimal
     rep = J.verify_connection(
-        spec31, pipe["batch"], pipe["sol"], pipe["triple"], vgrid400,
+        spec31, pipe["batch"], pipe["triple"], vgrid400,
         [0.0, 0.25, 0.5, 0.75, 0.95],
     )
     assert rep.passed
@@ -110,7 +110,7 @@ def test_connection_sign_flip_fails_everywhere(pipeline_optimal, vgrid400, spec3
     pipe = pipeline_optimal
     bad = dataclasses.replace(pipe["triple"], p=-pipe["triple"].p)
     rep = J.verify_connection(
-        spec31, pipe["batch"], pipe["sol"], bad, vgrid400,
+        spec31, pipe["batch"], bad, vgrid400,
         [0.0, 0.25, 0.5, 0.75, 0.95],
     )
     assert not rep.passed
@@ -133,7 +133,7 @@ def test_connection_smooth_start_matches_gradient():
     hgrid = H.cfl_time_grid(spec, 4.0, 200)
     vgrid = H.solve_hjb_fd(spec, 4.0, 200, hgrid)
     rep = J.verify_connection(
-        spec, batch, sol, triple, vgrid, [0.05, 0.125, 0.2]
+        spec, batch, triple, vgrid, [0.05, 0.125, 0.2]
     )
     assert rep.passed
     for record in rep.records:
@@ -147,7 +147,7 @@ def test_connection_q_floor(pipeline_optimal, vgrid400, spec31):
     tiny_q = dataclasses.replace(pipe["triple"], q=np.full_like(pipe["triple"].q, 1e-12))
     with pytest.raises(J.QInvertibilityError):
         J.verify_connection(
-            spec31, pipe["batch"], pipe["sol"], tiny_q, vgrid400, [0.5]
+            spec31, pipe["batch"], tiny_q, vgrid400, [0.5]
         )
 
 
@@ -157,7 +157,7 @@ def test_connection_state_outside_domain(spec31, zero_control, vgrid100):
     sol = B.solve_backward(spec31, batch, 1)
     triple = A.solve_adjoint(spec31, batch, sol)
     with pytest.raises(J.JetError, match="outside"):
-        J.verify_connection(spec31, batch, sol, triple, vgrid100, [0.5])
+        J.verify_connection(spec31, batch, triple, vgrid100, [0.5])
 
 
 def test_nondegenerate_subjet_interval_forces_failure(pipeline_optimal, vgrid400, spec31):
@@ -169,7 +169,7 @@ def test_nondegenerate_subjet_interval_forces_failure(pipeline_optimal, vgrid400
     vals = np.tile(np.abs(xs) - 1.0, (tg.steps + 1, 1))
     convex = H.ValueGrid(vgrid400.space_half_width, vgrid400.n_cells, tg, vals)
     rep = J.verify_connection(
-        spec31, pipe["batch"], pipe["sol"], pipe["triple"], convex, [0.5]
+        spec31, pipe["batch"], pipe["triple"], convex, [0.5]
     )
     assert rep.records[0].subjet.kind == "interval"
     assert not rep.records[0].passed
@@ -179,7 +179,7 @@ def test_nondegenerate_subjet_interval_forces_failure(pipeline_optimal, vgrid400
 def test_connection_report_exports(tmp_path, pipeline_optimal, vgrid400, spec31):
     pipe = pipeline_optimal
     rep = J.verify_connection(
-        spec31, pipe["batch"], pipe["sol"], pipe["triple"], vgrid400, [0.0, 0.5]
+        spec31, pipe["batch"], pipe["triple"], vgrid400, [0.0, 0.5]
     )
     payload = rep.to_json()
     assert '"pass": true' in payload

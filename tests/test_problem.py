@@ -58,6 +58,59 @@ def test_expression_errors_point_at_the_token(text, col, match):
     assert (err.value.line, err.value.col) == (3, col)
 
 
+def _depth(tree):
+    """Nodes on the longest path from the root of `tree` to a leaf."""
+    kind = tree[0]
+    if kind in ("num", "var"):
+        return 1
+    children = [tree[1]] if kind == "neg" else tree[2:] if kind == "bin" else tree[2]
+    return 1 + max(map(_depth, children))
+
+
+_LIMIT = P._MAX_DEPTH
+
+
+# an expression per construct, nested `levels` deep, and the index of the
+# token its refusal names one level past the limit: the opening token that
+# crosses the limit, or the operator whose node does
+_NESTED = {
+    "parentheses": (lambda levels: "(" * levels + "x1" + ")" * levels, _LIMIT),
+    "sum": (lambda levels: " + ".join(["x1"] * levels), 5 * (_LIMIT - 1) + 3),
+    "minus": (lambda levels: "-" * (levels - 1) + "x1", 0),
+    "calls": (lambda levels: "sin(" * (levels - 1) + "x1" + ")" * (levels - 1), 0),
+    "exponent": (lambda levels: " ^ ".join(["x1"] * levels), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NESTED))
+def test_expression_depth_limit(name):
+    nested, at = _NESTED[name]
+    tree = P.parse_expression(nested(_LIMIT), ["x1"]).tree
+    assert _depth(tree) == (1 if name == "parentheses" else _LIMIT)
+    with pytest.raises(P.ExpressionSyntaxError, match="nested deeper than 64") as err:
+        P.parse_expression(nested(_LIMIT + 1), ["x1"], line=3, col0=1)
+    assert (err.value.line, err.value.col) == (3, 1 + at)
+
+
+def test_gradients_of_trees_at_the_depth_limit_evaluate():
+    # a power with a variable exponent takes its base's derivative four
+    # levels down: y's derivative of ((x1 ^ y) ^ y) ^ ... is about four
+    # times as deep as the expression
+    text = "x1"
+    for _ in range(_LIMIT - 1):
+        text = f"({text}) ^ y"
+    expr = P.parse_expression(text, ["x1", "y"])
+    assert _depth(expr.tree) == _LIMIT
+    grad = expr.derivative("y")
+    assert _depth(grad.tree) > 3 * _LIMIT
+    x1, y = np.array([1.1]), np.array([1.05])
+    got = grad.evaluate({"x1": x1, "y": y})
+    # the tree is x1 ^ (y ^ 63), whose y derivative is this
+    power = y ** (_LIMIT - 1)
+    want = x1**power * np.log(x1) * (_LIMIT - 1) * y ** (_LIMIT - 2)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_empty_control_box_rejected():
     bad = EXAMPLE_CONFIG.replace("lo = 0.0", "lo = 1.0").replace("hi = 1.0", "hi = 0.0")
     with pytest.raises(P.ConfigError, match="empty control box"):
@@ -105,11 +158,17 @@ def test_unknown_key_reported_before_missing_section():
         (EXAMPLE_CONFIG.replace("lo = 0.0", "lo = -inf"), "lo must be finite", (11, 6)),
         (EXAMPLE_CONFIG.replace("hi = 1.0", "hi = nan"), "hi must be finite", (12, 6)),
         (EXAMPLE_CONFIG + "\n[initial]\nt = 0.0\nx = nan\n", "x must be finite", (22, 5)),
+        # a literal that overflows: its own column in the expression
+        (
+            EXAMPLE_CONFIG.replace('"x1 - y"', '"x1 - 1e999 * y"'),
+            "numeric literal '1e999' must be finite",
+            (17, 11),
+        ),
     ],
     ids=[
         "key", "coefficient", "section", "control_box", "initial_t", "horizon",
         "zero_n", "negative_k", "lipschitz_hint",
-        "infinite_T", "infinite_lo", "nan_hi", "nan_x",
+        "infinite_T", "infinite_lo", "nan_hi", "nan_x", "infinite_literal",
     ],
 )
 def test_config_errors_carry_a_line(bad, match, where):
