@@ -198,11 +198,19 @@ def solve_adjoint(spec, batch, backward):
 
 
 def hamiltonian_gradient_u(spec, t, x, y, z, u, p, q, k):
-    """dH/du = b_u^T p - q f_u + sum_j (sigma_u^j)^T k^j along a batch."""
+    """dH/du = b_u^T p - q f_u + sum_j (sigma_u^j)^T k^j along a batch.
+
+    The q f_u and sigma_u k terms are skipped when their control gradient
+    is identically zero (`spec.zero_u_gradients`): each is then an exact
+    0 times finite values, so only the sign of a zero entry can differ.
+    """
     hu = np.einsum("mal,ma->ml", spec.drift_u(t, x, u), p)
-    scratch = q[:, None] * spec.driver_u(t, x, y, z, u)
-    hu -= scratch
-    hu += np.einsum("majl,maj->ml", spec.diffusion_u(t, x, u), k, out=scratch)
+    scratch = None
+    if "driver_u" not in spec.zero_u_gradients:
+        scratch = q[:, None] * spec.driver_u(t, x, y, z, u)
+        hu -= scratch
+    if "diffusion_u" not in spec.zero_u_gradients:
+        hu += np.einsum("majl,maj->ml", spec.diffusion_u(t, x, u), k, out=scratch)
     return hu
 
 

@@ -7,7 +7,8 @@ Given a simulated PathBatch, the pair (Y, Z) of
 is approximated by backward recursion with empirical conditional
 expectations: at each step the projection E_hat[. | X_i] is least-squares
 regression onto global polynomials in the state of total degree p_deg
-(ridge-regularized), with
+(ridge-regularized), or the plain path mean where X_i holds one state
+on every path (the start, or a state absorbed at 0), with
 
     Z_i = E_hat[Y_{i+1} dW_i | X_i] / dt,
     Y_i = E_hat[Y_{i+1} | X_i] + f(t_i, X_i, Y_reg, Z_i, u) dt,
@@ -16,8 +17,9 @@ where the driver consumes the regressed continuation value (explicit
 scheme).  Passing n_picard > 0 re-evaluates the driver at the updated Y
 that many times (implicit refinement).  A regression is a deterministic
 function of its state row, so a run of steps whose rows hold the same
-bits shares one (e.g. a state absorbed at 0).  The cost J = -Y(t) comes
-with the standard error of the pathwise value's mean, std / sqrt(M).
+bits shares one (e.g. a state absorbed at 0).  A deterministic start
+gives a constant Y(t) by construction.  The cost J = -Y(t) comes with the
+standard error of the pathwise value's mean, std / sqrt(M).
 """
 
 from __future__ import annotations
@@ -67,10 +69,17 @@ class _StepRegression:
     root mean square `scale` (a zero row by 1), so the ridge term (1e-8
     times the trace of that scaled Gram matrix) weighs every monomial alike
     and shrinks a fit by about 1e-8 times the basis size whatever the
-    states' spread; it makes degenerate designs -- e.g. a deterministic
-    state column -- fall back to the plain mean.  The scaling acts on the
-    (P, P) system only.  `basis` rebuilds the (P, M) `design` bit for bit,
-    so a kept projection may drop it.
+    states' spread.  The scaling acts on the (P, P) system only.  `basis`
+    rebuilds the (P, M) `design` bit for bit, so a kept projection may
+    drop it.
+
+    A row that holds one state on every path (`constant`) has the path
+    mean as its exact conditional expectation: it keeps no design, Gram
+    matrix, scale or Cholesky factor, `basis` builds nothing, `fit`
+    returns the targets' mean broadcast read-only over the paths, and
+    `condition` is 1.0.  Such a row's sd is its mean's rounding error,
+    at most M ulps of |mu|, so only rows under that bound pay for the
+    exact test.
     """
 
     def __init__(self, x, degree):
@@ -78,6 +87,13 @@ class _StepRegression:
         self.degree = degree
         self.mu = x.mean(axis=0)
         sd = x.std(axis=0)
+        self.constant = bool(
+            np.all(sd <= x.shape[0] * np.finfo(float).eps * np.abs(self.mu))
+            and np.ptp(x, axis=0).max() == 0.0
+        )
+        if self.constant:
+            self.design, self.condition = None, 1.0
+            return
         self.sd = np.where(sd > 1e-300, sd, 1.0)
         self.design = self.basis(x)
         gram = self.design @ self.design.T
@@ -91,7 +107,9 @@ class _StepRegression:
 
     def basis(self, x):
         """Standardized monomials of the (M, n) states x: the (P, M)
-        design, one C-contiguous row per monomial."""
+        design, one C-contiguous row per monomial; None on a constant row."""
+        if self.constant:
+            return None
         t = (x - self.mu) / self.sd
         monomials = _monomials(x.shape[1], self.degree)
         design = np.empty((len(monomials), x.shape[0]))
@@ -105,6 +123,8 @@ class _StepRegression:
     def fit(self, targets, design=None):
         """Fitted values at the design points, (M,) or (M, q) like the
         targets; `design` is a (P, M) `basis`."""
+        if self.constant:
+            return np.broadcast_to(targets.mean(axis=0), targets.shape)
         design = self.design if design is None else design
         scale = self.scale.reshape(self.scale.shape + (1,) * (np.ndim(targets) - 1))
         rhs = design @ targets / scale
@@ -123,11 +143,13 @@ class BackwardSolution:
     grid: object
     y: np.ndarray  # (M, N+1)
     z: np.ndarray  # (M, N, d)
-    conditions: np.ndarray  # per-step condition estimate of the Gram matrix
+    # per-step condition estimate of the Gram matrix; 1.0 on a constant row
+    conditions: np.ndarray
     pathwise_value: np.ndarray  # (M,) terminal + summed driver; CostReport's stderr
-    # (N,) step i's _StepRegression (mu, sd, scale, Cholesky factor, condition)
-    # with its design dropped; consecutive steps whose state rows hold the
-    # same bits share one object.  The adjoint pass projects with the same ones
+    # (N,) step i's _StepRegression (mu, sd, scale, Cholesky factor, condition;
+    # mu alone on a constant row) with its design dropped; consecutive steps
+    # whose state rows hold the same bits share one object.  The adjoint pass
+    # projects with the same ones
     regressions: list
 
 
@@ -185,10 +207,6 @@ def solve_backward(spec, batch, p_deg, n_picard=0):
             raise ProblemError(f"non-finite Y or Z at step {i}")
         driver_sum += fdt
     reg.design = None
-
-    # deterministic start: the time-t conditional expectation is a constant
-    if np.ptp(x[0], axis=0).max() == 0.0:
-        y[0] = y[0].mean()
 
     return BackwardSolution(
         grid=batch.grid,

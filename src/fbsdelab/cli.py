@@ -9,8 +9,6 @@ Subcommands:
   table   rerun the stages behind one metric across values of one
           numerical parameter (M, N, J or p_deg) and write a
           (value, metric) CSV.
-  oracle  print tabulated closed-form reference values for the builtin
-          benchmark problem.
 
 Each stage is a function `(config, state) -> (metrics, passed, writers)`
 listed in `STAGE_FUNCTIONS` next to `STAGE_DEPS`.  `state` holds the
@@ -33,9 +31,9 @@ therefore fails `jets`.
 
 Exit codes: 0 all selected checks pass, 1 numerical failure in a stage
 (a failed artifact write included), 2 configuration error: bad options or
-config, an unreadable problem file, an output directory that cannot be
-made, or oracle times outside 0 <= t <= T, T > 0.  Reruns with an
-identical command line produce byte-identical outputs.
+config, an unreadable problem file, or an output directory that cannot
+be made.  Reruns with an identical command line produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -128,17 +126,26 @@ def _max_abs_error(rows, exact):
     return float(np.max(np.abs(extremes - exact)))
 
 
+def _distinct_paths(q):
+    """solve_q's (M, N+1) q with the number of paths each of its rows
+    stands for: its first path alone, for all M, when q is one column
+    broadcast over the paths (stride 0), else q itself, one each."""
+    return (q[:1], q.shape[0]) if q.strides[0] == 0 else (q, 1)
+
+
 def _q_max_error(q, grid, t0):
     """max |q - e^{t0 - s}| of solve_q's (M, N+1) q: the example31 oracle."""
-    return _max_abs_error(q.swapaxes(0, 1), np.exp(t0 - grid.times))
+    _, q_exact, _ = oracles.example31_adjoint(t0, grid.times)
+    return _max_abs_error(_distinct_paths(q)[0].swapaxes(0, 1), q_exact)
 
 
 def _adjoint_stage(config, state):
     spec, batch, sol = state["spec"], state["batch"], state["backward"]
     triple = state["adjoint"] = adjoint_mod.solve_adjoint(spec, batch, sol)
     mc = adjoint_mod.check_maximum_condition(spec, batch, sol, triple)
-    q_path_min = triple.q.swapaxes(0, 1).min(axis=0)  # (M,), over time-major rows
-    n_bad = int(np.count_nonzero(q_path_min <= 0.0))
+    q, copies = _distinct_paths(triple.q)
+    q_path_min = q.swapaxes(0, 1).min(axis=0)  # per path, over time-major rows
+    n_bad = int(np.count_nonzero(q_path_min <= 0.0)) * copies
     metrics = {
         "q_min": float(q_path_min.min()),
         "q_nonpositive_paths": n_bad,
@@ -147,10 +154,11 @@ def _adjoint_stage(config, state):
     }
     if state["oracle"]:
         grid, t0 = triple.grid, state["t0"]
+        p_exact, _, _ = oracles.example31_adjoint(t0, grid.times)
         p0 = triple.p.swapaxes(0, 1)[:, :, 0]  # (N+1, M)
         k = triple.k.swapaxes(0, 1)
         metrics["q_max_error"] = _q_max_error(triple.q, grid, t0)
-        metrics["p_max_error"] = _max_abs_error(p0, -np.exp(t0 - grid.times))
+        metrics["p_max_error"] = _max_abs_error(p0, p_exact)
         metrics["k_max_abs"] = _max_abs_error(k.reshape(k.shape[0], -1), 0.0)
     return metrics, n_bad == 0 and mc.passed, [
         ("adjoint.csv", lambda path: adjoint_mod.adjoint_csv(triple, mc, path)),
@@ -401,7 +409,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--builtin", help="builtin problem id (see `oracle`)")
+        p.add_argument(
+            "--builtin", help="builtin problem id: " + ", ".join(problem_mod.builtin_names())
+        )
         p.add_argument(
             "--problem", dest="problem_path", help="path to a problem config file"
         )
@@ -430,12 +440,6 @@ def _build_parser():
     table_p.add_argument(
         "--values", required=True, help="comma-separated parameter values"
     )
-
-    oracle_p = sub.add_parser(
-        "oracle", help="print closed-form benchmark reference values"
-    )
-    oracle_p.add_argument("--T", type=float, default=1.0)
-    oracle_p.add_argument("--t", type=float, default=0.0)
     return parser
 
 
@@ -446,32 +450,10 @@ def _config_from_args(args):
     return ExperimentConfig(**options)
 
 
-def _print_oracle(t, horizon):
-    if not (0.0 <= t <= horizon and 0.0 < horizon < float("inf")):
-        msg = f"oracle needs 0 <= t <= T with finite T > 0, got t = {t}, T = {horizon}"
-        raise problem_mod.ConfigError(msg)
-    print(f"benchmark example31 reference values (t = {t}, T = {horizon})")
-    print("value function V(t, x):")
-    for x in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        print(f"  x = {x:+.1f}: {oracles.example31_value(t, x, horizon):+.6f}")
-    print("adjoint triple (p, q, k)(s) and jets of V at the optimal state:")
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        s = t + frac * (horizon - t)
-        p, q, k = oracles.example31_adjoint(t, s)
-        _, (lo, hi) = oracles.example31_jets(s, horizon)
-        print(
-            f"  s = {s:.3f}: p = {p:+.6f}, q = {q:.6f}, k = {k:.1f}, "
-            f"super-jet [{lo:+.4f}, {hi:+.4f}], sub-jet empty"
-        )
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "oracle":
-            _print_oracle(args.t, args.T)
-            return 0
         config = _config_from_args(args)
         if args.command == "run":
             code, summary = run_experiment(config)

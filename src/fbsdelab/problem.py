@@ -469,6 +469,9 @@ class ProblemSpec:
     on its own slab of paths or its own time steps.  `f_y_variables`
     names what the derived f_y reads: with no x, y or z among them and no
     z in `f_variables`, `adjoint.solve_q` keeps q as one column.
+    `zero_u_gradients` names which of diffusion_u and driver_u have the
+    constant 0 as every derived entry; `adjoint.hamiltonian_gradient_u`
+    skips their terms.
     """
 
     n: int
@@ -487,6 +490,7 @@ class ProblemSpec:
     sigma_variables: frozenset
     f_variables: frozenset
     f_y_variables: frozenset
+    zero_u_gradients: frozenset
     # b_x (..., n, n), sigma_x (..., n, d, n), f_x (..., n), f_y (...,), f_z
     # (..., d), phi_x (..., n), b_u (..., n, k), sigma_u (..., n, d, k), f_u
     # (..., k); spec_from_expressions derives them
@@ -614,6 +618,7 @@ def spec_from_expressions(
         return [ex.derivative(v) for ex in exprs for v in names]
 
     f_y = f_expr.derivative("y")
+    sigma_u, f_u = grad(sig_exprs, su), grad([f_expr], su)
 
     return ProblemSpec(
         n=n,
@@ -633,12 +638,16 @@ def spec_from_expressions(
         driver_z=_evaluator(grad([f_expr], sz), (d,), f_args),
         terminal_x=_evaluator(grad([phi_expr], sx), (n,), (sx,)),
         drift_u=_evaluator(grad(b_exprs, su), (n, k), bs_args),
-        diffusion_u=_evaluator(grad(sig_exprs, su), (n, d, k), bs_args),
-        driver_u=_evaluator(grad([f_expr], su), (k,), f_args),
+        diffusion_u=_evaluator(sigma_u, (n, d, k), bs_args),
+        driver_u=_evaluator(f_u, (k,), f_args),
         b_variables=b_vars,
         sigma_variables=sig_vars,
         f_variables=f_expr.variables,
         f_y_variables=f_y.variables,
+        zero_u_gradients=frozenset(
+            name for name, exprs in (("diffusion_u", sigma_u), ("driver_u", f_u))
+            if all(ex.tree == _ZERO for ex in exprs)
+        ),
         name=name,
     )
 

@@ -1,5 +1,6 @@
 """Test-only probes of the library: moment bounds under a shifted start,
-and one implicit HJB step.  Imported by the tests, never collected."""
+one implicit HJB step, and example31's closed-form jets.  Imported by the
+tests, never collected."""
 
 from dataclasses import dataclass
 
@@ -105,3 +106,13 @@ def sweep_step(spec, xs, v, t, dt):
     """One implicit step of a value row from time t to t - dt, its policy
     started from the rows that maximize G at v."""
     return hjb._Sweep(spec, xs, problem.control_grid(spec)).step(v, t, dt)[0]
+
+
+def example31_jets(s, horizon):
+    """(sub-jet, super-jet interval) of example31's V at the optimal state
+    x = 0, time s.
+
+    The sub-jet is empty for every s (returned as None); the super-jet
+    is the interval [-(T-s)-1, -1], degenerating to {-1} at s = T.
+    """
+    return None, (-(horizon - s) - 1.0, -1.0)

@@ -77,7 +77,7 @@ def test_criterion_3_connection_theorem(pipeline_optimal, vgrid400, spec31):
     ratio_ok = all(abs(r.pq_inv_median + 1.0) <= 2e-2 for r in rep.records)
     hausdorff = []
     for r in rep.records:
-        lo, hi = oracles.example31_jets(r.s, 1.0)[1]
+        lo, hi = probes.example31_jets(r.s, 1.0)[1]
         hausdorff.append(max(abs(r.superjet.lo - lo), abs(r.superjet.hi - hi)))
     jets_ok = max(hausdorff) <= 2e-2
     sub_ok = all(r.subjet.kind == "empty" for r in rep.records)

@@ -558,6 +558,56 @@ def test_max_condition_zero_on_optimal_pair(spec31, zero_control):
     assert rep.passed
 
 
+def test_kink_pair_projects_by_the_plain_mean(spec31, zero_control):
+    # example31 from 0: X = 0 on every path, so each projection is the
+    # exact path mean; the ridge's shrinkage (about 3e-7 here) is gone, and
+    # p = -q and k = 0 hold to rounding
+    batch, sol = _pipeline(spec31, zero_control, [0.0], 50, 2000, seed=1)
+    triple = A.solve_adjoint(spec31, batch, sol)
+    assert np.all(sol.conditions == 1.0)
+    assert np.max(np.abs(triple.p[:, :, 0] + triple.q)) <= 1e-14
+    assert np.max(np.abs(triple.k)) <= 1e-12
+
+
+def test_deterministic_start_gives_a_constant_y0():
+    # the reversed config problem from x0 = 0.3: row 0 holds one state, so
+    # its projection is the plain mean and Y(t) is one value on every path
+    spec, (t0, x0) = P.parse_problem(_CONFIG_TEXT.replace("x = 1.0", "x = 0.3"))
+    grid = F.TimeGrid(t0, 1.0, 20)
+    batch = F.simulate_forward(spec, 0.0, t0, x0, grid, 3000, seed=3)
+    sol = B.solve_backward(spec, batch, 3, n_picard=2)
+    assert sol.regressions[0].constant and not sol.regressions[1].constant
+    assert sol.conditions[0] == 1.0 and sol.conditions[1] > 1.0
+    assert np.ptp(sol.y[:, 0]) == 0.0 and np.ptp(sol.z[:, 0]) == 0.0
+    assert np.ptp(sol.y[:, 1]) > 0.0
+
+
+@pytest.mark.parametrize("problem", ["example31", "reversed"])
+def test_zero_control_gradients_skip_their_terms(spec31, problem):
+    # f_u and sigma_u fold to 0 on both pairs: skipping q f_u and sigma_u k
+    # leaves the residuals of the unskipped formula, up to the sign of a 0
+    if problem == "example31":
+        spec, n_picard = spec31, 0
+    else:
+        spec, n_picard = P.parse_problem(_CONFIG_TEXT)[0], 2
+    assert spec.zero_u_gradients == {"driver_u", "diffusion_u"}
+    grid = F.TimeGrid(0.0, 1.0, 20)
+    batch = F.simulate_forward(spec, 0.0, 0.0, [1.0], grid, 2000, seed=5)
+    sol = B.solve_backward(spec, batch, 3, n_picard=n_picard)
+    triple = A.solve_adjoint(spec, batch, sol)
+    unskipped = dataclasses.replace(spec, zero_u_gradients=frozenset())
+    p, q, k = (a.swapaxes(0, 1) for a in (triple.p, triple.q, triple.k))
+    for i in range(grid.steps):
+        args = A._gradient_args(batch, sol, i, grid.times) + (batch.control,)
+        hu = [A.hamiltonian_gradient_u(s, *args, p[i], q[i], k[i]) for s in (spec, unskipped)]
+        assert np.any(hu[0] != 0.0) and np.all(hu[0] == hu[1])
+    reports = [
+        A.check_maximum_condition(s, batch, sol, triple) for s in (spec, unskipped)
+    ]
+    assert np.all(reports[0].residuals == reports[1].residuals)
+    assert np.all(reports[0].stderrs == reports[1].stderrs)
+
+
 def test_max_condition_flags_suboptimal_pair(pipeline_suboptimal, spec31):
     pipe = pipeline_suboptimal
     rep = A.check_maximum_condition(spec31, pipe["batch"], pipe["sol"], pipe["triple"])

@@ -160,16 +160,17 @@ def test_cost_constant_policies_match_oracle(spec31):
     assert "seed" in rep0.to_json()
 
 
-def test_rank_deficient_condition_within_the_ridge_bound(spec31, zero_control):
-    # every state is 0, so each scaled Gram matrix is diag(M, 0, 0, 0) and
-    # the ridge 1e-8 M alone lifts its zero eigenvalues: the condition
-    # number sits at 1 + 1 / _RIDGE_SCALE, its largest value
-    grid = F.TimeGrid(0.0, 1.0, 5)
-    batch = F.simulate_forward(spec31, zero_control, 0.0, [0.0], grid, 50, seed=1)
-    sol = B.solve_backward(spec31, batch, 3)
-    bound = 1.0 + 1.0 / B._RIDGE_SCALE
-    assert np.all(sol.conditions <= bound * (1.0 + 1e-12))
-    assert np.all(sol.conditions >= bound * (1.0 - 1e-12))
+def test_rank_deficient_condition_within_the_ridge_bound():
+    # states on the two values -1, 1 span a two-dimensional space, so at
+    # degree 3 (t^2 = 1, t^3 = t) the scaled Gram matrix has eigenvalues
+    # 2M, 2M, 0, 0 and the ridge 4e-8 M alone lifts the zero ones: the
+    # condition number is 1 + 1 / (2 _RIDGE_SCALE), under the bound
+    # 1 + 1 / _RIDGE_SCALE of any spread design
+    x = np.tile([-1.0, 1.0], 25)[:, None]
+    reg = B._StepRegression(x, 3)
+    assert not reg.constant
+    assert reg.condition <= (1.0 + 1.0 / B._RIDGE_SCALE) * (1.0 + 1e-12)
+    assert reg.condition == pytest.approx(1.0 + 0.5 / B._RIDGE_SCALE, rel=1e-6)
 
 
 def test_non_finite_y_refused_at_its_step():
@@ -260,11 +261,41 @@ def test_design_products_match_pow_reference(n):
 
 @pytest.mark.parametrize("n, value", [(1, 0.0), (2, 0.0), (1, 1.7), (2, -3.0)])
 def test_design_exact_on_constant_states(n, value):
-    # the pipeline's X = 0 paths standardize to t = 0: every column is exact
+    # the pipeline's X = 0 paths hold one state: the projection is the plain
+    # path mean, with no design to build
     x = np.full((300, n), value)
     reg = B._StepRegression(x, 3)
-    assert np.array_equal(reg.basis(x), _pow_design(reg, x).T)
-    assert np.array_equal(reg.design, reg.basis(x))
+    assert reg.design is None and reg.basis(x) is None
+    targets = np.random.default_rng(4).normal(0.0, 1.0, 300)
+    assert np.array_equal(reg.fit(targets), np.full(300, targets.mean()))
+
+
+@pytest.mark.parametrize("value", [0.0, 0.3, -3.0])
+@pytest.mark.parametrize("n", [1, 2])
+def test_constant_states_project_by_the_plain_mean(n, value):
+    # 0.3 at M = 50000 has a rounding-level sd (its mean is not exact); the
+    # fit is still the targets' mean bit for bit, broadcast read-only
+    m = 50000
+    x = np.full((m, n), value)
+    reg = B._StepRegression(x, 3)
+    assert reg.constant and reg.design is None and reg.condition == 1.0
+    rng = np.random.default_rng(5)
+    for targets in (rng.normal(0.0, 1.0, m), rng.normal(0.0, 1.0, (m, 3))):
+        fitted = reg.fit(targets, reg.basis(x))
+        assert fitted.shape == targets.shape and not fitted.flags.writeable
+        assert fitted.strides[0] == 0
+        mean = targets.mean(axis=0)
+        assert np.array_equal(fitted, np.broadcast_to(mean, targets.shape))
+        assert fitted[0].tobytes() == np.asarray(mean).tobytes()
+
+
+def test_one_spread_coordinate_keeps_the_ridge_fit():
+    # the plain mean needs every coordinate constant: one spread coordinate
+    # keeps the polynomial design
+    x = np.zeros((400, 2))
+    x[:, 1] = np.random.default_rng(6).normal(0.0, 1.0, 400)
+    reg = B._StepRegression(x, 3)
+    assert not reg.constant and reg.design.shape == (10, 400)
 
 
 def test_same_row_compares_bits():

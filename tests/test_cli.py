@@ -470,23 +470,6 @@ def test_table_requires_builtin(tmp_path):
     assert "ground truth" in res.stderr
 
 
-def test_oracle_subcommand(tmp_path):
-    res = _run(["oracle", "--T", "1.0"], tmp_path)
-    assert res.returncode == 0
-    assert "super-jet [-2.0000, -1.0000]" in res.stdout
-    assert "q = 1.000000" in res.stdout
-
-
-@pytest.mark.parametrize(
-    "args", [["--t", "2", "--T", "1"], ["--T", "0"], ["--t", "-0.5"], ["--T", "inf"]]
-)
-def test_oracle_bad_times_exit_two_before_printing(capsys, args):
-    assert cli.main(["oracle", *args]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "configuration error: oracle needs 0 <= t <= T" in err
-
-
 @pytest.mark.parametrize(
     "args, match",
     [
@@ -587,6 +570,26 @@ def test_row_wise_metrics_and_writers_match_full_array_formulas(tmp_path, x0):
     assert _csv_column(tmp_path / "backward.csv", "mean_abs_z")[:-1] == column(z_norm)
     k_norm = np.linalg.norm(triple.k, axis=(-2, -1)).mean(axis=0)
     assert _csv_column(tmp_path / "adjoint.csv", "mean_abs_k")[:-1] == column(k_norm)
+
+
+@pytest.mark.parametrize("f, bad", [("x1 - y", False), ("x1 - 30 * y", True)])
+def test_q_metrics_of_a_broadcast_column_match_full_array_formulas(tmp_path, f, bad):
+    # q is one column broadcast over the paths; its metrics read that column
+    # alone and equal the (N+1, M) formulas, the count of paths included
+    # (f_y dt = -3 sends 1 + f_y dt below 0)
+    (tmp_path / "p.cfg").write_text(_problem_text(["x1 * u1"], ["x1"], f, "x1"))
+    config = cli.ExperimentConfig(problem_path=str(tmp_path / "p.cfg"), m_paths=300, n_steps=10)
+    state = cli._start_state(config)
+    for stage in (cli._forward_stage, cli._backward_stage, cli._adjoint_stage):
+        metrics, _, _ = stage(config, state)
+    q = state["adjoint"].q
+    assert q.strides[0] == 0
+    assert metrics["q_min"] == float(q.min())
+    assert metrics["q_nonpositive_paths"] == int(np.count_nonzero(q.min(axis=1) <= 0.0))
+    assert metrics["q_nonpositive_paths"] == (300 if bad else 0)
+    assert cli._q_max_error(q, state["batch"].grid, 0.0) == float(
+        np.max(np.abs(q - np.exp(-state["batch"].grid.times)))
+    )
 
 
 def test_table_n_stops_after_solve_q(monkeypatch):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 
 import numpy as np
+import probes
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,7 +102,7 @@ def test_connection_full_pipeline(pipeline_optimal, vgrid400, spec31):
     for record in rep.records:
         assert record.pq_inv_median == pytest.approx(-1.0, abs=2e-2)
         assert record.subjet.kind == "empty"
-        lo, hi = oracles.example31_jets(record.s, 1.0)[1]
+        lo, hi = probes.example31_jets(record.s, 1.0)[1]
         assert abs(record.superjet.lo - lo) <= 2e-2
         assert abs(record.superjet.hi - hi) <= 2e-2
 

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import probes
 import pytest
 
 from fbsdelab import oracles
@@ -35,20 +36,20 @@ def test_adjoint_ratio_is_minus_one():
 
 
 def test_jet_sets():
-    sub, sup = oracles.example31_jets(0.0, 1.0)
+    sub, sup = probes.example31_jets(0.0, 1.0)
     assert sub is None
     assert sup == (-2.0, -1.0)
-    sub, sup = oracles.example31_jets(1.0, 1.0)
+    sub, sup = probes.example31_jets(1.0, 1.0)
     assert sup == (-1.0, -1.0)
     # sub-jet empty at every time
     for s in np.linspace(0.0, 1.0, 9):
-        assert oracles.example31_jets(s, 1.0)[0] is None
+        assert probes.example31_jets(s, 1.0)[0] is None
 
 
 def test_ratio_in_superjet_endpoint():
     for s in np.linspace(0.1, 1.0, 10):
         p, q, _ = oracles.example31_adjoint(0.1, s)
-        lo, hi = oracles.example31_jets(s, 1.0)[1]
+        lo, hi = probes.example31_jets(s, 1.0)[1]
         assert lo - 1e-14 <= p / q <= hi + 1e-14
         assert p / q == pytest.approx(hi)
 

@@ -477,6 +477,22 @@ def test_builtin_gradients_are_their_closed_forms():
             assert np.array_equal(g, w), name
 
 
+def test_zero_control_gradients_recorded():
+    # sigma_u or f_u is recorded as zero when every entry folds to 0:
+    # sigma = 1.5 - u1 (the sigma(u) pair) has sigma_u = -1, f = y * u1 has
+    # f_u = y, 0 * u1 folds to 0, and 0.5 - 0.5 is left unfolded
+    def zeros(sigma, f):
+        spec = P.spec_from_expressions(
+            1, 1, 1, 1.0, [0.5], [1.0], ["0 * u1"], [sigma], f, "x1 * x1"
+        )
+        return spec.zero_u_gradients
+
+    assert zeros("1", "0 * y") == {"diffusion_u", "driver_u"}
+    assert zeros("1.5 - u1", "0 * y") == {"driver_u"}
+    assert zeros("1", "y * u1") == {"diffusion_u"}
+    assert zeros("0.5 * u1 - 0.5 * u1", "0 * u1") == {"driver_u"}
+
+
 def test_spec_without_a_gradient_is_rejected(spec31):
     # every gradient is a required field
     fields = {
