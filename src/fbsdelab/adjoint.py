@@ -226,10 +226,8 @@ class MaxConditionReport:
     simulated under.
     """
 
-    times: np.ndarray
     residuals: np.ndarray
     stderrs: np.ndarray
-    tol: float
     worst: float
     passed: bool
 
@@ -247,9 +245,8 @@ def check_maximum_condition(spec, batch, backward, triple):
     pass allowance is _TOL_MC plus four standard errors of that corner's
     path average, so Monte Carlo noise does not trigger false failures.
 
-    The steps are independent: step i runs on worker i mod W, over all
-    paths, so the residuals and standard errors are bit-identical at any
-    worker count W, and the earliest failing step's error is raised.
+    The steps run in order on the calling thread, so the earliest failing
+    step's error is raised.
     """
     lo = spec.control_lo - batch.control
     hi = spec.control_hi - batch.control
@@ -261,22 +258,18 @@ def check_maximum_condition(spec, batch, backward, triple):
     u_bar = batch.control
     p, q, k = (a.swapaxes(0, 1) for a in (triple.p, triple.q, triple.k))
 
-    def step(i, *_):  # over all paths, whatever range it is given
+    for i in range(n_steps):
         s, x, y, z = _gradient_args(batch, backward, i, times)
         hu = hamiltonian_gradient_u(spec, s, x, y, z, u_bar, p[i], q[i], k[i])
         mean = hu.mean(axis=0)
         inner = np.dot(hu, np.where(hi * mean < lo * mean, hi, lo))
         residuals[i] = inner.mean()
         stderrs[i] = inner.std() / np.sqrt(batch.n_paths)
-
-    forward._run_steps(step, n_steps, batch.n_paths, interleave=True)
     allowance = _TOL_MC + 4.0 * stderrs
     passed = bool(np.all(residuals >= -allowance))
     return MaxConditionReport(
-        times=times[:n_steps],
         residuals=residuals,
         stderrs=stderrs,
-        tol=_TOL_MC,
         worst=float(residuals.min()),
         passed=passed,
     )

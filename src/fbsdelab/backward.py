@@ -78,17 +78,18 @@ class _StepRegression:
     matrix, scale or Cholesky factor, `basis` builds nothing, `fit`
     returns the targets' mean broadcast read-only over the paths, and
     `condition` is 1.0.  Such a row's sd is its mean's rounding error,
-    at most M ulps of |mu|, so only rows under that bound pay for the
-    exact test.
+    at most M ulps of |mu|, so only rows under that bound, or whose sd
+    overflows to inf, pay for the exact test.
     """
 
     def __init__(self, x, degree):
         x = np.asarray(x, dtype=float)
         self.degree = degree
         self.mu = x.mean(axis=0)
-        sd = x.std(axis=0)
+        with np.errstate(over="ignore"):  # an sd that overflows is inf
+            sd = x.std(axis=0)
         self.constant = bool(
-            np.all(sd <= x.shape[0] * np.finfo(float).eps * np.abs(self.mu))
+            np.all((sd <= x.shape[0] * np.finfo(float).eps * np.abs(self.mu)) | np.isinf(sd))
             and np.ptp(x, axis=0).max() == 0.0
         )
         if self.constant:

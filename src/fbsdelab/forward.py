@@ -14,8 +14,7 @@ chunking at block boundaries.
 Work that is independent across paths runs on every usable core: the
 increments, the Euler loop and the adjoint's q recursion are split into
 path slabs cut at block boundaries, one per worker, each running its
-whole time loop; the maximum condition deals its independent steps out
-round-robin.  Every element is computed by the same operations on the
+whole time loop.  Every element is computed by the same operations on the
 same inputs whatever the split, so every result is bit-identical at any
 worker count, and a failure raises the error the serial loop would: the
 earliest failing step, rerun on all paths, so that within a step an
@@ -169,32 +168,23 @@ def _run_parts(fn, parts):
     return results
 
 
-def _run_steps(step, n_steps, n_paths, interleave=False):
-    """step(i, lo, hi) for every step i < n_steps and paths [lo, hi), on
-    every worker.
+def _run_steps(step, n_steps, n_paths):
+    """step(i, lo, hi) for every step i < n_steps, each path slab
+    [lo, hi) of `_slabs` running every step in order on its own worker.
 
-    By default each path slab (`_slabs`) runs every step in order on its
-    own worker; with `interleave` worker j runs steps j, j + W, ... over
-    all paths.  A part stops at its first failing step.  The earliest
-    failing step is then rerun on all paths, which raises the error the
-    serial loop raises.
+    A slab stops at its first failing step.  The earliest failing step is
+    then rerun on all paths, which raises the error the serial loop raises.
     """
-    if interleave:
-        w = min(_WORKERS, n_steps)
-        parts = [(range(j, n_steps, w), (0, n_paths)) for j in range(w)]
-    else:
-        parts = [(range(n_steps), slab) for slab in _slabs(n_paths)]
 
-    def run(part):
-        steps, (lo, hi) = part
-        for i in steps:
+    def run(slab):
+        for i in range(n_steps):
             try:
-                step(i, lo, hi)
+                step(i, *slab)
             except Exception as exc:
                 return i, exc
         return None
 
-    failed = [r for r in _run_parts(run, parts) if r is not None]
+    failed = [r for r in _run_parts(run, _slabs(n_paths)) if r is not None]
     if failed:
         i, exc = min(failed, key=lambda r: r[0])
         step(i, 0, n_paths)  # raises what the serial loop raised

@@ -466,9 +466,9 @@ class ProblemSpec:
     The batch shape is x's, so one (k,) control serves a whole batch.
     All evaluators are deterministic and safe to share between workers:
     the Monte Carlo kernels call them from several threads at once, each
-    on its own slab of paths or its own time steps.  `f_y_variables`
-    names what the derived f_y reads: with no x, y or z among them and no
-    z in `f_variables`, `adjoint.solve_q` keeps q as one column.
+    on its own slab of paths.  `f_y_variables` names what the derived f_y
+    reads: with no x, y or z among them and no z in `f_variables`,
+    `adjoint.solve_q` keeps q as one column.
     `zero_u_gradients` names which of diffusion_u and driver_u have the
     constant 0 as every derived entry; `adjoint.hamiltonian_gradient_u`
     skips their terms.

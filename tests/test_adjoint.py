@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import threading
 import types
 
 import numpy as np
@@ -162,7 +163,7 @@ def test_q_error_is_the_serial_loops_at_any_worker_count(monkeypatch, f, serial,
 
 
 def test_max_condition_raises_the_earliest_steps_error(monkeypatch, spec31, zero_control):
-    # steps 5 and 6 fail; at two workers step 6 is the first part's
+    # steps 5 and 6 fail; step 5's error is raised at any worker count
     batch, sol = _pipeline(spec31, zero_control, [1.0], 10, 200, seed=3)
     triple = A.solve_adjoint(spec31, batch, sol)
     times = batch.grid.times
@@ -209,24 +210,49 @@ phi = "x1"
 
 def test_results_bit_identical_at_any_worker_count(monkeypatch):
     # 2,500 paths are two full blocks and a partial one; N = 25 is a
-    # multiple of neither 2 nor 3
-    spec, _ = P.parse_problem(_CONFIG_TEXT)
+    # multiple of neither 2 nor 3.  The config problem keeps q as one
+    # column; smooth1d's driver reads z, so its q runs the per-path slabs
     grid = F.TimeGrid(0.0, 1.0, 25)
-    runs = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(F, "_WORKERS", workers)
-        increments = F.generate_increments(grid, 2500, 1, seed=5)
-        batch = F.simulate_forward(spec, 0.0, 0.0, [1.0], grid, 2500, seed=5)
-        sol = B.solve_backward(spec, batch, 3, n_picard=2)
-        triple = A.solve_adjoint(spec, batch, sol)
-        report = A.check_maximum_condition(spec, batch, sol, triple)
-        runs.append((
-            increments, batch.increments, batch.states, triple.q, triple.p,
-            triple.k, report.residuals, report.stderrs,
-        ))
-    assert np.all(np.isfinite(runs[0][-2])) and np.ptp(runs[0][2]) > 0
-    for other in runs[1:]:
-        assert all(np.array_equal(a, b) for a, b in zip(runs[0], other))
+    for spec, x0, n_picard in (
+        (P.parse_problem(_CONFIG_TEXT)[0], 1.0, 2),
+        (P.builtin_problem("smooth1d"), 0.3, 0),
+    ):
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(F, "_WORKERS", workers)
+            increments = F.generate_increments(grid, 2500, 1, seed=5)
+            batch = F.simulate_forward(spec, 0.0, 0.0, [x0], grid, 2500, seed=5)
+            sol = B.solve_backward(spec, batch, 3, n_picard=n_picard)
+            triple = A.solve_adjoint(spec, batch, sol)
+            report = A.check_maximum_condition(spec, batch, sol, triple)
+            runs.append((
+                increments, batch.increments, batch.states, triple.q, triple.p,
+                triple.k, report.residuals, report.stderrs,
+            ))
+        assert np.all(np.isfinite(runs[0][-2])) and np.ptp(runs[0][2]) > 0
+        if spec.name == "smooth1d":
+            _assert_time_major_view(runs[0][3])
+            assert np.ptp(runs[0][3][:, -1]) > 0
+        for other in runs[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(runs[0], other))
+
+
+def test_max_condition_starts_no_thread(monkeypatch):
+    # the steps run in order on the calling thread, whatever the worker count
+    spec = P.builtin_problem("smooth1d")
+    batch, sol = _pipeline(spec, 0.0, [0.3], 25, 2500, seed=5)
+    triple = A.solve_adjoint(spec, batch, sol)
+    monkeypatch.setattr(F, "_WORKERS", 1)
+    serial = A.check_maximum_condition(spec, batch, sol, triple)
+
+    def refuse(self):
+        raise AssertionError("check_maximum_condition started a thread")
+
+    monkeypatch.setattr(F, "_WORKERS", 2)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    report = A.check_maximum_condition(spec, batch, sol, triple)
+    assert np.array_equal(report.residuals, serial.residuals)
+    assert np.array_equal(report.stderrs, serial.stderrs)
 
 
 def _outputs(monkeypatch, spec, batch, n_picard=0):

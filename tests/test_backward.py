@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import probes
 import pytest
@@ -270,14 +272,17 @@ def test_design_exact_on_constant_states(n, value):
     assert np.array_equal(reg.fit(targets), np.full(300, targets.mean()))
 
 
-@pytest.mark.parametrize("value", [0.0, 0.3, -3.0])
+@pytest.mark.parametrize("value", [0.0, 0.3, -3.0, 1e200, -3e170])
 @pytest.mark.parametrize("n", [1, 2])
 def test_constant_states_project_by_the_plain_mean(n, value):
     # 0.3 at M = 50000 has a rounding-level sd (its mean is not exact); the
-    # fit is still the targets' mean bit for bit, broadcast read-only
+    # fit is still the targets' mean bit for bit, broadcast read-only.  The
+    # sd of 1e200 or -3e170 overflows to inf without a warning
     m = 50000
     x = np.full((m, n), value)
-    reg = B._StepRegression(x, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reg = B._StepRegression(x, 3)
     assert reg.constant and reg.design is None and reg.condition == 1.0
     rng = np.random.default_rng(5)
     for targets in (rng.normal(0.0, 1.0, m), rng.normal(0.0, 1.0, (m, 3))):
