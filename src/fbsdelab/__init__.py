@@ -15,7 +15,7 @@ The package re-exports nothing; import its submodules:
   hjb       monotone finite-difference HJB solver, CFL rule, value grid
   jets      super- and sub-jet estimates and the p q^-1 connection check
   oracles   closed-form reference values of the builtin example31
-  cli       the `fbsdelab` command line: run, table, oracle
+  cli       the `fbsdelab` command line: run, table
 """
 
 __version__ = "0.1.0"

@@ -2,8 +2,8 @@
 
 The scalar multiplier q solves a forward linear SDE driven by the driver
 gradients (q(t) = 1); when f_y reads no path variable and f reads no z
-that SDE is an ODE in time, and q is kept as one column broadcast over
-the paths.  (p, k) solve the linear backward equation
+that SDE is an ODE in time, and q is solved on one path and broadcast
+over the others.  (p, k) solve the linear backward equation
 
     -dp = [b_x^T p - f_x^T q + sigma_x k] ds - k dW,
      p(T) = -phi_x(X(T))^T q(T),
@@ -46,9 +46,8 @@ class AdjointTriple:
     p[:, N] = -phi_x(X_N)^T q_N by construction.  The solvers store
     path-major views of time-major (N+1, M, n), (N+1, M) and (N, M, n, d)
     buffers; readers index `field.swapaxes(0, 1)[i]`, which works on plain
-    path-major arrays too.  q may instead be a read-only broadcast of one
-    (N+1,) column, stride 0 along the paths (`solve_q`), so readers never
-    write into it.
+    path-major arrays too.  q is read-only, and may be a broadcast of one
+    path's row, stride 0 along the paths (`solve_q`, `_distinct_paths`).
     """
 
     grid: object
@@ -57,11 +56,10 @@ class AdjointTriple:
     k: np.ndarray
 
 
-def _gradient_args(batch, backward, i, times, rows=slice(None)):
-    """(s, x, y, z) along the batch's `rows` at step i < N; `times` is the
-    grid's, which the solvers build once per solve."""
+def _gradient_args(batch, backward, i, rows=slice(None)):
+    """(s, x, y, z) along the batch's `rows` at step i < N."""
     return (
-        times[i],
+        batch.grid.times[i],
         batch.states.swapaxes(0, 1)[i, rows],
         backward.y.swapaxes(0, 1)[i, rows],
         backward.z.swapaxes(0, 1)[i, rows],
@@ -84,46 +82,30 @@ def solve_q(spec, batch, backward):
     f_z) are returned as they are, never clipped; the CLI's adjoint stage
     counts the paths that reach them.
 
-    When f_y reads no path variable (x, y, z) and f reads no z, q is one
-    deterministic curve: the recursion runs once per step on one column,
-    serially, with f_y evaluated on path 0's arguments, and the result is
-    the read-only (M, N+1) broadcast of that column (stride 0 along the
-    paths).  The f_z dW term it skips only adds +0.0 there, and the
-    column keeps the per-path operation order, so q's bits are those of
-    the per-path loop.
+    Each path slab runs the whole time loop on its own worker
+    (`forward._run_steps`), so q is bit-identical at any worker count,
+    and the error raised is the serial loop's: within a step an
+    evaluator's error comes before "non-finite q at step i".
 
-    Every other driver runs the per-path loop: each path slab runs the
-    whole time loop on its own worker (`forward._run_steps`), so q is
-    bit-identical at any worker count.  Either way the error raised is
-    the serial loop's, so within a step an evaluator's error comes
-    before "non-finite q at step i".
+    When f_y reads no path variable (x, y, z) and f reads no z, q is one
+    deterministic curve: the same step runs on path 0 alone, on the
+    calling thread, and the result is the read-only (M, N+1) broadcast
+    of that one row (stride 0 along the paths; `_distinct_paths`).  Its
+    f_z dW term only adds +-0.0 there, so q's bits are those of the
+    loop over every path.
     """
     m = batch.n_paths
     n_steps = batch.grid.steps
     dt = batch.grid.dt
-    times = batch.grid.times
     u = batch.control
-
-    if _q_is_one_curve(spec):
-        col = np.empty(n_steps + 1)
-        col[0] = 1.0
-        for i in range(n_steps):
-            s, x, y, z = _gradient_args(batch, backward, i, times, slice(0, 1))
-            out = col[i + 1 : i + 2]
-            np.multiply(spec.driver_y(s, x, y, z, u), dt, out=out)
-            out += 1.0
-            out *= col[i]
-            if not np.isfinite(out[0]):
-                raise ProblemError(f"non-finite q at step {i + 1}")
-        return np.broadcast_to(col[:, None], (n_steps + 1, m)).swapaxes(0, 1)
-
+    rows = 1 if _q_is_one_curve(spec) else m
     dw = batch.increments.swapaxes(0, 1)
-    q = np.empty((n_steps + 1, m))
+    q = np.empty((n_steps + 1, rows))
     q[0] = 1.0
-    noise = np.empty(m)  # each slab writes its own entries
+    noise = np.empty(rows)  # each slab writes its own entries
 
     def step(i, lo, hi):
-        s, x, y, z = _gradient_args(batch, backward, i, times, slice(lo, hi))
+        s, x, y, z = _gradient_args(batch, backward, i, slice(lo, hi))
         fy = spec.driver_y(s, x, y, z, u)
         fz = spec.driver_z(s, x, y, z, u)
         # q_{i+1} = q_i ((1 + f_y dt) + f_z . dW), built in its own row
@@ -135,8 +117,15 @@ def solve_q(spec, batch, backward):
         if not np.all(np.isfinite(out)):
             raise ProblemError(f"non-finite q at step {i + 1}")
 
-    forward._run_steps(step, n_steps, m)
-    return q.swapaxes(0, 1)
+    forward._run_steps(step, n_steps, rows)
+    return np.broadcast_to(q, (n_steps + 1, m)).swapaxes(0, 1)
+
+
+def _distinct_paths(q):
+    """solve_q's (M, N+1) q with the number of paths each of its rows
+    stands for: its first path alone, for all M, when q is one row
+    broadcast over the paths (stride 0), else q itself, one each."""
+    return (q[:1], q.shape[0]) if q.strides[0] == 0 else (q, 1)
 
 
 def solve_pk(spec, batch, backward, q):
@@ -154,7 +143,6 @@ def solve_pk(spec, batch, backward, q):
     states = batch.states.swapaxes(0, 1)
     dw = batch.increments.swapaxes(0, 1)
     q = q.swapaxes(0, 1)  # (N+1, M) from here on
-    times = batch.grid.times
 
     p = np.empty((n_steps + 1, m, n))
     k = np.empty((n_steps, m, n, d))
@@ -175,7 +163,7 @@ def solve_pk(spec, batch, backward, q):
         fit = reg.fit(k[i].reshape(m, n * d), design)
         np.divide(fit.reshape(m, n, d), dt, out=k[i])
 
-        s, x, y, z = _gradient_args(batch, backward, i, times)
+        s, x, y, z = _gradient_args(batch, backward, i)
         bx = spec.drift_x(s, x, u)  # (M, n, n)
         fx = spec.driver_x(s, x, y, z, u)  # (M, n)
         sx = spec.diffusion_x(s, x, u)  # (M, n, d, n)
@@ -251,7 +239,6 @@ def check_maximum_condition(spec, batch, backward, triple):
     lo = spec.control_lo - batch.control
     hi = spec.control_hi - batch.control
     n_steps = batch.grid.steps
-    times = batch.grid.times
 
     residuals = np.empty(n_steps)
     stderrs = np.empty(n_steps)
@@ -259,7 +246,7 @@ def check_maximum_condition(spec, batch, backward, triple):
     p, q, k = (a.swapaxes(0, 1) for a in (triple.p, triple.q, triple.k))
 
     for i in range(n_steps):
-        s, x, y, z = _gradient_args(batch, backward, i, times)
+        s, x, y, z = _gradient_args(batch, backward, i)
         hu = hamiltonian_gradient_u(spec, s, x, y, z, u_bar, p[i], q[i], k[i])
         mean = hu.mean(axis=0)
         inner = np.dot(hu, np.where(hi * mean < lo * mean, hi, lo))

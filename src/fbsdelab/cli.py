@@ -126,24 +126,17 @@ def _max_abs_error(rows, exact):
     return float(np.max(np.abs(extremes - exact)))
 
 
-def _distinct_paths(q):
-    """solve_q's (M, N+1) q with the number of paths each of its rows
-    stands for: its first path alone, for all M, when q is one column
-    broadcast over the paths (stride 0), else q itself, one each."""
-    return (q[:1], q.shape[0]) if q.strides[0] == 0 else (q, 1)
-
-
 def _q_max_error(q, grid, t0):
     """max |q - e^{t0 - s}| of solve_q's (M, N+1) q: the example31 oracle."""
     _, q_exact, _ = oracles.example31_adjoint(t0, grid.times)
-    return _max_abs_error(_distinct_paths(q)[0].swapaxes(0, 1), q_exact)
+    return _max_abs_error(adjoint_mod._distinct_paths(q)[0].swapaxes(0, 1), q_exact)
 
 
 def _adjoint_stage(config, state):
     spec, batch, sol = state["spec"], state["batch"], state["backward"]
     triple = state["adjoint"] = adjoint_mod.solve_adjoint(spec, batch, sol)
     mc = adjoint_mod.check_maximum_condition(spec, batch, sol, triple)
-    q, copies = _distinct_paths(triple.q)
+    q, copies = adjoint_mod._distinct_paths(triple.q)
     q_path_min = q.swapaxes(0, 1).min(axis=0)  # per path, over time-major rows
     n_bad = int(np.count_nonzero(q_path_min <= 0.0)) * copies
     metrics = {

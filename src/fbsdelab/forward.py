@@ -33,6 +33,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,10 +75,13 @@ class TimeGrid:
     def dt(self):
         return (self.end - self.start) / self.steps
 
-    @property
+    @cached_property
     def times(self):
-        # node `steps` lands on `end` exactly
-        return np.linspace(self.start, self.end, self.steps + 1)
+        """The steps + 1 nodes, computed once and read-only; node `steps`
+        lands on `end` exactly."""
+        times = np.linspace(self.start, self.end, self.steps + 1)
+        times.setflags(write=False)
+        return times
 
 
 @dataclass
@@ -114,10 +118,6 @@ class PathBatch:
     @property
     def n(self):
         return self.states.shape[2]
-
-    @property
-    def d(self):
-        return self.increments.shape[2]
 
 
 # paths per Philox stream, drawn in one pass through the path-major

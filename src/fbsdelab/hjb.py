@@ -83,11 +83,11 @@ side (`_substitute`); each node re-picks the row that maximizes
 B_u v - r_u, keeping its row on a tie, and the loop stops when no node
 changes.  With M-matrix rows the iteration converges in finitely many
 solves; past `_POLICY_SOLVES` solves a level raises PolicyError.  The
-sweep keeps its last factorization with the level's rows object and the
-policy it came from, and a solve factors again only when either
-changes: a problem whose rows ignore time keeps one `_Level` for the
-whole sweep, so a policy that settles and stays is factored once, while
-rows that depend on time are factored at every solve.  A re-pick first
+factorization is a term of the sweep's memo, like the level's rows, and
+a solve factors again only when the level or the policy changes: a
+problem whose rows ignore time keeps one factorization while its policy
+stays, so a policy that settles and stays is factored once, while rows
+that depend on time are factored at every solve.  A re-pick first
 tests the policy's rows against the per-node maximum and returns the
 policy itself when no node would move.  On example31 every level takes
 one solve, and the sweep one factorization.
@@ -299,20 +299,22 @@ class _Sweep:
 
     `hamiltonian` gives sup_u G at the nodes `xs`, the maximum of G's
     rows, one per control; it needs no grid spacing, so `xs` may be one
-    node.  `level` gives a time level's implicit rows and `step` one
-    implicit step by policy iteration, whose solves substitute
-    (`_substitute`) into the last factorization (`_factor`) while the
-    level object and the policy stay; `factorizations` counts the
-    factorizations made.  `slopes` gives a level's f_y and
-    monotonicity bound, `rule_dt` the N rule's dt and `passing_grid` the
-    rule's grid on `span` = [t_start, T].  `terminal_row` is -phi(x).
+    node.  `level` gives a time level's implicit rows, `factors` the
+    factorization (`_factor`) of a policy's rows and `step` one implicit
+    step by policy iteration, whose solves substitute (`_substitute`)
+    into `factors`; `factorizations` counts the factorizations made.
+    `slopes` gives a level's f_y and monotonicity bound, `rule_dt` the N
+    rule's dt and `passing_grid` the rule's grid on `span` =
+    [t_start, T].  `terminal_row` is -phi(x).
 
-    Each of b (`_drift`), sigma (`_diffusion`), the slopes, the N rule
-    and a level's rows is a method under `_per_level`, evaluated once per
-    time level, and once in all when the problem's expression variables
-    show it ignores time: b and sigma by their own expressions, the
-    slopes when b and f do and sigma too if f reads z, the rule when b
-    and the slopes do, a level's rows when all of b, sigma and f do.
+    Each of b (`_drift`), sigma (`_diffusion`), the slopes, the N rule,
+    a level's rows and their factorization is a method under
+    `_per_level`, kept while its time level and arguments stay, and
+    across time levels when the problem's expression variables show it
+    ignores time: b and sigma by their own expressions, the slopes when
+    b and f do and sigma too if f reads z, the rule when b and the
+    slopes do, a level's rows and factorization when all of b, sigma
+    and f do.
     `controls` (C, k) gives G's rows, one control per row.
     """
 
@@ -337,12 +339,10 @@ class _Sweep:
         static = {
             "_drift": b, "_diffusion": sigma, "slopes": slopes,
             "rule_dt": b and slopes, "level": b and sigma and f,
+            "factors": b and sigma and f,
         }
         self._static = {name for name, s in static.items() if s}
         self._memo = {}
-        # the last factorization: (the _Level it came from, the policy's
-        # bytes, `_factor`'s lists), and how many `step` has made
-        self._factored = None
         self.factorizations = 0
         shape = (len(controls), xs.size)
         self.x = np.broadcast_to(xs[None, :, None], shape + (1,))
@@ -457,8 +457,8 @@ class _Sweep:
         Returns (value row, policy, tridiagonal solves).  The policy
         iteration starts from `policy`, one row index per node, or, when
         it is None, from the rows that maximize G at v.  The rows are the
-        level's (`level`), and each solve substitutes into the kept
-        factorization (`_factors`).  A non-finite row or a zero pivot is
+        level's (`level`), and each solve substitutes into their
+        factorization (`factors`).  A non-finite row or a zero pivot is
         refused, and so is a policy that has not settled after
         `_POLICY_SOLVES` solves, each naming time level `index`.  v is
         differenced only where it is read: for z when the driver reads z
@@ -477,10 +477,11 @@ class _Sweep:
         if policy is None:
             policy = self._pick(rows, nd, fval if self.f_reads_zu else None, None)
         for solves in range(1, _POLICY_SOLVES + 1):
-            new = _substitute(
-                self._factors(rows, policy, index),
-                rhs[policy, self._nodes] if self.f_reads_zu else rhs,
-            )
+            try:
+                factors = self.factors(t, dt, policy.tobytes())
+            except ZeroDivisionError:
+                raise ProblemError(f"zero pivot at time level {index}") from None
+            new = _substitute(factors, rhs[policy, self._nodes] if self.f_reads_zu else rhs)
             if not np.isfinite(new).all():
                 raise ProblemError(f"non-finite value at time level {index}")
             extra = c - rows.f_y * new if self.f_reads_zu else None
@@ -490,21 +491,16 @@ class _Sweep:
             policy = settled
         raise PolicyError(index)
 
-    def _factors(self, rows, policy, index):
-        """`_factor` of `policy`'s rows of the level `rows`, kept until the
-        level object or the policy changes; a zero pivot is refused,
-        naming time level `index`."""
-        key = policy.tobytes()
-        kept = self._factored
-        if kept is None or kept[0] is not rows or kept[1] != key:
-            pick = (policy, self._nodes)
-            try:
-                factors = _factor(rows.lower[pick], rows.diag[pick], rows.upper[pick])
-            except ZeroDivisionError:
-                raise ProblemError(f"zero pivot at time level {index}") from None
-            self.factorizations += 1
-            kept = self._factored = rows, key, factors
-        return kept[2]
+    @_per_level
+    def factors(self, t, dt, policy):
+        """`_factor` of the rows of `level(t, dt)` that `policy`, an index
+        array's bytes, picks per node; a zero pivot raises
+        ZeroDivisionError."""
+        rows = self.level(t, dt)
+        pick = (np.frombuffer(policy, np.intp), self._nodes)
+        factors = _factor(rows.lower[pick], rows.diag[pick], rows.upper[pick])
+        self.factorizations += 1
+        return factors
 
 
 def solve_hjb_fd(spec, half_width, n_cells, grid):

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .adjoint import _distinct_paths
 from .problem import ProblemError
 
 
@@ -235,8 +236,10 @@ def verify_connection(spec, batch, triple, vgrid, check_times):
     """
     if spec.n != 1:
         raise JetError("connection verification requires a one-dimensional state")
-    # min |q| one time row at a time: no (N+1, M) temporary
-    if min(np.abs(row).min() for row in triple.q.swapaxes(0, 1)) < _Q_FLOOR:
+    # min |q| over the distinct paths, one time row at a time: no (N+1, M)
+    # temporary
+    q_rows = _distinct_paths(triple.q)[0].swapaxes(0, 1)
+    if min(np.abs(row).min() for row in q_rows) < _Q_FLOOR:
         raise QInvertibilityError(
             f"|q| below {_Q_FLOOR:g}; the ratio p q^-1 is not computable"
         )

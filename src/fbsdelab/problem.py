@@ -39,8 +39,9 @@ see also the CLI help)::
 
 Expressions may use s, x1..xn, y, z1..zd, u1..uk (per slot: b/sigma see
 s,x,u; f sees everything; phi sees x only), finite numeric literals,
-+ - * / ^, unary minus, and exp, log, sin, cos, sqrt, abs, min, max,
-nested at most `_MAX_DEPTH` (64) levels deep.
++ - * / ^ (^ may be written **; it is right-associative), unary minus
+and plus, and exp, log, sin, cos, sqrt, abs, min, max, nested at most
+`_MAX_DEPTH` (64) levels deep.
 """
 
 from __future__ import annotations
@@ -468,7 +469,7 @@ class ProblemSpec:
     the Monte Carlo kernels call them from several threads at once, each
     on its own slab of paths.  `f_y_variables` names what the derived f_y
     reads: with no x, y or z among them and no z in `f_variables`,
-    `adjoint.solve_q` keeps q as one column.
+    `adjoint.solve_q` solves q on one path and broadcasts it.
     `zero_u_gradients` names which of diffusion_u and driver_u have the
     constant 0 as every derived entry; `adjoint.hamiltonian_gradient_u`
     skips their terms.

@@ -426,7 +426,7 @@ def test_pk_projects_with_the_backward_regressions(deg):
         centered = triple.p[:, i + 1] - cont
         k = reg.fit(centered * batch.increments[:, i]) / dt
         assert np.array_equal(triple.k[:, i, :, 0], k)
-        s, x, y, z = A._gradient_args(batch, sol, i, batch.grid.times)
+        s, x, y, z = A._gradient_args(batch, sol, i)
         drift_term = (
             np.einsum("mab,ma->mb", spec.drift_x(s, x, u), cont)
             - spec.driver_x(s, x, y, z, u) * triple.q[:, i][:, None]
@@ -624,7 +624,7 @@ def test_zero_control_gradients_skip_their_terms(spec31, problem):
     unskipped = dataclasses.replace(spec, zero_u_gradients=frozenset())
     p, q, k = (a.swapaxes(0, 1) for a in (triple.p, triple.q, triple.k))
     for i in range(grid.steps):
-        args = A._gradient_args(batch, sol, i, grid.times) + (batch.control,)
+        args = A._gradient_args(batch, sol, i) + (batch.control,)
         hu = [A.hamiltonian_gradient_u(s, *args, p[i], q[i], k[i]) for s in (spec, unskipped)]
         assert np.any(hu[0] != 0.0) and np.all(hu[0] == hu[1])
     reports = [
@@ -669,7 +669,7 @@ def test_max_condition_is_the_box_minimum_off_unit_offsets():
     u_bar = np.broadcast_to(batch.control, (batch.n_paths, 2))
     for i in range(batch.grid.steps):
         hu = A.hamiltonian_gradient_u(
-            spec, *A._gradient_args(batch, sol, i, batch.grid.times), u_bar,
+            spec, *A._gradient_args(batch, sol, i), u_bar,
             p[i], q[i], k[i],
         )
         brute[i] = min((hu @ offset).mean() for offset in offsets)

@@ -14,6 +14,9 @@ def test_grid_nodes_hit_endpoints():
     assert grid.times[0] == 0.25
     assert grid.times[-1] == 1.0
     assert grid.dt == pytest.approx(0.25)
+    # computed once, and shared read-only
+    assert grid.times is grid.times and not grid.times.flags.writeable
+    assert np.array_equal(grid.times, np.linspace(0.25, 1.0, 4))
     with pytest.raises(F.SimulationError):
         F.TimeGrid(1.0, 1.0, 3)
     with pytest.raises(F.SimulationError):

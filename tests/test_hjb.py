@@ -136,12 +136,24 @@ _TWO_CONTROL_PROBLEMS = {
 }
 
 
+# one-control problems whose coefficients read time: (b, sigma, f)
+_TIME_PROBLEMS = {
+    # sigma grows with s, so each level has its own rows
+    "time_dependent": ("x1 * u1", "x1 * (1 + s)", "x1 - y + u1"),
+    # b alone reads s: so do the slopes, the N rule and the rows
+    "drift_time": ("x1 * u1 * (1 + s)", "x1", "x1 - y"),
+    # f reads s and z: the slopes read sigma and the N rule reads time
+    "driver_time_z": ("x1 * u1", "x1", "x1 - y + s * z1"),
+    # sigma reads s and f reads z: so do the slopes and the N rule
+    "diffusion_time_z": ("x1 * u1", "x1 * (1 + s)", "x1 - y + z1"),
+}
+
+
 def _sweep_problem(name):
-    if name == "time_dependent":
-        # sigma grows with s, so each level has its own rows
+    if name in _TIME_PROBLEMS:
+        b, sigma, f = _TIME_PROBLEMS[name]
         return P.spec_from_expressions(
-            1, 1, 1, 1.0, [0.0], [1.0], ["x1 * u1"], ["x1 * (1 + s)"],
-            "x1 - y + u1", "x1",
+            1, 1, 1, 1.0, [0.0], [1.0], [b], [sigma], f, "x1"
         ), 2.0
     if name in _TWO_CONTROL_PROBLEMS:
         b, sigma, f = _TWO_CONTROL_PROBLEMS[name]
@@ -435,6 +447,19 @@ def test_value_grid_exports(tmp_path, vgrid400):
     assert data["factorizations"] == vgrid400.factorizations == 1
 
 
+def test_value_grid_csv_appends_the_terminal_slice(tmp_path, spec31):
+    # 104 levels are written every 2nd, 0 to 102, and the last, 103, after
+    vgrid = H.solve_hjb_fd(spec31, 2.0, 40, F.TimeGrid(0.0, 1.0, 103))
+    csv = tmp_path / "grid.csv"
+    H.value_grid_csv(vgrid, csv)
+    lines = csv.read_text().splitlines()
+    assert len(lines) == 1 + 53 * 41
+    times = [float(line.split(",")[0]) for line in lines[1:]]
+    assert times[0] == 0.0 and times[-1] == 1.0
+    assert times[-42] == vgrid.grid.times[102]
+    assert [float(line.split(",")[2]) for line in lines[-41:]] == vgrid.values[-1].tolist()
+
+
 def test_each_row_differenced_once(spec31, vgrid400, monkeypatch):
     # f = x1 - y reads neither z nor u, so a step differences its known
     # row only for the first pick: one call for the terminal row and one
@@ -660,29 +685,54 @@ def test_factor_and_substitute_bit_identical_to_one_pass_thomas():
         H._factor(np.zeros(3), np.array([1.0, 0.0, 1.0]), np.zeros(3))
 
 
+def _level_terms(sweep, grid):
+    """Every array and number the sweep's per-level terms give at the
+    grid's levels, in the solve's order."""
+    terms = []
+    for t in grid.times[:0:-1]:
+        terms += [*sweep._drift(t), *sweep._diffusion(t), *sweep.slopes(t)]
+        terms += [sweep.rule_dt(t), *sweep.level(t, grid.dt)]
+    return terms
+
+
 @pytest.mark.parametrize(
     "name, n_cells",
-    [("example31", 400), ("two_controls_corners", 40), ("time_dependent", 40)],
+    [
+        ("example31", 400), ("two_controls_corners", 40), ("time_dependent", 40),
+        ("drift_time", 40), ("driver_time_z", 40), ("diffusion_time_z", 40),
+    ],
 )
 def test_kept_factorization_bit_identical_to_factoring_every_solve(
     name, n_cells, monkeypatch
 ):
+    # the reference replaces every `_per_level` term of the sweep by its
+    # undecorated function: no term is kept, so a static flag that wrongly
+    # keeps a term across time levels shows as a difference
     spec, half_width = _sweep_problem(name)
     grid = H.cfl_time_grid(spec, half_width, n_cells)
     kept = H.solve_hjb_fd(spec, half_width, n_cells, grid)
-    factors = H._Sweep._factors
-
-    def fresh(self, *args):
-        self._factored = None
-        return factors(self, *args)
-
-    monkeypatch.setattr(H._Sweep, "_factors", fresh)
+    terms = _level_terms(H._grid_sweep(spec, half_width, n_cells, 0.0), grid)
+    per_level = {
+        key: term.__wrapped__
+        for key, term in vars(H._Sweep).items()
+        if hasattr(term, "__wrapped__")
+    }
+    assert set(per_level) == {
+        "_drift", "_diffusion", "slopes", "rule_dt", "level", "factors"
+    }
+    for key, compute in per_level.items():
+        monkeypatch.setattr(H._Sweep, key, compute)
+    assert H.cfl_time_grid(spec, half_width, n_cells).steps == grid.steps
     ref = H.solve_hjb_fd(spec, half_width, n_cells, grid)
     assert np.array_equal(kept.values, ref.values)
     assert (kept.policy_solves, kept.max_level_solves) == (
         ref.policy_solves, ref.max_level_solves
     )
     assert ref.factorizations == ref.policy_solves
+    ref_terms = _level_terms(H._grid_sweep(spec, half_width, n_cells, 0.0), grid)
+    assert len(terms) == len(ref_terms)
+    for got, want in zip(terms, ref_terms):
+        assert np.array_equal(got, want)
     if name == "two_controls_corners":
         # levels that take several solves: a moved policy factors again,
         # a policy that stays across levels does not

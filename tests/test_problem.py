@@ -58,6 +58,22 @@ def test_expression_errors_point_at_the_token(text, col, match):
     assert (err.value.line, err.value.col) == (3, col)
 
 
+@pytest.mark.parametrize(
+    "text, same",
+    [
+        ("x1 ** 2", "x1 ^ 2"),
+        ("2 ** -x1 ** 2", "2 ^ (-(x1 ^ 2))"),
+        ("+x1 - +2", "x1 - 2"),
+        ("-+x1 * +3", "-x1 * 3"),
+    ],
+)
+def test_double_star_is_a_power_and_unary_plus_a_sign(text, same):
+    xs = {"x1": np.linspace(-2.0, 2.0, 9)}
+    got, want = (P.parse_expression(src, ["x1"]) for src in (text, same))
+    assert np.array_equal(got.evaluate(xs), want.evaluate(xs))
+    assert np.array_equal(got.derivative("x1").evaluate(xs), want.derivative("x1").evaluate(xs))
+
+
 def _depth(tree):
     """Nodes on the longest path from the root of `tree` to a leaf."""
     kind = tree[0]
@@ -164,11 +180,44 @@ def test_unknown_key_reported_before_missing_section():
             "numeric literal '1e999' must be finite",
             (17, 11),
         ),
+        # the layout of the file: a header's last column, else column 1
+        (
+            EXAMPLE_CONFIG.replace("[horizon]", "[horizon"),
+            "unterminated section header",
+            (7, 8),
+        ),
+        (EXAMPLE_CONFIG.replace("[horizon]", "[bogus]"), "unknown section", (7, 1)),
+        ("T = 1.0\n" + EXAMPLE_CONFIG, "key outside any section", (1, 1)),
+        (EXAMPLE_CONFIG.replace("T = 1.0", "T 1.0"), "expected key = value", (8, 1)),
+        (EXAMPLE_CONFIG.replace("T = 1.0", "T = 1.0\nT = 2.0"), "duplicate key", (9, 1)),
+        (EXAMPLE_CONFIG + 'b2 = "x1"\n', "unknown coefficient key 'b2'", (19, 1)),
+        # a value of the wrong kind: its own column
+        (EXAMPLE_CONFIG.replace("n = 1", "n = 1.5"), "must be an integer", (3, 5)),
+        (
+            EXAMPLE_CONFIG.replace("lo = 0.0", "lo = 0.0, 1.0"),
+            "must have 1 comma-separated values",
+            (11, 6),
+        ),
+        (EXAMPLE_CONFIG.replace("lo = 0.0", "lo = zero"), "must be numeric", (11, 6)),
+        # an expression's errors: the token's column in the file
+        (EXAMPLE_CONFIG.replace('"x1 - y"', '"foo(x1) - y"'), "unknown function", (17, 6)),
+        (
+            EXAMPLE_CONFIG.replace('"x1 - y"', '"min(x1) - y"'),
+            "takes two arguments",
+            (17, 6),
+        ),
+        (EXAMPLE_CONFIG.replace('"x1 - y"', '"x1 y"'), "trailing input", (17, 9)),
+        (EXAMPLE_CONFIG.replace('"x1 - y"', '"(x1 - y"'), "expected '\\)'", (17, 13)),
+        (EXAMPLE_CONFIG.replace('"x1 - y"', '"x1 -"'), "unexpected end", (17, 10)),
     ],
     ids=[
         "key", "coefficient", "section", "control_box", "initial_t", "horizon",
         "zero_n", "negative_k", "lipschitz_hint",
         "infinite_T", "infinite_lo", "nan_hi", "nan_x", "infinite_literal",
+        "unterminated_header", "unknown_section", "key_before_section",
+        "no_equals", "duplicate_key", "unknown_coefficient",
+        "fractional_n", "lo_count", "lo_text",
+        "unknown_function", "min_arity", "trailing_input", "open_paren", "early_end",
     ],
 )
 def test_config_errors_carry_a_line(bad, match, where):
