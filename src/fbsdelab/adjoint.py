@@ -1,9 +1,9 @@
 """Adjoint process triple (p, q, k) along a simulated optimal trajectory.
 
 The scalar multiplier q solves a forward linear SDE driven by the driver
-gradients (q(t) = 1); when f_y reads no path variable and f reads no z
-that SDE is an ODE in time, and q is solved on one path and broadcast
-over the others.  (p, k) solve the linear backward equation
+gradients (q(t) = 1); when f_y reads no path variable and f_z is
+identically 0 that SDE is an ODE in time, and q is solved on one path
+and broadcast over the others.  (p, k) solve the linear backward equation
 
     -dp = [b_x^T p - f_x^T q + sigma_x k] ds - k dW,
      p(T) = -phi_x(X(T))^T q(T),
@@ -21,10 +21,10 @@ axis the end whose offset has the smaller product with mean H_u, the
 lower end on a tie.
 
 (p, k) project with the regressions the backward pass fitted at each
-step (`BackwardSolution.regressions`), rebuilding the design only when
-the state row changes; the martingale integrand k is regressed from the
-centered increment (p_{i+1} - E_hat[p_{i+1}]) dW, which removes the
-O(1/sqrt(M dt)) noise of the raw product estimator.
+step (`BackwardSolution.regressions`), building each step's design at
+its state row (none on a constant row); the martingale integrand k is
+regressed from the centered increment (p_{i+1} - E_hat[p_{i+1}]) dW,
+which removes the O(1/sqrt(M dt)) noise of the raw product estimator.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forward
-from .backward import _same_row
 from .problem import ProblemError
 
 
@@ -67,32 +66,33 @@ def _gradient_args(batch, backward, i, rows=slice(None)):
 
 
 def _q_is_one_curve(spec):
-    """True when q is the same on every path: f_y reads no x, y or z and f
-    reads no z, so dq = f_y q ds is an ODE in s alone."""
-    return not {"x", "y", "z"} & {v[0] for v in spec.f_y_variables} and not any(
-        v[0] == "z" for v in spec.f_variables
-    )
+    """True when q is the same on every path: f_y reads no x, y or z and f_z
+    is identically 0, so dq = f_y q ds is an ODE in s alone."""
+    return "driver_z" in spec.zero_gradients and not {"x", "y", "z"} & {
+        v[0] for v in spec.f_y_variables
+    }
 
 
 def solve_q(spec, batch, backward):
     """Forward Euler for dq = f_y q ds + f_z q dW from q(t) = 1.
 
-    Uses the batch's stored Brownian increments.  Nonpositive values
-    (the stochastic exponential should stay positive for bounded f_y,
-    f_z) are returned as they are, never clipped; the CLI's adjoint stage
-    counts the paths that reach them.
+    Uses the batch's stored Brownian increments, and skips the f_z dW
+    term where f_z is identically 0 (`spec.zero_gradients`): it would
+    only add +-0.0 to each row.  Nonpositive values (the stochastic
+    exponential should stay positive for bounded f_y, f_z) are returned
+    as they are, never clipped; the CLI's adjoint stage counts the paths
+    that reach them.
 
     Each path slab runs the whole time loop on its own worker
     (`forward._run_steps`), so q is bit-identical at any worker count,
     and the error raised is the serial loop's: within a step an
     evaluator's error comes before "non-finite q at step i".
 
-    When f_y reads no path variable (x, y, z) and f reads no z, q is one
-    deterministic curve: the same step runs on path 0 alone, on the
-    calling thread, and the result is the read-only (M, N+1) broadcast
-    of that one row (stride 0 along the paths; `_distinct_paths`).  Its
-    f_z dW term only adds +-0.0 there, so q's bits are those of the
-    loop over every path.
+    When f_y reads no path variable (x, y, z) and f_z is identically 0,
+    q is one deterministic curve: the same step runs on path 0 alone, on
+    the calling thread, and the result is the read-only (M, N+1)
+    broadcast of that one row (stride 0 along the paths;
+    `_distinct_paths`), with the bits of the loop over every path.
     """
     m = batch.n_paths
     n_steps = batch.grid.steps
@@ -103,16 +103,17 @@ def solve_q(spec, batch, backward):
     q = np.empty((n_steps + 1, rows))
     q[0] = 1.0
     noise = np.empty(rows)  # each slab writes its own entries
+    with_fz = "driver_z" not in spec.zero_gradients
 
     def step(i, lo, hi):
         s, x, y, z = _gradient_args(batch, backward, i, slice(lo, hi))
-        fy = spec.driver_y(s, x, y, z, u)
-        fz = spec.driver_z(s, x, y, z, u)
         # q_{i+1} = q_i ((1 + f_y dt) + f_z . dW), built in its own row
         out = q[i + 1, lo:hi]
-        np.multiply(fy, dt, out=out)
+        np.multiply(spec.driver_y(s, x, y, z, u), dt, out=out)
         out += 1.0
-        out += np.einsum("md,md->m", fz, dw[i, lo:hi], out=noise[lo:hi])
+        if with_fz:
+            fz = spec.driver_z(s, x, y, z, u)
+            out += np.einsum("md,md->m", fz, dw[i, lo:hi], out=noise[lo:hi])
         out *= q[i, lo:hi]
         if not np.all(np.isfinite(out)):
             raise ProblemError(f"non-finite q at step {i + 1}")
@@ -132,9 +133,9 @@ def solve_pk(spec, batch, backward, q):
     """Regression solve for (p, k) with the backward pass's projections.
 
     q is solve_q's (M, N+1) result; p (M, N+1, n) and k (M, N, n, d)
-    are returned as path-major views of time-major buffers.  Step i
-    rebuilds its (P, M) design only when its regression is not step
-    i+1's object or its state row differs from step i+1's in any bit.
+    are returned as path-major views of time-major buffers.  Each step
+    builds its regression's (P, M) design at its own state row, and none
+    on a constant row.
     """
     m = batch.n_paths
     n_steps = batch.grid.steps
@@ -151,11 +152,9 @@ def solve_pk(spec, batch, backward, q):
     scratch = np.empty((m, n))
     u = batch.control
 
-    reg = None
     for i in range(n_steps - 1, -1, -1):
-        prev, reg = reg, backward.regressions[i]
-        if reg is not prev or not _same_row(states[i], states[i + 1]):
-            design = reg.basis(states[i])
+        reg = backward.regressions[i]
+        design = reg.basis(states[i])
         cont = reg.fit(p[i + 1], design)  # (M, n)
         # k's targets are built in k[i], from the centered value in p[i]
         centered = np.subtract(p[i + 1], cont, out=p[i])
@@ -189,15 +188,15 @@ def hamiltonian_gradient_u(spec, t, x, y, z, u, p, q, k):
     """dH/du = b_u^T p - q f_u + sum_j (sigma_u^j)^T k^j along a batch.
 
     The q f_u and sigma_u k terms are skipped when their control gradient
-    is identically zero (`spec.zero_u_gradients`): each is then an exact
+    is identically zero (`spec.zero_gradients`): each is then an exact
     0 times finite values, so only the sign of a zero entry can differ.
     """
     hu = np.einsum("mal,ma->ml", spec.drift_u(t, x, u), p)
     scratch = None
-    if "driver_u" not in spec.zero_u_gradients:
+    if "driver_u" not in spec.zero_gradients:
         scratch = q[:, None] * spec.driver_u(t, x, y, z, u)
         hu -= scratch
-    if "diffusion_u" not in spec.zero_u_gradients:
+    if "diffusion_u" not in spec.zero_gradients:
         hu += np.einsum("majl,maj->ml", spec.diffusion_u(t, x, u), k, out=scratch)
     return hu
 

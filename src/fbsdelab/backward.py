@@ -15,10 +15,8 @@ on every path (the start, or a state absorbed at 0), with
 
 where the driver consumes the regressed continuation value (explicit
 scheme).  Passing n_picard > 0 re-evaluates the driver at the updated Y
-that many times (implicit refinement).  A regression is a deterministic
-function of its state row, so a run of steps whose rows hold the same
-bits shares one (e.g. a state absorbed at 0).  A deterministic start
-gives a constant Y(t) by construction.  The cost J = -Y(t) comes with the
+that many times (implicit refinement).  A deterministic start gives a
+constant Y(t) by construction.  The cost J = -Y(t) comes with the
 standard error of the pathwise value's mean, std / sqrt(M).
 """
 
@@ -49,12 +47,6 @@ def _monomials(n, degree):
     ]
 
 
-def _same_row(a, b):
-    """Whether two float arrays hold the same bits, compared through an
-    integer view without a copy; 0.0 and -0.0 differ."""
-    return np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 class _StepRegression:
     """Ridge-regularized polynomial projection onto functions of X_i.
 
@@ -77,24 +69,20 @@ class _StepRegression:
     mean as its exact conditional expectation: it keeps no design, Gram
     matrix, scale or Cholesky factor, `basis` builds nothing, `fit`
     returns the targets' mean broadcast read-only over the paths, and
-    `condition` is 1.0.  Such a row's sd is its mean's rounding error,
-    at most M ulps of |mu|, so only rows under that bound, or whose sd
-    overflows to inf, pay for the exact test.
+    `condition` is 1.0.  The test is exact, one comparison of every path
+    with path 0 made before any mean or sd: 0.0 and -0.0 are one state,
+    and a path one ulp off spreads the row.
     """
 
     def __init__(self, x, degree):
         x = np.asarray(x, dtype=float)
         self.degree = degree
-        self.mu = x.mean(axis=0)
-        with np.errstate(over="ignore"):  # an sd that overflows is inf
-            sd = x.std(axis=0)
-        self.constant = bool(
-            np.all((sd <= x.shape[0] * np.finfo(float).eps * np.abs(self.mu)) | np.isinf(sd))
-            and np.ptp(x, axis=0).max() == 0.0
-        )
+        self.constant = bool((x == x[0]).all())
         if self.constant:
             self.design, self.condition = None, 1.0
             return
+        self.mu = x.mean(axis=0)
+        sd = x.std(axis=0)
         self.sd = np.where(sd > 1e-300, sd, 1.0)
         self.design = self.basis(x)
         gram = self.design @ self.design.T
@@ -147,10 +135,9 @@ class BackwardSolution:
     # per-step condition estimate of the Gram matrix; 1.0 on a constant row
     conditions: np.ndarray
     pathwise_value: np.ndarray  # (M,) terminal + summed driver; CostReport's stderr
-    # (N,) step i's _StepRegression (mu, sd, scale, Cholesky factor, condition;
-    # mu alone on a constant row) with its design dropped; consecutive steps
-    # whose state rows hold the same bits share one object.  The adjoint pass
-    # projects with the same ones
+    # (N,) step i's _StepRegression (mu, sd, scale, Cholesky factor, condition)
+    # with its design dropped: one object per step; nothing but `constant` and
+    # `condition` on a constant row.  The adjoint pass projects with the same ones
     regressions: list
 
 
@@ -166,10 +153,9 @@ def solve_backward(spec, batch, p_deg, n_picard=0):
     n_picard : extra driver passes at the updated Y (0 = explicit scheme).
 
     Returns a BackwardSolution with Y[:, N] = phi(X[:, N]) exactly.  A
-    non-finite Y or Z raises ProblemError naming its step.  Step i reuses
-    step i+1's regression, design included, when X_i holds the same bits
-    as X_{i+1}; a design is dropped once its run of rows ends, so one
-    (P, M) design is alive at a time.
+    non-finite Y or Z raises ProblemError naming its step.  Each step
+    builds its own regression and drops its design after the step's fits,
+    so one (P, M) design is alive at a time.
     """
     if p_deg < 0:
         raise ProblemError("p_deg must be >= 0")
@@ -188,17 +174,13 @@ def solve_backward(spec, batch, p_deg, n_picard=0):
     fdt = np.empty(m)  # f dt of the step's last driver pass
     u = batch.control
 
-    reg = None
     for i in range(n_steps - 1, -1, -1):
-        if reg is None or not _same_row(x[i], x[i + 1]):
-            if reg is not None:
-                reg.design = None  # (P, M) per step is too much to keep
-            reg = _StepRegression(x[i], p_deg)
-        regressions[i] = reg
+        reg = regressions[i] = _StepRegression(x[i], p_deg)
         conditions[i] = reg.condition
         np.multiply(y[i + 1][:, None], dw[i], out=z[i])  # the fit's targets
         np.divide(reg.fit(z[i]), dt, out=z[i])
         cont = reg.fit(y[i + 1])
+        reg.design = None  # (P, M) per step is too much to keep
         y_drv = cont  # the driver's y: the regressed value, then y[i]
         for _ in range(n_picard + 1):
             np.multiply(spec.driver(times[i], x[i], y_drv, z[i], u), dt, out=fdt)
@@ -207,7 +189,6 @@ def solve_backward(spec, batch, p_deg, n_picard=0):
         if not (np.isfinite(y[i]).all() and np.isfinite(z[i]).all()):
             raise ProblemError(f"non-finite Y or Z at step {i}")
         driver_sum += fdt
-    reg.design = None
 
     return BackwardSolution(
         grid=batch.grid,

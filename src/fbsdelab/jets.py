@@ -277,7 +277,9 @@ def verify_connection(spec, batch, triple, vgrid, check_times):
             ladder = [h for h in ladder if h <= max_h and h >= vgrid.dx]
             if len(ladder) < 2:
                 raise JetError(
-                    f"value grid too small to probe jets at x = {xs[j]}"
+                    f"value grid too coarse to probe jets at x = {xs[j]}: fewer "
+                    f"than two ladder steps are at least dx = {vgrid.dx} and at "
+                    f"most {max_h}, the distance to the grid's edge"
                 )
             est = estimate_jets_1d((xs, v_row), xs[j], ladder)
             if j == med_node:

@@ -467,12 +467,12 @@ class ProblemSpec:
     The batch shape is x's, so one (k,) control serves a whole batch.
     All evaluators are deterministic and safe to share between workers:
     the Monte Carlo kernels call them from several threads at once, each
-    on its own slab of paths.  `f_y_variables` names what the derived f_y
-    reads: with no x, y or z among them and no z in `f_variables`,
+    on its own slab of paths.  `zero_gradients` names which of
+    diffusion_u, driver_u and driver_z have the constant 0 as every
+    derived entry: `adjoint.hamiltonian_gradient_u` skips their terms, and
+    `adjoint.solve_q` skips f_z dW.  `f_y_variables` names what the
+    derived f_y reads: with no x, y or z among them and f_z identically 0,
     `adjoint.solve_q` solves q on one path and broadcasts it.
-    `zero_u_gradients` names which of diffusion_u and driver_u have the
-    constant 0 as every derived entry; `adjoint.hamiltonian_gradient_u`
-    skips their terms.
     """
 
     n: int
@@ -491,7 +491,7 @@ class ProblemSpec:
     sigma_variables: frozenset
     f_variables: frozenset
     f_y_variables: frozenset
-    zero_u_gradients: frozenset
+    zero_gradients: frozenset
     # b_x (..., n, n), sigma_x (..., n, d, n), f_x (..., n), f_y (...,), f_z
     # (..., d), phi_x (..., n), b_u (..., n, k), sigma_u (..., n, d, k), f_u
     # (..., k); spec_from_expressions derives them
@@ -619,7 +619,7 @@ def spec_from_expressions(
         return [ex.derivative(v) for ex in exprs for v in names]
 
     f_y = f_expr.derivative("y")
-    sigma_u, f_u = grad(sig_exprs, su), grad([f_expr], su)
+    sigma_u, f_u, f_z = grad(sig_exprs, su), grad([f_expr], su), grad([f_expr], sz)
 
     return ProblemSpec(
         n=n,
@@ -636,7 +636,7 @@ def spec_from_expressions(
         diffusion_x=_evaluator(grad(sig_exprs, sx), (n, d, n), bs_args),
         driver_x=_evaluator(grad([f_expr], sx), (n,), f_args),
         driver_y=_evaluator([f_y], (), f_args),
-        driver_z=_evaluator(grad([f_expr], sz), (d,), f_args),
+        driver_z=_evaluator(f_z, (d,), f_args),
         terminal_x=_evaluator(grad([phi_expr], sx), (n,), (sx,)),
         drift_u=_evaluator(grad(b_exprs, su), (n, k), bs_args),
         diffusion_u=_evaluator(sigma_u, (n, d, k), bs_args),
@@ -645,8 +645,11 @@ def spec_from_expressions(
         sigma_variables=sig_vars,
         f_variables=f_expr.variables,
         f_y_variables=f_y.variables,
-        zero_u_gradients=frozenset(
-            name for name, exprs in (("diffusion_u", sigma_u), ("driver_u", f_u))
+        zero_gradients=frozenset(
+            name
+            for name, exprs in (
+                ("diffusion_u", sigma_u), ("driver_u", f_u), ("driver_z", f_z)
+            )
             if all(ex.tree == _ZERO for ex in exprs)
         ),
         name=name,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_backward import _no_shared_rows, batch_with_equal_rows
+from test_backward import _SHARED_ROWS, batch_with_equal_rows
 from test_forward import _BROWNIAN, _assert_time_major_view
 from test_problem import _smooth_expressions
 
@@ -100,6 +100,27 @@ def test_q_column_gives_the_per_path_bits(spec31, problem, x0, n_picard):
     _assert_time_major_view(per_path)
     assert np.ptp(column) > 0 and np.all(np.isfinite(runs[0][-1]))
     assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+@pytest.mark.parametrize(
+    "f, column", [("x1 - y", True), ("x1 - y + 0 * z1", True), ("x1 * y", False)]
+)
+def test_q_skips_f_z_where_it_folds_to_zero(f, column):
+    # f_z folds to 0, even where f reads z, so solve_q never evaluates it;
+    # q keeps the bits of the step that adds the +-0.0 f_z dW term on every
+    # path, and is one column when f_y reads no path variable
+    spec = _rate_spec(f)
+    assert "driver_z" in spec.zero_gradients
+    batch, sol = _pipeline(spec, 0.5, [1.0], 20, 300, seed=2)
+
+    def refuse(*args):
+        raise AssertionError("solve_q evaluated f_z")
+
+    q = A.solve_q(dataclasses.replace(spec, driver_z=refuse), batch, sol)
+    unskipped = dataclasses.replace(spec, zero_gradients=spec.zero_gradients - {"driver_z"})
+    reference = A.solve_q(unskipped, batch, sol)
+    assert (q.strides[0] == 0) is column and reference.strides[0] != 0
+    assert np.ptp(q) > 0 and np.array_equal(q, reference)
 
 
 @pytest.mark.parametrize("problem", ["x1 * y", "smooth1d"])
@@ -255,54 +276,55 @@ def test_max_condition_starts_no_thread(monkeypatch):
     assert np.array_equal(report.stderrs, serial.stderrs)
 
 
-def _outputs(monkeypatch, spec, batch, n_picard=0):
-    """Every array the backward and adjoint passes return, the regressions
-    they share, and the number of designs `solve_pk` built."""
-    sol = B.solve_backward(spec, batch, 3, n_picard=n_picard)
+def _sweeps(monkeypatch, spec, batch, n_picard=0):
+    """The backward solution and the adjoint triple, with whether each
+    `basis` call of the backward sweep and of the adjoint sweep built a
+    design (a constant row builds none)."""
     basis = B._StepRegression.basis
-    designs = []
+    built = ([], [])
+    sweep = built[0]
 
-    def counting_basis(self, x):
-        designs.append(x)
-        return basis(self, x)
+    def recording_basis(self, x):
+        design = basis(self, x)
+        sweep.append(design is not None)
+        return design
 
     with monkeypatch.context() as mp:
-        mp.setattr(B._StepRegression, "basis", counting_basis)
+        mp.setattr(B._StepRegression, "basis", recording_basis)
+        sol = B.solve_backward(spec, batch, 3, n_picard=n_picard)
+        sweep = built[1]
         triple = A.solve_adjoint(spec, batch, sol)
-    report = A.check_maximum_condition(spec, batch, sol, triple)
-    arrays = (
-        sol.y, sol.z, sol.conditions, sol.pathwise_value,
-        triple.q, triple.p, triple.k, report.residuals, report.stderrs,
-    )
-    return arrays, sol.regressions, len(designs)
+    return sol, triple, built
 
 
-def _assert_same_outputs_without_sharing(monkeypatch, spec, batch, n_picard=0):
-    shared = _outputs(monkeypatch, spec, batch, n_picard)
-    _no_shared_rows(monkeypatch)
-    fresh = _outputs(monkeypatch, spec, batch, n_picard)
-    assert len({id(r) for r in fresh[1]}) == fresh[2] == batch.grid.steps
-    assert all(np.array_equal(a, b) for a, b in zip(shared[0], fresh[0]))
-    return shared
-
-
-def test_absorbed_pipeline_builds_one_design(monkeypatch, spec31, zero_control):
-    # example31 from x = 0: X = 0 on every path, so the 21 rows are one
+def test_absorbed_pipeline_builds_no_design(monkeypatch, spec31, zero_control):
+    # example31 from x = 0: X = 0 on every path, so each of the 20 steps
+    # owns a constant regression and projects by the plain mean
     grid = F.TimeGrid(0.0, 1.0, 20)
     batch = F.simulate_forward(spec31, zero_control, 0.0, [0.0], grid, 2100, seed=6)
-    _, regs, designs = _assert_same_outputs_without_sharing(monkeypatch, spec31, batch)
-    assert len({id(r) for r in regs}) == 1
-    assert designs == 1
+    sol, _, built = _sweeps(monkeypatch, spec31, batch)
+    regs = sol.regressions
+    assert len({id(r) for r in regs}) == 20 and all(r.constant for r in regs)
+    assert built == ([], [False] * 20)
+    assert np.all(sol.conditions == 1.0)
 
 
 @pytest.mark.parametrize("n_picard", [0, 2])
-def test_equal_rows_share_one_design(monkeypatch, n_picard):
+def test_equal_rows_build_a_regression_each(monkeypatch, n_picard):
+    # rows 3-7 hold the same bits, yet each step owns its regression and
+    # the adjoint sweep builds each step's design once; a regression is a
+    # function of its row, so the equal rows' ones hold the same factors
     spec, batch = batch_with_equal_rows()
-    arrays, regs, designs = _assert_same_outputs_without_sharing(
-        monkeypatch, spec, batch, n_picard
-    )
-    assert len({id(r) for r in regs}) == designs == 6
-    assert np.all(np.isfinite(arrays[6])) and np.ptp(arrays[5][:, 5]) > 0
+    sol, triple, built = _sweeps(monkeypatch, spec, batch, n_picard)
+    regs = sol.regressions
+    assert len({id(r) for r in regs}) == 10
+    assert all(r.design is None for r in regs)
+    assert built == ([True] * 10, [True] * 10)
+    first = regs[_SHARED_ROWS[0]]
+    for i in _SHARED_ROWS:
+        assert np.array_equal(regs[i].chol, first.chol)
+        assert np.array_equal(regs[i].scale, first.scale)
+    assert np.all(np.isfinite(triple.k)) and np.ptp(triple.p[:, 5]) > 0
 
 
 def test_one_regression_over_changing_rows_rebuilds_the_design():
@@ -319,14 +341,17 @@ def test_one_regression_over_changing_rows_rebuilds_the_design():
     assert all(np.array_equal(a, b) for a, b in zip(shared, fresh))
 
 
-def test_gbm_states_build_every_design(monkeypatch):
-    # the config_text problem: geometric Brownian states never repeat a row
+def test_gbm_states_build_a_design_per_spread_row(monkeypatch):
+    # the config_text problem from x = 1: row 0 holds one state, and the
+    # geometric Brownian rows after it are spread and never repeat
     spec, _ = P.parse_problem(_CONFIG_TEXT)
     batch = F.simulate_forward(spec, 0.0, 0.0, [1.0], F.TimeGrid(0.0, 1.0, 25), 2100, seed=6)
-    _, regs, designs = _assert_same_outputs_without_sharing(
-        monkeypatch, spec, batch, n_picard=2
-    )
-    assert len({id(r) for r in regs}) == designs == 25
+    sol, _, built = _sweeps(monkeypatch, spec, batch, n_picard=2)
+    regs = sol.regressions
+    assert len({id(r) for r in regs}) == 25
+    assert [r.constant for r in regs] == [True] + [False] * 24
+    # both sweeps run from step 24 down to step 0
+    assert built == ([True] * 24, [True] * 24 + [False])
 
 
 def _read_only_results(spec):
@@ -345,7 +370,7 @@ def _read_only_results(spec):
 
 
 @pytest.mark.parametrize("problem", ["example31", "reversed"])
-def test_kernels_never_write_into_evaluator_results(monkeypatch, spec31, problem):
+def test_kernels_never_write_into_evaluator_results(spec31, problem):
     # the kernels build their rows in buffers they own, so evaluators whose
     # results are read-only give the same bits
     if problem == "example31":
@@ -358,7 +383,13 @@ def test_kernels_never_write_into_evaluator_results(monkeypatch, spec31, problem
     def every_output(spec):
         grid = F.TimeGrid(0.0, 1.0, 20)
         batch = F.simulate_forward(spec, 0.5, 0.0, [1.0], grid, 2100, seed=8)
-        return (batch.states,) + _outputs(monkeypatch, spec, batch, n_picard)[0]
+        sol = B.solve_backward(spec, batch, 3, n_picard=n_picard)
+        triple = A.solve_adjoint(spec, batch, sol)
+        report = A.check_maximum_condition(spec, batch, sol, triple)
+        return (
+            batch.states, sol.y, sol.z, sol.conditions, sol.pathwise_value,
+            triple.q, triple.p, triple.k, report.residuals, report.stderrs,
+        )
 
     plain, wrapped = every_output(spec), every_output(frozen)
     assert np.ptp(plain[0]) > 0 and np.all(np.isfinite(plain[-2]))
@@ -616,12 +647,12 @@ def test_zero_control_gradients_skip_their_terms(spec31, problem):
         spec, n_picard = spec31, 0
     else:
         spec, n_picard = P.parse_problem(_CONFIG_TEXT)[0], 2
-    assert spec.zero_u_gradients == {"driver_u", "diffusion_u"}
+    assert spec.zero_gradients == {"driver_u", "diffusion_u", "driver_z"}
     grid = F.TimeGrid(0.0, 1.0, 20)
     batch = F.simulate_forward(spec, 0.0, 0.0, [1.0], grid, 2000, seed=5)
     sol = B.solve_backward(spec, batch, 3, n_picard=n_picard)
     triple = A.solve_adjoint(spec, batch, sol)
-    unskipped = dataclasses.replace(spec, zero_u_gradients=frozenset())
+    unskipped = dataclasses.replace(spec, zero_gradients=frozenset())
     p, q, k = (a.swapaxes(0, 1) for a in (triple.p, triple.q, triple.k))
     for i in range(grid.steps):
         args = A._gradient_args(batch, sol, i) + (batch.control,)

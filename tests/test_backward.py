@@ -5,7 +5,6 @@ import probes
 import pytest
 from test_forward import _assert_time_major_view
 
-from fbsdelab import adjoint as A
 from fbsdelab import backward as B
 from fbsdelab import forward as F
 from fbsdelab import problem as P
@@ -272,25 +271,44 @@ def test_design_exact_on_constant_states(n, value):
     assert np.array_equal(reg.fit(targets), np.full(300, targets.mean()))
 
 
-@pytest.mark.parametrize("value", [0.0, 0.3, -3.0, 1e200, -3e170])
+@pytest.mark.parametrize(
+    "value, path0",
+    [
+        (0.0, 0.0), (0.3, 0.3), (-3.0, -3.0), (1e200, 1e200), (-3e170, -3e170),
+        (0.0, -0.0), (0.3, np.nextafter(0.3, 1.0)),
+    ],
+    ids=["0.0", "0.3", "-3.0", "1e+200", "-3e+170", "signed_zeros", "one_ulp_off"],
+)
 @pytest.mark.parametrize("n", [1, 2])
-def test_constant_states_project_by_the_plain_mean(n, value):
+def test_constant_states_project_by_the_plain_mean(n, value, path0):
     # 0.3 at M = 50000 has a rounding-level sd (its mean is not exact); the
     # fit is still the targets' mean bit for bit, broadcast read-only.  The
-    # sd of 1e200 or -3e170 overflows to inf without a warning
+    # constant test is exact and comes before any sd, so 1e200 or -3e170
+    # warn of no overflow.  0.0 and -0.0 are one state; one path one ulp
+    # off spreads the row, which takes the ridge fit
     m = 50000
     x = np.full((m, n), value)
+    x[0, -1] = path0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reg = B._StepRegression(x, 3)
-    assert reg.constant and reg.design is None and reg.condition == 1.0
+    spread = path0 != value
+    assert reg.constant is not spread
+    if spread:
+        assert reg.design.shape == (4 if n == 1 else 10, m) and reg.condition > 1.0
+    else:
+        assert reg.design is None and reg.condition == 1.0
     rng = np.random.default_rng(5)
     for targets in (rng.normal(0.0, 1.0, m), rng.normal(0.0, 1.0, (m, 3))):
         fitted = reg.fit(targets, reg.basis(x))
-        assert fitted.shape == targets.shape and not fitted.flags.writeable
-        assert fitted.strides[0] == 0
+        assert fitted.shape == targets.shape
         mean = targets.mean(axis=0)
-        assert np.array_equal(fitted, np.broadcast_to(mean, targets.shape))
+        plain = np.broadcast_to(mean, targets.shape)
+        if spread:
+            assert fitted.flags.writeable and not np.array_equal(fitted, plain)
+            continue
+        assert not fitted.flags.writeable and fitted.strides[0] == 0
+        assert np.array_equal(fitted, plain)
         assert fitted[0].tobytes() == np.asarray(mean).tobytes()
 
 
@@ -301,23 +319,6 @@ def test_one_spread_coordinate_keeps_the_ridge_fit():
     x[:, 1] = np.random.default_rng(6).normal(0.0, 1.0, 400)
     reg = B._StepRegression(x, 3)
     assert not reg.constant and reg.design.shape == (10, 400)
-
-
-def test_same_row_compares_bits():
-    row = np.linspace(-1.0, 1.0, 12).reshape(6, 2)
-    assert B._same_row(row, row.copy())
-    assert not B._same_row(row, np.nextafter(row, 2.0))
-    # equal as floats, but not the same bits: never treated as one row
-    assert not B._same_row(np.zeros((6, 2)), -np.zeros((6, 2)))
-    # rows of a time-major buffer are compared as views, not copies
-    buf = np.zeros((3, 6, 2))
-    assert B._same_row(buf.swapaxes(0, 1)[:, 0], buf.swapaxes(0, 1)[:, 2])
-
-
-def _no_shared_rows(monkeypatch):
-    """Make every state row look new to the backward and adjoint sweeps."""
-    monkeypatch.setattr(B, "_same_row", lambda a, b: False)
-    monkeypatch.setattr(A, "_same_row", lambda a, b: False)
 
 
 # state rows 3-7 of the batch below hold the same bits
@@ -346,32 +347,3 @@ def batch_with_equal_rows():
         x0=states[0, 0],
     )
     return spec, batch
-
-
-def test_equal_rows_share_one_regression():
-    spec, batch = batch_with_equal_rows()
-    regs = B.solve_backward(spec, batch, 3).regressions
-    assert [r is regs[_SHARED_ROWS[0]] for r in regs] == [
-        i in _SHARED_ROWS for i in range(10)
-    ]
-    assert len({id(r) for r in regs}) == 6
-    assert all(r.design is None for r in regs)
-
-
-def test_absorbed_state_builds_one_regression(monkeypatch, spec31, zero_control):
-    # example31 from x = 0 stays at 0: all 21 state rows hold the same bits
-    grid = F.TimeGrid(0.0, 1.0, 20)
-    batch = F.simulate_forward(spec31, zero_control, 0.0, [0.0], grid, 2100, seed=6)
-    built = []
-    init = B._StepRegression.__init__
-
-    def counting_init(self, *args):
-        built.append(self)
-        init(self, *args)
-
-    monkeypatch.setattr(B._StepRegression, "__init__", counting_init)
-    sol = B.solve_backward(spec31, batch, 3)
-    assert len(built) == 1
-    assert all(r is built[0] for r in sol.regressions)
-    assert built[0].design is None
-

@@ -127,3 +127,40 @@ def test_every_defaulted_parameter_is_passed_in_src():
         )
     }
     assert unset == set(UNSET_ALLOWED)
+
+
+# private names of one module that another module reads, each with the
+# reason it is shared
+SHARED_PRIVATE = {
+    "forward._run_steps": "the one path-slab schedule; adjoint.solve_q runs q on it",
+    "adjoint._distinct_paths": "q's broadcast layout, read by cli and jets",
+}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_private_names_stay_in_their_module():
+    crossing = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imports = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+        ]
+        modules = {}  # local name -> the sibling module it binds
+        for node in imports:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    crossing.add(f"{node.module}.{alias.name}")
+        crossing |= {
+            f"{modules[node.value.id]}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and _private(node.attr)
+            and isinstance(node.value, ast.Name) and node.value.id in modules
+        }
+    # a shared name that no other module reads any more leaves the allowlist
+    assert crossing == set(SHARED_PRIVATE)

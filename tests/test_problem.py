@@ -527,19 +527,23 @@ def test_builtin_gradients_are_their_closed_forms():
 
 
 def test_zero_control_gradients_recorded():
-    # sigma_u or f_u is recorded as zero when every entry folds to 0:
+    # sigma_u, f_u or f_z is recorded as zero when every entry folds to 0:
     # sigma = 1.5 - u1 (the sigma(u) pair) has sigma_u = -1, f = y * u1 has
-    # f_u = y, 0 * u1 folds to 0, and 0.5 - 0.5 is left unfolded
+    # f_u = y, f = y * z1 has f_z = y, 0 * u1 and 0 * z1 fold to 0, and
+    # 0.5 - 0.5 and 1 - 1 are left unfolded
     def zeros(sigma, f):
         spec = P.spec_from_expressions(
             1, 1, 1, 1.0, [0.5], [1.0], ["0 * u1"], [sigma], f, "x1 * x1"
         )
-        return spec.zero_u_gradients
+        return spec.zero_gradients
 
-    assert zeros("1", "0 * y") == {"diffusion_u", "driver_u"}
-    assert zeros("1.5 - u1", "0 * y") == {"driver_u"}
-    assert zeros("1", "y * u1") == {"diffusion_u"}
-    assert zeros("0.5 * u1 - 0.5 * u1", "0 * u1") == {"driver_u"}
+    assert zeros("1", "0 * y") == {"diffusion_u", "driver_u", "driver_z"}
+    assert zeros("1.5 - u1", "0 * y") == {"driver_u", "driver_z"}
+    assert zeros("1", "y * u1") == {"diffusion_u", "driver_z"}
+    assert zeros("0.5 * u1 - 0.5 * u1", "0 * u1") == {"driver_u", "driver_z"}
+    assert zeros("1", "y * z1") == {"diffusion_u", "driver_u"}
+    assert zeros("1", "y + 0 * z1") == {"diffusion_u", "driver_u", "driver_z"}
+    assert zeros("1", "z1 - z1") == {"diffusion_u", "driver_u"}
 
 
 def test_spec_without_a_gradient_is_rejected(spec31):

@@ -73,7 +73,10 @@ _CASES = {
         Jt.JetError, "requires a one-dimensional state",
     ),
     "value_grid_too_coarse": (
-        _coarse_connection, Jt.JetError, "value grid too small to probe jets at x = 0.0",
+        _coarse_connection, Jt.JetError,
+        "^value grid too coarse to probe jets at x = 0.0: fewer than two ladder "
+        "steps are at least dx = 1.0 and at most 2.0, the distance to the "
+        "grid's edge$",
     ),
     "non_finite_p": (_non_finite_p, P.ProblemError, "non-finite p at step 2$"),
     "unknown_stage": (
