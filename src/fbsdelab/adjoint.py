@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forward
 from .problem import ProblemError
 
 
@@ -83,16 +82,15 @@ def solve_q(spec, batch, backward):
     as they are, never clipped; the CLI's adjoint stage counts the paths
     that reach them.
 
-    Each path slab runs the whole time loop on its own worker
-    (`forward._run_steps`), so q is bit-identical at any worker count,
-    and the error raised is the serial loop's: within a step an
-    evaluator's error comes before "non-finite q at step i".
+    The steps run in order on the calling thread, so the error raised is
+    the first failing step's: within a step an evaluator's error comes
+    before "non-finite q at step i".
 
     When f_y reads no path variable (x, y, z) and f_z is identically 0,
-    q is one deterministic curve: the same step runs on path 0 alone, on
-    the calling thread, and the result is the read-only (M, N+1)
-    broadcast of that one row (stride 0 along the paths;
-    `_distinct_paths`), with the bits of the loop over every path.
+    q is one deterministic curve: the same step runs on path 0 alone, and
+    the result is the read-only (M, N+1) broadcast of that one row
+    (stride 0 along the paths; `_distinct_paths`), with the bits of the
+    loop over every path.
     """
     m = batch.n_paths
     n_steps = batch.grid.steps
@@ -102,23 +100,20 @@ def solve_q(spec, batch, backward):
     dw = batch.increments.swapaxes(0, 1)
     q = np.empty((n_steps + 1, rows))
     q[0] = 1.0
-    noise = np.empty(rows)  # each slab writes its own entries
+    noise = np.empty(rows)
     with_fz = "driver_z" not in spec.zero_gradients
-
-    def step(i, lo, hi):
-        s, x, y, z = _gradient_args(batch, backward, i, slice(lo, hi))
+    for i in range(n_steps):
+        s, x, y, z = _gradient_args(batch, backward, i, slice(rows))
         # q_{i+1} = q_i ((1 + f_y dt) + f_z . dW), built in its own row
-        out = q[i + 1, lo:hi]
+        out = q[i + 1]
         np.multiply(spec.driver_y(s, x, y, z, u), dt, out=out)
         out += 1.0
         if with_fz:
             fz = spec.driver_z(s, x, y, z, u)
-            out += np.einsum("md,md->m", fz, dw[i, lo:hi], out=noise[lo:hi])
-        out *= q[i, lo:hi]
+            out += np.einsum("md,md->m", fz, dw[i], out=noise)
+        out *= q[i]
         if not np.all(np.isfinite(out)):
             raise ProblemError(f"non-finite q at step {i + 1}")
-
-    forward._run_steps(step, n_steps, rows)
     return np.broadcast_to(q, (n_steps + 1, m)).swapaxes(0, 1)
 
 

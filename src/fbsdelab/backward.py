@@ -82,7 +82,11 @@ class _StepRegression:
             self.design, self.condition = None, 1.0
             return
         self.mu = x.mean(axis=0)
-        sd = x.std(axis=0)
+        # each coordinate's sd is taken on the row divided by the power of
+        # two above its largest |x|, so the squares cannot overflow; the
+        # scaling is exact, and so is the sd wherever x.std does not overflow
+        s = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=0))[1])
+        sd = (x / s).std(axis=0) * s
         self.sd = np.where(sd > 1e-300, sd, 1.0)
         self.design = self.basis(x)
         gram = self.design @ self.design.T

@@ -8,18 +8,13 @@ under one constant control u, checked against the control box before the
 first step.  Brownian increments come from counter-based streams, one
 per block of `_BLOCK` paths (Philox keyed by (seed, block index)), so
 batches are bit-reproducible, a batch is a prefix of any larger batch
-with the same seed, and results do not depend on worker count or on
-chunking at block boundaries.
+with the same seed, and results do not depend on chunking at block
+boundaries.
 
-Work that is independent across paths runs on every usable core: the
-increments, the Euler loop and the adjoint's q recursion are split into
-path slabs cut at block boundaries, one per worker, each running its
-whole time loop.  Every element is computed by the same operations on the
-same inputs whatever the split, so every result is bit-identical at any
-worker count, and a failure raises the error the serial loop would: the
-earliest failing step, rerun on all paths, so that within a step an
-evaluator's error comes before a non-finite result and the lowest path
-is reported.
+The increments, the Euler loop and the adjoint's q recursion run on the
+calling thread, one loop over every path per step.  A failure is the
+first failing step's, and within that step an evaluator's error comes
+before a non-finite result, which names the lowest failing path.
 
 Monte Carlo arrays are stored time-major, (N+1, M, ...), so every
 per-step access reads one contiguous row; here and in the backward and
@@ -30,8 +25,6 @@ indexes `field.swapaxes(0, 1)[i]`.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,8 +89,7 @@ class PathBatch:
     reproduces the batch bit-exactly.  The increments are
     `generate_increments`' streams: block b of 1,024 paths comes from the
     one Philox keyed by (seed, b), so a batch of fewer paths is a prefix
-    of this one and splitting the paths at block boundaries changes
-    nothing.
+    of this one.
     """
 
     grid: TimeGrid
@@ -123,72 +115,6 @@ class PathBatch:
 # paths per Philox stream, drawn in one pass through the path-major
 # scratch buffer
 _BLOCK = 1024
-# threads the Monte Carlo kernels split their work across: the usable cores
-_WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
-
-
-def _slabs(n_paths):
-    """(start, stop) path ranges, one per worker (at most one per block),
-    cut at block boundaries."""
-    blocks = -(-n_paths // _BLOCK)
-    w = min(_WORKERS, blocks)
-    cuts = [min(blocks * j // w * _BLOCK, n_paths) for j in range(w + 1)]
-    return list(zip(cuts, cuts[1:]))
-
-
-def _run_parts(fn, parts):
-    """[fn(part) for part in parts], the first part on the calling thread
-    and the others on threads started and joined inside the call, each
-    under the caller's numpy error state (a thread does not inherit it).
-
-    An exception that escapes `fn` is raised here once every thread has
-    finished; the kernels return their expected failures instead.
-    """
-    results = [None] * len(parts)
-    escaped = []
-    errstate = np.geterr()
-
-    def run(j):
-        try:
-            with np.errstate(**errstate):
-                results[j] = fn(parts[j])
-        except BaseException as exc:  # re-raised on the calling thread
-            escaped.append(exc)
-
-    threads = [threading.Thread(target=run, args=(j,)) for j in range(1, len(parts))]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if escaped:
-        raise escaped[0]
-    return results
-
-
-def _run_steps(step, n_steps, n_paths):
-    """step(i, lo, hi) for every step i < n_steps, each path slab
-    [lo, hi) of `_slabs` running every step in order on its own worker.
-
-    A slab stops at its first failing step.  The earliest failing step is
-    then rerun on all paths, which raises the error the serial loop raises.
-    """
-
-    def run(slab):
-        for i in range(n_steps):
-            try:
-                step(i, *slab)
-            except Exception as exc:
-                return i, exc
-        return None
-
-    failed = [r for r in _run_parts(run, _slabs(n_paths)) if r is not None]
-    if failed:
-        i, exc = min(failed, key=lambda r: r[0])
-        step(i, 0, n_paths)  # raises what the serial loop raised
-        raise exc
 
 
 def generate_increments(grid, n_paths, d, seed):
@@ -198,31 +124,23 @@ def generate_increments(grid, n_paths, d, seed):
     last block), draws from one counter-based stream,
     `Philox(key=[seed, b])`, and path j of the block takes the j-th run
     of N d standard normals in it (step by step, each step's d noise
-    columns together).  So a batch is a prefix of any
-    larger batch with the same seed, and results do not depend on
-    worker count or on chunking at block boundaries.  Each block is
-    drawn path-major into a scratch buffer by one call and written,
-    scaled by sqrt(dt), into the time-major (N, n_paths, d) buffer, of
-    which the result is a view.  The blocks are split into contiguous
-    ranges, one per worker (`_slabs`), each with its own scratch buffer.
+    columns together).  So a batch is a prefix of any larger batch with
+    the same seed.  Each block is drawn path-major into one scratch
+    buffer by one call and written, scaled by sqrt(dt), into the
+    time-major (N, n_paths, d) buffer, of which the result is a view.
     """
     if n_paths < 1:
         raise SimulationError("n_paths must be >= 1")
     n = grid.steps
     out = np.empty((n, n_paths, d))
     sqrt_dt = np.sqrt(grid.dt)
-
-    def draw(slab):
-        lo, hi = slab
-        scratch = np.empty((min(_BLOCK, hi - lo), n, d))
-        for start in range(lo, hi, _BLOCK):
-            stop = min(start + _BLOCK, hi)
-            block = scratch[: stop - start]
-            key = np.array([seed & (2**64 - 1), start // _BLOCK], dtype=np.uint64)
-            np.random.Generator(np.random.Philox(key=key)).standard_normal(out=block)
-            np.multiply(block.swapaxes(0, 1), sqrt_dt, out=out[:, start:stop])
-
-    _run_parts(draw, _slabs(n_paths))
+    scratch = np.empty((min(_BLOCK, n_paths), n, d))
+    for start in range(0, n_paths, _BLOCK):
+        stop = min(start + _BLOCK, n_paths)
+        block = scratch[: stop - start]
+        key = np.array([seed & (2**64 - 1), start // _BLOCK], dtype=np.uint64)
+        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=block)
+        np.multiply(block.swapaxes(0, 1), sqrt_dt, out=out[:, start:stop])
     return out.swapaxes(0, 1)
 
 
@@ -231,13 +149,10 @@ def simulate_forward(spec, control, t, x, grid, n_paths, seed):
 
     The grid must span [t, spec.horizon] and the (k,) control must lie in
     the control box (ControlBoxError otherwise).  Returns a PathBatch.
-    After the increments are drawn, each path slab (`_slabs`) runs the
-    whole Euler loop on its own worker; the states are bit-identical at
-    any worker count.  The first failure is the serial loop's: at the
-    earliest step where any slab fails, the step is rerun on all paths,
-    so an evaluator's error (DomainError) comes before a non-finite
-    state, and NonFiniteStateError names the lowest path that left the
-    finite range at that step.
+    The Euler loop stops at the first failing step: an evaluator's error
+    (DomainError) comes before a non-finite state, and
+    NonFiniteStateError names the lowest path that left the finite range
+    at that step.
     """
     if abs(grid.start - t) > 1e-12 or abs(grid.end - spec.horizon) > 1e-12:
         raise SimulationError(
@@ -258,10 +173,9 @@ def simulate_forward(spec, control, t, x, grid, n_paths, seed):
     dt = grid.dt
     states = np.empty((grid.steps + 1, n_paths, spec.n))
     states[0] = x
-    noise = np.empty((n_paths, spec.n))  # each slab writes its own rows
-
-    def step(i, lo, hi):
-        xi, out = states[i, lo:hi], states[i + 1, lo:hi]
+    noise = np.empty((n_paths, spec.n))
+    for i in range(grid.steps):
+        xi, out = states[i], states[i + 1]
         # overflow is reported below as the first non-finite state; the
         # row is built in place as (xi + b dt) + sigma dW
         with np.errstate(over="ignore", invalid="ignore"):
@@ -269,12 +183,10 @@ def simulate_forward(spec, control, t, x, grid, n_paths, seed):
             sg = spec.diffusion(times[i], xi, control)
             np.multiply(b, dt, out=out)
             out += xi
-            out += np.einsum("mnd,md->mn", sg, dw_t[i, lo:hi], out=noise[lo:hi])
+            out += np.einsum("mnd,md->mn", sg, dw_t[i], out=noise)
         if not np.all(np.isfinite(out)):
             bad = np.argwhere(~np.isfinite(out))
-            raise NonFiniteStateError(lo + int(bad[0, 0]), i + 1)
-
-    _run_steps(step, grid.steps, n_paths)
+            raise NonFiniteStateError(int(bad[0, 0]), i + 1)
     return PathBatch(
         grid=grid,
         states=states.swapaxes(0, 1),

@@ -465,9 +465,7 @@ class ProblemSpec:
     maps (..., n) states and (..., k) controls to (..., n); `diffusion`
     to (..., n, d); `driver(s, x, y, z, u)` and `terminal(x)` to (...,).
     The batch shape is x's, so one (k,) control serves a whole batch.
-    All evaluators are deterministic and safe to share between workers:
-    the Monte Carlo kernels call them from several threads at once, each
-    on its own slab of paths.  `zero_gradients` names which of
+    All evaluators are deterministic.  `zero_gradients` names which of
     diffusion_u, driver_u and driver_z have the constant 0 as every
     derived entry: `adjoint.hamiltonian_gradient_u` skips their terms, and
     `adjoint.solve_q` skips f_z dW.  `f_y_variables` names what the

@@ -275,9 +275,12 @@ def test_design_exact_on_constant_states(n, value):
     "value, path0",
     [
         (0.0, 0.0), (0.3, 0.3), (-3.0, -3.0), (1e200, 1e200), (-3e170, -3e170),
-        (0.0, -0.0), (0.3, np.nextafter(0.3, 1.0)),
+        (0.0, -0.0), (0.3, np.nextafter(0.3, 1.0)), (1e200, np.nextafter(1e200, np.inf)),
     ],
-    ids=["0.0", "0.3", "-3.0", "1e+200", "-3e+170", "signed_zeros", "one_ulp_off"],
+    ids=[
+        "0.0", "0.3", "-3.0", "1e+200", "-3e+170", "signed_zeros", "one_ulp_off",
+        "one_ulp_above_1e+200",
+    ],
 )
 @pytest.mark.parametrize("n", [1, 2])
 def test_constant_states_project_by_the_plain_mean(n, value, path0):
@@ -285,7 +288,9 @@ def test_constant_states_project_by_the_plain_mean(n, value, path0):
     # fit is still the targets' mean bit for bit, broadcast read-only.  The
     # constant test is exact and comes before any sd, so 1e200 or -3e170
     # warn of no overflow.  0.0 and -0.0 are one state; one path one ulp
-    # off spreads the row, which takes the ridge fit
+    # off spreads the row, which takes the ridge fit.  Above 1e200 that
+    # spread squared overflows: the sd stays finite and the path's
+    # standardized state finite and nonzero
     m = 50000
     x = np.full((m, n), value)
     x[0, -1] = path0
@@ -296,6 +301,9 @@ def test_constant_states_project_by_the_plain_mean(n, value, path0):
     assert reg.constant is not spread
     if spread:
         assert reg.design.shape == (4 if n == 1 else 10, m) and reg.condition > 1.0
+        assert np.all(np.isfinite(reg.sd))
+        # design row n is the last coordinate, standardized
+        assert np.isfinite(reg.design[n, 0]) and reg.design[n, 0] != 0.0
     else:
         assert reg.design is None and reg.condition == 1.0
     rng = np.random.default_rng(5)

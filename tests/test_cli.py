@@ -79,17 +79,6 @@ def test_reruns_byte_identical(tmp_path):
     assert _read_all(tmp_path / "a") == _read_all(tmp_path / "b")
 
 
-def test_artifacts_byte_identical_at_any_worker_count(tmp_path, monkeypatch):
-    # 2,000 paths are two blocks, one slab each at two workers
-    blobs = []
-    for workers in (1, 2):
-        monkeypatch.setattr(forward, "_WORKERS", workers)
-        out = tmp_path / f"w{workers}"
-        assert cli.main(RUN_SMALL + ["--out", str(out)]) == 0
-        blobs.append(_read_all(out))
-    assert blobs[0] == blobs[1]
-
-
 def test_stage_selection_without_dependencies_rejected(tmp_path):
     res = _run(["run", "--builtin", "example31", "--stage", "jets"], tmp_path)
     assert res.returncode == 2

@@ -132,7 +132,6 @@ def test_every_defaulted_parameter_is_passed_in_src():
 # private names of one module that another module reads, each with the
 # reason it is shared
 SHARED_PRIVATE = {
-    "forward._run_steps": "the one path-slab schedule; adjoint.solve_q runs q on it",
     "adjoint._distinct_paths": "q's broadcast layout, read by cli and jets",
 }
 
