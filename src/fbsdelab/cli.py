@@ -279,7 +279,7 @@ def _start_state(config):
         "t0": t0,
         "x0": x0,
         "control": spec.control_lo,  # the control box's lower corner
-        "oracle": spec.name == "example31",
+        "oracle": config.builtin == "example31",
     }
 
 

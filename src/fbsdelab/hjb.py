@@ -167,11 +167,6 @@ class ValueGrid:
             -self.space_half_width, self.space_half_width, self.n_cells + 1
         )
 
-    def slice_at(self, t):
-        """(time index, value row) at the grid time nearest to t."""
-        i = int(np.argmin(np.abs(self.grid.times - t)))
-        return i, self.values[i]
-
 
 def _exceeds(dt, dt_max):
     return dt > dt_max * (1.0 + 1e-12)

@@ -6,6 +6,8 @@ the inequality.  In one dimension both are intervals built from the
 one-sided derivatives: super-jet [right, left] when right <= left,
 sub-jet [left, right] when left <= right, and both collapse to the
 gradient singleton where the function is differentiable.
+`estimate_jets_1d` reads them off one column of the value grid, from
+one-sided difference quotients at two steps extrapolated to step -> 0.
 
 `verify_connection` checks, along a simulated optimal trajectory, that
 the adjoint ratio p(s) q(s)^-1 is a super-jet member of the solved value
@@ -18,7 +20,7 @@ finite-sample surrogate for the almost-sure statement.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,82 +71,33 @@ class JetSet:
         return max(self.lo - value, value - self.hi, 0.0)
 
 
-@dataclass
-class JetEstimate:
-    x_hat: float
-    left_slope: float
-    right_slope: float
-    subjet: JetSet
-    superjet: JetSet
-
-
-def _as_callable(v):
-    """Accept a callable or a (xs, values) grid column (linear interp)."""
-    if callable(v):
-        return v
-    xs, vals = v
-    xs = np.asarray(xs, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-
-    def interp(x):
-        if np.any(x < xs[0]) or np.any(x > xs[-1]):
-            raise JetError(f"evaluation at {x} outside the grid domain")
-        return np.interp(x, xs, vals)
-
-    return interp
-
-
-def _validate_steps(steps):
-    steps = [float(h) for h in steps]
-    if len(steps) < 2:
-        raise JetError("need at least two probe steps for extrapolation")
-    if any(h <= 0 for h in steps):
-        raise JetError("probe steps must be positive")
-    if any(b >= a for a, b in zip(steps, steps[1:])):
-        raise JetError("probe steps must be strictly decreasing")
-    return steps
-
-
 def _richardson(h1, d1, h2, d2):
-    # linear-in-h extrapolation to h -> 0 from the two smallest steps
+    # linear-in-h extrapolation to h -> 0 from the two steps
     return (h1 * d2 - h2 * d1) / (h1 - h2)
 
 
-def estimate_jets_1d(v_slice, x_hat, steps=None):
-    """One-sided slopes of a scalar function with jet classification.
+def estimate_jets_1d(xs, values, x_hat, h1, h2):
+    """(sub-jet, super-jet) of the grid column `values` over `xs` at x_hat.
 
-    Difference quotients at each step are extrapolated to step -> 0 with
-    the two smallest steps.  Slopes equal within DEFAULT_TOL_JET collapse both
-    jets to the same singleton.
+    The column is interpolated linearly at x_hat, x_hat +- h1 and
+    x_hat +- h2 (h1 > h2 > 0), and the one-sided difference quotients at
+    the two steps are extrapolated to step -> 0.  Slopes equal within
+    DEFAULT_TOL_JET collapse both jets to the same singleton.  Requires
+    [x_hat - h1, x_hat + h1] inside [xs[0], xs[-1]]: np.interp clamps
+    outside it, which `verify_connection`'s ladder rules out.
     """
-    v = _as_callable(v_slice)
-    if steps is None:
-        steps = [h * (1.0 + abs(x_hat)) for h in DEFAULT_STEP_LADDER]
-    steps = _validate_steps(steps)
-    v0 = float(v(x_hat))
-    rights = [(float(v(x_hat + h)) - v0) / h for h in steps]
-    lefts = [(v0 - float(v(x_hat - h))) / h for h in steps]
-    h1, h2 = steps[-2], steps[-1]
-    right = _richardson(h1, rights[-2], h2, rights[-1])
-    left = _richardson(h1, lefts[-2], h2, lefts[-1])
+    v_l1, v_l2, v0, v_r2, v_r1 = np.interp(
+        [x_hat - h1, x_hat - h2, x_hat, x_hat + h2, x_hat + h1], xs, values
+    ).tolist()
+    right = _richardson(h1, (v_r1 - v0) / h1, h2, (v_r2 - v0) / h2)
+    left = _richardson(h1, (v0 - v_l1) / h1, h2, (v0 - v_l2) / h2)
 
     if abs(left - right) <= DEFAULT_TOL_JET:
-        mid = 0.5 * (left + right)
-        sub = JetSet.singleton(mid)
-        sup = JetSet.singleton(mid)
-    elif right < left:
-        sub = JetSet.empty()
-        sup = JetSet.interval(right, left)
-    else:
-        sub = JetSet.interval(left, right)
-        sup = JetSet.empty()
-    return JetEstimate(
-        x_hat=float(x_hat),
-        left_slope=left,
-        right_slope=right,
-        subjet=sub,
-        superjet=sup,
-    )
+        gradient = JetSet.singleton(0.5 * (left + right))
+        return gradient, gradient
+    if right < left:
+        return JetSet.empty(), JetSet.interval(right, left)
+    return JetSet.interval(left, right), JetSet.empty()
 
 
 @dataclass
@@ -254,7 +207,7 @@ def verify_connection(spec, batch, triple, vgrid, check_times):
     all_pass = True
     for s in check_times:
         i = int(np.argmin(np.abs(times - s)))
-        ig, v_row = vgrid.slice_at(times[i])
+        v_row = vgrid.values[int(np.argmin(np.abs(vgrid.grid.times - times[i])))]
         states = x_t[i, sample, 0]
         if np.any(np.abs(states) > half):
             raise JetError(
@@ -281,16 +234,18 @@ def verify_connection(spec, batch, triple, vgrid, check_times):
                     f"than two ladder steps are at least dx = {vgrid.dx} and at "
                     f"most {max_h}, the distance to the grid's edge"
                 )
-            est = estimate_jets_1d((xs, v_row), xs[j], ladder)
+            # Python floats: the CSV writer prints the jet ends by repr
+            h1, h2 = (float(h) for h in ladder[-2:])
+            subjet, superjet = estimate_jets_1d(xs, v_row, xs[j], h1, h2)
             if j == med_node:
-                jet_at_median = est
-            dist = est.superjet.distance(med)
+                sub_at_median, sup_at_median = subjet, superjet
+            dist = superjet.distance(med)
             worst_dist = max(worst_dist, dist)
             member = member and dist <= DEFAULT_TOL_CONN
-            if est.subjet.kind == "interval":
+            if subjet.kind == "interval":
                 sub_ok = False
-            elif est.subjet.kind == "singleton":
-                sub_ok = sub_ok and abs(est.subjet.lo - med) <= DEFAULT_TOL_CONN
+            elif subjet.kind == "singleton":
+                sub_ok = sub_ok and abs(subjet.lo - med) <= DEFAULT_TOL_CONN
         node_pass = member and sub_ok
         all_pass = all_pass and node_pass
         records.append(
@@ -298,8 +253,8 @@ def verify_connection(spec, batch, triple, vgrid, check_times):
                 s=float(times[i]),
                 pq_inv_median=med,
                 pq_inv_iqr=float(q75 - q25),
-                superjet=jet_at_median.superjet,
-                subjet=jet_at_median.subjet,
+                superjet=sup_at_median,
+                subjet=sub_at_median,
                 member=member,
                 member_distance=worst_dist,
                 subjet_ok=sub_ok,

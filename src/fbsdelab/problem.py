@@ -502,7 +502,6 @@ class ProblemSpec:
     drift_u: callable
     diffusion_u: callable
     driver_u: callable
-    name: str = ""
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1 or self.k < 1:
@@ -531,12 +530,12 @@ def _evaluator(exprs, shape, signature):
     last axis of a vector argument (x1..xn).  Only the variables some
     expression reads are bound.  The result is a fresh array with the
     batch shape of the first vector argument, x, followed by `shape`.  A
-    single scalar expression whose root is an operation returns its
-    result as it is when that is already a float64 array of that shape:
-    an operation's result is a new array, so it is fresh as well.
+    single expression whose root is an operation returns its result
+    reshaped when that is already a float64 array of x's batch shape: an
+    operation's result is a new array, so it is fresh as well.
     """
     slots = [((...,) + idx, ex) for idx, ex in zip(np.ndindex(*shape), exprs)]
-    direct = shape == () and exprs[0].tree[0] in ("neg", "bin", "call")
+    direct = len(exprs) == 1 and exprs[0].tree[0] in ("neg", "bin", "call")
     x_pos = next(i for i, names in enumerate(signature) if not isinstance(names, str))
     reads = frozenset().union(*(ex.variables for ex in exprs))
     binds = []  # (variable, argument position, component; None for a scalar)
@@ -556,8 +555,8 @@ def _evaluator(exprs, shape, signature):
         if direct:
             result = exprs[0].evaluate(env)
             if type(result) is np.ndarray and result.dtype == np.float64:
-                if result.shape == batch:
-                    return result
+                if result.shape == x.shape[:-1]:
+                    return result.reshape(batch)
         out = np.empty(batch)
         for idx, ex in slots:
             out[idx] = result if direct else ex.evaluate(env)
@@ -577,7 +576,6 @@ def spec_from_expressions(
     sigma_sources,
     f_source,
     phi_source,
-    name="",
     line_info=None,
 ):
     """Build a ProblemSpec from DSL source strings.
@@ -650,7 +648,6 @@ def spec_from_expressions(
             )
             if all(ex.tree == _ZERO for ex in exprs)
         ),
-        name=name,
     )
 
 
@@ -841,7 +838,6 @@ def _example31():
     return spec_from_expressions(
         1, 1, 1, 1.0, [0.0], [1.0],
         ["x1 * u1"], ["x1"], "x1 - y", "x1",
-        name="example31",
     )
 
 
@@ -851,7 +847,6 @@ def _smooth1d():
         1, 1, 1, 1.0, [0.0], [1.0],
         ["sin(x1) * u1"], ["0.5 + 0.1 * cos(x1)"],
         "x1 - y + 0.1 * sin(z1)", "sin(x1)",
-        name="smooth1d",
     )
 
 

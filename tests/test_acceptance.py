@@ -146,24 +146,25 @@ def test_criterion_6_regularity(vgrid400):
 def test_criterion_7_property_suites(spec31, zero_control):
     checks = []
 
-    # jet duality under negation
-    v = lambda x: oracles.example31_value(0.5, x, 1.0)
-    est = J.estimate_jets_1d(v, 0.0)
-    neg = J.estimate_jets_1d(lambda x: -v(x), 0.0)
+    # jet duality under negation, on grid columns
+    xs = np.linspace(-2, 2, 401)
+    v = oracles.example31_value(0.5, xs, 1.0)
+    est_sub, est_sup = J.estimate_jets_1d(xs, v, 0.0, 0.025, 0.0125)
+    neg_sub, neg_sup = J.estimate_jets_1d(xs, -v, 0.0, 0.025, 0.0125)
     checks.append(
-        est.subjet.kind == "empty"
-        and neg.superjet.kind == "empty"
-        and abs(neg.subjet.lo + est.superjet.hi) <= 1e-9
-        and abs(neg.subjet.hi + est.superjet.lo) <= 1e-9
+        est_sub.kind == "empty"
+        and neg_sup.kind == "empty"
+        and abs(neg_sub.lo + est_sup.hi) <= 1e-9
+        and abs(neg_sub.hi + est_sup.lo) <= 1e-9
     )
 
     # |x| kink classification
-    kink = J.estimate_jets_1d(abs, 0.0)
+    kink_sub, kink_sup = J.estimate_jets_1d(xs, np.abs(xs), 0.0, 0.025, 0.0125)
     checks.append(
-        kink.superjet.kind == "empty"
-        and kink.subjet.kind == "interval"
-        and abs(kink.subjet.lo + 1.0) <= 1e-9
-        and abs(kink.subjet.hi - 1.0) <= 1e-9
+        kink_sup.kind == "empty"
+        and kink_sub.kind == "interval"
+        and abs(kink_sub.lo + 1.0) <= 1e-9
+        and abs(kink_sub.hi - 1.0) <= 1e-9
     )
 
     # scheme monotonicity probes

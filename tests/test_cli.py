@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -77,6 +78,31 @@ def test_reruns_byte_identical(tmp_path):
     b = _run(RUN_SMALL + ["--out", "b"], tmp_path)
     assert a.returncode == 0 and b.returncode == 0
     assert _read_all(tmp_path / "a") == _read_all(tmp_path / "b")
+
+
+@pytest.mark.parametrize("builtin", ["example31", "smooth1d"])
+def test_every_csv_field_parses(tmp_path, builtin):
+    # numbers written by repr must read back: a numpy scalar would print as
+    # np.float64(...) under numpy 2
+    code = cli.main(
+        ["run", "--builtin", builtin, "--M", "2000", "--N", "20", "--J", "100",
+         "--out", str(tmp_path)]
+    )
+    assert code in (0, 1)
+    words = {"superjet_kind", "subjet_kind", "member", "pass"}
+    for name in ("forward.csv", "backward.csv", "adjoint.csv", "connection.csv"):
+        with open(tmp_path / name, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows, name
+        for row in rows:
+            for key, field in row.items():
+                if key in words:
+                    continue
+                if field == "None":
+                    # the ends of an empty jet
+                    assert row[key.rsplit("_", 1)[0] + "_kind"] == "empty", key
+                    continue
+                float(field)
 
 
 def test_stage_selection_without_dependencies_rejected(tmp_path):

@@ -16,30 +16,35 @@ from fbsdelab import oracles
 from fbsdelab import problem as P
 
 
-def _v_slice(s, horizon=1.0):
-    return lambda x: oracles.example31_value(s, x, horizon)
+XS = np.linspace(-2, 2, 401)
+# the two smallest steps of the default ladder at x_hat = 0
+H1, H2 = 0.025, 0.0125
+
+
+def _v_column(s):
+    return oracles.example31_value(s, XS, 1.0)
 
 
 def test_kink_jets_match_oracle():
-    est = J.estimate_jets_1d(_v_slice(0.5), 0.0)
-    assert est.subjet.kind == "empty"
-    assert est.superjet.kind == "interval"
-    assert est.superjet.lo == pytest.approx(-1.5, abs=1e-9)
-    assert est.superjet.hi == pytest.approx(-1.0, abs=1e-9)
+    sub, sup = J.estimate_jets_1d(XS, _v_column(0.5), 0.0, H1, H2)
+    assert sub.kind == "empty"
+    assert sup.kind == "interval"
+    assert sup.lo == pytest.approx(-1.5, abs=1e-9)
+    assert sup.hi == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_smooth_point_jets_collapse():
-    est = J.estimate_jets_1d(_v_slice(0.5), -1.0)
-    assert est.subjet.kind == "singleton"
-    assert est.superjet.kind == "singleton"
-    assert est.subjet.lo == pytest.approx(-1.0, abs=1e-9)
+    sub, sup = J.estimate_jets_1d(XS, _v_column(0.5), -1.0, 2 * H1, 2 * H2)
+    assert sub.kind == "singleton"
+    assert sup.kind == "singleton"
+    assert sub.lo == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_absolute_value_kink():
-    est = J.estimate_jets_1d(abs, 0.0)
-    assert est.superjet.kind == "empty"
-    assert est.subjet.kind == "interval"
-    assert (est.subjet.lo, est.subjet.hi) == (pytest.approx(-1.0), pytest.approx(1.0))
+    sub, sup = J.estimate_jets_1d(XS, np.abs(XS), 0.0, H1, H2)
+    assert sup.kind == "empty"
+    assert sub.kind == "interval"
+    assert (sub.lo, sub.hi) == (pytest.approx(-1.0), pytest.approx(1.0))
 
 
 @given(
@@ -49,47 +54,36 @@ def test_absolute_value_kink():
 )
 @settings(max_examples=60, deadline=None)
 def test_jet_duality_under_negation(left, right, x_hat):
-    v = lambda x: left * (x - x_hat) if x <= x_hat else right * (x - x_hat)
-    est = J.estimate_jets_1d(v, x_hat)
-    neg = J.estimate_jets_1d(lambda x: -v(x), x_hat)
-    assert est.subjet.kind == neg.superjet.kind
-    assert est.superjet.kind == neg.subjet.kind
-    if est.subjet.kind != "empty":
-        assert neg.superjet.lo == pytest.approx(-est.subjet.hi, abs=1e-9)
-        assert neg.superjet.hi == pytest.approx(-est.subjet.lo, abs=1e-9)
-    if est.superjet.kind != "empty":
-        assert neg.subjet.lo == pytest.approx(-est.superjet.hi, abs=1e-9)
-        assert neg.subjet.hi == pytest.approx(-est.superjet.lo, abs=1e-9)
+    # the kink at x_hat sits on a node of the column
+    xs = x_hat + np.linspace(-1, 1, 201)
+    h1, h2 = H1 * (1.0 + abs(x_hat)), H2 * (1.0 + abs(x_hat))
+    v = np.where(xs <= x_hat, left * (xs - x_hat), right * (xs - x_hat))
+    est_sub, est_sup = J.estimate_jets_1d(xs, v, x_hat, h1, h2)
+    neg_sub, neg_sup = J.estimate_jets_1d(xs, -v, x_hat, h1, h2)
+    assert est_sub.kind == neg_sup.kind
+    assert est_sup.kind == neg_sub.kind
+    if est_sub.kind != "empty":
+        assert neg_sup.lo == pytest.approx(-est_sub.hi, abs=1e-9)
+        assert neg_sup.hi == pytest.approx(-est_sub.lo, abs=1e-9)
+    if est_sup.kind != "empty":
+        assert neg_sub.lo == pytest.approx(-est_sup.hi, abs=1e-9)
+        assert neg_sub.hi == pytest.approx(-est_sup.lo, abs=1e-9)
 
 
 def test_reported_member_satisfies_defining_inequality():
-    v = _v_slice(0.5)
     x_hat = 0.0
-    est = J.estimate_jets_1d(v, x_hat)
-    steps = [h * (1.0 + abs(x_hat)) for h in J.DEFAULT_STEP_LADDER][-2:]
-    for p in (est.superjet.lo, est.superjet.hi):
-        for h in steps:
+    v = lambda x: oracles.example31_value(0.5, x, 1.0)
+    _, sup = J.estimate_jets_1d(XS, _v_column(0.5), x_hat, H1, H2)
+    for p in (sup.lo, sup.hi):
+        for h in (H1, H2):
             tol = J.DEFAULT_TOL_JET * h
             assert v(x_hat + h) <= v(x_hat) + p * h + tol
             assert v(x_hat - h) <= v(x_hat) - p * h + tol
 
 
-def test_step_validation():
-    with pytest.raises(J.JetError):
-        J.estimate_jets_1d(abs, 0.0, steps=[0.1])
-    with pytest.raises(J.JetError):
-        J.estimate_jets_1d(abs, 0.0, steps=[0.05, 0.1])
-    with pytest.raises(J.JetError):
-        J.estimate_jets_1d(abs, 0.0, steps=[0.1, -0.05])
-
-
 def test_grid_column_interpolation():
-    xs = np.linspace(-2, 2, 401)
-    vals = oracles.example31_value(0.5, xs, 1.0)
-    est = J.estimate_jets_1d((xs, vals), 0.0, steps=[0.08, 0.04, 0.02])
-    assert est.superjet.lo == pytest.approx(-1.5, abs=1e-9)
-    with pytest.raises(J.JetError):
-        J.estimate_jets_1d((xs, vals), 1.99, steps=[0.08, 0.04])
+    _, sup = J.estimate_jets_1d(XS, _v_column(0.5), 0.0, 0.04, 0.02)
+    assert sup.lo == pytest.approx(-1.5, abs=1e-9)
 
 
 def test_connection_full_pipeline(pipeline_optimal, vgrid400, spec31):

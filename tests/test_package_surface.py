@@ -1,6 +1,7 @@
 """The library holds what the pipeline runs: no public function or class of
-`src/fbsdelab` may be used only from the tests, and no parameter default
-may be a knob that nothing in `src/fbsdelab` sets."""
+`src/fbsdelab` may be used only from the tests, no field of its classes
+may go unread in `src/fbsdelab`, and no parameter default may be a knob
+that nothing in `src/fbsdelab` sets."""
 
 import ast
 import math
@@ -37,6 +38,40 @@ def test_every_public_definition_is_used_in_src():
     # an allowlisted name that src/ starts to use, or that is deleted,
     # leaves the allowlist
     assert unused == set(ALLOWED)
+
+
+# annotated class fields that src/ never reads, each with the reason it stays
+UNREAD_ALLOWED = {
+    "forward.PathBatch.x0": "perfbench's checks read it",
+    "adjoint.MaxConditionReport.stderrs": "the tests compare its bits, and "
+    "the per-step standard errors are to go into adjoint.csv",
+    "hjb.ProbeResult.t": "a report of hjb.viscosity_check, itself allowlisted",
+    "hjb.ViscosityCheckReport.points": "a report of hjb.viscosity_check",
+    "hjb.ViscosityCheckReport.worst_violation": "a report of hjb.viscosity_check",
+}
+
+
+def test_every_field_is_read_in_src():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    # a read is an attribute loaded anywhere in src/, matched by name
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = {
+        f"{module}.{cls.name}.{item.target.id}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and item.target.id not in read
+    }
+    # a field that src/ starts to read, or that is deleted, leaves the
+    # allowlist
+    assert unread == set(UNREAD_ALLOWED)
 
 
 # parameters with a default that no call in src/ passes, each with the

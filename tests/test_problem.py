@@ -308,6 +308,27 @@ def test_evaluator_output_is_fresh_with_the_batch_shape(f):
     assert np.array_equal(y, [3.0, -4.0, 0.25])
 
 
+def test_one_entry_vector_results_are_fresh_with_the_batch_shape(spec31):
+    # n = d = k = 1: the drift x1 * u1 comes back as the operation's own
+    # result reshaped to (M, 1), equal bit for bit to filling the one slot
+    rng = np.random.default_rng(3)
+    x, u = rng.normal(size=(1000, 1)), rng.uniform(size=(1000, 1))
+    y, z = rng.normal(size=1000), rng.normal(size=(1000, 1))
+    slot = np.empty((1000, 1))
+    slot[..., 0] = x[..., 0] * u[..., 0]
+    cases = [
+        (spec31.drift(0.3, x, u), slot),
+        (spec31.diffusion(0.3, x, u), x[..., None]),
+        (spec31.driver(0.3, x, y, z, u), x[..., 0] - y),
+    ]
+    for got, want in cases:
+        assert got.dtype == np.float64
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        for arg in (x, u, y, z):
+            assert not np.shares_memory(got, arg)
+
+
 def test_expression_domain_errors():
     cases = [
         ("log(x1)", [-1.0, 1.0], "log of a nonpositive value"),
