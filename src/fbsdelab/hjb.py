@@ -92,21 +92,19 @@ tests the policy's rows against the per-node maximum and returns the
 policy itself when no node would move.  On example31 every level takes
 one solve, and the sweep one factorization.
 
-One function, `_g_rows`, writes G's (C, J+1) rows, one per control of
-the grid.  `_Sweep.hamiltonian` gives sup_u G at given (r, p, A) as
-their maximum; the viscosity probe evaluates it at a single node.  The
-policy step maximizes the same rows in the raw differences
-nd_j = v_{j-1} - v_j and a = nd_{j+1} - nd_j: B_u v - r_u = v - v' +
-dt G_u with G_u = h a + (b/dx) nd[upwind] + c_u - f_y v.  When the
-driver reads neither z nor u, c_u - f_y v is the same for every row and
-is left out of the maximum.
+The policy step maximizes G's (C, J+1) rows, one per control of the
+grid, written in the raw differences nd_j = v_{j-1} - v_j and
+a = nd_{j+1} - nd_j: B_u v - r_u = v - v' + dt G_u with G_u = h a +
+(b/dx) nd[upwind] + c_u - f_y v.  When the driver reads neither z nor
+u, c_u - f_y v is the same for every row and is left out of the
+maximum.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -176,17 +174,11 @@ def _steps_for(span, dt_max):
     return max(1, int(np.ceil((span[1] - span[0]) / dt_max)))
 
 
-def _grid_sweep(spec, half_width, n_cells, t_start):
-    """The sweep over the J+1 nodes of [-L, L] from t_start to T."""
-    xs = np.linspace(-half_width, half_width, n_cells + 1)
-    return _Sweep(spec, xs, control_grid(spec), t_start)
-
-
 def cfl_max_dt(spec, half_width, n_cells, t_start=0.0):
     """The tightest monotonicity bound (`_Sweep.slopes`) over the steps of
     `cfl_time_grid`'s grid; inf when neither the driver's share nor the
     end rows' outflow bounds the step."""
-    sweep = _grid_sweep(spec, half_width, n_cells, t_start)
+    sweep = _Sweep(spec, half_width, n_cells, t_start)
     return min(sweep.slopes(t)[1] for t in sweep.passing_grid().times[1:])
 
 
@@ -195,7 +187,7 @@ def cfl_time_grid(spec, half_width, n_cells, t_start=0.0):
     at every level: Courant number dt max |b| / dx <= 1/2 and half the
     monotonicity bound, both taken over every control of `control_grid`,
     so `solve_hjb_fd` never refuses it."""
-    sweep = _grid_sweep(spec, half_width, n_cells, t_start)
+    sweep = _Sweep(spec, half_width, n_cells, t_start)
     return sweep.passing_grid()
 
 
@@ -205,17 +197,6 @@ def _neg_differences(v):
     difference at node j; J+2 entries."""
     vp = np.concatenate(([2.0 * v[0] - v[1]], v, [2.0 * v[-1] - v[-2]]))
     return vp[:-1] - vp[1:]
-
-
-def _g_rows(h, bd, a, nd_up, f=None):
-    """G's rows, one per control: h a + bd nd_up + f, with f left out when
-    it is None.  With h = |sigma|^2 / 2, bd = b and (a, nd_up) = (A, p)
-    it is 0.5 |sigma|^2 A + p b + f; the step uses the raw differences
-    a = dx^2 A and nd_up = dx p with h and bd divided by dx^2 and dx."""
-    g = h * a + bd * nd_up
-    if f is not None:
-        g += f
-    return g
 
 
 def _factor(lower, diag, upper):
@@ -292,12 +273,13 @@ def _per_level(compute):
 class _Sweep:
     """Backward-in-time sweep state with loop invariants hoisted.
 
-    `hamiltonian` gives sup_u G at the nodes `xs`, the maximum of G's
-    rows, one per control; it needs no grid spacing, so `xs` may be one
-    node.  `level` gives a time level's implicit rows, `factors` the
-    factorization (`_factor`) of a policy's rows and `step` one implicit
-    step by policy iteration, whose solves substitute (`_substitute`)
-    into `factors`; `factorizations` counts the factorizations made.
+    The sweep runs on the J+1 nodes of [-L, L] with dx = 2L / J, the
+    nodes and spacing `ValueGrid.xs` and `ValueGrid.dx` give, and each
+    of its terms has one row per control of `control_grid`.  `level`
+    gives a time level's implicit rows, `factors` the factorization
+    (`_factor`) of a policy's rows and `step` one implicit step by
+    policy iteration, whose solves substitute (`_substitute`) into
+    `factors`; `factorizations` counts the factorizations made.
     `slopes` gives a level's f_y and monotonicity bound, `rule_dt` the N
     rule's dt and `passing_grid` the rule's grid on `span` =
     [t_start, T].  `terminal_row` is -phi(x).
@@ -310,14 +292,14 @@ class _Sweep:
     b and f do and sigma too if f reads z, the rule when b and the
     slopes do, a level's rows and factorization when all of b, sigma
     and f do.
-    `controls` (C, k) gives G's rows, one control per row.
     """
 
-    def __init__(self, spec, xs, controls, t_start=0.0):
+    def __init__(self, spec, half_width, n_cells, t_start):
         if spec.n != 1:
             raise ProblemError("the finite-difference solver is one-dimensional")
         self.spec = spec
-        self.xs = xs
+        xs = np.linspace(-half_width, half_width, n_cells + 1)
+        self.dx = 2.0 * half_width / n_cells
         self.span = (t_start, spec.horizon)
         self.x_cols = xs[:, None]
         reads = {v[0] for v in spec.f_variables}
@@ -339,6 +321,7 @@ class _Sweep:
         self._static = {name for name, s in static.items() if s}
         self._memo = {}
         self.factorizations = 0
+        controls = control_grid(spec)
         shape = (len(controls), xs.size)
         self.x = np.broadcast_to(xs[None, :, None], shape + (1,))
         self.u = np.broadcast_to(controls[:, None, :], shape + (spec.k,))
@@ -357,18 +340,6 @@ class _Sweep:
         """(sigma's row (C, J+1, d), |sigma|^2 / 2 (C, J+1)) at time t."""
         sg = self.spec.diffusion(t, self.x, self.u)[..., 0, :]
         return sg, 0.5 * np.sum(sg * sg, axis=-1)
-
-    def hamiltonian(self, t, r, p, big_a):
-        """sup_u G: per node the maximum over the controls' rows of
-        0.5 |sigma|^2 A + p b + f(t, x, r, sigma^T p, u) (`_g_rows`)."""
-        sg, half_s2 = self._diffusion(t)
-        fval = self.spec.driver(t, self.x, r, sg * p[..., None], self.u)
-        return _g_rows(half_s2, self._drift(t)[0], big_a, p, fval).max(axis=0)
-
-    @cached_property
-    def dx(self):
-        """The spacing 2L / J, which `ValueGrid.dx` reports too."""
-        return float(self.xs[-1] - self.xs[0]) / (self.xs.size - 1)
 
     @_per_level
     def slopes(self, t):
@@ -434,10 +405,12 @@ class _Sweep:
         return _Level(lower, diag, upper, h, bd, gather, sgd, f_y, bound)
 
     def _pick(self, rows, nd, extra, policy):
-        """Per node, the row of G (`_g_rows` in the raw differences) that
-        is largest, keeping `policy`'s row where it ties; `extra` is None
-        when it is the same for every row."""
-        g = _g_rows(rows.h, rows.bd, nd[1:] - nd[:-1], nd[rows.gather], extra)
+        """Per node, the row of G in the raw differences, h a + bd nd_up +
+        `extra`, that is largest, keeping `policy`'s row where it ties;
+        `extra` is None when it is the same for every row."""
+        g = rows.h * (nd[1:] - nd[:-1]) + rows.bd * nd[rows.gather]
+        if extra is not None:
+            g += extra
         if policy is None:
             return g.argmax(axis=0)
         own = g[policy, self._nodes]
@@ -516,7 +489,7 @@ def solve_hjb_fd(spec, half_width, n_cells, grid):
     """
     if abs(grid.end - spec.horizon) > 1e-12:
         raise ProblemError("grid must end at the problem horizon")
-    sweep = _grid_sweep(spec, half_width, n_cells, grid.start)
+    sweep = _Sweep(spec, half_width, n_cells, grid.start)
     times, dt = grid.times, grid.dt
     values = np.empty((grid.steps + 1, n_cells + 1))
     values[-1] = v = sweep.terminal_row
@@ -543,136 +516,6 @@ def solve_hjb_fd(spec, half_width, n_cells, grid):
         max_level_solves=max(solves),
         factorizations=sweep.factorizations,
     )
-
-
-# --------------------------------------------------------------------------
-# Viscosity-inequality probes
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class ProbeResult:
-    t: float
-    x: float
-    sub_residual: float = None  # None: no test function touches from above
-    super_residual: float = None  # None: no test function touches from below
-
-
-@dataclass
-class ViscosityCheckReport:
-    """Sub/supersolution residuals from locally fitted quadratics.
-
-    At each probe point a full quadratic in (t, x) is least-squares
-    fitted over the window; its linear part is then replaced by the
-    midpoints of one-sided slopes at the probe (a least-squares slope is
-    branch-averaged at a kink and no vertical shift can restore
-    domination), and the result is shifted to touch the grid at the
-    probe.  If it stays above (below) the grid on the window it is a
-    valid from-above (from-below) test function; the corresponding
-    inequality residual -phi_t + sup_u G(..., -phi_x, -phi_xx, u) should
-    be <= 0 (>= 0).  worst_violation aggregates signed violations.
-    """
-
-    points: list
-    worst_violation: float
-
-
-_TOUCH_TOL = 1e-9
-# quadratic-in-distance allowance: the touching notion is first-order
-# (o(|x - x_hat|)), so remainders of order distance^2 -- e.g. the t|x|
-# cross term a quadratic cannot represent at a kink -- must not veto a
-# test function; 0.5 d^2 separates them from genuine first-order gaps
-_TOUCH_CURVATURE = 0.5
-# grid steps on each side of the probe in t and in x: the fit window is
-# (2 _FIT_RADIUS + 1)^2 nodes, and the one-sided slopes read two steps
-_FIT_RADIUS = 3
-
-
-def _one_sided_slope(vals, idx, h, side):
-    """Two-step Richardson one-sided slope of a sampled axis at vals[idx]."""
-    s1 = side * (vals[idx + side] - vals[idx]) / h
-    s2 = side * (vals[idx + 2 * side] - vals[idx]) / (2.0 * h)
-    return 2.0 * s1 - s2
-
-
-def viscosity_check(vgrid, spec, probe_points):
-    """Test the viscosity inequalities at interior probe points."""
-    times = vgrid.grid.times
-    xs = vgrid.xs
-    v = vgrid.values
-    n_t, n_x = v.shape
-    results = []
-    worst = 0.0
-    controls = control_grid(spec)
-    rc = _FIT_RADIUS
-
-    for t_probe, x_probe in probe_points:
-        it = int(np.argmin(np.abs(times - t_probe)))
-        jx = int(np.argmin(np.abs(xs - x_probe)))
-        if not (rc <= it < n_t - rc and rc <= jx < n_x - rc):
-            raise ProblemError(
-                f"probe point ({t_probe}, {x_probe}) too close to the grid edge"
-            )
-        t0, x0 = times[it], xs[jx]
-        st = times[it + rc] - times[it - rc]
-        sx = xs[jx + rc] - xs[jx - rc]
-        window = v[it - rc : it + rc + 1, jx - rc : jx + rc + 1]
-        tt = (times[it - rc : it + rc + 1] - t0) / st
-        xx = (xs[jx - rc : jx + rc + 1] - x0) / sx
-        tg, xg = np.meshgrid(tt, xx, indexing="ij")
-        design = np.column_stack(
-            [
-                np.ones(tg.size),
-                tg.ravel(),
-                xg.ravel(),
-                tg.ravel() ** 2,
-                (tg * xg).ravel(),
-                xg.ravel() ** 2,
-            ]
-        )
-        coef, *_ = np.linalg.lstsq(design, window.ravel(), rcond=None)
-
-        # replace the least-squares linear part by one-sided midpoints
-        t_col = window[:, rc]
-        x_row = window[rc, :]
-        ht = times[it + 1] - times[it]
-        hx = xs[jx + 1] - xs[jx]
-        phi_t = 0.5 * (
-            _one_sided_slope(t_col, rc, ht, +1) + _one_sided_slope(t_col, rc, ht, -1)
-        )
-        phi_x = 0.5 * (
-            _one_sided_slope(x_row, rc, hx, +1) + _one_sided_slope(x_row, rc, hx, -1)
-        )
-        phi_xx = 2.0 * coef[5] / (sx * sx)
-        coef = coef.copy()
-        coef[1] = phi_t * st
-        coef[2] = phi_x * sx
-
-        fit = (design @ coef).reshape(window.shape)
-        center = fit[rc, rc]
-        gap = (fit - center + v[it, jx]) - window
-        scale = 1.0 + np.max(np.abs(window))
-        dt_off = (times[it - rc : it + rc + 1] - t0)[:, None]
-        dx_off = (xs[jx - rc : jx + rc + 1] - x0)[None, :]
-        allowance = _TOUCH_TOL * scale + _TOUCH_CURVATURE * (
-            dt_off**2 + dx_off**2
-        )
-
-        # -phi_t + sup_u G(t0, x0, -v, -phi_x, -phi_xx, u), at one node
-        g = _Sweep(spec, np.array([x0]), controls).hamiltonian(
-            t0, -v[it, jx], np.array([-phi_x]), -phi_xx
-        )
-        lhs = -phi_t + float(g[0])
-
-        res = ProbeResult(t=t0, x=x0)
-        if np.all(gap >= -allowance):  # touches from above
-            res.sub_residual = lhs
-            worst = max(worst, res.sub_residual)
-        if np.all(gap <= allowance):  # touches from below
-            res.super_residual = lhs
-            worst = max(worst, -res.super_residual)
-        results.append(res)
-    return ViscosityCheckReport(points=results, worst_violation=worst)
 
 
 def regularity_probe(vgrid):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fbsdelab import backward, forward, hjb, problem
+from fbsdelab import backward, forward, hjb
 
 
 @dataclass
@@ -103,9 +103,10 @@ def backward_perturbation_probe(
 
 
 def sweep_step(spec, xs, v, t, dt):
-    """One implicit step of a value row from time t to t - dt, its policy
-    started from the rows that maximize G at v."""
-    return hjb._Sweep(spec, xs, problem.control_grid(spec)).step(v, t, dt)[0]
+    """One implicit step of a value row on the evenly spaced nodes xs of
+    [-L, L] from time t to t - dt, its policy started from the rows that
+    maximize G at v."""
+    return hjb._Sweep(spec, float(xs[-1]), xs.size - 1, 0.0).step(v, t, dt)[0]
 
 
 def example31_jets(s, horizon):

@@ -65,7 +65,7 @@ _FIRST_LEVEL_N = 28
 def test_time_dependent_cfl_checked_each_step():
     spec = _oscillating_sigma()
     grid = F.TimeGrid(0.0, 1.0, _FIRST_LEVEL_N)
-    sweep = H._grid_sweep(spec, 2.0, 20, 0.0)
+    sweep = H._Sweep(spec, 2.0, 20, 0.0)
     assert not H._exceeds(grid.dt, sweep.slopes(1.0)[1])
     with pytest.raises(H.CFLError, match="use at least N") as err:
         H.solve_hjb_fd(spec, 2.0, 20, grid)
@@ -136,8 +136,11 @@ _TWO_CONTROL_PROBLEMS = {
 }
 
 
-# one-control problems whose coefficients read time: (b, sigma, f)
-_TIME_PROBLEMS = {
+# one-control problems: (b, sigma, f)
+_ONE_CONTROL_PROBLEMS = {
+    # b = sigma = 0 reduce G to the driver alone, y + 2
+    "null_coefficients": ("0", "0", "y + 2"),
+    # the other four read time
     # sigma grows with s, so each level has its own rows
     "time_dependent": ("x1 * u1", "x1 * (1 + s)", "x1 - y + u1"),
     # b alone reads s: so do the slopes, the N rule and the rows
@@ -150,8 +153,8 @@ _TIME_PROBLEMS = {
 
 
 def _sweep_problem(name):
-    if name in _TIME_PROBLEMS:
-        b, sigma, f = _TIME_PROBLEMS[name]
+    if name in _ONE_CONTROL_PROBLEMS:
+        b, sigma, f = _ONE_CONTROL_PROBLEMS[name]
         return P.spec_from_expressions(
             1, 1, 1, 1.0, [0.0], [1.0], [b], [sigma], f, "x1"
         ), 2.0
@@ -169,14 +172,21 @@ _BELLMAN_RESIDUAL = 1e-13
 
 
 @pytest.mark.parametrize(
-    "name", ["example31", "smooth1d", "time_dependent", *_TWO_CONTROL_PROBLEMS]
+    "name",
+    [
+        "example31", "smooth1d", "time_dependent", "null_coefficients",
+        *_TWO_CONTROL_PROBLEMS,
+    ],
 )
 def test_sweep_bit_identical_to_per_control_loop(name):
     spec, half_width = _sweep_problem(name)
     grid = H.cfl_time_grid(spec, half_width, 40)
     vg = H.solve_hjb_fd(spec, half_width, 40, grid)
     controls = P.control_grid(spec)
-    sweep = H._Sweep(spec, vg.xs, controls)
+    sweep = H._Sweep(spec, half_width, 40, 0.0)
+    # the nodes and dx the solve steps on are those the value grid reports
+    assert sweep.x_cols[:, 0].tobytes() == vg.xs.tobytes()
+    assert np.float64(sweep.dx).tobytes() == np.float64(vg.dx).tobytes()
     scale = 1.0 + np.max(np.abs(vg.values))
     for i in (grid.steps - 1, grid.steps // 2, 0):
         t = grid.times[i + 1]
@@ -208,47 +218,6 @@ def test_multidimensional_state_rejected():
     # before the coefficient scan, which reads sigma as one-dimensional
     with pytest.raises(P.ProblemError, match="one-dimensional"):
         H.cfl_time_grid(spec, 1.0, 10)
-
-
-def _g_row(spec, t, x, r, p, big_a, u):
-    """G at one node and one control, from the sweep's G rows."""
-    sweep = H._Sweep(spec, np.array([x]), np.array([[u]]))
-    g = sweep.hamiltonian(t, r, np.array([p]), big_a)
-    assert g.shape == (1,)
-    return float(g[0])
-
-
-@pytest.mark.parametrize("name", ["example31", "smooth1d"])
-def test_hamiltonian_equals_per_control_loop(name):
-    # sup_u G at the 401 nodes of J = 400, bit for bit the per-node maximum
-    # of a plain loop over every control; example31's driver reads neither
-    # z nor u, smooth1d's reads z
-    spec, half_width = _sweep_problem(name)
-    xs = np.linspace(-half_width, half_width, 401)
-    x_cols = xs[:, None]
-    rng = np.random.default_rng(5)
-    r, p, big_a = rng.normal(0.0, 1.0, (3, xs.size))
-    t = 0.5
-    controls = P.control_grid(spec)
-    got = H._Sweep(spec, xs, controls).hamiltonian(t, r, p, big_a)
-    rows = []
-    for u in controls:
-        uu = np.broadcast_to(u, (xs.size, spec.k))
-        b = spec.drift(t, x_cols, uu)[:, 0]
-        sg = spec.diffusion(t, x_cols, uu)[:, 0, :]
-        f = spec.driver(t, x_cols, r, sg * p[:, None], uu)
-        rows.append(0.5 * np.sum(sg * sg, axis=-1) * big_a + p * b + f)
-    assert np.array_equal(got, np.max(rows, axis=0))
-
-
-def test_generalized_hamiltonian_hand_values(spec31):
-    assert _g_row(spec31, 0.0, 1.0, 0.0, 0.0, 0.0, 0.7) == pytest.approx(1.0)
-    assert _g_row(spec31, 0.0, 1.0, 0.0, -1.0, 0.0, 1.0) == pytest.approx(0.0)
-    # all-zero coefficients reduce G to the driver alone
-    nul = P.spec_from_expressions(
-        1, 1, 1, 1.0, [0.0], [1.0], ["0"], ["0"], "y + 2", "x1"
-    )
-    assert _g_row(nul, 0.2, 0.5, 1.5, 2.0, -3.0, 0.3) == pytest.approx(3.5)
 
 
 @pytest.mark.parametrize(
@@ -341,50 +310,6 @@ def test_consistency_residual_smooth_region(vgrid100, vgrid400, spec31):
     assert residuals[0] <= floor and residuals[1] <= floor or (
         residuals[0] / residuals[1] >= 1.5
     )
-
-
-def test_viscosity_smooth_probes_both_sides(vgrid400, spec31):
-    rep = H.viscosity_check(vgrid400, spec31, [(0.5, 1.0), (0.5, -1.0)])
-    for point in rep.points:
-        assert point.sub_residual == pytest.approx(0.0, abs=1e-9)
-        assert point.super_residual == pytest.approx(0.0, abs=1e-9)
-    assert rep.worst_violation <= 1e-9
-
-
-def test_viscosity_kink_supersolution_vacuous(vgrid400, spec31):
-    rep = H.viscosity_check(vgrid400, spec31, [(0.5, 0.0)])
-    point = rep.points[0]
-    assert point.super_residual is None  # no touching quadratic from below
-    assert point.sub_residual is not None
-    assert point.sub_residual <= 1e-9
-
-
-def test_viscosity_convex_kink_opposite(spec31):
-    # |x| has an empty super-jet at 0: from-above must be vacuous
-    tg = F.TimeGrid(0.0, 1.0, 10)
-    xs = np.linspace(-2, 2, 81)
-    fake = H.ValueGrid(2.0, 80, tg, np.tile(np.abs(xs), (11, 1)))
-    nul = P.spec_from_expressions(1, 1, 1, 1.0, [0.0], [1.0], ["0"], ["0"], "0", "x1")
-    point = H.viscosity_check(fake, nul, [(0.5, 0.0)]).points[0]
-    assert point.sub_residual is None
-    assert point.super_residual is not None
-
-
-def test_viscosity_constant_grid_null_equation():
-    tg = F.TimeGrid(0.0, 1.0, 10)
-    vals = np.full((11, 81), 1.5)
-    fake = H.ValueGrid(2.0, 80, tg, vals)
-    nul = P.spec_from_expressions(
-        1, 1, 1, 1.0, [0.0], [1.0], ["0"], ["0"], "0", "0 - 1.5"
-    )
-    point = H.viscosity_check(fake, nul, [(0.5, 0.0)]).points[0]
-    assert point.sub_residual == pytest.approx(0.0, abs=1e-12)
-    assert point.super_residual == pytest.approx(0.0, abs=1e-12)
-
-
-def test_viscosity_probe_validation(vgrid100, spec31):
-    with pytest.raises(P.ProblemError, match="edge"):
-        H.viscosity_check(vgrid100, spec31, [(1.0, 0.0)])
 
 
 def test_regularity_probe_on_solved_grid(vgrid400):
@@ -711,7 +636,7 @@ def test_kept_factorization_bit_identical_to_factoring_every_solve(
     spec, half_width = _sweep_problem(name)
     grid = H.cfl_time_grid(spec, half_width, n_cells)
     kept = H.solve_hjb_fd(spec, half_width, n_cells, grid)
-    terms = _level_terms(H._grid_sweep(spec, half_width, n_cells, 0.0), grid)
+    terms = _level_terms(H._Sweep(spec, half_width, n_cells, 0.0), grid)
     per_level = {
         key: term.__wrapped__
         for key, term in vars(H._Sweep).items()
@@ -729,7 +654,7 @@ def test_kept_factorization_bit_identical_to_factoring_every_solve(
         ref.policy_solves, ref.max_level_solves
     )
     assert ref.factorizations == ref.policy_solves
-    ref_terms = _level_terms(H._grid_sweep(spec, half_width, n_cells, 0.0), grid)
+    ref_terms = _level_terms(H._Sweep(spec, half_width, n_cells, 0.0), grid)
     assert len(terms) == len(ref_terms)
     for got, want in zip(terms, ref_terms):
         assert np.array_equal(got, want)
@@ -778,7 +703,7 @@ def _pick_by_argmax(g, policy):
 
 def test_pick_keeps_ties_moves_on_larger_rows_and_follows_argmax_on_nan(spec31):
     # h = bd = 0 and zero differences leave G's rows equal to `extra`
-    sweep = H._Sweep(spec31, np.linspace(-1.0, 1.0, 3), np.array([[0.0], [1.0]]))
+    sweep = H._Sweep(spec31, 1.0, 2, 0.0)
     zeros = np.zeros((2, 3))
     rows = H._Level(None, None, None, zeros, zeros, np.zeros((2, 3), int), None, None, None)
     nd = np.zeros(4)
@@ -849,7 +774,7 @@ def test_time_dependent_driver_bound_checked_each_step():
         "x1 + 40 * sin(20 * s) ^ 2 * y", "x1",
     )
     coarse = F.TimeGrid(0.0, 1.0, 44)
-    sweep = H._grid_sweep(spec, 2.0, 20, 0.0)
+    sweep = H._Sweep(spec, 2.0, 20, 0.0)
     assert not H._exceeds(coarse.dt, sweep.slopes(1.0)[1])
     with pytest.raises(H.CFLError, match="use at least N"):
         H.solve_hjb_fd(spec, 2.0, 20, coarse)

@@ -1,7 +1,7 @@
-"""The library holds what the pipeline runs: no public function or class of
-`src/fbsdelab` may be used only from the tests, no field of its classes
-may go unread in `src/fbsdelab`, and no parameter default may be a knob
-that nothing in `src/fbsdelab` sets."""
+"""The library holds what the pipeline runs: no public function, class or
+method of `src/fbsdelab` may be used only from the tests, no field of its
+classes may go unread in `src/fbsdelab`, and no parameter default may be
+a knob that nothing in `src/fbsdelab` sets."""
 
 import ast
 import math
@@ -14,19 +14,23 @@ SRC = pathlib.Path(fbsdelab.__file__).resolve().parent
 # public names used from outside src/ alone, each with the reason it stays
 ALLOWED = {
     "hjb.cfl_max_dt": "perfbench/tracing.py wraps it to count CFL scans",
-    "hjb.viscosity_check": "to be wired into the hjb stage's verdict",
 }
 
 
-def test_every_public_definition_is_used_in_src():
-    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
-    # a use is a name loaded or read as an attribute; an import alone is not
-    used = {
+def _used(trees):
+    """The names src/ uses: a use is a name loaded or read as an attribute;
+    an import alone is not."""
+    return {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees.values()
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
+
+
+def test_every_public_definition_is_used_in_src():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    used = _used(trees)
     unused = {
         f"{module}.{node.name}"
         for module, tree in trees.items()
@@ -40,14 +44,29 @@ def test_every_public_definition_is_used_in_src():
     assert unused == set(ALLOWED)
 
 
+def test_every_public_method_is_used_in_src():
+    # a method of any module-level class, private classes included, whose
+    # name src/ never uses, matched by name like the definitions above
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    used = _used(trees)
+    unused = {
+        f"{module}.{cls.name}.{item.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef)
+        and not item.name.startswith("_")
+        and item.name not in used
+    }
+    assert unused == set()
+
+
 # annotated class fields that src/ never reads, each with the reason it stays
 UNREAD_ALLOWED = {
     "forward.PathBatch.x0": "perfbench's checks read it",
     "adjoint.MaxConditionReport.stderrs": "the tests compare its bits, and "
     "the per-step standard errors are to go into adjoint.csv",
-    "hjb.ProbeResult.t": "a report of hjb.viscosity_check, itself allowlisted",
-    "hjb.ViscosityCheckReport.points": "a report of hjb.viscosity_check",
-    "hjb.ViscosityCheckReport.worst_violation": "a report of hjb.viscosity_check",
 }
 
 
